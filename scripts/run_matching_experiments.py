@@ -20,7 +20,6 @@ def main() -> None:
     ap.add_argument("--trials", type=int, default=100)
     ap.add_argument("--vehicles", type=int, default=40)
     ap.add_argument("--seed", type=int, default=20260810)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--outdir", default="results")
     args = ap.parse_args()
 
@@ -29,9 +28,7 @@ def main() -> None:
         params = GeneratorParams(
             n_uavs=0, n_vehicles=args.vehicles, theta_range=case_theta_range(case)
         )
-        rows = run_experiment(
-            params, args.trials, UAV_COUNTS, master_seed=args.seed, workers=args.workers
-        )
+        rows = run_experiment(params, args.trials, UAV_COUNTS, master_seed=args.seed)
         path = os.path.join(args.outdir, f"experiment_case{case}.csv")
         write_csv(path, EXPERIMENT_CSV_HEADER, [r.as_csv_row() for r in rows])
         last = rows[-1]

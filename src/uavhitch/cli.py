@@ -194,9 +194,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         deadline_factor=args.deadline_factor,
         capacity=args.capacity,
     )
-    rows = run_experiment(
-        params, args.trials, counts, master_seed=args.seed, workers=args.workers
-    )
+    rows = run_experiment(params, args.trials, counts, master_seed=args.seed)
     text = csv_text(EXPERIMENT_CSV_HEADER, [r.as_csv_row() for r in rows])
     _emit(text, args.output)
 
@@ -293,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-max", type=float, default=20.0)
     p.add_argument("--deadline-factor", type=float, default=None)
     p.add_argument("--capacity", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--output", default=None)
     p.add_argument("--emit-scenarios", default=None, help="directory for scenario files")
     p.set_defaults(func=_cmd_simulate)

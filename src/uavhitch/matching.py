@@ -16,7 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .model import HitchPlan, PairGeometry, PlannerConfig, UavTask, VehicleOffer
+from .model import (
+    HitchPlan,
+    PairGeometry,
+    PlannerConfig,
+    UavTask,
+    UnboundedHitchError,
+    VehicleOffer,
+)
 from .planner import plan_pair
 
 __all__ = [
@@ -62,13 +69,10 @@ class SavingMatrix:
 
 @dataclass
 class DualState:
-    """Final potentials of the primal-dual solver plus the last tree."""
+    """Final potentials of the primal-dual solver."""
 
     p: list[float]
     q: list[float]
-    reachable_uavs: set[int] = field(default_factory=set)
-    reachable_vehicles: set[int] = field(default_factory=set)
-    epsilon: float = 0.0
 
 
 @dataclass
@@ -105,10 +109,15 @@ def build_saving_matrix(
                 f"geometry row {i} has {len(row)} entries for {len(offers)} vehicles"
             )
 
-    pair_plans = [
-        [plan_pair(cfg, task, offer, geoms[i][j], limited) for j, offer in enumerate(offers)]
-        for i, task in enumerate(tasks)
-    ]
+    pair_plans = []
+    for i, task in enumerate(tasks):
+        row = []
+        for j, offer in enumerate(offers):
+            try:
+                row.append(plan_pair(cfg, task, offer, geoms[i][j], limited))
+            except UnboundedHitchError as exc:
+                raise UnboundedHitchError(f"uav {i}, vehicle {j}: {exc}") from exc
+        pair_plans.append(row)
     pair_weights = [[max(0.0, plan.saving) for plan in row] for row in pair_plans]
 
     column_origin: list[int] = []
@@ -175,9 +184,6 @@ def msa_match(m: SavingMatrix) -> MatchResult:
     match_row = [-1] * n_rows
     match_col = [-1] * n_cols
     iterations = 0
-    last_tree_rows: set[int] = set()
-    last_tree_cols: set[int] = set()
-    last_eps = 0.0
 
     for root in range(n_rows):
         if p[root] <= tol:
@@ -234,7 +240,6 @@ def msa_match(m: SavingMatrix) -> MatchResult:
                         q[j] += eps
                     elif slack[j] < math.inf:
                         slack[j] -= eps
-                last_eps = eps
 
             if arg_col != -1 and delta_cols <= delta_zero:
                 j = arg_col
@@ -254,17 +259,7 @@ def msa_match(m: SavingMatrix) -> MatchResult:
                     augment(freed)
                 break
 
-        last_tree_rows = {r for r in range(n_rows) if in_tree_row[r]}
-        last_tree_cols = {j for j in range(n_cols) if in_tree_col[j]}
-
-    duals = DualState(
-        p=p,
-        q=q,
-        reachable_uavs=last_tree_rows,
-        reachable_vehicles=last_tree_cols,
-        epsilon=last_eps,
-    )
-    return _collect_result(m, match_row, duals=duals, iterations=iterations)
+    return _collect_result(m, match_row, duals=DualState(p=p, q=q), iterations=iterations)
 
 
 def greedy_match(m: SavingMatrix) -> MatchResult:

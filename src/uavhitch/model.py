@@ -36,8 +36,8 @@ class PlannerConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError(f"omega must be in [0, 1], got {self.omega}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < INF:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass(frozen=True)

@@ -59,15 +59,36 @@ def flight_leg(x: float, theta: float, y: float) -> float:
     return math.hypot(y - x * math.cos(theta), x * math.sin(theta))
 
 
-def _check_y(y: float) -> None:
+def _evaluate(
+    task: UavTask,
+    offer: VehicleOffer,
+    geom: PairGeometry,
+    y: float,
+    limited: bool,
+    omega: float = 0.0,
+) -> tuple[float, float, float]:
+    """(T, E, C) at riding distance y, with the flight leg computed once.
+
+    ``limited`` saturates the charge at the battery headroom; without it a
+    battery-swap offer has no finite energy. C is weighted by ``omega``.
+    """
     if y < 0.0:
         raise ValueError(f"hitch distance y must be >= 0, got {y}")
+    if not limited and math.isinf(offer.gamma):
+        raise ValueError("energy is undefined for battery-swap offers (gamma=inf)")
+    flight = flight_leg(task.x, geom.theta, y) / task.u
+    charge = (offer.gamma / offer.v) * y
+    if limited:
+        charge = 0.0 if y == 0.0 else min(task.battery_headroom, charge)
+    t = y / offer.v + flight
+    e = flight - charge
+    return t, e, omega * e + (1.0 - omega) * t
 
 
 def travel_time(task: UavTask, offer: VehicleOffer, geom: PairGeometry, y: float) -> float:
     """Total trip duration: riding time y/v plus flight time F(y)/u."""
-    _check_y(y)
-    return y / offer.v + flight_leg(task.x, geom.theta, y) / task.u
+    # T is the same under both battery models; only the limited one accepts swaps.
+    return _evaluate(task, offer, geom, y, limited=True)[0]
 
 
 def energy(task: UavTask, offer: VehicleOffer, geom: PairGeometry, y: float) -> float:
@@ -77,17 +98,12 @@ def energy(task: UavTask, offer: VehicleOffer, geom: PairGeometry, y: float) -> 
     with. Battery-swap offers (infinite gamma) have no finite energy here;
     use :func:`battery_swap_plan` for those.
     """
-    _check_y(y)
-    if math.isinf(offer.gamma):
-        raise ValueError("energy is undefined for battery-swap offers (gamma=inf)")
-    return flight_leg(task.x, geom.theta, y) / task.u - (offer.gamma / offer.v) * y
+    return _evaluate(task, offer, geom, y, limited=False)[1]
 
 
 def energy_limited(task: UavTask, offer: VehicleOffer, geom: PairGeometry, y: float) -> float:
     """Net energy use when charging saturates at the battery headroom."""
-    _check_y(y)
-    charged = 0.0 if y == 0.0 else min(task.battery_headroom, (offer.gamma / offer.v) * y)
-    return flight_leg(task.x, geom.theta, y) / task.u - charged
+    return _evaluate(task, offer, geom, y, limited=True)[1]
 
 
 def consumption(
@@ -99,8 +115,7 @@ def consumption(
     limited: bool = False,
 ) -> float:
     """Weighted objective omega*E + (1 - omega)*T at riding distance y."""
-    e = energy_limited(task, offer, geom, y) if limited else energy(task, offer, geom, y)
-    return cfg.omega * e + (1.0 - cfg.omega) * travel_time(task, offer, geom, y)
+    return _evaluate(task, offer, geom, y, limited, cfg.omega)[2]
 
 
 def hitch_only_speed_threshold(cfg: PlannerConfig, task: UavTask) -> float:
@@ -212,7 +227,7 @@ def _deadline_cap(task: UavTask, offer: VehicleOffer, geom: PairGeometry) -> flo
     return math.inf if math.isinf(task.deadline) else max_hitch_distance(task, offer, geom)
 
 
-def _no_hitch_plan(cfg: PlannerConfig, task: UavTask, swap: bool = False) -> HitchPlan:
+def _no_hitch_plan(task: UavTask, swap: bool = False) -> HitchPlan:
     base = task.direct_time
     return HitchPlan(
         y_star=0.0,
@@ -235,33 +250,20 @@ def _finish_plan(
     limited: bool,
 ) -> HitchPlan:
     if y <= 0.0:
-        return _no_hitch_plan(cfg, task)
-    t = travel_time(task, offer, geom, y)
-    e = energy_limited(task, offer, geom, y) if limited else energy(task, offer, geom, y)
-    c = cfg.omega * e + (1.0 - cfg.omega) * t
+        return _no_hitch_plan(task)
+    t, e, c = _evaluate(task, offer, geom, y, limited, cfg.omega)
     saving = task.direct_time - c
     if saving <= 0.0:
         # The capped plan never beats the baseline for an eligible vehicle;
         # guard against rounding right at the boundary.
-        return _no_hitch_plan(cfg, task)
+        return _no_hitch_plan(task)
     return HitchPlan(y, t, e, c, saving, binding)
 
 
-def optimal_distance(
-    cfg: PlannerConfig, task: UavTask, offer: VehicleOffer, geom: PairGeometry
+def _eligible_plan(
+    cfg: PlannerConfig, task: UavTask, offer: VehicleOffer, geom: PairGeometry, phi: float
 ) -> HitchPlan:
-    """Best riding distance with an unbounded battery.
-
-    For an eligible vehicle the convex objective has the stationary point
-    y = x*sin(phi - theta)/sin(phi), capped by the deadline. In the
-    always-eligible regime (phi = pi) only the deadline stops the ride, so
-    an unbounded deadline is an error there.
-    """
-    elig = eligibility(cfg, task, offer, geom)
-    if not elig.eligible:
-        return _no_hitch_plan(cfg, task)
-    phi = elig.threshold_angle
-
+    """Unbounded-battery plan for an offer found eligible at threshold angle phi."""
     if phi == math.pi:
         if math.isinf(task.deadline):
             raise UnboundedHitchError(
@@ -276,6 +278,22 @@ def optimal_distance(
     if y_interior <= y_cap:
         return _finish_plan(cfg, task, offer, geom, y_interior, Binding.INTERIOR, limited=False)
     return _finish_plan(cfg, task, offer, geom, y_cap, Binding.DEADLINE, limited=False)
+
+
+def optimal_distance(
+    cfg: PlannerConfig, task: UavTask, offer: VehicleOffer, geom: PairGeometry
+) -> HitchPlan:
+    """Best riding distance with an unbounded battery.
+
+    For an eligible vehicle the convex objective has the stationary point
+    y = x*sin(phi - theta)/sin(phi), capped by the deadline. In the
+    always-eligible regime (phi = pi) only the deadline stops the ride, so
+    an unbounded deadline is an error there.
+    """
+    elig = eligibility(cfg, task, offer, geom)
+    if not elig.eligible:
+        return _no_hitch_plan(task)
+    return _eligible_plan(cfg, task, offer, geom, elig.threshold_angle)
 
 
 def optimal_distance_ho(
@@ -298,21 +316,21 @@ def optimal_distance_limited(
     cap distance itself.
     """
     if offer.gamma == 0.0:
-        return optimal_distance_ho(cfg, task, offer, geom)
+        return optimal_distance(cfg, task, offer, geom)
     if math.isinf(offer.gamma):
         # Instant charge is a battery swap; that plan owns the accounting.
         return battery_swap_plan(cfg, task, offer, geom)
 
     elig = eligibility(cfg, task, offer, geom)
     if not elig.eligible:
-        return _no_hitch_plan(cfg, task)
+        return _no_hitch_plan(task)
 
     headroom = task.battery_headroom
     if math.isinf(headroom):
-        return optimal_distance(cfg, task, offer, geom)
+        return _eligible_plan(cfg, task, offer, geom, elig.threshold_angle)
     y_cap = headroom * offer.v / offer.gamma
 
-    ho_plan = optimal_distance_ho(cfg, task, replace(offer, gamma=0.0), geom)
+    ho_plan = optimal_distance(cfg, task, replace(offer, gamma=0.0), geom)
     if y_cap <= ho_plan.y_star:
         # Fully charged before the ride-only optimum: keep riding to it.
         return _finish_plan(cfg, task, offer, geom, ho_plan.y_star, ho_plan.binding, limited=True)
@@ -322,7 +340,7 @@ def optimal_distance_limited(
         # makes the limited problem well posed: ride exactly to the cap.
         return _finish_plan(cfg, task, offer, geom, y_cap, Binding.BATTERY_FULL, limited=True)
 
-    full = optimal_distance(cfg, task, offer, geom)
+    full = _eligible_plan(cfg, task, offer, geom, elig.threshold_angle)
     if y_cap >= full.y_star:
         return full
     y = min(y_cap, _deadline_cap(task, offer, geom))
@@ -342,9 +360,10 @@ def battery_swap_plan(
     if not math.isinf(offer.gamma):
         raise ValueError("battery_swap_plan requires a battery-swap offer (gamma == inf)")
     ho_offer = replace(offer, gamma=0.0)
-    if eligibility_ho(cfg, task, ho_offer, geom).eligible:
-        return optimal_distance_ho(cfg, task, ho_offer, geom)
-    return _no_hitch_plan(cfg, task, swap=True)
+    elig = eligibility(cfg, task, ho_offer, geom)
+    if elig.eligible:
+        return _eligible_plan(cfg, task, ho_offer, geom, elig.threshold_angle)
+    return _no_hitch_plan(task, swap=True)
 
 
 def plan_pair(

@@ -4,13 +4,12 @@ Scenarios draw UAV trip lengths and per-pair direction deviations from a
 seeded RNG; trials compare total fleet consumption under no hitching, the
 greedy matcher and the optimal matcher. Per-trial seeds are derived from
 (master seed, UAV count, trial index) so results do not depend on the
-order or the concurrency with which trials run.
+order in which trials run.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -125,7 +124,6 @@ class TrialReport:
     total_msa: float
     saving_msa: float
     saving_greedy: float
-    improvement_pct: float
     iterations: int
     seed: int
 
@@ -226,9 +224,6 @@ def run_trial(s: Scenario, limited: bool = False) -> TrialReport:
     msa = msa_match(m)
     greedy = greedy_match(m)
     total_direct = sum(t.direct_time for t in s.tasks)
-    improvement = (
-        (msa.total_saving - greedy.total_saving) / total_direct if total_direct > 0.0 else 0.0
-    )
     return TrialReport(
         n_uavs=len(s.tasks),
         n_vehicles=len(s.offers),
@@ -237,7 +232,6 @@ def run_trial(s: Scenario, limited: bool = False) -> TrialReport:
         total_msa=total_direct - msa.total_saving,
         saving_msa=msa.total_saving,
         saving_greedy=greedy.total_saving,
-        improvement_pct=improvement,
         iterations=msa.iterations,
         seed=s.seed,
     )
@@ -265,29 +259,22 @@ def run_experiment(
     n_trials: int,
     uav_counts: list[int],
     master_seed: int = 0,
-    workers: int = 1,
     limited: bool = False,
 ) -> list[ExperimentRow]:
     """Repeat seeded trials per population size and aggregate.
 
-    Aggregation always sums in trial-index order, so the output is
-    bit-identical for any worker count.
+    Trials run and are summed in trial-index order, so the output is
+    bit-identical across reruns.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     rows = []
     for count in uav_counts:
         p = replace(params, n_uavs=count)
-
-        def one_trial(t: int) -> TrialReport:
-            s = generate_scenario(p, derive_trial_seed(master_seed, count, t))
-            return run_trial(s, limited=limited)
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(one_trial, range(n_trials)))
-        else:
-            reports = [one_trial(t) for t in range(n_trials)]
+        reports = [
+            run_trial(generate_scenario(p, derive_trial_seed(master_seed, count, t)), limited)
+            for t in range(n_trials)
+        ]
 
         rows.append(
             ExperimentRow(

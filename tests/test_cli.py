@@ -84,11 +84,10 @@ def test_simulate_deterministic_bytes(tmp_path):
     )
 
 
-def test_simulate_worker_count_does_not_change_bytes(tmp_path):
-    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    assert main(simulate_args(a, ["--workers", "1"])) == 0
-    assert main(simulate_args(b, ["--workers", "4"])) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+def test_simulate_has_no_workers_flag(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(simulate_args(str(tmp_path / "a.csv"), ["--workers", "2"]))
+    assert exc.value.code == 2
 
 
 def test_emitted_scenarios_validate_and_match(tmp_path):
@@ -142,6 +141,36 @@ def test_match_invalid_file_exit_2(tmp_path, capsys):
     assert main(["match", str(bad)]) == 2
     assert main(["validate", str(bad)]) == 2
     assert main(["match", str(tmp_path / "missing.json")]) == 2
+
+
+def test_match_unbounded_pair_names_uav_and_vehicle(tmp_path, capsys):
+    # vehicle 1 charges so fast that, with no deadline, riding never stops paying
+    scenario = {
+        "config": {"omega": 0.8, "tol": 1e-9},
+        "uavs": [{"x": 5.0, "u": 60.0}],
+        "vehicles": [{"v": 40.0, "gamma": 0.0}, {"v": 40.0, "gamma": 5.0}],
+        "theta": [0.3, 0.3],
+    }
+    path = tmp_path / "unbounded.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["match", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "uav 0" in err and "vehicle 1" in err
+
+
+def test_infinite_tol_rejected(tmp_path, capsys):
+    assert main(["plan", "--x", "5", "--v", "40", "--tol", "inf"]) == 2
+    assert "tol" in capsys.readouterr().err
+    scenario = {
+        "config": {"omega": 0.8, "tol": "inf"},
+        "uavs": [{"x": 5.0, "u": 60.0}],
+        "vehicles": [{"v": 40.0}],
+        "theta": [0.3],
+    }
+    path = tmp_path / "inf_tol.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["match", str(path)]) == 2
+    assert "tol" in capsys.readouterr().err
 
 
 def test_sweep_speed_csv(tmp_path):

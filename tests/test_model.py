@@ -53,3 +53,5 @@ def test_config_invariants():
         PlannerConfig(omega=1.2)
     with pytest.raises(ValueError):
         PlannerConfig(tol=0.0)
+    with pytest.raises(ValueError, match="tol"):
+        PlannerConfig(tol=math.inf)

@@ -1,0 +1,36 @@
+"""Smoke test: both reproduction scripts run to completion on small inputs."""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def test_matching_experiments_script(tmp_path):
+    r = run_script("run_matching_experiments.py", "--trials", "1", "--outdir", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    for case in (1, 2):
+        header = (tmp_path / f"experiment_case{case}.csv").read_text().splitlines()[0]
+        assert header.startswith("uav_count,n_trials,")
+
+
+def test_figure_sweeps_script(tmp_path):
+    r = run_script("run_figure_sweeps.py", "--outdir", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    for kind in ("speed", "gamma", "surface", "battery"):
+        assert (tmp_path / f"sweep_{kind}.csv").stat().st_size > 0

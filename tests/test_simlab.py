@@ -71,7 +71,6 @@ def test_trial_ordering_invariant():
         r = run_trial(generate_scenario(p, derive_trial_seed(7, 20, t)))
         assert r.total_msa <= r.total_greedy + 1e-9
         assert r.total_greedy <= r.total_direct + 1e-9
-        assert r.improvement_pct >= 0.0
 
 
 def test_all_vehicles_ineligible_means_no_saving():
@@ -101,13 +100,6 @@ def test_experiment_single_trial_equals_trial():
     assert rows[0].mean_msa == r.total_msa
     assert rows[0].std_msa == 0.0
     assert rows[0].n_trials == 1
-
-
-def test_experiment_worker_invariance():
-    p = GeneratorParams(n_uavs=0, n_vehicles=10, theta_range=case_theta_range(2))
-    serial = run_experiment(p, 8, [3, 6], master_seed=5, workers=1)
-    threaded = run_experiment(p, 8, [3, 6], master_seed=5, workers=4)
-    assert serial == threaded
 
 
 def test_acute_case_saves_at_least_as_much():
