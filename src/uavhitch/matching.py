@@ -8,13 +8,20 @@ tight edges (p_i + q_j = w_ij) are grown until every UAV is either matched
 or has p_i = 0. The final potentials certify optimality. Vehicles carrying
 more than one UAV are expanded into identical virtual columns beforehand.
 
+The solver and the certificate work on one float64 array of the expanded
+weights: every scan over the columns is a numpy vector operation that
+applies the same floating-point operations, in the same order, as an
+element-by-element loop, so the potentials and the matching are exactly
+those of that loop (``tests/oracles.py`` keeps it as the reference).
+
 A greedy baseline and an exhaustive oracle are included for comparison.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .model import (
     HitchPlan,
@@ -165,6 +172,12 @@ def _collect_result(
     )
 
 
+def _weight_array(m: SavingMatrix) -> np.ndarray:
+    """The capacity-expanded weights as one float64 I x (sum of capacities)
+    array."""
+    return np.array(m.weights, dtype=np.float64).reshape(m.n_uavs, m.n_vehicles)
+
+
 def msa_match(m: SavingMatrix) -> MatchResult:
     """Maximum-saving matching via the primal-dual tree-growing loop.
 
@@ -174,92 +187,98 @@ def msa_match(m: SavingMatrix) -> MatchResult:
     vehicles by the minimum positive slack until either an augmenting path
     appears or some reached UAV's potential hits zero and that UAV drops
     out of the matching.
+
+    Each scan of a step is one numpy vector operation: the slack set-up
+    and update of a row joining the tree, one arg-min over the column
+    slacks and tree-row potentials together (a column wins a tie, and the
+    lowest index wins within each part), and the shift of p, q and the
+    slacks by eps. Only the path flip runs in Python. Every element goes
+    through the same floating-point operations in the same order as an
+    element-by-element loop, so p, q, the matching and the iteration
+    count are bit-identical to that loop's.
     """
     n_rows, n_cols = m.n_uavs, m.n_vehicles
-    w = m.weights
     tol = m.tol
 
-    p = [max(row, default=0.0) for row in w]
-    q = [0.0] * n_cols
+    p = np.array([max(row, default=0.0) for row in m.weights], dtype=np.float64)
+    # An edge at or below tol gets weight -inf, so its slack is +inf and
+    # it never enters a tree.
+    w = _weight_array(m)
+    np.putmask(w, w <= tol, -np.inf)
+    q = np.zeros(n_cols)
     match_row = [-1] * n_rows
     match_col = [-1] * n_cols
     iterations = 0
+
+    # Per-tree state, reset at each root. ``limit`` is the column slacks
+    # followed by the tree rows' potentials, each the distance the duals
+    # may move before it triggers a step. Tree columns and rows outside
+    # the tree hold +inf, so the arg-min skips them and ``limit -= eps``
+    # leaves them there. ``q_open`` is q with +inf on tree columns, which
+    # keeps them out of the slack update.
+    limit = np.empty(n_cols + n_rows)
+    slack = limit[:n_cols]
+    p_tree = limit[n_cols:]
+    q_open = np.empty(n_cols)
+    in_tree_col = np.empty(n_cols, dtype=bool)
+    slack_row = np.empty(n_cols, dtype=np.intp)
+    prev_row = [-1] * n_cols
+
+    def add_row(r: int) -> None:
+        p_tree[r] = p[r]
+        s = (p[r] + q_open) - w[r]
+        better = s < slack  # strict: on a tie the earlier row keeps the column
+        np.putmask(slack, better, s)
+        np.putmask(slack_row, better, r)
+
+    def augment(j: int) -> None:
+        # Flip the alternating path back to the root.
+        while j != -1:
+            r = prev_row[j]
+            j_next = match_row[r]
+            match_row[r] = j
+            match_col[j] = r
+            j = j_next
 
     for root in range(n_rows):
         if p[root] <= tol:
             continue
         iterations += 1
-
-        in_tree_row = [False] * n_rows
-        in_tree_col = [False] * n_cols
-        slack = [math.inf] * n_cols
-        slack_row = [-1] * n_cols
-        prev_row = [-1] * n_cols
-
-        def add_row(r: int) -> None:
-            in_tree_row[r] = True
-            for j in range(n_cols):
-                if in_tree_col[j] or w[r][j] <= tol:
-                    continue
-                s = p[r] + q[j] - w[r][j]
-                if s < slack[j]:
-                    slack[j] = s
-                    slack_row[j] = r
-
-        def augment(j: int) -> None:
-            # Flip the alternating path back to the root.
-            while j != -1:
-                r = prev_row[j]
-                j_next = match_row[r]
-                match_row[r] = j
-                match_col[j] = r
-                j = j_next
+        limit.fill(np.inf)
+        in_tree_col.fill(False)
+        q_open[:] = q
 
         add_row(root)
         while True:
-            delta_cols = math.inf
-            arg_col = -1
-            for j in range(n_cols):
-                if not in_tree_col[j] and slack[j] < delta_cols:
-                    delta_cols = slack[j]
-                    arg_col = j
-            delta_zero = math.inf
-            arg_row = -1
-            for r in range(n_rows):
-                if in_tree_row[r] and p[r] < delta_zero:
-                    delta_zero = p[r]
-                    arg_row = r
-
-            eps = min(delta_cols, delta_zero)
+            k = int(limit.argmin())
+            eps = float(limit[k])
             if eps > 0.0:
-                for r in range(n_rows):
-                    if in_tree_row[r]:
-                        p[r] -= eps
-                for j in range(n_cols):
-                    if in_tree_col[j]:
-                        q[j] += eps
-                    elif slack[j] < math.inf:
-                        slack[j] -= eps
+                limit -= eps
+                np.add(q, eps, out=q, where=in_tree_col)
 
-            if arg_col != -1 and delta_cols <= delta_zero:
-                j = arg_col
-                prev_row[j] = slack_row[j]
+            if k < n_cols:
+                j = k
+                prev_row[j] = int(slack_row[j])
                 if match_col[j] == -1:
                     augment(j)
                     break
                 in_tree_col[j] = True
+                q_open[j] = np.inf
+                slack[j] = np.inf
                 add_row(match_col[j])
             else:
                 # A reached UAV ran out of potential: it leaves the
                 # matching and the path back to the root is flipped.
-                r0 = arg_row
-                freed = match_row[r0]
-                match_row[r0] = -1
+                r = k - n_cols
+                freed = match_row[r]
+                match_row[r] = -1
                 if freed != -1:
                     augment(freed)
                 break
+        np.copyto(p, p_tree, where=p_tree < np.inf)
 
-    return _collect_result(m, match_row, duals=DualState(p=p, q=q), iterations=iterations)
+    duals = DualState(p=p.tolist(), q=q.tolist())
+    return _collect_result(m, match_row, duals=duals, iterations=iterations)
 
 
 def greedy_match(m: SavingMatrix) -> MatchResult:
@@ -346,29 +365,25 @@ def verify_duals(m: SavingMatrix, result: MatchResult, duals: DualState) -> bool
     UAV must have p_i = 0 and an unmatched column q_j = 0. All within tol.
     """
     tol = m.tol
-    p, q = duals.p, duals.q
-    if len(p) != m.n_uavs or len(q) != m.n_vehicles:
+    if len(duals.p) != m.n_uavs or len(duals.q) != m.n_vehicles:
         return False
-    matched_cols = set(result.matched_columns.values())
-    for i in range(m.n_uavs):
-        if p[i] < -tol:
-            return False
-        for j in range(m.n_vehicles):
-            if p[i] + q[j] < m.weights[i][j] - tol:
-                return False
-    for j in range(m.n_vehicles):
-        if q[j] < -tol:
-            return False
-        if j not in matched_cols and q[j] > tol:
-            return False
-    for i in range(m.n_uavs):
-        j = result.matched_columns.get(i)
-        if j is None:
-            if p[i] > tol:
-                return False
-        else:
-            if abs(p[i] + q[j] - m.weights[i][j]) > tol:
-                return False
-            if m.weights[i][j] <= tol:
-                return False
-    return True
+    p = np.array(duals.p, dtype=np.float64)
+    q = np.array(duals.q, dtype=np.float64)
+    w = _weight_array(m)
+    rows = np.array(list(result.matched_columns.keys()), dtype=np.intp)
+    cols = np.array(list(result.matched_columns.values()), dtype=np.intp)
+    unmatched_row = np.ones(m.n_uavs, dtype=bool)
+    unmatched_row[rows] = False
+    unmatched_col = np.ones(m.n_vehicles, dtype=bool)
+    unmatched_col[cols] = False
+    w_matched = w[rows, cols]
+    w -= tol
+    return not (
+        (p < -tol).any()
+        or (np.add.outer(p, q) < w).any()
+        or (q < -tol).any()
+        or (q[unmatched_col] > tol).any()
+        or (p[unmatched_row] > tol).any()
+        or (abs(p[rows] + q[cols] - w_matched) > tol).any()
+        or (w_matched <= tol).any()
+    )

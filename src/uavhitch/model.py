@@ -13,6 +13,12 @@ from enum import Enum
 
 INF = math.inf
 
+# Largest accepted comparison slack. Everything ``tol`` is compared against
+# is of order one: the dimensionless eligibility ratio, angles in radians
+# and savings in flight-hours (a 20 km trip at 60 km/h takes 0.33 h), so a
+# larger slack would silently change which plans are eligible.
+MAX_TOL = 1e-3
+
 
 class UnboundedHitchError(ValueError):
     """Charging outpaces the cost of riding and no deadline caps the trip.
@@ -36,8 +42,8 @@ class PlannerConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError(f"omega must be in [0, 1], got {self.omega}")
-        if not 0.0 < self.tol < INF:
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if not 0.0 < self.tol <= MAX_TOL:
+            raise ValueError(f"tol must be positive and at most {MAX_TOL}, got {self.tol}")
 
 
 @dataclass(frozen=True)

@@ -77,17 +77,24 @@ def _require_key(d: dict, key: str, context: str) -> Any:
     return d[key]
 
 
+def _require_type(value: Any, kind: type, context: str) -> Any:
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "a list"
+        raise ValueError(f"{context} must be {name}, got {type(value).__name__}")
+    return value
+
+
 def scenario_from_dict(data: dict) -> Scenario:
-    if not isinstance(data, dict):
-        raise ValueError("scenario must be a JSON object")
-    cfg_d = _require_key(data, "config", "scenario")
+    _require_type(data, dict, "scenario")
+    cfg_d = _require_type(_require_key(data, "config", "scenario"), dict, "config")
     config = PlannerConfig(
         omega=_decode(_require_key(cfg_d, "omega", "config"), "config.omega"),
         tol=_decode(_require_key(cfg_d, "tol", "config"), "config.tol"),
     )
     tasks = []
-    for i, t in enumerate(_require_key(data, "uavs", "scenario")):
+    for i, t in enumerate(_require_type(_require_key(data, "uavs", "scenario"), list, "uavs")):
         ctx = f"uavs[{i}]"
+        _require_type(t, dict, ctx)
         tasks.append(
             UavTask(
                 x=_decode(_require_key(t, "x", ctx), f"{ctx}.x"),
@@ -100,8 +107,11 @@ def scenario_from_dict(data: dict) -> Scenario:
             )
         )
     offers = []
-    for j, o in enumerate(_require_key(data, "vehicles", "scenario")):
+    for j, o in enumerate(
+        _require_type(_require_key(data, "vehicles", "scenario"), list, "vehicles")
+    ):
         ctx = f"vehicles[{j}]"
+        _require_type(o, dict, ctx)
         capacity = o.get("capacity", 1)
         if not isinstance(capacity, int) or isinstance(capacity, bool):
             raise ValueError(f"{ctx}.capacity must be an integer, got {capacity!r}")
@@ -114,8 +124,10 @@ def scenario_from_dict(data: dict) -> Scenario:
         )
 
     n_uavs, n_vehicles = len(tasks), len(offers)
-    theta = _require_key(data, "theta", "scenario")
+    theta = _require_type(_require_key(data, "theta", "scenario"), list, "theta")
     if theta and isinstance(theta[0], list):
+        for i, row in enumerate(theta):
+            _require_type(row, list, f"theta[{i}]")
         if len(theta) != n_uavs or any(len(row) != n_vehicles for row in theta):
             raise ValueError(
                 f"nested theta must be {n_uavs} x {n_vehicles}"

@@ -3,7 +3,9 @@
 Nothing here goes through the closed-form planner paths: the consumption
 minimizer is a dense grid plus golden-section refinement, and the deadline
 inverse is a sign bisection on the travel-time function. Both only rely on
-direct evaluation of the model formulas.
+direct evaluation of the model formulas. ``scalar_msa_match`` keeps the
+element-by-element form of the primal-dual matcher, which the vectorized
+``msa_match`` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -175,3 +177,96 @@ def _moderate_gamma(rng: random.Random, omega: float, u: float, v: float) -> flo
     else:
         hi = 2.0
     return rng.uniform(0.0, min(hi, 2.0))
+
+
+def scalar_msa_match(m) -> tuple:
+    """The primal-dual max-saving loop over Python lists, one column at a
+    time. Returns ``(sorted matched columns, iterations, p, q, total)``
+    with the matched columns and total taken over edges above ``tol``.
+    """
+    n_rows, n_cols = m.n_uavs, m.n_vehicles
+    w = m.weights
+    tol = m.tol
+
+    p = [max(row, default=0.0) for row in w]
+    q = [0.0] * n_cols
+    match_row = [-1] * n_rows
+    match_col = [-1] * n_cols
+    iterations = 0
+
+    for root in range(n_rows):
+        if p[root] <= tol:
+            continue
+        iterations += 1
+
+        in_tree_row = [False] * n_rows
+        in_tree_col = [False] * n_cols
+        slack = [math.inf] * n_cols
+        slack_row = [-1] * n_cols
+        prev_row = [-1] * n_cols
+
+        def add_row(r: int) -> None:
+            in_tree_row[r] = True
+            for j in range(n_cols):
+                if in_tree_col[j] or w[r][j] <= tol:
+                    continue
+                s = p[r] + q[j] - w[r][j]
+                if s < slack[j]:
+                    slack[j] = s
+                    slack_row[j] = r
+
+        def augment(j: int) -> None:
+            while j != -1:
+                r = prev_row[j]
+                j_next = match_row[r]
+                match_row[r] = j
+                match_col[j] = r
+                j = j_next
+
+        add_row(root)
+        while True:
+            delta_cols = math.inf
+            arg_col = -1
+            for j in range(n_cols):
+                if not in_tree_col[j] and slack[j] < delta_cols:
+                    delta_cols = slack[j]
+                    arg_col = j
+            delta_zero = math.inf
+            arg_row = -1
+            for r in range(n_rows):
+                if in_tree_row[r] and p[r] < delta_zero:
+                    delta_zero = p[r]
+                    arg_row = r
+
+            eps = min(delta_cols, delta_zero)
+            if eps > 0.0:
+                for r in range(n_rows):
+                    if in_tree_row[r]:
+                        p[r] -= eps
+                for j in range(n_cols):
+                    if in_tree_col[j]:
+                        q[j] += eps
+                    elif slack[j] < math.inf:
+                        slack[j] -= eps
+
+            if arg_col != -1 and delta_cols <= delta_zero:
+                j = arg_col
+                prev_row[j] = slack_row[j]
+                if match_col[j] == -1:
+                    augment(j)
+                    break
+                in_tree_col[j] = True
+                add_row(match_col[j])
+            else:
+                r0 = arg_row
+                freed = match_row[r0]
+                match_row[r0] = -1
+                if freed != -1:
+                    augment(freed)
+                break
+
+    matched = [(i, j) for i, j in enumerate(match_row) if j >= 0 and w[i][j] > tol]
+    total = 0.0
+    for i, j in matched:
+        total += w[i][j]
+    return matched, iterations, p, q, total

@@ -173,6 +173,47 @@ def test_infinite_tol_rejected(tmp_path, capsys):
     assert "tol" in capsys.readouterr().err
 
 
+def test_huge_finite_tol_rejected(tmp_path, capsys):
+    # At tol 1e300 every vehicle would silently come out ineligible.
+    assert main(["plan", "--x", "5", "--v", "40", "--tol", "1e300"]) == 2
+    assert "tol must be positive and at most 0.001" in capsys.readouterr().err
+    scenario = {
+        "config": {"omega": 0.8, "tol": 1.0},
+        "uavs": [{"x": 5.0, "u": 60.0}],
+        "vehicles": [{"v": 40.0}],
+        "theta": [0.3],
+    }
+    path = tmp_path / "huge_tol.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["match", str(path)]) == 2
+    assert "tol" in capsys.readouterr().err
+
+
+SCENARIO = {
+    "config": {"omega": 0.8, "tol": 1e-9},
+    "uavs": [{"x": 5.0, "u": 60.0}],
+    "vehicles": [{"v": 40.0}],
+    "theta": [0.3],
+}
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("config", [], "config must be an object, got list"),
+        ("uavs", [5], "uavs[0] must be an object, got int"),
+        ("vehicles", [{"v": 40.0}, "fast"], "vehicles[1] must be an object, got str"),
+        ("theta", 0.1, "theta must be a list, got float"),
+        ("theta", [[0.3], 0.1], "theta[1] must be a list, got float"),
+    ],
+)
+def test_malformed_scenario_names_field(tmp_path, capsys, field, value, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps({**SCENARIO, field: value}))
+    assert main(["match", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_sweep_speed_csv(tmp_path):
     out = str(tmp_path / "sweep.csv")
     assert main(["sweep", "--kind", "speed", "--x", "5", "--omega", "0.8", "--u", "60",

@@ -1,0 +1,153 @@
+"""The max-saving matcher's output pinned by sha256, bit for bit.
+
+Each digest hashes the repr of the matched columns, the iteration count,
+both dual potential vectors and the total saving, so any change to the
+order or kind of floating-point operations in ``msa_match`` shows here.
+The digests were taken from the scalar loop over Python lists that
+preceded the numpy column scans (``oracles.scalar_msa_match`` keeps it).
+The instances cover a capacity-expanded
+build, a battery-limited mixed fleet with deadlines and swap vehicles, and
+raw matrices with exact ties, weights a hair either side of ``tol`` and
+duplicated capacity columns.
+"""
+
+import hashlib
+import math
+import random
+
+import pytest
+
+from uavhitch import (
+    GeneratorParams,
+    PairGeometry,
+    PlannerConfig,
+    SavingMatrix,
+    UavTask,
+    VehicleOffer,
+    build_saving_matrix,
+    generate_scenario,
+    msa_match,
+    verify_duals,
+)
+
+
+def raw_matrix(weights, origins, tol=1e-9):
+    return SavingMatrix(
+        n_uavs=len(weights),
+        n_vehicles=len(origins),
+        weights=weights,
+        plans=[[None] * len(origins) for _ in weights],
+        column_origin=origins,
+        tol=tol,
+    )
+
+
+def capacity_build():
+    s = generate_scenario(GeneratorParams(n_uavs=60, n_vehicles=6, capacity=5), seed=31)
+    return build_saving_matrix(s.config, s.tasks, s.offers, s.geoms)
+
+
+def limited_mixed_build():
+    rng = random.Random(20211018)
+    tasks = []
+    for _ in range(40):
+        x = rng.uniform(1.0, 20.0)
+        capacity = rng.uniform(0.05, 0.5)
+        tasks.append(
+            UavTask(
+                x=x,
+                u=60.0,
+                deadline=1.3 * x / 60.0,
+                battery_capacity=capacity,
+                battery_level=capacity * rng.random(),
+            )
+        )
+    offers = [
+        VehicleOffer(
+            v=rng.uniform(20.0, 60.0),
+            gamma=math.inf if j % 7 == 0 else rng.uniform(0.0, 1.5),
+            capacity=1 + j % 2,
+        )
+        for j in range(30)
+    ]
+    geoms = [[PairGeometry(rng.uniform(0.0, math.pi)) for _ in offers] for _ in tasks]
+    return build_saving_matrix(PlannerConfig(), tasks, offers, geoms, limited=True)
+
+
+def tied_raw():
+    # Few distinct levels, so many slacks and potentials tie exactly.
+    rng = random.Random(7)
+    levels = [0.0, 0.25, 0.5, 0.75, 1.0]
+    return raw_matrix(
+        [[rng.choice(levels) for _ in range(12)] for _ in range(15)], list(range(12))
+    )
+
+
+def near_tol_raw():
+    # Weights within 1e-12 of tol on both sides, among ordinary ones; the
+    # first rows have no edge above tol, so their UAVs are never roots.
+    tol = 1e-9
+    rng = random.Random(8)
+    below = [tol - 1e-12, tol, 2e-12, 0.0]
+    choices = below + [tol + 1e-12]
+    weights = [[rng.choice(below) for _ in range(10)] for _ in range(3)]
+    weights += [
+        [rng.choice(choices) if rng.random() < 0.6 else rng.uniform(0.0, 1e-6) for _ in range(10)]
+        for _ in range(12)
+    ]
+    return raw_matrix(weights, list(range(10)), tol=tol)
+
+
+def duplicated_raw():
+    rng = random.Random(9)
+    caps = [3, 1, 2, 4, 1]
+    origins = [j for j, z in enumerate(caps) for _ in range(z)]
+    weights = []
+    for _ in range(14):
+        base = [0.0 if rng.random() < 0.3 else rng.uniform(0.0, 50.0) for _ in caps]
+        weights.append([base[j] for j in origins])
+    return raw_matrix(weights, origins)
+
+
+INSTANCES = {
+    "capacity_build": (
+        capacity_build,
+        "cf853ea1dc6fe444a1d11e93fefca5d84ceee7df24d627e0323ef622bc165435",
+    ),
+    "limited_mixed_build": (
+        limited_mixed_build,
+        "bbcecadfb1629cc0c1682baaacb5cc05f82677cb3b26aa529209b95bf7321b9a",
+    ),
+    "tied_raw": (
+        tied_raw,
+        "8ca4d09e888934b28175d206c57ef31c2aec280ba3096df58a2829ebbb6ddb4e",
+    ),
+    "near_tol_raw": (
+        near_tol_raw,
+        "822fd21e7eacb3fbcb4763e052966a83517008f554ec81dcb56dea75eb24c91e",
+    ),
+    "duplicated_raw": (
+        duplicated_raw,
+        "088dfd4106e1680e5c74d583a9099c6f8698474345329f4c7b26fdef26f19773",
+    ),
+}
+
+
+def digest(result) -> str:
+    key = (
+        sorted(result.matched_columns.items()),
+        result.iterations,
+        result.duals.p,
+        result.duals.q,
+        result.total_saving,
+    )
+    return hashlib.sha256(repr(key).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_msa_match_bits_pinned(name):
+    make, expected = INSTANCES[name]
+    m = make()
+    r = msa_match(m)
+    assert verify_duals(m, r, r.duals)
+    assert digest(r) == expected

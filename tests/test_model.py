@@ -55,3 +55,7 @@ def test_config_invariants():
         PlannerConfig(tol=0.0)
     with pytest.raises(ValueError, match="tol"):
         PlannerConfig(tol=math.inf)
+    for tol in (0.5, 1e300):
+        with pytest.raises(ValueError, match="tol must be positive and at most 0.001"):
+            PlannerConfig(tol=tol)
+    assert PlannerConfig(tol=1e-3).tol == 1e-3
