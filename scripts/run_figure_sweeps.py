@@ -14,7 +14,7 @@ import argparse
 import os
 
 from uavhitch import sweep_curves
-from uavhitch.scenario_io import write_csv
+from uavhitch.scenario_io import csv_text
 
 SWEEPS = {
     "speed": dict(x=5.0, u=60.0, omega=0.8, v_min=5.0, v_max=80.0, points=151),
@@ -34,7 +34,8 @@ def main() -> None:
     for kind, grid in SWEEPS.items():
         header, rows = sweep_curves(kind, **grid)
         path = os.path.join(args.outdir, f"sweep_{kind}.csv")
-        write_csv(path, header, rows)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(csv_text(header, rows))
         print(f"wrote {path} ({len(rows)} rows)")
 
 

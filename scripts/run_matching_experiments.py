@@ -9,7 +9,7 @@ import argparse
 import os
 
 from uavhitch import GeneratorParams, case_theta_range, run_experiment
-from uavhitch.scenario_io import write_csv
+from uavhitch.scenario_io import csv_text
 from uavhitch.simlab import EXPERIMENT_CSV_HEADER
 
 UAV_COUNTS = [5, 10, 15, 20, 25, 30, 35, 40]
@@ -30,7 +30,8 @@ def main() -> None:
         )
         rows = run_experiment(params, args.trials, UAV_COUNTS, master_seed=args.seed)
         path = os.path.join(args.outdir, f"experiment_case{case}.csv")
-        write_csv(path, EXPERIMENT_CSV_HEADER, [r.as_csv_row() for r in rows])
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(csv_text(EXPERIMENT_CSV_HEADER, [r.as_csv_row() for r in rows]))
         last = rows[-1]
         delta = last.mean_saving_msa - last.mean_saving_greedy
         print(

@@ -8,11 +8,13 @@ tight edges (p_i + q_j = w_ij) are grown until every UAV is either matched
 or has p_i = 0. The final potentials certify optimality. Vehicles carrying
 more than one UAV are expanded into identical virtual columns beforehand.
 
-The solver and the certificate work on one float64 array of the expanded
-weights: every scan over the columns is a numpy vector operation that
-applies the same floating-point operations, in the same order, as an
-element-by-element loop, so the potentials and the matching are exactly
-those of that loop (``tests/oracles.py`` keeps it as the reference).
+The saving matrix holds its expanded weights as one float64 array, checked
+once when the matrix is made, and every solver and the certificate read
+that array. Every scan over the columns is a numpy vector operation; in
+the primal-dual solver each applies the same floating-point operations, in
+the same order, as an element-by-element loop, so the potentials and the
+matching are exactly those of that loop (``tests/oracles.py`` keeps it as
+the reference).
 
 A greedy baseline and an exhaustive oracle are included for comparison.
 """
@@ -60,18 +62,48 @@ class BruteForceSizeError(ValueError):
 class SavingMatrix:
     """Savings and plans for every UAV-column pair, capacity-expanded.
 
-    ``weights[i][j]`` is the consumption saving of UAV ``i`` riding the
+    ``weights[i, j]`` is the consumption saving of UAV ``i`` riding the
     vehicle behind expanded column ``j``; ``column_origin[j]`` maps the
     column back to the original vehicle. Columns duplicated from one
     vehicle carry identical weights.
+
+    ``weights`` may be given as any nested sequence; it is stored as a
+    float64 array of shape ``(n_uavs, n_vehicles)``. A wrong shape, a
+    ``column_origin`` of the wrong length, or a weight that is negative or
+    not finite raises ``ValueError`` naming the field (and the entry).
     """
 
     n_uavs: int
     n_vehicles: int
-    weights: list[list[float]]
+    weights: np.ndarray
     plans: list[list[HitchPlan]]
     column_origin: list[int]
     tol: float = 1e-9
+
+    def __post_init__(self) -> None:
+        shape = (self.n_uavs, self.n_vehicles)
+        try:
+            w = np.asarray(self.weights, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"weights: {exc}") from None
+        if w.size == 0 and 0 in shape:
+            w = w.reshape(shape)  # an empty list stands for any empty shape
+        if w.shape != shape:
+            raise ValueError(
+                f"weights has shape {w.shape}, expected (n_uavs, n_vehicles) = {shape}"
+            )
+        if len(self.column_origin) != self.n_vehicles:
+            raise ValueError(
+                f"column_origin has {len(self.column_origin)} entries, "
+                f"expected n_vehicles = {self.n_vehicles}"
+            )
+        bad = np.argwhere(~((w >= 0.0) & (w < np.inf)))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(
+                f"weights[{i}, {j}] = {float(w[i, j])!r}: a saving must be finite and >= 0"
+            )
+        self.weights = w
 
 
 @dataclass
@@ -125,18 +157,17 @@ def build_saving_matrix(
             except UnboundedHitchError as exc:
                 raise UnboundedHitchError(f"uav {i}, vehicle {j}: {exc}") from exc
         pair_plans.append(row)
-    pair_weights = [[max(0.0, plan.saving) for plan in row] for row in pair_plans]
+    pair_weights = np.array([[max(0.0, plan.saving) for plan in row] for row in pair_plans])
 
     column_origin: list[int] = []
     for j, offer in enumerate(offers):
         column_origin.extend([j] * offer.capacity)
 
-    weights = [[row[j] for j in column_origin] for row in pair_weights]
     plans = [[row[j] for j in column_origin] for row in pair_plans]
     return SavingMatrix(
         n_uavs=len(tasks),
         n_vehicles=len(column_origin),
-        weights=weights,
+        weights=pair_weights.reshape(len(tasks), len(offers))[:, column_origin],
         plans=plans,
         column_origin=column_origin,
         tol=cfg.tol,
@@ -155,13 +186,13 @@ def _collect_result(
     total = 0.0
     for i in range(m.n_uavs):
         j = match_row[i]
-        if j < 0 or m.weights[i][j] <= m.tol:
+        if j < 0 or m.weights[i, j] <= m.tol:
             continue
         orig = m.column_origin[j]
         assignment[i] = orig
         matched_columns[i] = j
         per_pair.append((i, orig, m.plans[i][j]))
-        total += m.weights[i][j]
+        total += float(m.weights[i, j])
     return MatchResult(
         assignment=assignment,
         total_saving=total,
@@ -170,12 +201,6 @@ def _collect_result(
         duals=duals,
         iterations=iterations,
     )
-
-
-def _weight_array(m: SavingMatrix) -> np.ndarray:
-    """The capacity-expanded weights as one float64 I x (sum of capacities)
-    array."""
-    return np.array(m.weights, dtype=np.float64).reshape(m.n_uavs, m.n_vehicles)
 
 
 def msa_match(m: SavingMatrix) -> MatchResult:
@@ -200,10 +225,10 @@ def msa_match(m: SavingMatrix) -> MatchResult:
     n_rows, n_cols = m.n_uavs, m.n_vehicles
     tol = m.tol
 
-    p = np.array([max(row, default=0.0) for row in m.weights], dtype=np.float64)
+    p = m.weights.max(axis=1, initial=0.0)
     # An edge at or below tol gets weight -inf, so its slack is +inf and
     # it never enters a tree.
-    w = _weight_array(m)
+    w = m.weights.copy()
     np.putmask(w, w <= tol, -np.inf)
     q = np.zeros(n_cols)
     match_row = [-1] * n_rows
@@ -285,15 +310,13 @@ def greedy_match(m: SavingMatrix) -> MatchResult:
     """Baseline heuristic: each UAV in index order grabs the vehicle with
     the largest saving still available (lowest column on ties)."""
     match_row = [-1] * m.n_uavs
-    col_used = [False] * m.n_vehicles
-    for i in range(m.n_uavs):
-        best = m.tol
-        for j in range(m.n_vehicles):
-            if not col_used[j] and m.weights[i][j] > best:
-                best = m.weights[i][j]
+    if m.n_vehicles:
+        w = m.weights.copy()
+        for i, row in enumerate(w):
+            j = int(row.argmax())
+            if row[j] > m.tol:
                 match_row[i] = j
-        if match_row[i] != -1:
-            col_used[match_row[i]] = True
+                w[:, j] = -np.inf  # taken
     return _collect_result(m, match_row)
 
 
@@ -311,13 +334,12 @@ def brute_force_match(m: SavingMatrix) -> MatchResult:
     cols_of: list[list[int]] = [[] for _ in range(n_orig)]
     for j, orig in enumerate(m.column_origin):
         cols_of[orig].append(j)
-    for orig, cols in enumerate(cols_of):
-        for j in cols[1:]:
-            for i in range(m.n_uavs):
-                if m.weights[i][j] != m.weights[i][cols[0]]:
-                    raise ValueError(
-                        f"expanded columns of vehicle {orig} carry different weights"
-                    )
+    first_col = [cols_of[orig][0] for orig in m.column_origin]
+    differs = (m.weights != m.weights[:, first_col]).any(axis=0)
+    if differs.any():
+        orig = m.column_origin[int(differs.argmax())]
+        raise ValueError(f"expanded columns of vehicle {orig} carry different weights")
+    w = m.weights.tolist()
 
     caps0 = tuple(len(cols) for cols in cols_of)
     memo: dict[tuple[int, tuple[int, ...]], tuple[float, int]] = {}
@@ -335,7 +357,7 @@ def brute_force_match(m: SavingMatrix) -> MatchResult:
         for orig in range(n_orig):
             if caps[orig] == 0:
                 continue
-            wij = m.weights[i][cols_of[orig][0]]
+            wij = w[i][cols_of[orig][0]]
             if wij <= m.tol:
                 continue
             sub = caps[:orig] + (caps[orig] - 1,) + caps[orig + 1 :]
@@ -369,7 +391,7 @@ def verify_duals(m: SavingMatrix, result: MatchResult, duals: DualState) -> bool
         return False
     p = np.array(duals.p, dtype=np.float64)
     q = np.array(duals.q, dtype=np.float64)
-    w = _weight_array(m)
+    w = m.weights
     rows = np.array(list(result.matched_columns.keys()), dtype=np.intp)
     cols = np.array(list(result.matched_columns.values()), dtype=np.intp)
     unmatched_row = np.ones(m.n_uavs, dtype=bool)
@@ -377,10 +399,9 @@ def verify_duals(m: SavingMatrix, result: MatchResult, duals: DualState) -> bool
     unmatched_col = np.ones(m.n_vehicles, dtype=bool)
     unmatched_col[cols] = False
     w_matched = w[rows, cols]
-    w -= tol
     return not (
         (p < -tol).any()
-        or (np.add.outer(p, q) < w).any()
+        or (np.add.outer(p, q) < w - tol).any()
         or (q < -tol).any()
         or (q[unmatched_col] > tol).any()
         or (p[unmatched_row] > tol).any()

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import IO, Any
+from typing import Any
 
 from .model import PairGeometry, PlannerConfig, UavTask, VehicleOffer
 from .simlab import Scenario
@@ -32,7 +32,6 @@ __all__ = [
     "save_scenario",
     "load_scenario",
     "dump_scenario",
-    "write_csv",
     "csv_text",
 ]
 
@@ -185,12 +184,3 @@ def csv_text(header: list[str], rows: list) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def write_csv(path_or_file: str | IO[str], header: list[str], rows: list) -> None:
-    text = csv_text(header, rows)
-    if isinstance(path_or_file, str):
-        with open(path_or_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        path_or_file.write(text)

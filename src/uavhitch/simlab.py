@@ -333,6 +333,9 @@ def sweep_curves(kind: str, **grid) -> tuple[list[str], list[tuple]]:
     (optimal riding distance vs battery headroom). Grids that reach the
     always-eligible charging regime need a bounded ``deadline``.
     """
+    for name in ("points", "v_points", "gamma_points"):
+        if grid.get(name, 1) < 1:
+            raise ValueError(f"{name} must be at least 1, got {grid[name]}")
     tol = grid.pop("tol", 1e-9)
     deadline = grid.pop("deadline", math.inf)
     if kind == "speed":

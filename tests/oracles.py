@@ -185,7 +185,7 @@ def scalar_msa_match(m) -> tuple:
     with the matched columns and total taken over edges above ``tol``.
     """
     n_rows, n_cols = m.n_uavs, m.n_vehicles
-    w = m.weights
+    w = m.weights.tolist()
     tol = m.tol
 
     p = [max(row, default=0.0) for row in w]

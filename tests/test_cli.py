@@ -246,6 +246,16 @@ def test_sweep_invalid_range_exit_2(capsys):
     assert "deadline" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, option, value",
+    [("speed", "--points", "0"), ("surface", "--v-points", "-3"), ("surface", "--gamma-points", "0")],
+)
+def test_sweep_point_count_below_one_exit_2(capsys, kind, option, value):
+    assert main(["sweep", "--kind", kind, option, value]) == 2
+    name = option[2:].replace("-", "_")
+    assert f"{name} must be at least 1, got {value}" in capsys.readouterr().err
+
+
 def test_exit_codes_via_subprocess(tmp_path):
     # real-process check of the exit-code contract
     r = subprocess.run(

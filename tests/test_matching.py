@@ -55,7 +55,7 @@ def random_matrix(rng, n_rows, n_cols, zero_frac=0.35, origins=None):
 
 def test_build_single_ineligible_pair():
     m = build_saving_matrix(CFG, [UavTask(x=5, u=60)], [VehicleOffer(v=40)], [[PairGeometry(1.4)]])
-    assert m.weights == [[0.0]]
+    assert m.weights.tolist() == [[0.0]]
     assert m.plans[0][0].binding.value == "no_hitch"
 
 
@@ -68,6 +68,30 @@ def test_build_capacity_expands_columns():
     assert m.column_origin == [0, 0, 0, 1]
     for i in range(2):
         assert m.weights[i][0] == m.weights[i][1] == m.weights[i][2]
+
+
+@pytest.mark.parametrize(
+    "weights, n_vehicles, origins, message",
+    [
+        ([[math.nan, 1.0], [1.0, 0.5]], 2, [0, 1], "weights[0, 0] = nan"),
+        ([[0.5, math.inf], [1.0, 0.5]], 2, [0, 1], "weights[0, 1] = inf"),
+        ([[0.5, 1.0], [-0.2, -0.1]], 2, [0, 1], "weights[1, 0] = -0.2"),
+        ([[0.5, 1.0], [1.0, 0.5]], 3, [0, 1, 2], "weights has shape (2, 2)"),
+        ([[0.5, 1.0], [1.0]], 2, [0, 1], "weights:"),
+        ([[0.5, 1.0], [1.0, 0.5]], 2, [0, 0, 1], "column_origin has 3 entries"),
+    ],
+    ids=["nan", "inf", "negative_row", "shape", "ragged", "column_origin"],
+)
+def test_malformed_saving_matrix_rejected(weights, n_vehicles, origins, message):
+    with pytest.raises(ValueError) as info:
+        SavingMatrix(
+            n_uavs=2,
+            n_vehicles=n_vehicles,
+            weights=weights,
+            plans=[[None] * n_vehicles for _ in range(2)],
+            column_origin=origins,
+        )
+    assert message in str(info.value)
 
 
 def test_build_rejects_dimension_mismatch():
@@ -173,7 +197,7 @@ def test_unit_capacity_expansion_is_identity():
     rng = random.Random(44)
     for _ in range(50):
         m1 = random_matrix(rng, 4, 4)
-        m2 = raw_matrix(m1.weights, origins=list(range(4)))
+        m2 = raw_matrix(m1.weights.tolist(), origins=list(range(4)))
         assert msa_match(m1).total_saving == pytest.approx(
             msa_match(m2).total_saving, abs=1e-12
         )
@@ -186,7 +210,7 @@ def test_adding_column_never_hurts():
         base = msa_match(m).total_saving
         extra = [[rng.uniform(0, 1)] for _ in range(4)]
         wider = raw_matrix(
-            [row + extra[i] for i, row in enumerate(m.weights)], origins=list(range(4))
+            [list(row) + extra[i] for i, row in enumerate(m.weights)], origins=list(range(4))
         )
         assert msa_match(wider).total_saving >= base - 1e-12
 
@@ -196,7 +220,7 @@ def test_removing_row_never_helps():
     for _ in range(80):
         m = random_matrix(rng, 5, 4)
         full = msa_match(m).total_saving
-        sub = raw_matrix(m.weights[1:], origins=list(m.column_origin))
+        sub = raw_matrix(m.weights[1:].tolist(), origins=list(m.column_origin))
         assert msa_match(sub).total_saving <= full + 1e-12
 
 
