@@ -6,7 +6,9 @@ a primal-dual method: per-UAV potentials ``p`` start at each row's best
 saving, per-vehicle potentials ``q`` at zero, and alternating trees over
 tight edges (p_i + q_j = w_ij) are grown until every UAV is either matched
 or has p_i = 0. The final potentials certify optimality. Vehicles carrying
-more than one UAV are expanded into identical virtual columns beforehand.
+more than one UAV are expanded into identical virtual columns beforehand,
+at most one per UAV: the solvers fill a vehicle's columns lowest index
+first, so further seats would stay empty.
 
 The saving matrix holds its expanded weights as one float64 array, checked
 once when the matrix is made, and every solver and the certificate read
@@ -157,11 +159,11 @@ def build_saving_matrix(
             except UnboundedHitchError as exc:
                 raise UnboundedHitchError(f"uav {i}, vehicle {j}: {exc}") from exc
         pair_plans.append(row)
-    pair_weights = np.array([[max(0.0, plan.saving) for plan in row] for row in pair_plans])
+    pair_weights = np.array([[plan.saving for plan in row] for row in pair_plans])
 
     column_origin: list[int] = []
     for j, offer in enumerate(offers):
-        column_origin.extend([j] * offer.capacity)
+        column_origin.extend([j] * min(offer.capacity, len(tasks)))
 
     plans = [[row[j] for j in column_origin] for row in pair_plans]
     return SavingMatrix(

@@ -51,8 +51,9 @@ class UavTask:
     """One UAV trip: straight-line distance ``x`` to the destination at
     flight speed ``u``, an optional arrival deadline, and battery state.
 
-    ``deadline`` and ``battery_capacity`` may be ``math.inf`` for the
-    unbounded model. Battery quantities are flight-hour equivalents.
+    ``x`` and ``u`` are finite; ``deadline`` and ``battery_capacity`` may
+    be ``math.inf`` for the unbounded model. Battery quantities are
+    flight-hour equivalents.
     """
 
     x: float
@@ -62,10 +63,10 @@ class UavTask:
     battery_level: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.x > 0.0:
-            raise ValueError(f"distance x must be positive, got {self.x}")
-        if not self.u > 0.0:
-            raise ValueError(f"flight speed u must be positive, got {self.u}")
+        if not 0.0 < self.x < INF:
+            raise ValueError(f"distance x must be positive and finite, got {self.x}")
+        if not 0.0 < self.u < INF:
+            raise ValueError(f"flight speed u must be positive and finite, got {self.u}")
         if not self.deadline > 0.0:
             raise ValueError(f"deadline must be positive, got {self.deadline}")
         if math.isfinite(self.deadline) and self.deadline < self.x / self.u:
@@ -100,7 +101,7 @@ class UavTask:
 
 @dataclass(frozen=True)
 class VehicleOffer:
-    """A vehicle's support offer: ground speed ``v``, charging rate
+    """A vehicle's support offer: finite ground speed ``v``, charging rate
     ``gamma`` (0 = ride only, ``math.inf`` = battery swap) and how many
     UAVs it can carry at once.
     """
@@ -110,8 +111,8 @@ class VehicleOffer:
     capacity: int = 1
 
     def __post_init__(self) -> None:
-        if not self.v > 0.0:
-            raise ValueError(f"vehicle speed v must be positive, got {self.v}")
+        if not 0.0 < self.v < INF:
+            raise ValueError(f"vehicle speed v must be positive and finite, got {self.v}")
         if not self.gamma >= 0.0:
             raise ValueError(f"charging rate gamma must be >= 0, got {self.gamma}")
         if not isinstance(self.capacity, int) or self.capacity < 1:

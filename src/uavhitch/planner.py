@@ -12,12 +12,15 @@ destination direction) and fly the remaining leg. The model quantities are
 C is convex in y, which yields the closed-form optima implemented here. The
 pivotal quantity is cos(phi) = (1 - (1 + gamma)*omega) * u / v: vehicles are
 worth hitching exactly when theta stays below the threshold angle phi.
+
+Each planner makes one pass per pair: eligibility, the deadline distance
+(one root solve), then closed-form candidates capped by that distance. A
+full battery takes no charge, so it rides any vehicle as a ride-only one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from .model import (
     Binding,
@@ -64,22 +67,22 @@ def _evaluate(
     offer: VehicleOffer,
     geom: PairGeometry,
     y: float,
-    limited: bool,
+    headroom: float | None,
     omega: float = 0.0,
 ) -> tuple[float, float, float]:
     """(T, E, C) at riding distance y, with the flight leg computed once.
 
-    ``limited`` saturates the charge at the battery headroom; without it a
-    battery-swap offer has no finite energy. C is weighted by ``omega``.
+    The charge saturates at ``headroom`` (0: ride-only; ``None``: unbounded
+    battery, where a swap has no finite energy). C is weighted by ``omega``.
     """
     if y < 0.0:
         raise ValueError(f"hitch distance y must be >= 0, got {y}")
-    if not limited and math.isinf(offer.gamma):
+    if headroom is None and math.isinf(offer.gamma):
         raise ValueError("energy is undefined for battery-swap offers (gamma=inf)")
     flight = flight_leg(task.x, geom.theta, y) / task.u
     charge = (offer.gamma / offer.v) * y
-    if limited:
-        charge = 0.0 if y == 0.0 else min(task.battery_headroom, charge)
+    if headroom is not None:
+        charge = 0.0 if y == 0.0 else min(headroom, charge)
     t = y / offer.v + flight
     e = flight - charge
     return t, e, omega * e + (1.0 - omega) * t
@@ -88,7 +91,7 @@ def _evaluate(
 def travel_time(task: UavTask, offer: VehicleOffer, geom: PairGeometry, y: float) -> float:
     """Total trip duration: riding time y/v plus flight time F(y)/u."""
     # T is the same under both battery models; only the limited one accepts swaps.
-    return _evaluate(task, offer, geom, y, limited=True)[0]
+    return _evaluate(task, offer, geom, y, task.battery_headroom)[0]
 
 
 def energy(task: UavTask, offer: VehicleOffer, geom: PairGeometry, y: float) -> float:
@@ -98,12 +101,12 @@ def energy(task: UavTask, offer: VehicleOffer, geom: PairGeometry, y: float) -> 
     with. Battery-swap offers (infinite gamma) have no finite energy here;
     use :func:`battery_swap_plan` for those.
     """
-    return _evaluate(task, offer, geom, y, limited=False)[1]
+    return _evaluate(task, offer, geom, y, None)[1]
 
 
 def energy_limited(task: UavTask, offer: VehicleOffer, geom: PairGeometry, y: float) -> float:
     """Net energy use when charging saturates at the battery headroom."""
-    return _evaluate(task, offer, geom, y, limited=True)[1]
+    return _evaluate(task, offer, geom, y, task.battery_headroom)[1]
 
 
 def consumption(
@@ -115,7 +118,8 @@ def consumption(
     limited: bool = False,
 ) -> float:
     """Weighted objective omega*E + (1 - omega)*T at riding distance y."""
-    return _evaluate(task, offer, geom, y, limited, cfg.omega)[2]
+    headroom = task.battery_headroom if limited else None
+    return _evaluate(task, offer, geom, y, headroom, cfg.omega)[2]
 
 
 def hitch_only_speed_threshold(cfg: PlannerConfig, task: UavTask) -> float:
@@ -137,13 +141,18 @@ def eligibility(
       so fast that even riding away from the destination pays off);
     * otherwise the threshold is its arccos and theta must stay below it.
     """
+    return _eligibility(cfg, task, offer, geom, offer.gamma)
+
+
+def _eligibility(
+    cfg: PlannerConfig, task: UavTask, offer: VehicleOffer, geom: PairGeometry, gamma: float
+) -> Eligibility:
+    """:func:`eligibility` at charging rate ``gamma`` instead of the offer's."""
     omega, tol = cfg.omega, cfg.tol
-    u, v, gamma = task.u, offer.v, offer.gamma
+    u, v = task.u, offer.v
     # With omega = 0 the charging term never enters the objective, so an
     # infinite rate contributes nothing; otherwise inf * omega = inf.
-    weighted_rate = (
-        omega * gamma if math.isfinite(gamma) else (math.inf if omega > 0.0 else 0.0)
-    )
+    weighted_rate = omega * gamma if math.isfinite(gamma) else (math.inf if omega > 0.0 else 0.0)
 
     # Precondition (threshold angle would be <= 0): omega*gamma <= 1 - omega - v/u.
     if weighted_rate <= 1.0 - omega - v / u + tol:
@@ -229,15 +238,7 @@ def _deadline_cap(task: UavTask, offer: VehicleOffer, geom: PairGeometry) -> flo
 
 def _no_hitch_plan(task: UavTask, swap: bool = False) -> HitchPlan:
     base = task.direct_time
-    return HitchPlan(
-        y_star=0.0,
-        total_time=base,
-        energy=base,
-        consumption=base,
-        saving=0.0,
-        binding=Binding.NO_HITCH,
-        swap_and_depart=swap,
-    )
+    return HitchPlan(0.0, base, base, base, 0.0, Binding.NO_HITCH, swap)
 
 
 def _finish_plan(
@@ -247,11 +248,11 @@ def _finish_plan(
     geom: PairGeometry,
     y: float,
     binding: Binding,
-    limited: bool,
+    headroom: float | None,
 ) -> HitchPlan:
     if y <= 0.0:
         return _no_hitch_plan(task)
-    t, e, c = _evaluate(task, offer, geom, y, limited, cfg.omega)
+    t, e, c = _evaluate(task, offer, geom, y, headroom, cfg.omega)
     saving = task.direct_time - c
     if saving <= 0.0:
         # The capped plan never beats the baseline for an eligible vehicle;
@@ -261,23 +262,25 @@ def _finish_plan(
 
 
 def _eligible_plan(
-    cfg: PlannerConfig, task: UavTask, offer: VehicleOffer, geom: PairGeometry, phi: float
+    cfg: PlannerConfig,
+    task: UavTask,
+    offer: VehicleOffer,
+    geom: PairGeometry,
+    phi: float,
+    y_deadline: float,
+    headroom: float | None = None,
 ) -> HitchPlan:
-    """Unbounded-battery plan for an offer found eligible at threshold angle phi."""
-    if phi == math.pi:
-        if math.isinf(task.deadline):
-            raise UnboundedHitchError(
-                "consumption decreases with distance for this offer; "
-                "a bounded deadline is required"
-            )
-        y_cap = max_hitch_distance(task, offer, geom)
-        return _finish_plan(cfg, task, offer, geom, y_cap, Binding.DEADLINE, limited=False)
-
-    y_interior = task.x * math.sin(phi - geom.theta) / math.sin(phi)
-    y_cap = _deadline_cap(task, offer, geom)
-    if y_interior <= y_cap:
-        return _finish_plan(cfg, task, offer, geom, y_interior, Binding.INTERIOR, limited=False)
-    return _finish_plan(cfg, task, offer, geom, y_cap, Binding.DEADLINE, limited=False)
+    """Plan for an offer eligible at threshold angle phi, capped at y_deadline."""
+    if phi < math.pi:
+        y_interior = task.x * math.sin(phi - geom.theta) / math.sin(phi)
+        if y_interior <= y_deadline:
+            return _finish_plan(cfg, task, offer, geom, y_interior, Binding.INTERIOR, headroom)
+    elif math.isinf(y_deadline):
+        raise UnboundedHitchError(
+            "consumption decreases with distance for this offer; "
+            "a bounded deadline is required"
+        )
+    return _finish_plan(cfg, task, offer, geom, y_deadline, Binding.DEADLINE, headroom)
 
 
 def optimal_distance(
@@ -293,7 +296,8 @@ def optimal_distance(
     elig = eligibility(cfg, task, offer, geom)
     if not elig.eligible:
         return _no_hitch_plan(task)
-    return _eligible_plan(cfg, task, offer, geom, elig.threshold_angle)
+    y_deadline = _deadline_cap(task, offer, geom)
+    return _eligible_plan(cfg, task, offer, geom, elig.threshold_angle, y_deadline)
 
 
 def optimal_distance_ho(
@@ -311,41 +315,39 @@ def optimal_distance_limited(
     """Best riding distance when the battery can only absorb so much charge.
 
     Once the battery is full, continued riding behaves like a ride-only
-    vehicle, so the optimum is one of: the unbounded-battery optimum (cap
-    never reached), the ride-only optimum (cap reached before it), or the
-    cap distance itself.
+    vehicle, so the optimum is one of three candidates, each capped by the
+    deadline distance: the unbounded-battery optimum (cap never reached),
+    the ride-only optimum (cap reached before it), or the cap distance.
     """
-    if offer.gamma == 0.0:
-        return optimal_distance(cfg, task, offer, geom)
     if math.isinf(offer.gamma):
         # Instant charge is a battery swap; that plan owns the accounting.
         return battery_swap_plan(cfg, task, offer, geom)
+    headroom = task.battery_headroom
+    if offer.gamma == 0.0 or math.isinf(headroom):
+        return optimal_distance(cfg, task, offer, geom)
 
     elig = eligibility(cfg, task, offer, geom)
     if not elig.eligible:
         return _no_hitch_plan(task)
-
-    headroom = task.battery_headroom
-    if math.isinf(headroom):
-        return _eligible_plan(cfg, task, offer, geom, elig.threshold_angle)
+    y_deadline = _deadline_cap(task, offer, geom)
     y_cap = headroom * offer.v / offer.gamma
 
-    ho_plan = optimal_distance(cfg, task, replace(offer, gamma=0.0), geom)
-    if y_cap <= ho_plan.y_star:
-        # Fully charged before the ride-only optimum: keep riding to it.
-        return _finish_plan(cfg, task, offer, geom, ho_plan.y_star, ho_plan.binding, limited=True)
+    ride = _eligibility(cfg, task, offer, geom, 0.0)
+    if ride.eligible:
+        ho_plan = _eligible_plan(cfg, task, offer, geom, ride.threshold_angle, y_deadline, 0.0)
+        if y_cap <= ho_plan.y_star:
+            # Fully charged before the ride-only optimum: keep riding to it.
+            return _finish_plan(cfg, task, offer, geom, ho_plan.y_star, ho_plan.binding, headroom)
+    elif y_cap <= 0.0:
+        return _no_hitch_plan(task)  # a full battery, and riding alone does not pay
 
-    if elig.threshold_angle == math.pi and math.isinf(task.deadline):
-        # The unbounded-battery optimum is unbounded, but the charge cap
-        # makes the limited problem well posed: ride exactly to the cap.
-        return _finish_plan(cfg, task, offer, geom, y_cap, Binding.BATTERY_FULL, limited=True)
-
-    full = _eligible_plan(cfg, task, offer, geom, elig.threshold_angle)
-    if y_cap >= full.y_star:
-        return full
-    y = min(y_cap, _deadline_cap(task, offer, geom))
-    binding = Binding.BATTERY_FULL if y == y_cap else Binding.DEADLINE
-    return _finish_plan(cfg, task, offer, geom, y, binding, limited=True)
+    if elig.threshold_angle < math.pi or math.isfinite(y_deadline):
+        full = _eligible_plan(cfg, task, offer, geom, elig.threshold_angle, y_deadline)
+        if y_cap >= full.y_star:
+            return full
+    # Full before the unbounded-battery optimum (never past the deadline
+    # distance, and absent at phi = pi without a deadline): ride to the cap.
+    return _finish_plan(cfg, task, offer, geom, y_cap, Binding.BATTERY_FULL, headroom)
 
 
 def battery_swap_plan(
@@ -359,11 +361,11 @@ def battery_swap_plan(
     """
     if not math.isinf(offer.gamma):
         raise ValueError("battery_swap_plan requires a battery-swap offer (gamma == inf)")
-    ho_offer = replace(offer, gamma=0.0)
-    elig = eligibility(cfg, task, ho_offer, geom)
-    if elig.eligible:
-        return _eligible_plan(cfg, task, ho_offer, geom, elig.threshold_angle)
-    return _no_hitch_plan(task, swap=True)
+    elig = _eligibility(cfg, task, offer, geom, 0.0)
+    if not elig.eligible:
+        return _no_hitch_plan(task, swap=True)
+    y_deadline = _deadline_cap(task, offer, geom)
+    return _eligible_plan(cfg, task, offer, geom, elig.threshold_angle, y_deadline, 0.0)
 
 
 def plan_pair(
@@ -374,9 +376,7 @@ def plan_pair(
     limited: bool = False,
 ) -> HitchPlan:
     """Dispatch to the plan matching the offer and battery model."""
-    if math.isinf(offer.gamma):
-        return battery_swap_plan(cfg, task, offer, geom)
-    if limited:
+    if limited or math.isinf(offer.gamma):
         return optimal_distance_limited(cfg, task, offer, geom)
     return optimal_distance(cfg, task, offer, geom)
 
@@ -393,10 +393,6 @@ def select_vehicle(
     """
     if not offers:
         raise ValueError("select_vehicle needs at least one offer")
-    best_index = 0
-    best_plan = plan_pair(cfg, task, offers[0][0], offers[0][1], limited)
-    for i, (offer, geom) in enumerate(offers[1:], start=1):
-        plan = plan_pair(cfg, task, offer, geom, limited)
-        if plan.consumption < best_plan.consumption:
-            best_index, best_plan = i, plan
-    return best_index, best_plan
+    plans = [plan_pair(cfg, task, offer, geom, limited) for offer, geom in offers]
+    best = min(range(len(plans)), key=lambda i: plans[i].consumption)
+    return best, plans[best]

@@ -83,6 +83,14 @@ def _require_type(value: Any, kind: type, context: str) -> Any:
     return value
 
 
+def _build(kind: type, context: str, *args: Any, **kwargs: Any) -> Any:
+    """Construct ``kind``, prefixing a rejected value with the entry it came from."""
+    try:
+        return kind(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{context}: {exc}") from None
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     _require_type(data, dict, "scenario")
     cfg_d = _require_type(_require_key(data, "config", "scenario"), dict, "config")
@@ -95,7 +103,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         ctx = f"uavs[{i}]"
         _require_type(t, dict, ctx)
         tasks.append(
-            UavTask(
+            _build(
+                UavTask,
+                ctx,
                 x=_decode(_require_key(t, "x", ctx), f"{ctx}.x"),
                 u=_decode(_require_key(t, "u", ctx), f"{ctx}.u"),
                 deadline=_decode(t.get("deadline", "inf"), f"{ctx}.deadline"),
@@ -115,7 +125,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         if not isinstance(capacity, int) or isinstance(capacity, bool):
             raise ValueError(f"{ctx}.capacity must be an integer, got {capacity!r}")
         offers.append(
-            VehicleOffer(
+            _build(
+                VehicleOffer,
+                ctx,
                 v=_decode(_require_key(o, "v", ctx), f"{ctx}.v"),
                 gamma=_decode(o.get("gamma", 0.0), f"{ctx}.gamma"),
                 capacity=capacity,
@@ -137,13 +149,13 @@ def scenario_from_dict(data: dict) -> Scenario:
             f"theta has {len(theta)} entries, expected {n_uavs} x {n_vehicles} "
             f"= {n_uavs * n_vehicles}"
         )
-    geoms = [
-        [
-            PairGeometry(_decode(theta[i * n_vehicles + j], f"theta[{i},{j}]"))
-            for j in range(n_vehicles)
-        ]
-        for i in range(n_uavs)
-    ]
+    geoms = []
+    for i in range(n_uavs):
+        row = []
+        for j in range(n_vehicles):
+            ctx = f"theta[{i},{j}]"
+            row.append(_build(PairGeometry, ctx, _decode(theta[i * n_vehicles + j], ctx)))
+        geoms.append(row)
 
     seed = data.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):

@@ -215,12 +215,12 @@ def scale_scenario(s: Scenario, factor: float) -> Scenario:
     return replace(s, tasks=tasks)
 
 
-def run_trial(s: Scenario, limited: bool = False) -> TrialReport:
+def run_trial(s: Scenario) -> TrialReport:
     """Match the fleet both ways and total up the consumptions.
 
     Unmatched UAVs fly direct and contribute their baseline consumption.
     """
-    m = build_saving_matrix(s.config, s.tasks, s.offers, s.geoms, limited=limited)
+    m = build_saving_matrix(s.config, s.tasks, s.offers, s.geoms)
     msa = msa_match(m)
     greedy = greedy_match(m)
     total_direct = sum(t.direct_time for t in s.tasks)
@@ -259,7 +259,6 @@ def run_experiment(
     n_trials: int,
     uav_counts: list[int],
     master_seed: int = 0,
-    limited: bool = False,
 ) -> list[ExperimentRow]:
     """Repeat seeded trials per population size and aggregate.
 
@@ -272,7 +271,7 @@ def run_experiment(
     for count in uav_counts:
         p = replace(params, n_uavs=count)
         reports = [
-            run_trial(generate_scenario(p, derive_trial_seed(master_seed, count, t)), limited)
+            run_trial(generate_scenario(p, derive_trial_seed(master_seed, count, t)))
             for t in range(n_trials)
         ]
 

@@ -56,6 +56,28 @@ def test_plan_invalid_params_exit_2(capsys):
     assert "positive" in err
 
 
+@pytest.mark.parametrize("option", ["--x", "--u", "--v"])
+def test_plan_non_finite_input_exit_2(capsys, option):
+    # JSON has no Infinity or NaN: such a plan must not be printed at all
+    args = {"--x": "5", "--u": "60", "--v": "40", option: "inf"}
+    assert main(["plan", *[a for kv in args.items() for a in kv], "--format", "json"]) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+
+
+def test_capacity_beyond_uav_count_changes_nothing(tmp_path):
+    # Seats beyond the UAV count are never expanded into columns.
+    outputs = []
+    for capacity in (2, 10**6):
+        scenario = {**SCENARIO, "uavs": [{"x": 5.0, "u": 60.0}, {"x": 8.0, "u": 60.0}],
+                    "vehicles": [{"v": 40.0, "gamma": 0.3, "capacity": capacity}],
+                    "theta": [0.2, 0.4]}
+        path, out = tmp_path / "fleet.json", tmp_path / f"match{capacity}.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["match", str(path), "--format", "json", "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_plan_battery_swap(capsys):
     assert main(["plan", "--x", "5", "--v", "40", "--gamma", "inf", "--theta", "2.0",
                  "--battery-capacity", "1.0", "--battery-level", "0.2",
@@ -205,6 +227,11 @@ SCENARIO = {
         ("vehicles", [{"v": 40.0}, "fast"], "vehicles[1] must be an object, got str"),
         ("theta", 0.1, "theta must be a list, got float"),
         ("theta", [[0.3], 0.1], "theta[1] must be a list, got float"),
+        ("uavs", [{"x": "inf", "u": 60.0}], "uavs[0]: distance x must be positive and finite"),
+        ("uavs", [{"x": -1.0, "u": 60.0}], "uavs[0]: distance x must be positive and finite"),
+        ("uavs", [{"x": 5.0, "u": "inf"}], "uavs[0]: flight speed u must be positive and finite"),
+        ("vehicles", [{"v": "inf"}], "vehicles[0]: vehicle speed v must be positive and finite"),
+        ("theta", [4.0], "theta[0,0]: theta must be in [0, pi], got 4.0"),
     ],
 )
 def test_malformed_scenario_names_field(tmp_path, capsys, field, value, message):

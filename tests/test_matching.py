@@ -60,14 +60,15 @@ def test_build_single_ineligible_pair():
 
 
 def test_build_capacity_expands_columns():
+    # capacity 3 for 2 UAVs: the third seat could never be filled
     tasks = [UavTask(x=5, u=60), UavTask(x=7, u=60)]
     offers = [VehicleOffer(v=40, gamma=0.3, capacity=3), VehicleOffer(v=40, capacity=1)]
     geoms = [[PairGeometry(0.2), PairGeometry(0.3)], [PairGeometry(0.4), PairGeometry(0.5)]]
     m = build_saving_matrix(CFG, tasks, offers, geoms)
-    assert m.n_vehicles == 4
-    assert m.column_origin == [0, 0, 0, 1]
+    assert m.n_vehicles == 3
+    assert m.column_origin == [0, 0, 1]
     for i in range(2):
-        assert m.weights[i][0] == m.weights[i][1] == m.weights[i][2]
+        assert m.weights[i][0] == m.weights[i][1]
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,16 @@ def test_task_invariants():
         UavTask(x=5, u=60, battery_level=math.inf)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_distance_and_speeds_must_be_finite(value):
+    with pytest.raises(ValueError, match="distance x must be positive and finite"):
+        UavTask(x=value, u=60)
+    with pytest.raises(ValueError, match="flight speed u must be positive and finite"):
+        UavTask(x=5, u=value)
+    with pytest.raises(ValueError, match="vehicle speed v must be positive and finite"):
+        VehicleOffer(v=value)
+
+
 def test_deadline_exactly_direct_flight_is_allowed():
     UavTask(x=5, u=60, deadline=5 / 60)
 

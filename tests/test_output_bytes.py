@@ -12,6 +12,11 @@ battery-swap (gamma = inf) vehicles, and a vehicle of capacity 2. The
 greedy and exhaustive solvers are pinned on it too, and the max-saving
 solver also on a generated scenario of five vehicles of capacity 3 that
 sixteen UAVs compete for.
+
+A second, boundary scenario pins every plan field where rounding decides
+the branch: angles a few ``tol`` below the charging and the ride-only
+threshold angle, full batteries, swap vehicles, threshold angle pi with
+and without a deadline, and deadlines barely above the direct time.
 """
 
 import hashlib
@@ -31,6 +36,7 @@ MATCH_GREEDY_JSON_SHA256 = "a21d4ef3411b595502f0416560ea865f688f584f46e4e80d1fd9
 MATCH_BRUTE_JSON_SHA256 = "d9e8d21e1f9db85559ca960fb7f982164e215d837d8ccc0dbdb90156d31fc509"
 MATCH_CAPACITY_JSON_SHA256 = "bbc8ce5b748983f63b3d012387d916a8ea91720be48eac917f9dd49bbb28895b"
 PLAN_MATRIX_SHA256 = "1c84fe9e29d5e5e398d9fb5703076413abdd2a704b14e3235e60b1f2186b4414"
+PLAN_BOUNDARY_SHA256 = "c9f657367c9bee4bd62e21f7b3ff3608da3d6e5e6f8375bd47f331b9f82349de"
 
 
 def sha256(data: bytes) -> str:
@@ -61,6 +67,45 @@ def write_mixed_scenario(path) -> None:
         "theta": theta,
         "seed": 20211021,
         "label": "mixed",
+    }
+    path.write_text(json.dumps(scenario, indent=2) + "\n", encoding="utf-8")
+
+
+def write_boundary_scenario(path) -> None:
+    omega, tol, u = 0.8, 1e-9, 60.0
+    # (v, gamma): ride-only, two charging vehicles with threshold angles
+    # inside (0, pi), two that help at any angle (phi = pi), one swap.
+    vehicles = [(50.0, 0.0), (40.0, 0.3), (30.0, 0.1), (40.0, 2.0), (45.0, "inf"), (35.0, 5.0)]
+
+    def threshold(v: float, gamma) -> float:
+        rate = 0.0 if gamma == "inf" else omega * gamma  # swap: ride-only angle
+        return math.acos(max(-1.0, min(1.0, (1.0 - omega - rate) * u / v)))
+
+    rng = random.Random(20211022)
+    uavs, theta = [], []
+    for k in (0.5, 1.0, 2.0, 10.0):
+        for ride_only in (False, True):
+            for battery in ("inf", "partial", "full"):
+                for bounded in (False, True):
+                    x = rng.uniform(1.0, 20.0)
+                    deadline = (x / u) * rng.uniform(1.0, 1.3) if bounded else "inf"
+                    capacity = "inf" if battery == "inf" else rng.uniform(0.01, 0.3)
+                    level = capacity if battery == "full" else 0.0
+                    if battery == "partial":
+                        level = capacity * rng.uniform(0.0, 0.9)
+                    uavs.append({"x": x, "u": u, "deadline": deadline,
+                                 "battery_capacity": capacity, "battery_level": level})
+                    theta.append([
+                        threshold(v, 0.0 if ride_only else gamma) - k * tol
+                        for v, gamma in vehicles
+                    ])
+    scenario = {
+        "config": {"omega": omega, "tol": tol},
+        "uavs": uavs,
+        "vehicles": [{"v": v, "gamma": gamma, "capacity": 1} for v, gamma in vehicles],
+        "theta": theta,
+        "seed": 20211022,
+        "label": "boundary",
     }
     path.write_text(json.dumps(scenario, indent=2) + "\n", encoding="utf-8")
 
@@ -100,12 +145,12 @@ def test_match_json_bytes_pinned(tmp_path, write_scenario, options, digest):
     assert sha256(out.read_bytes()) == digest
 
 
-def test_every_plan_field_pinned(tmp_path):
+def plan_matrix_digest(tmp_path, write_scenario) -> str:
     # The match JSON shows matched pairs only and omits swap_and_depart;
     # this pins every field of every pair's plan under both battery models,
     # and which pairs have no finite optimum without the battery cap.
-    path = tmp_path / "mixed.json"
-    write_mixed_scenario(path)
+    path = tmp_path / "scenario.json"
+    write_scenario(path)
     s = load_scenario(str(path))
     lines = []
     for limited in (False, True):
@@ -115,4 +160,12 @@ def test_every_plan_field_pinned(tmp_path):
                     lines.append(repr(plan_pair(s.config, task, offer, geom, limited)))
                 except UnboundedHitchError:
                     lines.append("unbounded")
-    assert sha256("\n".join(lines).encode()) == PLAN_MATRIX_SHA256
+    return sha256("\n".join(lines).encode())
+
+
+def test_every_plan_field_pinned(tmp_path):
+    assert plan_matrix_digest(tmp_path, write_mixed_scenario) == PLAN_MATRIX_SHA256
+
+
+def test_every_plan_field_pinned_at_boundaries(tmp_path):
+    assert plan_matrix_digest(tmp_path, write_boundary_scenario) == PLAN_BOUNDARY_SHA256

@@ -3,6 +3,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavhitch import (
     Binding,
@@ -190,6 +192,36 @@ def test_battery_cap_between_optima_binds():
     assert plan.y_star == pytest.approx(y_cap, rel=1e-9)
     oracle = oracle_min_consumption(0.8, task, offer, geom, limited=True)
     assert plan.consumption == pytest.approx(oracle, abs=1e-6)
+
+
+@st.composite
+def helps_at_any_angle(draw, bounded_deadline: bool):
+    """A finite battery on a vehicle whose charging pays at any angle (phi = pi)."""
+    x, u, v = draw(st.floats(0.5, 20.0)), draw(st.floats(20.0, 100.0)), draw(st.floats(5.0, 80.0))
+    omega, theta = draw(st.floats(0.3, 1.0)), draw(st.floats(0.0, math.pi))
+    gamma = (1.0 - omega + v / u) / omega * draw(st.floats(1.05, 2.0))
+    # Without a deadline the oracle grid spans [0, 3x]: keep the cap distance inside it.
+    headroom = draw(st.floats(0.01, 2.5)) * x * gamma / v
+    capacity = headroom / (1.0 - draw(st.floats(0.0, 0.9)))
+    # A deadline within rounding of the direct time with u = v is ill-conditioned:
+    # theta = 1e-12 shrinks the feasible set from [0, x] to {0}, which no float
+    # oracle resolves. test_max_hitch checks the theta = 0 corner in closed form.
+    deadline = (x / u) * draw(st.floats(1.01, 3.0)) if bounded_deadline else math.inf
+    task = UavTask(x=x, u=u, deadline=deadline, battery_capacity=capacity,
+                   battery_level=capacity - headroom)
+    return PlannerConfig(omega=omega), task, VehicleOffer(v=v, gamma=gamma), PairGeometry(theta)
+
+
+@pytest.mark.parametrize("bounded_deadline", [False, True], ids=["no_deadline", "deadline"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_limited_plan_at_any_angle_matches_oracle(bounded_deadline, data):
+    cfg, task, offer, geom = data.draw(helps_at_any_angle(bounded_deadline))
+    assert eligibility(cfg, task, offer, geom).threshold_angle == math.pi
+    plan = optimal_distance_limited(cfg, task, offer, geom)
+    oracle = oracle_min_consumption(cfg.omega, task, offer, geom, limited=True)
+    # criterion 1's tolerance
+    assert abs(plan.consumption - oracle) <= 1e-6 * max(task.direct_time, abs(oracle))
 
 
 def test_gamma_zero_with_finite_battery_falls_through():
