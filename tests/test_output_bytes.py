@@ -11,7 +11,11 @@ one), ride-only, charging, strongly charging (threshold angle pi) and
 battery-swap (gamma = inf) vehicles, and a vehicle of capacity 2. The
 greedy and exhaustive solvers are pinned on it too, and the max-saving
 solver also on a generated scenario of five vehicles of capacity 3 that
-sixteen UAVs compete for.
+sixteen UAVs compete for, and on a heterogeneous fleet with no deadline or
+battery: per-UAV flight speeds, per-vehicle speeds and charging rates
+(some ride-only, some too slow to help) and capacities up to 4. A case-2
+``simulate`` run with capacity 3 and a stronger charging rate is pinned
+beside the case-1 one.
 
 A second, boundary scenario pins every plan field where rounding decides
 the branch: angles a few ``tol`` below the charging and the ride-only
@@ -35,6 +39,8 @@ MATCH_JSON_SHA256 = "c97cc5c1d99d533406ad14a45138798acc10740990a39495b76181606bd
 MATCH_GREEDY_JSON_SHA256 = "a21d4ef3411b595502f0416560ea865f688f584f46e4e80d1fd98f37072cca8e"
 MATCH_BRUTE_JSON_SHA256 = "d9e8d21e1f9db85559ca960fb7f982164e215d837d8ccc0dbdb90156d31fc509"
 MATCH_CAPACITY_JSON_SHA256 = "bbc8ce5b748983f63b3d012387d916a8ea91720be48eac917f9dd49bbb28895b"
+MATCH_HETEROGENEOUS_JSON_SHA256 = "74163f2b8de4bc3f81bdda2e1da6fcb9d98a7fae409f16bb9db76eb5d6676924"
+SIMULATE_CASE2_CSV_SHA256 = "a3fca4fc66ced44c6b785bcdc0695a226afa73591e8825f94686109ca295b2d4"
 PLAN_MATRIX_SHA256 = "1c84fe9e29d5e5e398d9fb5703076413abdd2a704b14e3235e60b1f2186b4414"
 PLAN_BOUNDARY_SHA256 = "c9f657367c9bee4bd62e21f7b3ff3608da3d6e5e6f8375bd47f331b9f82349de"
 
@@ -110,6 +116,27 @@ def write_boundary_scenario(path) -> None:
     path.write_text(json.dumps(scenario, indent=2) + "\n", encoding="utf-8")
 
 
+def write_heterogeneous_scenario(path) -> None:
+    omega, u_max = 0.8, 90.0
+    rng = random.Random(20211023)
+    uavs = [{"x": rng.uniform(1.0, 20.0), "u": rng.uniform(30.0, u_max)} for _ in range(24)]
+    vehicles = []
+    for j, capacity in enumerate([1, 3, 1, 2, 1, 1, 4, 1, 1]):
+        v = rng.uniform(5.0, 70.0)
+        # Below omega*gamma = 1 - omega + v/u for every u, so no threshold angle is pi.
+        gamma = 0.0 if j % 3 == 0 else rng.uniform(0.0, 0.9) * (1.0 - omega + v / u_max) / omega
+        vehicles.append({"v": v, "gamma": gamma, "capacity": capacity})
+    scenario = {
+        "config": {"omega": omega, "tol": 1e-9},
+        "uavs": uavs,
+        "vehicles": vehicles,
+        "theta": [rng.uniform(0.0, math.pi) for _ in range(len(uavs) * len(vehicles))],
+        "seed": 20211023,
+        "label": "heterogeneous",
+    }
+    path.write_text(json.dumps(scenario, indent=2) + "\n", encoding="utf-8")
+
+
 def write_capacity_scenario(path) -> None:
     params = GeneratorParams(
         n_uavs=16, n_vehicles=5, capacity=3,
@@ -118,13 +145,21 @@ def write_capacity_scenario(path) -> None:
     save_scenario(generate_scenario(params, 20211021), str(path))
 
 
+def simulate_digest(tmp_path, options) -> str:
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", *options, "--output", str(out)]) == 0
+    return sha256(out.read_bytes())
+
+
 def test_simulate_csv_bytes_pinned(tmp_path):
-    out = tmp_path / "case1.csv"
-    assert main([
-        "simulate", "--case", "1", "--uavs", "5,10", "--vehicles", "10",
-        "--trials", "3", "--seed", "7", "--output", str(out),
-    ]) == 0
-    assert sha256(out.read_bytes()) == SIMULATE_CSV_SHA256
+    options = ["--case", "1", "--uavs", "5,10", "--vehicles", "10", "--trials", "3", "--seed", "7"]
+    assert simulate_digest(tmp_path, options) == SIMULATE_CSV_SHA256
+
+
+def test_simulate_case2_capacity_csv_bytes_pinned(tmp_path):
+    options = ["--case", "2", "--uavs", "5,40", "--vehicles", "40", "--trials", "5",
+               "--capacity", "3", "--gamma", "0.6", "--seed", "11"]
+    assert simulate_digest(tmp_path, options) == SIMULATE_CASE2_CSV_SHA256
 
 
 @pytest.mark.parametrize(
@@ -134,8 +169,9 @@ def test_simulate_csv_bytes_pinned(tmp_path):
         (write_mixed_scenario, ["--limited", "--solver", "greedy"], MATCH_GREEDY_JSON_SHA256),
         (write_mixed_scenario, ["--limited", "--solver", "brute"], MATCH_BRUTE_JSON_SHA256),
         (write_capacity_scenario, [], MATCH_CAPACITY_JSON_SHA256),
+        (write_heterogeneous_scenario, [], MATCH_HETEROGENEOUS_JSON_SHA256),
     ],
-    ids=["limited", "greedy", "brute", "capacity"],
+    ids=["limited", "greedy", "brute", "capacity", "heterogeneous"],
 )
 def test_match_json_bytes_pinned(tmp_path, write_scenario, options, digest):
     scenario = tmp_path / "scenario.json"
