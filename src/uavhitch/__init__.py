@@ -25,6 +25,8 @@ from .planner import (
     optimal_distance,
     optimal_distance_ho,
     optimal_distance_limited,
+    PlanArrays,
+    plan_matrix,
     plan_pair,
     select_vehicle,
     travel_time,

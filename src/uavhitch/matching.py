@@ -10,10 +10,19 @@ more than one UAV are expanded into identical virtual columns beforehand,
 at most one per UAV: the solvers fill a vehicle's columns lowest index
 first, so further seats would stay empty.
 
-The saving matrix holds its expanded weights as one float64 array, checked
-once when the matrix is made, and every solver and the certificate read
-that array. Every scan over the columns is a numpy vector operation; in
-the primal-dual solver each applies the same floating-point operations, in
+The build plans every pair once. Pairs with no deadline and a finite
+charging rate (and, under the limited battery model, an unbounded battery
+or a ride-only vehicle) reach the paper's closed form, which
+``planner.plan_matrix`` evaluates for all of them in one numpy pass with
+the same bits as ``plan_pair``; the other pairs go through ``plan_pair``
+one by one. The saving matrix holds its expanded weights as one float64
+array, checked once when the matrix is made, and every solver and the
+certificate read that array. Its plans are a :class:`PlanGrid` that copies
+nothing per column and builds a pair's ``HitchPlan`` from the arrays only
+when it is read, which the solvers do for matched pairs alone.
+
+Every scan over the columns is a numpy vector operation; in the
+primal-dual solver each applies the same floating-point operations, in
 the same order, as an element-by-element loop, so the potentials and the
 matching are exactly those of that loop (``tests/oracles.py`` keeps it as
 the reference).
@@ -23,6 +32,7 @@ A greedy baseline and an exhaustive oracle are included for comparison.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,11 +45,12 @@ from .model import (
     UnboundedHitchError,
     VehicleOffer,
 )
-from .planner import plan_pair
+from .planner import PlanArrays, plan_matrix, plan_pair
 
 __all__ = [
     "SavingMatrix",
     "MatchResult",
+    "PlanGrid",
     "DualState",
     "BruteForceSizeError",
     "build_saving_matrix",
@@ -65,9 +76,9 @@ class SavingMatrix:
     """Savings and plans for every UAV-column pair, capacity-expanded.
 
     ``weights[i, j]`` is the consumption saving of UAV ``i`` riding the
-    vehicle behind expanded column ``j``; ``column_origin[j]`` maps the
-    column back to the original vehicle. Columns duplicated from one
-    vehicle carry identical weights.
+    vehicle behind expanded column ``j``, and ``plans[i][j]`` its plan;
+    ``column_origin[j]`` maps the column back to the original vehicle.
+    Columns duplicated from one vehicle carry identical weights.
 
     ``weights`` may be given as any nested sequence; it is stored as a
     float64 array of shape ``(n_uavs, n_vehicles)``. A wrong shape, a
@@ -78,7 +89,7 @@ class SavingMatrix:
     n_uavs: int
     n_vehicles: int
     weights: np.ndarray
-    plans: list[list[HitchPlan]]
+    plans: Sequence[Sequence[HitchPlan]]
     column_origin: list[int]
     tol: float = 1e-9
 
@@ -134,6 +145,51 @@ class MatchResult:
     iterations: int = 0
 
 
+class PlanGrid(Sequence):
+    """The plans of a :class:`SavingMatrix`: ``plans[i][j]`` is the plan of
+    UAV ``i`` on expanded column ``j``.
+
+    Nothing is copied per column: a pair planned by :func:`plan_matrix` gets
+    its :class:`HitchPlan` built from the arrays when it is read, any other
+    pair returns the object :func:`plan_pair` gave.
+    """
+
+    def __init__(
+        self,
+        arrays: PlanArrays,
+        slot: np.ndarray,
+        pair_plans: list[list[HitchPlan | None]],
+        column_origin: list[int],
+    ) -> None:
+        self._arrays = arrays
+        self._slot = slot  # index into ``arrays`` of each (UAV, vehicle) pair
+        self._pair_plans = pair_plans  # plan_pair's plans, None for kernel pairs
+        self._column_origin = column_origin
+
+    def __len__(self) -> int:
+        return len(self._pair_plans)
+
+    def __getitem__(self, i: int) -> _PlanRow:
+        return _PlanRow(self, range(len(self))[i])
+
+    def plan(self, i: int, j: int) -> HitchPlan:
+        orig = self._column_origin[j]
+        plan = self._pair_plans[i][orig]
+        return plan if plan is not None else self._arrays.plan(self._slot[i, orig])
+
+
+class _PlanRow(Sequence):
+    def __init__(self, grid: PlanGrid, i: int) -> None:
+        self._grid = grid
+        self._i = i
+
+    def __len__(self) -> int:
+        return len(self._grid._column_origin)
+
+    def __getitem__(self, j: int) -> HitchPlan:
+        return self._grid.plan(self._i, j)
+
+
 def build_saving_matrix(
     cfg: PlannerConfig,
     tasks: list[UavTask],
@@ -141,7 +197,15 @@ def build_saving_matrix(
     geoms: list[list[PairGeometry]],
     limited: bool = False,
 ) -> SavingMatrix:
-    """Plan every pair and lay out the capacity-expanded saving matrix."""
+    """Plan every pair and lay out the capacity-expanded saving matrix.
+
+    Pairs with no deadline, a finite charging rate and, under the limited
+    model, an unbounded battery or a ride-only vehicle reach the closed
+    form that :func:`plan_matrix` evaluates for all of them in one pass;
+    the rest go through :func:`plan_pair` one by one, in row-major order.
+    A pair with no finite optimum raises :class:`UnboundedHitchError`
+    naming it, the first such pair in row-major order.
+    """
     if len(geoms) != len(tasks):
         raise ValueError(f"geometry rows ({len(geoms)}) != number of UAVs ({len(tasks)})")
     for i, row in enumerate(geoms):
@@ -150,27 +214,49 @@ def build_saving_matrix(
                 f"geometry row {i} has {len(row)} entries for {len(offers)} vehicles"
             )
 
-    pair_plans = []
-    for i, task in enumerate(tasks):
-        row = []
-        for j, offer in enumerate(offers):
+    n_uavs, n_offers = len(tasks), len(offers)
+    x = np.array([task.x for task in tasks], dtype=np.float64)
+    u = np.array([task.u for task in tasks], dtype=np.float64)
+    deadline = np.array([task.deadline for task in tasks], dtype=np.float64)
+    v = np.array([offer.v for offer in offers], dtype=np.float64)
+    gamma = np.array([offer.gamma for offer in offers], dtype=np.float64)
+    theta = np.array(
+        [geom.theta for row in geoms for geom in row], dtype=np.float64
+    ).reshape(n_uavs, n_offers)
+
+    kernel = np.isinf(deadline)[:, None] & np.isfinite(gamma)
+    if limited:
+        headroom = np.array([task.battery_headroom for task in tasks], dtype=np.float64)
+        kernel &= np.isinf(headroom)[:, None] | (gamma == 0.0)
+    ii, jj = np.nonzero(kernel)
+    arrays = plan_matrix(cfg, x[ii], u[ii], v[jj], gamma[jj], theta[ii, jj])
+    slot = np.full((n_uavs, n_offers), -1, dtype=np.intp)
+    slot[ii, jj] = np.arange(len(ii))
+    weights = np.zeros((n_uavs, n_offers))
+    weights[ii, jj] = arrays.saving
+
+    # plan_pair raises for the first pair with no finite optimum.
+    scalar = ~kernel
+    scalar[ii[arrays.unbounded], jj[arrays.unbounded]] = True
+    pair_plans: list[list[HitchPlan | None]] = [[None] * n_offers for _ in range(n_uavs)]
+    for i in np.flatnonzero(scalar.any(axis=1)).tolist():
+        cols = np.flatnonzero(scalar[i]).tolist()
+        for j in cols:
             try:
-                row.append(plan_pair(cfg, task, offer, geoms[i][j], limited))
+                pair_plans[i][j] = plan_pair(cfg, tasks[i], offers[j], geoms[i][j], limited)
             except UnboundedHitchError as exc:
                 raise UnboundedHitchError(f"uav {i}, vehicle {j}: {exc}") from exc
-        pair_plans.append(row)
-    pair_weights = np.array([[plan.saving for plan in row] for row in pair_plans])
+        weights[i, cols] = [pair_plans[i][j].saving for j in cols]
 
     column_origin: list[int] = []
     for j, offer in enumerate(offers):
-        column_origin.extend([j] * min(offer.capacity, len(tasks)))
+        column_origin.extend([j] * min(offer.capacity, n_uavs))
 
-    plans = [[row[j] for j in column_origin] for row in pair_plans]
     return SavingMatrix(
-        n_uavs=len(tasks),
+        n_uavs=n_uavs,
         n_vehicles=len(column_origin),
-        weights=pair_weights.reshape(len(tasks), len(offers))[:, column_origin],
-        plans=plans,
+        weights=weights[:, column_origin],
+        plans=PlanGrid(arrays, slot, pair_plans, column_origin),
         column_origin=column_origin,
         tol=cfg.tol,
     )

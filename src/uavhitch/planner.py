@@ -16,11 +16,25 @@ worth hitching exactly when theta stays below the threshold angle phi.
 Each planner makes one pass per pair: eligibility, the deadline distance
 (one root solve), then closed-form candidates capped by that distance. A
 full battery takes no charge, so it rides any vehicle as a ride-only one.
+
+:func:`plan_matrix` plans many pairs at once with numpy, for the common
+case of no deadline, an unbounded battery and a finite charging rate: the
+paper's closed form, eligibility and y* = x*sin(phi - theta)/sin(phi). It
+gives the same bits as :func:`plan_pair` because every element goes
+through the same floating-point operations in the same order, and the
+transcendentals match the C library's ``math`` functions: ``math.acos``
+and ``math.hypot`` are called per element, since numpy's ``arccos`` and
+``hypot`` differ from them in the last bit on some inputs, while numpy's
+``sin`` and ``cos`` are used directly (``tests/test_plan_matrix.py``
+checks all four against ``math`` on the running machine).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+
+import numpy as np
 
 from .model import (
     Binding,
@@ -48,6 +62,8 @@ __all__ = [
     "optimal_distance_limited",
     "battery_swap_plan",
     "plan_pair",
+    "PlanArrays",
+    "plan_matrix",
     "select_vehicle",
     "hitch_only_speed_threshold",
 ]
@@ -72,12 +88,13 @@ def _evaluate(
 ) -> tuple[float, float, float]:
     """(T, E, C) at riding distance y, with the flight leg computed once.
 
-    The charge saturates at ``headroom`` (0: ride-only; ``None``: unbounded
-    battery, where a swap has no finite energy). C is weighted by ``omega``.
+    The charge saturates at ``headroom`` (0: ride-only; ``None`` or
+    infinite: unbounded battery, where a swap has no finite energy). C is
+    weighted by ``omega``.
     """
     if y < 0.0:
         raise ValueError(f"hitch distance y must be >= 0, got {y}")
-    if headroom is None and math.isinf(offer.gamma):
+    if math.isinf(offer.gamma) and (headroom is None or math.isinf(headroom)):
         raise ValueError("energy is undefined for battery-swap offers (gamma=inf)")
     flight = flight_leg(task.x, geom.theta, y) / task.u
     charge = (offer.gamma / offer.v) * y
@@ -90,8 +107,8 @@ def _evaluate(
 
 def travel_time(task: UavTask, offer: VehicleOffer, geom: PairGeometry, y: float) -> float:
     """Total trip duration: riding time y/v plus flight time F(y)/u."""
-    # T is the same under both battery models; only the limited one accepts swaps.
-    return _evaluate(task, offer, geom, y, task.battery_headroom)[0]
+    # T does not depend on charging, so evaluate it ride-only: that accepts swaps.
+    return _evaluate(task, offer, geom, y, 0.0)[0]
 
 
 def energy(task: UavTask, offer: VehicleOffer, geom: PairGeometry, y: float) -> float:
@@ -379,6 +396,107 @@ def plan_pair(
     if limited or math.isinf(offer.gamma):
         return optimal_distance_limited(cfg, task, offer, geom)
     return optimal_distance(cfg, task, offer, geom)
+
+
+@dataclass(frozen=True)
+class PlanArrays:
+    """Plans of many pairs, one array element per pair.
+
+    The float fields hold what :class:`HitchPlan` holds; ``interior`` is
+    True where the binding is ``INTERIOR`` and False for ``NO_HITCH``.
+    ``unbounded`` marks the pairs whose threshold angle is pi, for which
+    :func:`plan_pair` raises :class:`UnboundedHitchError`; their other
+    fields are meaningless.
+    """
+
+    y_star: np.ndarray
+    total_time: np.ndarray
+    energy: np.ndarray
+    consumption: np.ndarray
+    saving: np.ndarray
+    interior: np.ndarray
+    unbounded: np.ndarray
+
+    def plan(self, index) -> HitchPlan:
+        """The :class:`HitchPlan` of one pair, with Python float fields."""
+        return HitchPlan(
+            float(self.y_star[index]),
+            float(self.total_time[index]),
+            float(self.energy[index]),
+            float(self.consumption[index]),
+            float(self.saving[index]),
+            Binding.INTERIOR if self.interior[index] else Binding.NO_HITCH,
+        )
+
+
+# numpy's arccos and hypot differ from the C library's in the last bit on
+# some inputs, so those two go through ``math`` one element at a time.
+_acos = np.frompyfunc(math.acos, 1, 1)
+_hypot = np.frompyfunc(math.hypot, 2, 1)
+_sin = np.sin
+_cos = np.cos
+
+
+def plan_matrix(cfg: PlannerConfig, x, u, v, gamma, theta) -> PlanArrays:
+    """:func:`optimal_distance` with no deadline, for every pair at once.
+
+    ``x``, ``u`` (per UAV), ``v``, ``gamma`` (per vehicle) and ``theta``
+    (per pair) are arrays that broadcast together, for example shapes
+    (I, 1), (J,) and (I, J); every charging rate must be finite. Each
+    element goes through the operations of :func:`plan_pair` in the same
+    order, so the result holds the same bits as ``plan_pair`` on a task
+    and offer with unbounded deadline and battery.
+    """
+    inputs = (np.asarray(a, dtype=np.float64) for a in (x, u, v, gamma, theta))
+    arrays = np.broadcast_arrays(*inputs)
+    shape = arrays[0].shape
+    x, u, v, gamma, theta = (a.ravel() for a in arrays)
+    if not np.isfinite(gamma).all():
+        raise ValueError("plan_matrix needs finite charging rates; plan swaps with plan_pair")
+    omega, tol = cfg.omega, cfg.tol
+
+    # eligibility: the precondition, then the always-eligible regime (phi = pi)
+    ratio = v / u
+    rate = omega * gamma
+    passes = rate > 1.0 - omega - ratio + tol
+    always = passes & (rate >= 1.0 - omega + ratio)
+    phi = np.full(x.shape, math.pi)
+    k = np.flatnonzero(passes & ~always)
+    cos_phi = (1.0 - omega - rate[k]) * u[k] / v[k]
+    phi[k] = _acos(np.minimum(1.0, np.maximum(-1.0, cos_phi))).astype(np.float64)
+    eligible = passes & (always | (theta < phi - tol))
+    unbounded = eligible & ~(phi < math.pi)
+
+    # _eligible_plan's interior optimum, then _finish_plan's two guards
+    k = np.flatnonzero(eligible & ~unbounded)
+    xk, tk = x[k], theta[k]
+    y = xk * _sin(phi[k] - tk) / _sin(phi[k])
+    hitch = y > 0.0
+    k, y, xk, tk = k[hitch], y[hitch], xk[hitch], tk[hitch]
+    uk, vk = u[k], v[k]
+    flight = _hypot(y - xk * _cos(tk), xk * _sin(tk)).astype(np.float64) / uk
+    charge = (gamma[k] / vk) * y
+    t = y / vk + flight
+    e = flight - charge
+    c = omega * e + (1.0 - omega) * t
+    base = x / u
+    saving = base[k] - c
+    hitch = saving > 0.0
+    k = k[hitch]
+
+    y_star, saving_out, interior = np.zeros(x.shape), np.zeros(x.shape), np.zeros(x.shape, bool)
+    total_time, energy_out, consumption_out = base.copy(), base.copy(), base.copy()
+    y_star[k] = y[hitch]
+    total_time[k] = t[hitch]
+    energy_out[k] = e[hitch]
+    consumption_out[k] = c[hitch]
+    saving_out[k] = saving[hitch]
+    interior[k] = True
+    return PlanArrays(
+        *(a.reshape(shape) for a in (
+            y_star, total_time, energy_out, consumption_out, saving_out, interior, unbounded
+        ))
+    )
 
 
 def select_vehicle(

@@ -89,6 +89,30 @@ def test_energy_limited_cap_binds():
     assert e == pytest.approx(5 / 60 - 0.01, rel=1e-12)
 
 
+def test_swap_on_unbounded_battery_has_no_energy_but_has_a_travel_time():
+    # A swap offer charges instantly; an infinite battery would absorb an
+    # infinite charge, so every energy helper refuses, as energy() does.
+    task, swap, geom = UavTask(x=5, u=60), VehicleOffer(v=40, gamma=math.inf), PairGeometry(0.3)
+    with pytest.raises(ValueError, match="battery-swap"):
+        energy(task, swap, geom, 1.0)
+    with pytest.raises(ValueError, match="battery-swap"):
+        energy_limited(task, swap, geom, 1.0)
+    for limited in (False, True):
+        with pytest.raises(ValueError, match="battery-swap"):
+            consumption(CFG, task, swap, geom, 1.0, limited=limited)
+    # T does not depend on charging.
+    t = travel_time(task, swap, geom, 1.0)
+    assert t == 1 / 40 + math.hypot(1 - 5 * math.cos(0.3), 5 * math.sin(0.3)) / 60
+    assert t == pytest.approx(0.0925907519741338, rel=1e-15)
+
+
+def test_swap_on_finite_battery_charges_to_the_headroom():
+    task = UavTask(x=5, u=60, battery_capacity=0.4, battery_level=0.1)
+    e = energy_limited(task, VehicleOffer(v=40, gamma=math.inf), PairGeometry(0.3), 1.0)
+    flight = math.hypot(1 - 5 * math.cos(0.3), 5 * math.sin(0.3)) / 60
+    assert e == flight - (0.4 - 0.1)
+
+
 def test_consumption_pure_energy_weight():
     # omega=1, gamma=0: consumption is just the flight-leg time
     task = UavTask(x=5, u=60)
