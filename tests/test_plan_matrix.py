@@ -216,10 +216,11 @@ def test_threshold_angle_pi_by_rounding_matches_plan_pair(omega, u, v, gamma):
     assert (1.0 - omega - omega * gamma) * u / v == -1.0
     theta = np.array([0.0, 1.0, math.pi - 2e-9, math.pi])
     x = np.array([0.5, 7.0])
-    arrays = plan_matrix(PlannerConfig(omega=omega), x[:, None], u, v, gamma, theta)
+    cfg = PlannerConfig(omega=omega)
+    arrays = plan_matrix(cfg, x[:, None], u, v, gamma, theta)
     assert arrays.unbounded.sum() == 2 * 3  # all but theta = pi
     assert_kernel_matches(
-        PlannerConfig(omega=omega),
+        cfg,
         np.repeat(x, len(theta)),
         np.full(len(x) * len(theta), u),
         np.array([v]),
@@ -271,9 +272,9 @@ def test_build_and_match_make_no_plan_pair_call_on_kernel_pairs(monkeypatch):
 
 def first_unbounded_scenario() -> dict:
     # Pairs in row-major order: UAV 0 has a deadline and UAV 1 a finite
-    # battery, so their pairs are planned one by one (UAV 1 on vehicle 1
-    # rides to its battery cap); UAVs 2 and 3 reach the array planner, and
-    # vehicle 1 charges so fast that their pairs on it have no optimum.
+    # battery, so their pairs are planned one by one and all have a finite
+    # optimum; UAVs 2 and 3 reach the array planner, and vehicle 1 charges
+    # so fast that their pairs on it have none.
     return {
         "config": {"omega": 0.8, "tol": 1e-9},
         "uavs": [
