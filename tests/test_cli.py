@@ -232,11 +232,18 @@ SCENARIO = {
         ("uavs", [{"x": 5.0, "u": "inf"}], "uavs[0]: flight speed u must be positive and finite"),
         ("vehicles", [{"v": "inf"}], "vehicles[0]: vehicle speed v must be positive and finite"),
         ("theta", [4.0], "theta[0,0]: theta must be in [0, pi], got 4.0"),
+        ("theta", [math.nan], "theta[0,0]: theta must be in [0, pi], got nan"),
+        ("theta", [-0.1], "theta[0,0]: theta must be in [0, pi], got -0.1"),
+        ("theta", [3.2], "theta[0,0]: theta must be in [0, pi], got 3.2"),
+        ("theta", ["inf"], "theta[0,0]: theta must be in [0, pi], got inf"),
+        ("theta", [True], "theta[0,0]: expected a number or 'inf', got True"),
+        ("theta", ["0.5"], "theta[0,0]: expected a number or 'inf', got '0.5'"),
+        ("theta", [None], "theta[0,0]: expected a number or 'inf', got None"),
     ],
 )
 def test_malformed_scenario_names_field(tmp_path, capsys, field, value, message):
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps({**SCENARIO, field: value}))
+    path.write_text(json.dumps({**SCENARIO, field: value}))  # math.nan is written as NaN
     assert main(["match", str(path)]) == 2
     assert message in capsys.readouterr().err
 
