@@ -71,6 +71,33 @@ class BruteForceSizeError(ValueError):
     """Instance is too large for the exhaustive matcher."""
 
 
+def _float_array(name: str, value, shape: tuple[int, int]) -> np.ndarray:
+    """``value``, any nested sequence, as a float64 array of ``shape``."""
+    try:
+        a = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    if a.size == 0 and 0 in shape:  # an empty list stands for any empty shape
+        a = a.reshape(shape)
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected (n_uavs, n_vehicles) = {shape}")
+    return a
+
+
+def theta_array(theta, n_uavs: int, n_vehicles: int) -> np.ndarray:
+    """``theta`` as a read-only float64 array of shape ``(n_uavs, n_vehicles)``.
+    A wrong shape or an entry outside [0, pi], NaN included, raises
+    ``ValueError``; the latter names the first such entry in row-major order."""
+    a = _float_array("theta", theta, (n_uavs, n_vehicles))
+    in_range = (a >= 0.0) & (a <= np.pi)
+    if not in_range.all():
+        i, j = np.argwhere(~in_range)[0]
+        raise ValueError(f"theta[{i},{j}]: theta must be in [0, pi], got {float(a[i, j])}")
+    a = a.view()
+    a.flags.writeable = False
+    return a
+
+
 @dataclass
 class SavingMatrix:
     """Savings and plans for every UAV-column pair, capacity-expanded.
@@ -94,17 +121,7 @@ class SavingMatrix:
     tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        shape = (self.n_uavs, self.n_vehicles)
-        try:
-            w = np.asarray(self.weights, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"weights: {exc}") from None
-        if w.size == 0 and 0 in shape:
-            w = w.reshape(shape)  # an empty list stands for any empty shape
-        if w.shape != shape:
-            raise ValueError(
-                f"weights has shape {w.shape}, expected (n_uavs, n_vehicles) = {shape}"
-            )
+        w = _float_array("weights", self.weights, (self.n_uavs, self.n_vehicles))
         if len(self.column_origin) != self.n_vehicles:
             raise ValueError(
                 f"column_origin has {len(self.column_origin)} entries, "
@@ -194,39 +211,29 @@ def build_saving_matrix(
     cfg: PlannerConfig,
     tasks: list[UavTask],
     offers: list[VehicleOffer],
-    geoms: list[list[PairGeometry]],
+    theta,
     limited: bool = False,
 ) -> SavingMatrix:
     """Plan every pair and lay out the capacity-expanded saving matrix.
 
-    Pairs with no deadline, a finite charging rate and, under the limited
-    model, an unbounded battery or a ride-only vehicle reach the closed
-    form that :func:`plan_matrix` evaluates for all of them in one pass;
-    the rest go through :func:`plan_pair` one by one, in row-major order.
-    A pair with no finite optimum raises :class:`UnboundedHitchError`
-    naming it, the first such pair in row-major order.
+    ``theta[i][j]``, an (I, J) array or nested sequence, is the direction
+    deviation of UAV ``i`` and vehicle ``j``. Pairs with no deadline, a
+    finite charging rate and, under the limited model, an unbounded battery
+    or a ride-only vehicle reach the closed form that :func:`plan_matrix`
+    evaluates for all of them in one pass; the rest go through
+    :func:`plan_pair` one by one, in row-major order. A pair with no finite
+    optimum raises :class:`UnboundedHitchError` naming it, the first such
+    pair in row-major order.
     """
-    if len(geoms) != len(tasks):
-        raise ValueError(f"geometry rows ({len(geoms)}) != number of UAVs ({len(tasks)})")
-    for i, row in enumerate(geoms):
-        if len(row) != len(offers):
-            raise ValueError(
-                f"geometry row {i} has {len(row)} entries for {len(offers)} vehicles"
-            )
-
     n_uavs, n_offers = len(tasks), len(offers)
-    x = np.array([task.x for task in tasks], dtype=np.float64)
-    u = np.array([task.u for task in tasks], dtype=np.float64)
-    deadline = np.array([task.deadline for task in tasks], dtype=np.float64)
-    v = np.array([offer.v for offer in offers], dtype=np.float64)
-    gamma = np.array([offer.gamma for offer in offers], dtype=np.float64)
-    theta = np.array(
-        [geom.theta for row in geoms for geom in row], dtype=np.float64
-    ).reshape(n_uavs, n_offers)
+    theta = theta_array(theta, n_uavs, n_offers)
+    x, u, deadline, headroom = np.array(
+        [(t.x, t.u, t.deadline, t.battery_headroom) for t in tasks], dtype=np.float64
+    ).reshape(n_uavs, 4).T
+    v, gamma = np.array([(o.v, o.gamma) for o in offers], dtype=np.float64).reshape(n_offers, 2).T
 
     kernel = np.isinf(deadline)[:, None] & np.isfinite(gamma)
     if limited:
-        headroom = np.array([task.battery_headroom for task in tasks], dtype=np.float64)
         kernel &= np.isinf(headroom)[:, None] | (gamma == 0.0)
     ii, jj = np.nonzero(kernel)
     arrays = plan_matrix(cfg, x[ii], u[ii], v[jj], gamma[jj], theta[ii, jj])
@@ -241,16 +248,16 @@ def build_saving_matrix(
     pair_plans: list[list[HitchPlan | None]] = [[None] * n_offers for _ in range(n_uavs)]
     for i in np.flatnonzero(scalar.any(axis=1)).tolist():
         cols = np.flatnonzero(scalar[i]).tolist()
+        row = theta[i].tolist()
         for j in cols:
+            geom = PairGeometry(row[j])
             try:
-                pair_plans[i][j] = plan_pair(cfg, tasks[i], offers[j], geoms[i][j], limited)
+                pair_plans[i][j] = plan_pair(cfg, tasks[i], offers[j], geom, limited)
             except UnboundedHitchError as exc:
                 raise UnboundedHitchError(f"uav {i}, vehicle {j}: {exc}") from exc
         weights[i, cols] = [pair_plans[i][j].saving for j in cols]
 
-    column_origin: list[int] = []
-    for j, offer in enumerate(offers):
-        column_origin.extend([j] * min(offer.capacity, n_uavs))
+    column_origin = [j for j, o in enumerate(offers) for _ in range(min(o.capacity, n_uavs))]
 
     return SavingMatrix(
         n_uavs=n_uavs,

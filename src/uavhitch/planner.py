@@ -22,11 +22,11 @@ case of no deadline, an unbounded battery and a finite charging rate: the
 paper's closed form, eligibility and y* = x*sin(phi - theta)/sin(phi). It
 gives the same bits as :func:`plan_pair` because every element goes
 through the same floating-point operations in the same order, and the
-transcendentals match the C library's ``math`` functions: ``math.acos``
-and ``math.hypot`` are called per element, since numpy's ``arccos`` and
-``hypot`` differ from them in the last bit on some inputs, while numpy's
-``sin`` and ``cos`` are used directly (``tests/test_plan_matrix.py``
-checks all four against ``math`` on the running machine).
+transcendentals match the C library's ``math`` functions: ``math.hypot``
+is called per element and ``math.acos`` once per distinct cos(phi), since
+numpy's ``arccos`` and ``hypot`` differ from them in the last bit on some
+inputs, while numpy's ``sin`` and ``cos`` are used directly
+(``tests/test_plan_matrix.py`` checks all four against ``math`` here).
 """
 
 from __future__ import annotations
@@ -430,7 +430,7 @@ class PlanArrays:
 
 
 # numpy's arccos and hypot differ from the C library's in the last bit on
-# some inputs, so those two go through ``math`` one element at a time.
+# some inputs, so those two go through ``math``: acos once per distinct value.
 _acos = np.frompyfunc(math.acos, 1, 1)
 _hypot = np.frompyfunc(math.hypot, 2, 1)
 _sin = np.sin
@@ -462,8 +462,9 @@ def plan_matrix(cfg: PlannerConfig, x, u, v, gamma, theta) -> PlanArrays:
     always = passes & (rate >= 1.0 - omega + ratio)
     phi = np.full(x.shape, math.pi)
     k = np.flatnonzero(passes & ~always)
-    cos_phi = (1.0 - omega - rate[k]) * u[k] / v[k]
-    phi[k] = _acos(np.minimum(1.0, np.maximum(-1.0, cos_phi))).astype(np.float64)
+    cos_phi = np.minimum(1.0, np.maximum(-1.0, (1.0 - omega - rate[k]) * u[k] / v[k]))
+    distinct, inverse = np.unique(cos_phi, return_inverse=True)
+    phi[k] = _acos(distinct).astype(np.float64)[inverse]
     eligible = passes & (always | (theta < phi - tol))
     unbounded = eligible & ~(phi < math.pi)
 

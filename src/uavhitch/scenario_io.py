@@ -13,8 +13,8 @@ A scenario file is JSON with the layout
     }
 
 Unbounded values are encoded as the string "inf" (JSON itself has no
-infinity). ``theta`` is written flat and row-major; a nested I x J list is
-accepted on read.
+infinity). ``theta`` is written flat and row-major, and a nested I x J list
+is accepted on read; in memory it is the (I, J) float64 array ``Scenario.geoms``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ import json
 import math
 from typing import Any
 
-from .model import PairGeometry, PlannerConfig, UavTask, VehicleOffer
+import numpy as np
+
+from .model import PlannerConfig, UavTask, VehicleOffer
 from .simlab import Scenario
 
 __all__ = [
@@ -64,7 +66,7 @@ def scenario_to_dict(s: Scenario) -> dict:
         "vehicles": [
             {"v": o.v, "gamma": _encode(o.gamma), "capacity": o.capacity} for o in s.offers
         ],
-        "theta": [g.theta for row in s.geoms for g in row],
+        "theta": s.geoms.ravel().tolist(),
         "seed": s.seed,
         "label": s.label,
     }
@@ -140,22 +142,20 @@ def scenario_from_dict(data: dict) -> Scenario:
         for i, row in enumerate(theta):
             _require_type(row, list, f"theta[{i}]")
         if len(theta) != n_uavs or any(len(row) != n_vehicles for row in theta):
-            raise ValueError(
-                f"nested theta must be {n_uavs} x {n_vehicles}"
-            )
+            raise ValueError(f"nested theta must be {n_uavs} x {n_vehicles}")
         theta = [t for row in theta for t in row]
     if len(theta) != n_uavs * n_vehicles:
         raise ValueError(
             f"theta has {len(theta)} entries, expected {n_uavs} x {n_vehicles} "
             f"= {n_uavs * n_vehicles}"
         )
-    geoms = []
-    for i in range(n_uavs):
-        row = []
-        for j in range(n_vehicles):
-            ctx = f"theta[{i},{j}]"
-            row.append(_build(PairGeometry, ctx, _decode(theta[i * n_vehicles + j], ctx)))
-        geoms.append(row)
+    theta = [math.inf if t == "inf" else t for t in theta]
+    if {type(t) for t in theta} - {float, int}:  # else every entry is a plain number
+        for k, t in enumerate(theta):
+            if isinstance(t, bool) or not isinstance(t, (int, float)):
+                i, j = divmod(k, n_vehicles)
+                raise ValueError(f"theta[{i},{j}]: expected a number or 'inf', got {t!r}")
+    geoms = np.array(theta, dtype=np.float64).reshape(n_uavs, n_vehicles)
 
     seed = data.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .matching import build_saving_matrix, greedy_match, msa_match
+from .matching import build_saving_matrix, greedy_match, msa_match, theta_array
 from .model import PairGeometry, PlannerConfig, UavTask, VehicleOffer
 from .planner import optimal_distance, optimal_distance_limited
 
@@ -90,27 +90,26 @@ class GeneratorParams:
             raise ValueError("deadline_factor below 1 makes the direct flight infeasible")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """A fully materialized experiment input."""
+    """A fully materialized experiment input.
+
+    ``geoms[i, j]`` is the direction deviation theta of UAV ``i`` and
+    vehicle ``j``, held as one read-only (I, J) float64 array checked by
+    :func:`~uavhitch.matching.theta_array`. Scenarios compare by identity;
+    equal ones give equal ``scenario_io.dump_scenario`` bytes.
+    """
 
     tasks: list[UavTask]
     offers: list[VehicleOffer]
-    geoms: list[list[PairGeometry]]
+    geoms: np.ndarray
     config: PlannerConfig
     seed: int = 0
     label: str = ""
 
     def __post_init__(self) -> None:
-        if len(self.geoms) != len(self.tasks):
-            raise ValueError(
-                f"theta matrix has {len(self.geoms)} rows for {len(self.tasks)} UAVs"
-            )
-        for i, row in enumerate(self.geoms):
-            if len(row) != len(self.offers):
-                raise ValueError(
-                    f"theta row {i} has {len(row)} entries for {len(self.offers)} vehicles"
-                )
+        theta = theta_array(self.geoms, len(self.tasks), len(self.offers))
+        object.__setattr__(self, "geoms", theta)
 
 
 @dataclass(frozen=True)
@@ -160,7 +159,7 @@ def generate_scenario(params: GeneratorParams, seed: int) -> Scenario:
     """Draw a scenario deterministically from (params, seed).
 
     Trip lengths are uniform on (0, x_max]; deviations are uniform on
-    the configured range, drawn row-major.
+    the configured range, drawn row-major and kept as drawn.
     """
     rng = np.random.default_rng(seed)
     xs = params.x_max * (1.0 - rng.random(params.n_uavs))
@@ -175,27 +174,19 @@ def generate_scenario(params: GeneratorParams, seed: int) -> Scenario:
     else:
         gammas = np.full(params.n_vehicles, params.gamma)
 
-    tasks = []
-    for x in xs:
-        x = float(x)
-        deadline = (
-            math.inf
-            if params.deadline_factor is None
-            else params.deadline_factor * x / params.u
-        )
-        tasks.append(UavTask(x=x, u=params.u, deadline=deadline))
-    offers = [
-        VehicleOffer(v=float(vs[j]), gamma=float(gammas[j]), capacity=params.capacity)
-        for j in range(params.n_vehicles)
+    k = params.deadline_factor
+    tasks = [
+        UavTask(x=x, u=params.u, deadline=math.inf if k is None else k * x / params.u)
+        for x in xs.tolist()
     ]
-    geoms = [
-        [PairGeometry(float(thetas[i, j])) for j in range(params.n_vehicles)]
-        for i in range(params.n_uavs)
+    offers = [
+        VehicleOffer(v=float(v), gamma=float(g), capacity=params.capacity)
+        for v, g in zip(vs, gammas)
     ]
     return Scenario(
         tasks=tasks,
         offers=offers,
-        geoms=geoms,
+        geoms=thetas,
         config=PlannerConfig(omega=params.omega, tol=params.tol),
         seed=int(seed),
         label=params.label or f"I{params.n_uavs}_J{params.n_vehicles}",

@@ -329,11 +329,8 @@ def test_criterion_6_matching_optimality():
             )
             for _ in range(n_veh)
         ]
-        geoms = [
-            [PairGeometry(rng.uniform(0.0, math.pi)) for _ in range(n_veh)]
-            for _ in range(n_uavs)
-        ]
-        m = build_saving_matrix(cfg, tasks, offers, geoms)
+        theta = [[rng.uniform(0.0, math.pi) for _ in range(n_veh)] for _ in range(n_uavs)]
+        m = build_saving_matrix(cfg, tasks, offers, theta)
         msa = msa_match(m)
         opt = brute_force_match(m)
         if abs(msa.total_saving - opt.total_saving) > 1e-9:
@@ -414,12 +411,13 @@ def test_criterion_8_homogeneity():
         ):
             failures.append(("direct", case))
         for i, task in enumerate(s.tasks):
+            geoms = [PairGeometry(theta) for theta in s.geoms[i].tolist()]
             for j, offer in enumerate(s.offers):
-                p1 = optimal_distance(s.config, task, offer, s.geoms[i][j])
-                p2 = optimal_distance(doubled.config, doubled.tasks[i], offer, s.geoms[i][j])
+                p1 = optimal_distance(s.config, task, offer, geoms[j])
+                p2 = optimal_distance(doubled.config, doubled.tasks[i], offer, geoms[j])
                 if p1.binding.value == "interior" and p2.consumption != 2.0 * p1.consumption:
                     failures.append(("interior consumption", case, i, j))
-            offers = list(zip(s.offers, s.geoms[i]))
+            offers = list(zip(s.offers, geoms))
             idx1, _ = select_vehicle(s.config, task, offers)
             idx2, _ = select_vehicle(s.config, doubled.tasks[i], offers)
             if idx1 != idx2:

@@ -54,7 +54,7 @@ def random_matrix(rng, n_rows, n_cols, zero_frac=0.35, origins=None):
 
 
 def test_build_single_ineligible_pair():
-    m = build_saving_matrix(CFG, [UavTask(x=5, u=60)], [VehicleOffer(v=40)], [[PairGeometry(1.4)]])
+    m = build_saving_matrix(CFG, [UavTask(x=5, u=60)], [VehicleOffer(v=40)], [[1.4]])
     assert m.weights.tolist() == [[0.0]]
     assert m.plans[0][0].binding.value == "no_hitch"
 
@@ -63,8 +63,7 @@ def test_build_capacity_expands_columns():
     # capacity 3 for 2 UAVs: the third seat could never be filled
     tasks = [UavTask(x=5, u=60), UavTask(x=7, u=60)]
     offers = [VehicleOffer(v=40, gamma=0.3, capacity=3), VehicleOffer(v=40, capacity=1)]
-    geoms = [[PairGeometry(0.2), PairGeometry(0.3)], [PairGeometry(0.4), PairGeometry(0.5)]]
-    m = build_saving_matrix(CFG, tasks, offers, geoms)
+    m = build_saving_matrix(CFG, tasks, offers, [[0.2, 0.3], [0.4, 0.5]])
     assert m.n_vehicles == 3
     assert m.column_origin == [0, 0, 1]
     for i in range(2):
@@ -100,16 +99,37 @@ def test_build_rejects_dimension_mismatch():
         build_saving_matrix(CFG, [UavTask(x=5, u=60)], [VehicleOffer(v=40)], [])
     with pytest.raises(ValueError):
         build_saving_matrix(
-            CFG, [UavTask(x=5, u=60)], [VehicleOffer(v=40)], [[PairGeometry(0.1)] * 2]
+            CFG, [UavTask(x=5, u=60)], [VehicleOffer(v=40)], [[0.1] * 2]
         )
+
+
+@pytest.mark.parametrize(
+    "theta, message",
+    [
+        ([[0.1, 0.2]], "theta has shape (1, 2), expected (n_uavs, n_vehicles) = (2, 2)"),
+        ([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]], "theta has shape (2, 3)"),
+        ([[0.1, 0.2], [0.3]], "theta:"),
+        ([[0.1, 0.2], [0.3, math.nan]], "theta[1,1]: theta must be in [0, pi], got nan"),
+        ([[0.1, -0.1], [0.3, 0.4]], "theta[0,1]: theta must be in [0, pi], got -0.1"),
+        ([[0.1, 0.2], [3.2, math.inf]], "theta[1,0]: theta must be in [0, pi], got 3.2"),
+        ([[0.1, 0.2], [PairGeometry(0.3), 0.4]], "theta:"),
+    ],
+    ids=["rows", "columns", "ragged", "nan", "negative", "above_pi", "objects"],
+)
+def test_build_rejects_bad_theta(theta, message):
+    tasks = [UavTask(x=5, u=60), UavTask(x=7, u=60)]
+    offers = [VehicleOffer(v=40, gamma=0.3), VehicleOffer(v=30)]
+    with pytest.raises(ValueError) as info:
+        build_saving_matrix(CFG, tasks, offers, theta)
+    assert message in str(info.value)
 
 
 def test_build_weights_nonnegative_and_tied_to_plans():
     tasks = [UavTask(x=x, u=60) for x in (3.0, 9.0, 15.0)]
     offers = [VehicleOffer(v=40, gamma=0.3) for _ in range(3)]
     rng = random.Random(3)
-    geoms = [[PairGeometry(rng.uniform(0, math.pi)) for _ in offers] for _ in tasks]
-    m = build_saving_matrix(CFG, tasks, offers, geoms)
+    theta = [[rng.uniform(0, math.pi) for _ in offers] for _ in tasks]
+    m = build_saving_matrix(CFG, tasks, offers, theta)
     for i in range(3):
         for j in range(3):
             assert m.weights[i][j] >= 0.0

@@ -19,7 +19,6 @@ import pytest
 
 from uavhitch import (
     GeneratorParams,
-    PairGeometry,
     PlannerConfig,
     SavingMatrix,
     UavTask,
@@ -70,8 +69,8 @@ def limited_mixed_build():
         )
         for j in range(30)
     ]
-    geoms = [[PairGeometry(rng.uniform(0.0, math.pi)) for _ in offers] for _ in tasks]
-    return build_saving_matrix(PlannerConfig(), tasks, offers, geoms, limited=True)
+    theta = [[rng.uniform(0.0, math.pi) for _ in offers] for _ in tasks]
+    return build_saving_matrix(PlannerConfig(), tasks, offers, theta, limited=True)
 
 
 def tied_raw():

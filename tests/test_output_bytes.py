@@ -30,7 +30,13 @@ import random
 
 import pytest
 
-from uavhitch import GeneratorParams, UnboundedHitchError, generate_scenario, plan_pair
+from uavhitch import (
+    GeneratorParams,
+    PairGeometry,
+    UnboundedHitchError,
+    generate_scenario,
+    plan_pair,
+)
 from uavhitch.cli import main
 from uavhitch.scenario_io import load_scenario, save_scenario
 
@@ -190,10 +196,12 @@ def plan_matrix_digest(tmp_path, write_scenario) -> str:
     s = load_scenario(str(path))
     lines = []
     for limited in (False, True):
-        for task, row in zip(s.tasks, s.geoms):
-            for offer, geom in zip(s.offers, row):
+        for task, row in zip(s.tasks, s.geoms.tolist()):
+            for offer, theta in zip(s.offers, row):
                 try:
-                    lines.append(repr(plan_pair(s.config, task, offer, geom, limited)))
+                    lines.append(
+                        repr(plan_pair(s.config, task, offer, PairGeometry(theta), limited))
+                    )
                 except UnboundedHitchError:
                     lines.append("unbounded")
     return sha256("\n".join(lines).encode())

@@ -34,7 +34,7 @@ from uavhitch import (
     plan_pair,
 )
 from uavhitch.cli import main
-from uavhitch.scenario_io import load_scenario
+from uavhitch.scenario_io import load_scenario, save_scenario
 
 REGIMES = ["ho", "charging", "pi", "deadline", "battery"]
 # Regimes whose every pair has a deadline or a finite battery under the
@@ -42,14 +42,14 @@ REGIMES = ["ho", "charging", "pi", "deadline", "battery"]
 SCALAR_REGIMES = {"pi", "deadline", "battery"}
 
 
-def reference(cfg, tasks, offers, geoms, limited):
+def reference(cfg, tasks, offers, theta, limited):
     """plan_pair's repr of every pair, or its UnboundedHitchError message."""
     out = []
-    for task, row in zip(tasks, geoms):
+    for task, row in zip(tasks, np.asarray(theta).tolist()):
         line = []
-        for offer, geom in zip(offers, row):
+        for offer, t in zip(offers, row):
             try:
-                line.append(repr(plan_pair(cfg, task, offer, geom, limited)))
+                line.append(repr(plan_pair(cfg, task, offer, PairGeometry(t), limited)))
             except UnboundedHitchError as exc:
                 line.append(exc)
         out.append(line)
@@ -67,18 +67,18 @@ def count_plan_pair(monkeypatch) -> list[int]:
     return calls
 
 
-def assert_build_matches(cfg, tasks, offers, geoms, limited) -> bool:
+def assert_build_matches(cfg, tasks, offers, theta, limited) -> bool:
     """Check build_saving_matrix against plan_pair; True if it built."""
-    ref = reference(cfg, tasks, offers, geoms, limited)
+    ref = reference(cfg, tasks, offers, theta, limited)
     bad = [(i, j) for i, line in enumerate(ref) for j, r in enumerate(line)
            if isinstance(r, Exception)]
     if bad:
         i, j = bad[0]
         with pytest.raises(UnboundedHitchError) as info:
-            build_saving_matrix(cfg, tasks, offers, geoms, limited)
+            build_saving_matrix(cfg, tasks, offers, theta, limited)
         assert str(info.value) == f"uav {i}, vehicle {j}: {ref[i][j]}"
         return False
-    m = build_saving_matrix(cfg, tasks, offers, geoms, limited)
+    m = build_saving_matrix(cfg, tasks, offers, theta, limited)
     assert len(m.plans) == len(tasks)
     for i, row in enumerate(m.plans):
         assert len(row) == m.n_vehicles
@@ -114,7 +114,7 @@ def test_each_random_instance_matches_plan_pair(regime, monkeypatch):
     n = 300
     for _ in range(n):
         cfg, task, offer, geom, limited = random_instance(rng, regime)
-        assert_build_matches(cfg, [task], [offer], [[geom]], limited)
+        assert_build_matches(cfg, [task], [offer], [[geom.theta]], limited)
         if math.isinf(task.deadline):
             x, u = np.array([task.x]), np.array([task.u])
             v, gamma = np.array([offer.v]), np.array([offer.gamma])
@@ -137,11 +137,11 @@ def test_crossed_random_instances_match_plan_pair(regime, monkeypatch):
         cfg, limited = draws[0][0], draws[0][4]
         tasks = [d[1] for d in draws]
         offers = [d[2] for d in draws]
-        geoms = [[PairGeometry(rng.uniform(0.0, math.pi)) for _ in offers] for _ in tasks]
+        theta = [[rng.uniform(0.0, math.pi) for _ in offers] for _ in tasks]
         for k, d in enumerate(draws):
-            geoms[k][k] = d[3]
+            theta[k][k] = d[3].theta
         calls[0] = 0
-        if assert_build_matches(cfg, tasks, offers, geoms, limited):
+        if assert_build_matches(cfg, tasks, offers, theta, limited):
             built += 1
             if regime in SCALAR_REGIMES:
                 assert calls[0] == len(tasks) * len(offers)
@@ -163,8 +163,7 @@ def test_boundary_scenario_matches_plan_pair(tmp_path, limited):
     keep = [j for j in range(len(s.offers)) if all(isinstance(r[j], str) for r in ref)]
     assert len(keep) == len(s.offers) - 2
     offers = [s.offers[j] for j in keep]
-    geoms = [[row[j] for j in keep] for row in s.geoms]
-    assert assert_build_matches(s.config, s.tasks, offers, geoms, limited)
+    assert assert_build_matches(s.config, s.tasks, offers, s.geoms[:, keep], limited)
 
     finite = [j for j, offer in enumerate(s.offers) if math.isfinite(offer.gamma)]
     assert_kernel_matches(
@@ -173,7 +172,7 @@ def test_boundary_scenario_matches_plan_pair(tmp_path, limited):
         np.array([t.u for t in s.tasks]),
         np.array([s.offers[j].v for j in finite]),
         np.array([s.offers[j].gamma for j in finite]),
-        np.array([[row[j].theta for j in finite] for row in s.geoms]),
+        s.geoms[:, finite],
     )
 
 
@@ -267,7 +266,47 @@ def test_build_and_match_make_no_plan_pair_call_on_kernel_pairs(monkeypatch):
     assert calls[0] == 0
     assert msa.per_pair and greedy.per_pair
     for i, j, plan in msa.per_pair + greedy.per_pair:
-        assert repr(plan) == repr(plan_pair(s.config, s.tasks[i], s.offers[j], s.geoms[i][j]))
+        geom = PairGeometry(float(s.geoms[i, j]))
+        assert repr(plan) == repr(plan_pair(s.config, s.tasks[i], s.offers[j], geom))
+
+
+def count_pair_geometries(monkeypatch) -> list[int]:
+    made = [0]
+    check = PairGeometry.__post_init__
+
+    def counted(self):
+        made[0] += 1
+        check(self)
+
+    monkeypatch.setattr(PairGeometry, "__post_init__", counted)
+    return made
+
+
+def test_theta_stays_an_array_from_generator_and_loader_to_the_matchers(tmp_path, monkeypatch):
+    made = count_pair_geometries(monkeypatch)
+    s = generate_scenario(GeneratorParams(n_uavs=40, n_vehicles=40), 7)
+    path = tmp_path / "scenario.json"
+    save_scenario(s, str(path))
+    loaded = load_scenario(str(path))
+    m = build_saving_matrix(loaded.config, loaded.tasks, loaded.offers, loaded.geoms)
+    msa, greedy = msa_match(m), greedy_match(m)
+    assert msa.per_pair and greedy.per_pair
+    assert made[0] == 0
+
+
+@pytest.mark.parametrize("limited", [False, True], ids=["unbounded", "limited"])
+def test_build_makes_one_pair_geometry_per_plan_pair_call(tmp_path, monkeypatch, limited):
+    path = tmp_path / "mixed.json"
+    write_mixed_scenario(path)
+    s = load_scenario(str(path))
+    calls, made = count_plan_pair(monkeypatch), count_pair_geometries(monkeypatch)
+    if limited:
+        build_saving_matrix(s.config, s.tasks, s.offers, s.geoms, limited)
+    else:
+        with pytest.raises(UnboundedHitchError):  # the gamma = 5 vehicle
+            build_saving_matrix(s.config, s.tasks, s.offers, s.geoms, limited)
+    assert 0 < calls[0] < len(s.tasks) * len(s.offers)
+    assert made[0] == calls[0]
 
 
 def first_unbounded_scenario() -> dict:

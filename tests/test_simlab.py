@@ -4,6 +4,7 @@ import pytest
 
 from uavhitch import (
     GeneratorParams,
+    PairGeometry,
     PlannerConfig,
     UavTask,
     case_theta_range,
@@ -14,6 +15,7 @@ from uavhitch import (
     select_vehicle,
     sweep_curves,
 )
+from uavhitch.scenario_io import dump_scenario
 from uavhitch.simlab import derive_trial_seed
 
 
@@ -27,21 +29,21 @@ def test_case_ranges():
 def test_empty_scenario():
     p = GeneratorParams(n_uavs=0, n_vehicles=0)
     s = generate_scenario(p, 1)
-    assert s.tasks == [] and s.offers == [] and s.geoms == []
+    assert s.tasks == [] and s.offers == [] and s.geoms.shape == (0, 0)
     r = run_trial(s)
     assert r.total_direct == 0.0 and r.saving_msa == 0.0
 
 
 def test_generation_is_deterministic():
     p = GeneratorParams(n_uavs=6, n_vehicles=4, theta_range=case_theta_range(1))
-    assert generate_scenario(p, 42) == generate_scenario(p, 42)
-    assert generate_scenario(p, 42) != generate_scenario(p, 43)
+    assert dump_scenario(generate_scenario(p, 42)) == dump_scenario(generate_scenario(p, 42))
+    assert dump_scenario(generate_scenario(p, 42)) != dump_scenario(generate_scenario(p, 43))
 
 
 def test_case2_angles_stay_acute():
     p = GeneratorParams(n_uavs=8, n_vehicles=8, theta_range=case_theta_range(2))
     s = generate_scenario(p, 9)
-    assert all(g.theta <= math.pi / 2 for row in s.geoms for g in row)
+    assert (s.geoms <= math.pi / 2).all()
 
 
 def test_trip_lengths_in_range():
@@ -135,9 +137,10 @@ def test_scaling_preserves_vehicle_choice():
     s = generate_scenario(p, 31)
     doubled = scale_scenario(s, 2.0)
     for i, task in enumerate(s.tasks):
-        offers = list(zip(s.offers, s.geoms[i]))
+        offers = list(zip(s.offers, map(PairGeometry, s.geoms[i].tolist())))
         idx1, _ = select_vehicle(s.config, task, offers)
-        idx2, _ = select_vehicle(s.config, doubled.tasks[i], list(zip(doubled.offers, doubled.geoms[i])))
+        doubled_offers = list(zip(doubled.offers, map(PairGeometry, doubled.geoms[i].tolist())))
+        idx2, _ = select_vehicle(s.config, doubled.tasks[i], doubled_offers)
         assert idx1 == idx2
 
 
