@@ -15,7 +15,9 @@ sixteen UAVs compete for, and on a heterogeneous fleet with no deadline or
 battery: per-UAV flight speeds, per-vehicle speeds and charging rates
 (some ride-only, some too slow to help) and capacities up to 4. A case-2
 ``simulate`` run with capacity 3 and a stronger charging rate is pinned
-beside the case-1 one.
+beside the case-1 one. The human-format ``match`` output is pinned for the
+three solvers on the mixed scenario and for the max-saving solver on the
+capacity one.
 
 A second, boundary scenario pins every plan field where rounding decides
 the branch: angles a few ``tol`` below the charging and the ride-only
@@ -49,6 +51,10 @@ MATCH_HETEROGENEOUS_JSON_SHA256 = "74163f2b8de4bc3f81bdda2e1da6fcb9d98a7fae409f1
 SIMULATE_CASE2_CSV_SHA256 = "a3fca4fc66ced44c6b785bcdc0695a226afa73591e8825f94686109ca295b2d4"
 PLAN_MATRIX_SHA256 = "1c84fe9e29d5e5e398d9fb5703076413abdd2a704b14e3235e60b1f2186b4414"
 PLAN_BOUNDARY_SHA256 = "c9f657367c9bee4bd62e21f7b3ff3608da3d6e5e6f8375bd47f331b9f82349de"
+MATCH_HUMAN_SHA256 = "e648ae30fd44621b22ae6a7aa347ceef507ad48a3d0da56e2c524b231c74a903"
+MATCH_GREEDY_HUMAN_SHA256 = "32c82b1cfa3114eb461cf29fd221981f5ee0a12733309aba7f5d4d09580aec3e"
+MATCH_BRUTE_HUMAN_SHA256 = "3a2775ac42470dab071fd08242b0b2cfc875a7b7ff43c858eaa11166e157370c"
+MATCH_CAPACITY_HUMAN_SHA256 = "87aa1487ba0693adbd3a2432d7018ddebc3b726962d4066c30a934428eae52e4"
 
 
 def sha256(data: bytes) -> str:
@@ -184,6 +190,24 @@ def test_match_json_bytes_pinned(tmp_path, write_scenario, options, digest):
     write_scenario(scenario)
     out = tmp_path / "match.json"
     assert main(["match", str(scenario), *options, "--format", "json", "--output", str(out)]) == 0
+    assert sha256(out.read_bytes()) == digest
+
+
+@pytest.mark.parametrize(
+    "write_scenario, options, digest",
+    [
+        (write_mixed_scenario, ["--limited"], MATCH_HUMAN_SHA256),
+        (write_mixed_scenario, ["--limited", "--solver", "greedy"], MATCH_GREEDY_HUMAN_SHA256),
+        (write_mixed_scenario, ["--limited", "--solver", "brute"], MATCH_BRUTE_HUMAN_SHA256),
+        (write_capacity_scenario, [], MATCH_CAPACITY_HUMAN_SHA256),
+    ],
+    ids=["limited", "greedy", "brute", "capacity"],
+)
+def test_match_human_bytes_pinned(tmp_path, write_scenario, options, digest):
+    scenario = tmp_path / "scenario.json"
+    write_scenario(scenario)
+    out = tmp_path / "match.txt"
+    assert main(["match", str(scenario), *options, "--output", str(out)]) == 0
     assert sha256(out.read_bytes()) == digest
 
 
