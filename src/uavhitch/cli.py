@@ -137,6 +137,9 @@ def _cmd_match(args: argparse.Namespace) -> int:
     certificate = (
         verify_duals(matrix, result, result.duals) if result.duals is not None else None
     )
+    pairs = [
+        (i, result.assignment[i], matrix.plans[i][c]) for i, c in result.matched_columns.items()
+    ]
 
     if args.format == "json":
         payload = {
@@ -154,7 +157,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
                     "saving": plan.saving,
                     "binding": plan.binding.value,
                 }
-                for i, j, plan in result.per_pair
+                for i, j, plan in pairs
             ],
             "total_saving": result.total_saving,
             "iterations": result.iterations,
@@ -163,7 +166,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
         _emit(json.dumps(payload, indent=2) + "\n", args.output)
     else:
         lines = [f"solver: {args.solver}"]
-        for i, j, plan in result.per_pair:
+        for i, j, plan in pairs:
             lines.append(
                 f"  uav {i} -> vehicle {j}: y*={_fmt(plan.y_star)} km, "
                 f"saving={_fmt(plan.saving)}, binding={plan.binding.value}"

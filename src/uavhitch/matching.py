@@ -17,9 +17,10 @@ or a ride-only vehicle) reach the paper's closed form, which
 the same bits as ``plan_pair``; the other pairs go through ``plan_pair``
 one by one. The saving matrix holds its expanded weights as one float64
 array, checked once when the matrix is made, and every solver and the
-certificate read that array. Its plans are a :class:`PlanGrid` that copies
-nothing per column and builds a pair's ``HitchPlan`` from the arrays only
-when it is read, which the solvers do for matched pairs alone.
+certificate read that array alone: a solver returns the matching and its
+total saving, not plans. The matrix's plans are a :class:`PlanGrid` that
+copies nothing per column and builds a pair's ``HitchPlan`` from the arrays
+only when it is read, which ``uavhitch match`` does for the pairs it prints.
 
 Every scan over the columns is a numpy vector operation; in the
 primal-dual solver each applies the same floating-point operations, in
@@ -148,15 +149,15 @@ class DualState:
 class MatchResult:
     """An assignment of UAVs to vehicles with its total saving.
 
-    ``assignment`` maps UAV index to original vehicle index;
-    ``matched_columns`` keeps the expanded-column view used by the dual
-    certificate. ``iterations`` counts augmentation rounds of the
+    ``assignment`` maps UAV index to original vehicle index, in UAV order;
+    ``matched_columns`` maps it to the expanded column, which the dual
+    certificate reads and which indexes ``SavingMatrix.plans`` for a
+    matched pair's plan. ``iterations`` counts augmentation rounds of the
     primal-dual loop (zero for the other solvers).
     """
 
     assignment: dict[int, int]
     total_saving: float
-    per_pair: list[tuple[int, int, HitchPlan]]
     matched_columns: dict[int, int] = field(default_factory=dict)
     duals: DualState | None = None
     iterations: int = 0
@@ -277,21 +278,17 @@ def _collect_result(
 ) -> MatchResult:
     assignment: dict[int, int] = {}
     matched_columns: dict[int, int] = {}
-    per_pair: list[tuple[int, int, HitchPlan]] = []
     total = 0.0
     for i in range(m.n_uavs):
         j = match_row[i]
         if j < 0 or m.weights[i, j] <= m.tol:
             continue
-        orig = m.column_origin[j]
-        assignment[i] = orig
+        assignment[i] = m.column_origin[j]
         matched_columns[i] = j
-        per_pair.append((i, orig, m.plans[i][j]))
         total += float(m.weights[i, j])
     return MatchResult(
         assignment=assignment,
         total_saving=total,
-        per_pair=per_pair,
         matched_columns=matched_columns,
         duals=duals,
         iterations=iterations,

@@ -10,7 +10,7 @@ order in which trials run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -31,19 +31,6 @@ __all__ = [
     "sweep_curves",
     "EXPERIMENT_CSV_HEADER",
 ]
-
-EXPERIMENT_CSV_HEADER = [
-    "uav_count",
-    "n_trials",
-    "mean_direct",
-    "mean_greedy",
-    "mean_msa",
-    "std_msa",
-    "mean_saving_msa",
-    "mean_saving_greedy",
-    "mean_iterations",
-]
-
 
 def case_theta_range(case: int) -> tuple[float, float]:
     """Direction-deviation range of the two standard experiment cases."""
@@ -116,15 +103,12 @@ class Scenario:
 class TrialReport:
     """Outcome of one trial: totals per strategy plus solver effort."""
 
-    n_uavs: int
-    n_vehicles: int
     total_direct: float
     total_greedy: float
     total_msa: float
     saving_msa: float
     saving_greedy: float
     iterations: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -142,17 +126,10 @@ class ExperimentRow:
     mean_iterations: float
 
     def as_csv_row(self) -> list:
-        return [
-            self.uav_count,
-            self.n_trials,
-            self.mean_direct,
-            self.mean_greedy,
-            self.mean_msa,
-            self.std_msa,
-            self.mean_saving_msa,
-            self.mean_saving_greedy,
-            self.mean_iterations,
-        ]
+        return [getattr(self, name) for name in EXPERIMENT_CSV_HEADER]
+
+
+EXPERIMENT_CSV_HEADER = [f.name for f in fields(ExperimentRow)]
 
 
 def generate_scenario(params: GeneratorParams, seed: int) -> Scenario:
@@ -214,17 +191,14 @@ def run_trial(s: Scenario) -> TrialReport:
     m = build_saving_matrix(s.config, s.tasks, s.offers, s.geoms)
     msa = msa_match(m)
     greedy = greedy_match(m)
-    total_direct = sum(t.direct_time for t in s.tasks)
+    total_direct = _sum_in_order(t.direct_time for t in s.tasks)
     return TrialReport(
-        n_uavs=len(s.tasks),
-        n_vehicles=len(s.offers),
         total_direct=total_direct,
         total_greedy=total_direct - greedy.total_saving,
         total_msa=total_direct - msa.total_saving,
         saving_msa=msa.total_saving,
         saving_greedy=greedy.total_saving,
         iterations=msa.iterations,
-        seed=s.seed,
     )
 
 
@@ -234,15 +208,25 @@ def derive_trial_seed(master_seed: int, uav_count: int, trial: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _sum_in_order(values) -> float:
+    """Left-to-right float sum from 0.0. The builtin ``sum`` compensates
+    rounding from Python 3.12 on, which would make same-seed CSV bytes
+    depend on the interpreter version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _mean(values: list[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
+    return _sum_in_order(values) / len(values) if values else 0.0
 
 
 def _sample_std(values: list[float]) -> float:
     if len(values) < 2:
         return 0.0
     mu = _mean(values)
-    return math.sqrt(sum((v - mu) ** 2 for v in values) / (len(values) - 1))
+    return math.sqrt(_sum_in_order((v - mu) ** 2 for v in values) / (len(values) - 1))
 
 
 def run_experiment(

@@ -271,5 +271,6 @@ def test_no_matched_pair_below_tolerance():
     m = raw_matrix([[1e-12, 0.4]])
     r = msa_match(m)
     assert r.assignment == {0: 1}
-    for i, j, _ in r.per_pair:
-        assert m.weights[i][m.column_origin.index(j)] > m.tol
+    for i, c in r.matched_columns.items():
+        assert m.column_origin[c] == r.assignment[i]
+        assert m.weights[i][c] > m.tol

@@ -23,9 +23,11 @@ from uavhitch import (
     GeneratorParams,
     PairGeometry,
     PlannerConfig,
+    SavingMatrix,
     UavTask,
     UnboundedHitchError,
     VehicleOffer,
+    brute_force_match,
     build_saving_matrix,
     generate_scenario,
     greedy_match,
@@ -258,14 +260,24 @@ def test_heterogeneous_generated_fleets_match_plan_pair(params, seed):
         assert assert_build_matches(s.config, s.tasks, s.offers, s.geoms, limited)
 
 
+def matched_plans(m, *results) -> list:
+    """``(uav, vehicle, plan)`` of every matched pair of each result, the
+    plans read from ``m.plans``; fails if a result matched nothing."""
+    out = []
+    for r in results:
+        assert r.matched_columns
+        out += [(i, r.assignment[i], m.plans[i][c]) for i, c in r.matched_columns.items()]
+    return out
+
+
 def test_build_and_match_make_no_plan_pair_call_on_kernel_pairs(monkeypatch):
     s = generate_scenario(GeneratorParams(n_uavs=40, n_vehicles=40), 7)
     calls = count_plan_pair(monkeypatch)
     m = build_saving_matrix(s.config, s.tasks, s.offers, s.geoms)
     msa, greedy = msa_match(m), greedy_match(m)
+    plans = matched_plans(m, msa, greedy)
     assert calls[0] == 0
-    assert msa.per_pair and greedy.per_pair
-    for i, j, plan in msa.per_pair + greedy.per_pair:
+    for i, j, plan in plans:
         geom = PairGeometry(float(s.geoms[i, j]))
         assert repr(plan) == repr(plan_pair(s.config, s.tasks[i], s.offers[j], geom))
 
@@ -290,8 +302,54 @@ def test_theta_stays_an_array_from_generator_and_loader_to_the_matchers(tmp_path
     loaded = load_scenario(str(path))
     m = build_saving_matrix(loaded.config, loaded.tasks, loaded.offers, loaded.geoms)
     msa, greedy = msa_match(m), greedy_match(m)
-    assert msa.per_pair and greedy.per_pair
+    matched_plans(m, msa, greedy)
     assert made[0] == 0
+
+
+class UnreadablePlans:
+    """Stands in for ``SavingMatrix.plans`` and fails on any access."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"plans.{name} was read")
+
+    def __getitem__(self, key):
+        raise AssertionError(f"plans[{key}] was read")
+
+
+def mixed_matrix(tmp_path):
+    path = tmp_path / "mixed.json"
+    write_mixed_scenario(path)
+    s = load_scenario(str(path))
+    return build_saving_matrix(s.config, s.tasks, s.offers, s.geoms, limited=True)
+
+
+def capacity_matrix(tmp_path):
+    params = GeneratorParams(n_uavs=8, n_vehicles=4, capacity=2, v_range=(20.0, 70.0))
+    s = generate_scenario(params, 11)
+    return build_saving_matrix(s.config, s.tasks, s.offers, s.geoms)
+
+
+@pytest.mark.parametrize("solver", [msa_match, greedy_match, brute_force_match],
+                         ids=["msa", "greedy", "brute"])
+@pytest.mark.parametrize("make_matrix", [mixed_matrix, capacity_matrix],
+                         ids=["mixed_limited", "capacity"])
+def test_solvers_read_weights_and_never_plans(tmp_path, solver, make_matrix):
+    built = make_matrix(tmp_path)
+    bare = SavingMatrix(
+        n_uavs=built.n_uavs,
+        n_vehicles=built.n_vehicles,
+        weights=built.weights,
+        plans=UnreadablePlans(),
+        column_origin=built.column_origin,
+        tol=built.tol,
+    )
+    expected, got = solver(built), solver(bare)
+    assert got.assignment
+    assert got.assignment == expected.assignment
+    assert got.matched_columns == expected.matched_columns
+    assert got.total_saving.hex() == expected.total_saving.hex()
+    assert got.duals == expected.duals
+    assert got.iterations == expected.iterations
 
 
 @pytest.mark.parametrize("limited", [False, True], ids=["unbounded", "limited"])

@@ -6,6 +6,7 @@ from uavhitch import (
     GeneratorParams,
     PairGeometry,
     PlannerConfig,
+    Scenario,
     UavTask,
     case_theta_range,
     generate_scenario,
@@ -32,6 +33,14 @@ def test_empty_scenario():
     assert s.tasks == [] and s.offers == [] and s.geoms.shape == (0, 0)
     r = run_trial(s)
     assert r.total_direct == 0.0 and r.saving_msa == 0.0
+
+
+def test_trial_totals_add_left_to_right():
+    # sum() compensates rounding from Python 3.12 on and gives
+    # 1.0000000000000002e16 here; left-to-right addition drops each 1.
+    tasks = [UavTask(x=x, u=1.0) for x in (1e16, 1.0, 1.0)]
+    s = Scenario(tasks=tasks, offers=[], geoms=[[], [], []], config=PlannerConfig())
+    assert run_trial(s).total_direct == 1e16
 
 
 def test_generation_is_deterministic():
