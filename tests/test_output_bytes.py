@@ -19,6 +19,10 @@ beside the case-1 one. The human-format ``match`` output is pinned for the
 three solvers on the mixed scenario and for the max-saving solver on the
 capacity one.
 
+The ``sweep`` CSV is pinned for the speed, gamma and surface kinds at their
+defaults and with a bounded deadline, a direction deviation and, for the
+gamma kind, a weight at which charging pays on every row.
+
 A second, boundary scenario pins every plan field where rounding decides
 the branch: angles a few ``tol`` below the charging and the ride-only
 threshold angle, full batteries, swap vehicles, threshold angle pi with
@@ -55,6 +59,12 @@ MATCH_HUMAN_SHA256 = "e648ae30fd44621b22ae6a7aa347ceef507ad48a3d0da56e2c524b231c
 MATCH_GREEDY_HUMAN_SHA256 = "32c82b1cfa3114eb461cf29fd221981f5ee0a12733309aba7f5d4d09580aec3e"
 MATCH_BRUTE_HUMAN_SHA256 = "3a2775ac42470dab071fd08242b0b2cfc875a7b7ff43c858eaa11166e157370c"
 MATCH_CAPACITY_HUMAN_SHA256 = "87aa1487ba0693adbd3a2432d7018ddebc3b726962d4066c30a934428eae52e4"
+SWEEP_SPEED_SHA256 = "1f33dc0e1bfbbf3031d1dbc0f0b7ef94b6741a12a0f65330990e482ac6a57095"
+SWEEP_GAMMA_SHA256 = "b220d56fc723fbd0c8945fdb7da71452bf2de80af19f04ac95089262864dda10"
+SWEEP_SURFACE_SHA256 = "cf86a25a740bfcd1433401ba1e2bea0323eaf9770c63d329a835ecc8ca7567d2"
+SWEEP_SPEED_BOUNDED_SHA256 = "65b0194d2b3ac304658faaa8810b8b4d4f2b84c1500177d8481b33450130cc82"
+SWEEP_SURFACE_BOUNDED_SHA256 = "e0f897f4e1bf18d9c96bde0d22544fe643c7244f400f68655e56398462a06056"
+SWEEP_GAMMA_PAYING_SHA256 = "922d9f95dcbd5987f4f24ee3a870216d038ac83c65521335212a80ac7f07c477"
 
 
 def sha256(data: bytes) -> str:
@@ -208,6 +218,26 @@ def test_match_human_bytes_pinned(tmp_path, write_scenario, options, digest):
     write_scenario(scenario)
     out = tmp_path / "match.txt"
     assert main(["match", str(scenario), *options, "--output", str(out)]) == 0
+    assert sha256(out.read_bytes()) == digest
+
+
+@pytest.mark.parametrize(
+    "options, digest",
+    [
+        (["--kind", "speed"], SWEEP_SPEED_SHA256),
+        (["--kind", "gamma"], SWEEP_GAMMA_SHA256),
+        (["--kind", "surface"], SWEEP_SURFACE_SHA256),
+        (["--kind", "speed", "--deadline", "0.2", "--theta", "0.3", "--gamma", "0.3"],
+         SWEEP_SPEED_BOUNDED_SHA256),
+        (["--kind", "surface", "--deadline", "0.2", "--theta", "0.3"],
+         SWEEP_SURFACE_BOUNDED_SHA256),
+        (["--kind", "gamma", "--omega", "0.8", "--theta", "0.3"], SWEEP_GAMMA_PAYING_SHA256),
+    ],
+    ids=["speed", "gamma", "surface", "speed-bounded", "surface-bounded", "gamma-paying"],
+)
+def test_sweep_csv_bytes_pinned(tmp_path, options, digest):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *options, "--output", str(out)]) == 0
     assert sha256(out.read_bytes()) == digest
 
 
