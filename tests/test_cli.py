@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -288,6 +289,54 @@ def test_sweep_point_count_below_one_exit_2(capsys, kind, option, value):
     assert main(["sweep", "--kind", kind, option, value]) == 2
     name = option[2:].replace("-", "_")
     assert f"{name} must be at least 1, got {value}" in capsys.readouterr().err
+
+
+# Every sweep flag, a value valid for every kind, and the kinds that take it.
+SWEEP_FLAG_KINDS = {
+    "--x": ("4", {"speed", "gamma", "surface", "battery"}),
+    "--u": ("50", {"speed", "gamma", "surface", "battery"}),
+    "--v": ("30", {"gamma", "battery"}),
+    "--omega": ("0.7", {"speed", "gamma", "surface", "battery"}),
+    "--theta": ("0.2", {"speed", "gamma", "surface", "battery"}),
+    "--gamma": ("0.1", {"speed", "battery"}),
+    "--deadline": ("0.5", {"speed", "gamma", "surface", "battery"}),
+    "--v-min": ("25", {"speed", "surface"}),
+    "--v-max": ("50", {"speed", "surface"}),
+    "--gamma-min": ("0.05", {"gamma", "surface"}),
+    "--gamma-max": ("0.2", {"gamma", "surface"}),
+    "--delta-e-min": ("0.01", {"battery"}),
+    "--delta-e-max": ("0.03", {"battery"}),
+    "--points": ("3", {"speed", "gamma", "battery"}),
+    "--v-points": ("3", {"surface"}),
+    "--gamma-points": ("3", {"surface"}),
+}
+SWEEP_SMALL_GRID = {
+    "speed": ["--points", "2"],
+    "gamma": ["--points", "2"],
+    "surface": ["--v-points", "2", "--gamma-points", "2"],
+    "battery": ["--points", "2"],
+}
+
+
+def test_sweep_flag_table_lists_every_flag(capsys):
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags - {"--help", "--kind", "--output"} == set(SWEEP_FLAG_KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEP_SMALL_GRID))
+@pytest.mark.parametrize("flag", sorted(SWEEP_FLAG_KINDS))
+def test_sweep_kind_takes_exactly_its_flags(tmp_path, capsys, kind, flag):
+    value, kinds = SWEEP_FLAG_KINDS[flag]
+    out = str(tmp_path / "sweep.csv")
+    code = main(["sweep", "--kind", kind, *SWEEP_SMALL_GRID[kind], flag, value, "--output", out])
+    err = capsys.readouterr().err
+    if kind in kinds:
+        assert code == 0, err
+    else:
+        assert code == 2
+        assert "unknown sweep parameters" in err
 
 
 def test_exit_codes_via_subprocess(tmp_path):

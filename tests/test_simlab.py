@@ -183,6 +183,20 @@ def test_gamma_sweep_monotone_nonincreasing():
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
+def test_gamma_sweep_strictly_decreases_where_charging_pays():
+    # At the default omega = 0.3 no rate on the default grid beats x/u, so
+    # the two tests above see a flat line; at omega = 0.8 every rate does.
+    _, rows = sweep_curves("gamma", omega=0.8, theta=0.3)
+    values = [c for _, c in rows]
+    assert len(values) == 121
+    assert all(c < 5.0 / 60.0 for c in values)
+    assert all(b < a for a, b in zip(values, values[1:]))
+    _, speed_rows = sweep_curves(
+        "speed", omega=0.8, theta=0.3, gamma=0.0, v_min=30.0, v_max=30.0, points=1
+    )
+    assert values[0] == speed_rows[0][1]
+
+
 def test_surface_sweep_slower_vehicle_can_win():
     header, rows = sweep_curves(
         "surface", x=5.0, u=60.0, omega=0.8, v_min=20.0, v_max=80.0,
