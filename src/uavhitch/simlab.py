@@ -289,9 +289,13 @@ def _best_consumption(
         task = UavTask(x=x, u=u, deadline=deadline)
         plan = optimal_distance(cfg, task, VehicleOffer(v=v, gamma=gamma), PairGeometry(theta))
     else:
-        # Any (capacity, level) pair with the requested headroom will do.
+        # An empty battery of capacity h has headroom exactly h; (h + 1) - 1
+        # would round. A capacity must be positive, so h = 0 is a full one.
+        if not headroom >= 0.0:
+            raise ValueError(f"delta_e must be nonnegative, got {headroom}")
+        capacity, level = (headroom, 0.0) if headroom > 0.0 else (1.0, 1.0)
         task = UavTask(
-            x=x, u=u, deadline=deadline, battery_capacity=headroom + 1.0, battery_level=1.0
+            x=x, u=u, deadline=deadline, battery_capacity=capacity, battery_level=level
         )
         plan = optimal_distance_limited(
             cfg, task, VehicleOffer(v=v, gamma=gamma), PairGeometry(theta)

@@ -281,6 +281,11 @@ def test_sweep_invalid_range_exit_2(capsys):
     assert "deadline" in capsys.readouterr().err
 
 
+def test_sweep_negative_headroom_exit_2(capsys):
+    assert main(["sweep", "--kind", "battery", "--delta-e-min", "-0.1"]) == 2
+    assert "delta_e must be nonnegative, got -0.1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "kind, option, value",
     [("speed", "--points", "0"), ("surface", "--v-points", "-3"), ("surface", "--gamma-points", "0")],

@@ -21,7 +21,9 @@ capacity one.
 
 The ``sweep`` CSV is pinned for the speed, gamma and surface kinds at their
 defaults and with a bounded deadline, a direction deviation and, for the
-gamma kind, a weight at which charging pays on every row.
+gamma kind, a weight at which charging pays on every row; the battery
+kind at its defaults (``tests/test_scripts.py`` pins the figure script's
+battery table).
 
 A second, boundary scenario pins every plan field where rounding decides
 the branch: angles a few ``tol`` below the charging and the ride-only
@@ -65,6 +67,7 @@ SWEEP_SURFACE_SHA256 = "cf86a25a740bfcd1433401ba1e2bea0323eaf9770c63d329a835ecc8
 SWEEP_SPEED_BOUNDED_SHA256 = "65b0194d2b3ac304658faaa8810b8b4d4f2b84c1500177d8481b33450130cc82"
 SWEEP_SURFACE_BOUNDED_SHA256 = "e0f897f4e1bf18d9c96bde0d22544fe643c7244f400f68655e56398462a06056"
 SWEEP_GAMMA_PAYING_SHA256 = "922d9f95dcbd5987f4f24ee3a870216d038ac83c65521335212a80ac7f07c477"
+SWEEP_BATTERY_SHA256 = "0de7862ee9790aef8a2bca5fb3938b8ac686a2fb1d8a0fc6cb630edda27d8378"
 
 
 def sha256(data: bytes) -> str:
@@ -232,8 +235,10 @@ def test_match_human_bytes_pinned(tmp_path, write_scenario, options, digest):
         (["--kind", "surface", "--deadline", "0.2", "--theta", "0.3"],
          SWEEP_SURFACE_BOUNDED_SHA256),
         (["--kind", "gamma", "--omega", "0.8", "--theta", "0.3"], SWEEP_GAMMA_PAYING_SHA256),
+        (["--kind", "battery"], SWEEP_BATTERY_SHA256),
     ],
-    ids=["speed", "gamma", "surface", "speed-bounded", "surface-bounded", "gamma-paying"],
+    ids=["speed", "gamma", "surface", "speed-bounded", "surface-bounded", "gamma-paying",
+         "battery"],
 )
 def test_sweep_csv_bytes_pinned(tmp_path, options, digest):
     out = tmp_path / "sweep.csv"

@@ -1,10 +1,12 @@
 """Smoke test: both reproduction scripts run to completion on small inputs."""
 
+import hashlib
 import os
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SWEEP_BATTERY_SHA256 = "61b76ffa243c580fd8163b2ccf411da964e6c502dfd77bfe597a87628f3ce7bf"
 
 
 def run_script(name, *args):
@@ -34,3 +36,5 @@ def test_figure_sweeps_script(tmp_path):
     assert r.returncode == 0, r.stderr
     for kind in ("speed", "gamma", "surface", "battery"):
         assert (tmp_path / f"sweep_{kind}.csv").stat().st_size > 0
+    battery = (tmp_path / "sweep_battery.csv").read_bytes()
+    assert hashlib.sha256(battery).hexdigest() == SWEEP_BATTERY_SHA256

@@ -237,6 +237,23 @@ def test_battery_sweep_shows_three_regimes():
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize(
+    "grid", [{}, {"delta_e_max": 0.2, "points": 201}], ids=["default", "figure-script"]
+)
+def test_battery_sweep_plans_the_exact_headroom(grid):
+    from uavhitch import VehicleOffer, PairGeometry, optimal_distance_limited
+
+    _, rows = sweep_curves("battery", **grid)
+    cfg = PlannerConfig(omega=0.8)
+    offer, geom = VehicleOffer(v=30.0, gamma=0.3), PairGeometry(math.pi / 4)
+    for delta_e, y_star in rows:
+        # 2h - h is exact in binary floating point; h = 0 is a full battery
+        capacity, level = (2.0 * delta_e, delta_e) if delta_e > 0.0 else (1.0, 1.0)
+        task = UavTask(x=5.0, u=60.0, battery_capacity=capacity, battery_level=level)
+        assert task.battery_headroom == delta_e
+        assert y_star == optimal_distance_limited(cfg, task, offer, geom).y_star, delta_e
+
+
 def test_sweep_rejects_unknown_kind_and_params():
     with pytest.raises(ValueError):
         sweep_curves("nope")
