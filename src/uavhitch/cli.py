@@ -214,27 +214,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    # Every other attribute is a sweep flag; sweep_curves rejects the ones
+    # the kind does not take.
     grid = {
         key: value
-        for key, value in (
-            ("x", args.x),
-            ("u", args.u),
-            ("v", args.v),
-            ("omega", args.omega),
-            ("theta", args.theta),
-            ("gamma", args.gamma),
-            ("deadline", args.deadline),
-            ("v_min", args.v_min),
-            ("v_max", args.v_max),
-            ("gamma_min", args.gamma_min),
-            ("gamma_max", args.gamma_max),
-            ("delta_e_min", args.delta_e_min),
-            ("delta_e_max", args.delta_e_max),
-            ("points", args.points),
-            ("v_points", args.v_points),
-            ("gamma_points", args.gamma_points),
-        )
-        if value is not None
+        for key, value in vars(args).items()
+        if value is not None and key not in ("command", "func", "kind", "output")
     }
     header, rows = sweep_curves(args.kind, **grid)
     _emit(csv_text(header, rows), args.output)

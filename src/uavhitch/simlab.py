@@ -9,6 +9,7 @@ order in which trials run.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .matching import build_saving_matrix, greedy_match, msa_match, theta_array
 from .model import PairGeometry, PlannerConfig, UavTask, VehicleOffer
-from .planner import optimal_distance, optimal_distance_limited
+from .planner import plan_pair
 
 __all__ = [
     "GeneratorParams",
@@ -273,113 +274,83 @@ def _linspace(lo: float, hi: float, points: int) -> list[float]:
     return [lo + i * step for i in range(points)]
 
 
-def _best_consumption(
-    omega: float,
-    x: float,
-    u: float,
-    v: float,
-    gamma: float,
-    theta: float,
-    deadline: float,
-    tol: float,
-    headroom: float | None = None,
-) -> tuple[float, float]:
-    cfg = PlannerConfig(omega=omega, tol=tol)
-    if headroom is None:
-        task = UavTask(x=x, u=u, deadline=deadline)
-        plan = optimal_distance(cfg, task, VehicleOffer(v=v, gamma=gamma), PairGeometry(theta))
-    else:
-        # An empty battery of capacity h has headroom exactly h; (h + 1) - 1
-        # would round. A capacity must be positive, so h = 0 is a full one.
-        if not headroom >= 0.0:
-            raise ValueError(f"delta_e must be nonnegative, got {headroom}")
-        capacity, level = (headroom, 0.0) if headroom > 0.0 else (1.0, 1.0)
-        task = UavTask(
-            x=x, u=u, deadline=deadline, battery_capacity=capacity, battery_level=level
-        )
-        plan = optimal_distance_limited(
-            cfg, task, VehicleOffer(v=v, gamma=gamma), PairGeometry(theta)
-        )
-    return plan.consumption, plan.y_star
+# Each kind: its parameters with their defaults, its axes as (column, low,
+# high, count) parameter names, and the plan field in the value column.
+_SWEEPS = {
+    "speed": (
+        dict(x=5.0, u=60.0, omega=0.8, theta=0.0, gamma=0.0,
+             v_min=5.0, v_max=80.0, points=151),
+        [("v", "v_min", "v_max", "points")],
+        "consumption",
+    ),
+    "gamma": (
+        dict(x=5.0, u=60.0, v=30.0, omega=0.3, theta=0.0,
+             gamma_min=0.0, gamma_max=0.6, points=121),
+        [("gamma", "gamma_min", "gamma_max", "points")],
+        "consumption",
+    ),
+    "surface": (
+        dict(x=5.0, u=60.0, omega=0.8, theta=0.0,
+             v_min=20.0, v_max=80.0, v_points=61, gamma_min=0.0, gamma_max=0.5, gamma_points=51),
+        [("v", "v_min", "v_max", "v_points"), ("gamma", "gamma_min", "gamma_max", "gamma_points")],
+        "consumption",
+    ),
+    "battery": (
+        dict(x=5.0, u=60.0, v=30.0, omega=0.8, theta=math.pi / 4, gamma=0.3,
+             delta_e_min=0.0, delta_e_max=0.05, points=101),
+        [("delta_e", "delta_e_min", "delta_e_max", "points")],
+        "y_star",
+    ),
+}
+
+
+def _sweep_task(p: dict) -> UavTask:
+    if "delta_e" not in p:
+        return UavTask(x=p["x"], u=p["u"], deadline=p["deadline"])
+    # An empty battery of capacity h has headroom exactly h; (h + 1) - 1
+    # would round. A capacity must be positive, so h = 0 is a full one.
+    h = p["delta_e"]
+    if not h >= 0.0:
+        raise ValueError(f"delta_e must be nonnegative, got {h}")
+    capacity, level = (h, 0.0) if h > 0.0 else (1.0, 1.0)
+    return UavTask(
+        x=p["x"], u=p["u"], deadline=p["deadline"], battery_capacity=capacity, battery_level=level
+    )
 
 
 def sweep_curves(kind: str, **grid) -> tuple[list[str], list[tuple]]:
     """Tabulate figure-style curves; returns (header, rows).
 
     Kinds: ``speed`` (optimal consumption vs vehicle speed), ``gamma``
-    (vs charging rate), ``surface`` (vs speed and rate), ``battery``
-    (optimal riding distance vs battery headroom). Grids that reach the
-    always-eligible charging regime need a bounded ``deadline``.
+    (vs charging rate), ``surface`` (vs speed and rate, speed outer),
+    ``battery`` (optimal riding distance vs battery headroom ``delta_e``,
+    planned at exactly that headroom). Every point goes through
+    :func:`~uavhitch.planner.plan_pair`, battery-limited for ``battery``,
+    so ``gamma = inf`` gives swap plans. ``deadline`` (default unbounded)
+    and ``tol`` apply to every kind; grids that reach the always-eligible
+    charging regime need a bounded ``deadline``.
     """
     for name in ("points", "v_points", "gamma_points"):
         if grid.get(name, 1) < 1:
             raise ValueError(f"{name} must be at least 1, got {grid[name]}")
-    tol = grid.pop("tol", 1e-9)
-    deadline = grid.pop("deadline", math.inf)
-    if kind == "speed":
-        x = grid.pop("x", 5.0)
-        u = grid.pop("u", 60.0)
-        omega = grid.pop("omega", 0.8)
-        theta = grid.pop("theta", 0.0)
-        gamma = grid.pop("gamma", 0.0)
-        vs = _linspace(grid.pop("v_min", 5.0), grid.pop("v_max", 80.0), grid.pop("points", 151))
-        _reject_extras(grid)
-        rows = [
-            (v, _best_consumption(omega, x, u, v, gamma, theta, deadline, tol)[0]) for v in vs
-        ]
-        return ["v", "value"], rows
-    if kind == "gamma":
-        x = grid.pop("x", 5.0)
-        u = grid.pop("u", 60.0)
-        v = grid.pop("v", 30.0)
-        omega = grid.pop("omega", 0.3)
-        theta = grid.pop("theta", 0.0)
-        gammas = _linspace(
-            grid.pop("gamma_min", 0.0), grid.pop("gamma_max", 0.6), grid.pop("points", 121)
-        )
-        _reject_extras(grid)
-        rows = [
-            (g, _best_consumption(omega, x, u, v, g, theta, deadline, tol)[0]) for g in gammas
-        ]
-        return ["gamma", "value"], rows
-    if kind == "surface":
-        x = grid.pop("x", 5.0)
-        u = grid.pop("u", 60.0)
-        omega = grid.pop("omega", 0.8)
-        theta = grid.pop("theta", 0.0)
-        vs = _linspace(grid.pop("v_min", 20.0), grid.pop("v_max", 80.0), grid.pop("v_points", 61))
-        gammas = _linspace(
-            grid.pop("gamma_min", 0.0), grid.pop("gamma_max", 0.5), grid.pop("gamma_points", 51)
-        )
-        _reject_extras(grid)
-        rows = [
-            (v, g, _best_consumption(omega, x, u, v, g, theta, deadline, tol)[0])
-            for v in vs
-            for g in gammas
-        ]
-        return ["v", "gamma", "value"], rows
-    if kind == "battery":
-        x = grid.pop("x", 5.0)
-        u = grid.pop("u", 60.0)
-        v = grid.pop("v", 30.0)
-        omega = grid.pop("omega", 0.8)
-        theta = grid.pop("theta", math.pi / 4)
-        gamma = grid.pop("gamma", 0.3)
-        headrooms = _linspace(
-            grid.pop("delta_e_min", 0.0), grid.pop("delta_e_max", 0.05), grid.pop("points", 101)
-        )
-        _reject_extras(grid)
-        rows = [
-            (
-                de,
-                _best_consumption(omega, x, u, v, gamma, theta, deadline, tol, headroom=de)[1],
-            )
-            for de in headrooms
-        ]
-        return ["delta_e", "value"], rows
-    raise ValueError(f"unknown sweep kind {kind!r}")
+    if kind not in _SWEEPS:
+        raise ValueError(f"unknown sweep kind {kind!r}")
+    defaults, axes, field = _SWEEPS[kind]
+    params = {"tol": 1e-9, "deadline": math.inf, **defaults}
+    unknown = sorted(set(grid) - set(params))
+    if unknown:
+        raise ValueError(f"unknown sweep parameters: {unknown}")
+    params.update(grid)
 
-
-def _reject_extras(grid: dict) -> None:
-    if grid:
-        raise ValueError(f"unknown sweep parameters: {sorted(grid)}")
+    cfg = PlannerConfig(omega=params["omega"], tol=params["tol"])
+    columns = [column for column, _, _, _ in axes]
+    values = [_linspace(params[lo], params[hi], params[n]) for _, lo, hi, n in axes]
+    rows = []
+    for point in itertools.product(*values):
+        p = {**params, **dict(zip(columns, point))}
+        offer = VehicleOffer(v=p["v"], gamma=p["gamma"])
+        plan = plan_pair(
+            cfg, _sweep_task(p), offer, PairGeometry(p["theta"]), limited="delta_e" in p
+        )
+        rows.append((*point, getattr(plan, field)))
+    return [*columns, "value"], rows

@@ -281,6 +281,18 @@ def test_sweep_invalid_range_exit_2(capsys):
     assert "deadline" in capsys.readouterr().err
 
 
+def test_sweep_swap_vehicle_matches_plan(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--kind", "speed", "--gamma", "inf", "--points", "3",
+                 "--output", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "v,value" and len(lines) == 4
+    for line in lines[1:]:
+        v, value = line.split(",")
+        assert main(["plan", "--x", "5", "--gamma", "inf", "--v", v, "--format", "json"]) == 0
+        assert float(value) == json.loads(capsys.readouterr().out)["consumption"]
+
+
 def test_sweep_negative_headroom_exit_2(capsys):
     assert main(["sweep", "--kind", "battery", "--delta-e-min", "-0.1"]) == 2
     assert "delta_e must be nonnegative, got -0.1" in capsys.readouterr().err
