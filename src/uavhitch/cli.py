@@ -32,9 +32,8 @@ from .scenario_io import csv_text, load_scenario, save_scenario
 from .simlab import (
     EXPERIMENT_CSV_HEADER,
     GeneratorParams,
+    Scenario,
     case_theta_range,
-    derive_trial_seed,
-    generate_scenario,
     run_experiment,
     sweep_curves,
 )
@@ -197,25 +196,23 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         deadline_factor=args.deadline_factor,
         capacity=args.capacity,
     )
-    rows = run_experiment(params, args.trials, counts, master_seed=args.seed)
-    text = csv_text(EXPERIMENT_CSV_HEADER, [r.as_csv_row() for r in rows])
-    _emit(text, args.output)
-
+    save = None
     if args.emit_scenarios:
         os.makedirs(args.emit_scenarios, exist_ok=True)
         case_tag = f"case{args.case}" if args.case else "custom"
-        for count in counts:
-            for t in range(args.trials):
-                label = f"{case_tag}_I{count}_t{t}"
-                p = replace(params, n_uavs=count, label=label)
-                s = generate_scenario(p, derive_trial_seed(args.seed, count, t))
-                save_scenario(s, os.path.join(args.emit_scenarios, label + ".json"))
+
+        def save(count: int, trial: int, scenario: Scenario) -> None:
+            label = f"{case_tag}_I{count}_t{trial}"
+            path = os.path.join(args.emit_scenarios, label + ".json")
+            save_scenario(replace(scenario, label=label), path)
+
+    rows = run_experiment(params, args.trials, counts, master_seed=args.seed, on_scenario=save)
+    _emit(csv_text(EXPERIMENT_CSV_HEADER, [r.as_csv_row() for r in rows]), args.output)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    # Every other attribute is a sweep flag; sweep_curves rejects the ones
-    # the kind does not take.
+    # Every other attribute is a sweep flag; sweep_curves checks them.
     grid = {
         key: value
         for key, value in vars(args).items()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -235,22 +236,25 @@ def run_experiment(
     n_trials: int,
     uav_counts: list[int],
     master_seed: int = 0,
+    on_scenario: Callable[[int, int, Scenario], None] | None = None,
 ) -> list[ExperimentRow]:
     """Repeat seeded trials per population size and aggregate.
 
     Trials run and are summed in trial-index order, so the output is
-    bit-identical across reruns.
+    bit-identical across reruns. ``on_scenario(count, trial, scenario)``,
+    if given, sees each scenario as it is drawn.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     rows = []
     for count in uav_counts:
         p = replace(params, n_uavs=count)
-        reports = [
-            run_trial(generate_scenario(p, derive_trial_seed(master_seed, count, t)))
-            for t in range(n_trials)
-        ]
-
+        reports = []
+        for t in range(n_trials):
+            s = generate_scenario(p, derive_trial_seed(master_seed, count, t))
+            if on_scenario is not None:
+                on_scenario(count, t, s)
+            reports.append(run_trial(s))
         rows.append(
             ExperimentRow(
                 uav_count=count,
@@ -274,29 +278,29 @@ def _linspace(lo: float, hi: float, points: int) -> list[float]:
     return [lo + i * step for i in range(points)]
 
 
-# Each kind: its parameters with their defaults, its axes as (column, low,
-# high, count) parameter names, and the plan field in the value column.
+# Parameters every sweep kind takes, with their defaults.
+_SWEEP_COMMON = dict(x=5.0, u=60.0, deadline=math.inf, tol=1e-9)
+# Each kind: its own parameters with their defaults, its axes as (column,
+# low, high, count) parameter names, and the plan field in the value column.
 _SWEEPS = {
     "speed": (
-        dict(x=5.0, u=60.0, omega=0.8, theta=0.0, gamma=0.0,
-             v_min=5.0, v_max=80.0, points=151),
+        dict(omega=0.8, theta=0.0, gamma=0.0, v_min=5.0, v_max=80.0, points=151),
         [("v", "v_min", "v_max", "points")],
         "consumption",
     ),
     "gamma": (
-        dict(x=5.0, u=60.0, v=30.0, omega=0.3, theta=0.0,
-             gamma_min=0.0, gamma_max=0.6, points=121),
+        dict(omega=0.3, theta=0.0, v=30.0, gamma_min=0.0, gamma_max=0.6, points=121),
         [("gamma", "gamma_min", "gamma_max", "points")],
         "consumption",
     ),
     "surface": (
-        dict(x=5.0, u=60.0, omega=0.8, theta=0.0,
-             v_min=20.0, v_max=80.0, v_points=61, gamma_min=0.0, gamma_max=0.5, gamma_points=51),
+        dict(omega=0.8, theta=0.0, v_min=20.0, v_max=80.0, v_points=61,
+             gamma_min=0.0, gamma_max=0.5, gamma_points=51),
         [("v", "v_min", "v_max", "v_points"), ("gamma", "gamma_min", "gamma_max", "gamma_points")],
         "consumption",
     ),
     "battery": (
-        dict(x=5.0, u=60.0, v=30.0, omega=0.8, theta=math.pi / 4, gamma=0.3,
+        dict(omega=0.8, theta=math.pi / 4, v=30.0, gamma=0.3,
              delta_e_min=0.0, delta_e_max=0.05, points=101),
         [("delta_e", "delta_e_min", "delta_e_max", "points")],
         "y_star",
@@ -313,9 +317,7 @@ def _sweep_task(p: dict) -> UavTask:
     if not h >= 0.0:
         raise ValueError(f"delta_e must be nonnegative, got {h}")
     capacity, level = (h, 0.0) if h > 0.0 else (1.0, 1.0)
-    return UavTask(
-        x=p["x"], u=p["u"], deadline=p["deadline"], battery_capacity=capacity, battery_level=level
-    )
+    return UavTask(p["x"], p["u"], p["deadline"], battery_capacity=capacity, battery_level=level)
 
 
 def sweep_curves(kind: str, **grid) -> tuple[list[str], list[tuple]]:
@@ -336,7 +338,7 @@ def sweep_curves(kind: str, **grid) -> tuple[list[str], list[tuple]]:
     if kind not in _SWEEPS:
         raise ValueError(f"unknown sweep kind {kind!r}")
     defaults, axes, field = _SWEEPS[kind]
-    params = {"tol": 1e-9, "deadline": math.inf, **defaults}
+    params = {**_SWEEP_COMMON, **defaults}
     unknown = sorted(set(grid) - set(params))
     if unknown:
         raise ValueError(f"unknown sweep parameters: {unknown}")
@@ -348,9 +350,7 @@ def sweep_curves(kind: str, **grid) -> tuple[list[str], list[tuple]]:
     rows = []
     for point in itertools.product(*values):
         p = {**params, **dict(zip(columns, point))}
-        offer = VehicleOffer(v=p["v"], gamma=p["gamma"])
-        plan = plan_pair(
-            cfg, _sweep_task(p), offer, PairGeometry(p["theta"]), limited="delta_e" in p
-        )
+        task, offer = _sweep_task(p), VehicleOffer(v=p["v"], gamma=p["gamma"])
+        plan = plan_pair(cfg, task, offer, PairGeometry(p["theta"]), limited="delta_e" in p)
         rows.append((*point, getattr(plan, field)))
     return [*columns, "value"], rows

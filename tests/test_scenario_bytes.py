@@ -90,3 +90,24 @@ def test_emitted_scenario_files_pinned(tmp_path):
     assert len(files) == 11
     manifest = "".join(f"{f.name} {sha256(f.read_bytes())}\n" for f in files)
     assert sha256(manifest.encode()) == EMITTED_FILES_SHA256
+
+
+def test_emit_scenarios_draws_each_scenario_once(tmp_path, monkeypatch):
+    import uavhitch.cli
+    import uavhitch.simlab
+
+    calls = []
+
+    def counting(params, seed):
+        calls.append((params.n_uavs, seed))
+        return generate_scenario(params, seed)
+
+    monkeypatch.setattr(uavhitch.simlab, "generate_scenario", counting)
+    monkeypatch.setattr(uavhitch.cli, "generate_scenario", counting, raising=False)
+    assert main([
+        "simulate", "--case", "2", "--uavs", "4,8", "--vehicles", "10", "--trials", "5",
+        "--seed", "99", "--output", str(tmp_path / "sim.csv"),
+        "--emit-scenarios", str(tmp_path / "scen"),
+    ]) == 0
+    assert len(calls) == 10 and len(set(calls)) == 10
+    assert len(list((tmp_path / "scen").iterdir())) == 10
