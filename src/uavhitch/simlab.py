@@ -310,7 +310,7 @@ _SWEEPS = {
 
 def _sweep_task(p: dict) -> UavTask:
     if "delta_e" not in p:
-        return UavTask(x=p["x"], u=p["u"], deadline=p["deadline"])
+        return UavTask(p["x"], p["u"], p["deadline"])
     # An empty battery of capacity h has headroom exactly h; (h + 1) - 1
     # would round. A capacity must be positive, so h = 0 is a full one.
     h = p["delta_e"]
