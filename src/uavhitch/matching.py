@@ -167,33 +167,22 @@ class PlanGrid(Sequence):
     """The plans of a :class:`SavingMatrix`: ``plans[i][j]`` is the plan of
     UAV ``i`` on expanded column ``j``.
 
-    Nothing is copied per column: a pair planned by :func:`plan_matrix` gets
-    its :class:`HitchPlan` built from the arrays when it is read, any other
-    pair returns the object :func:`plan_pair` gave.
+    Nothing is copied per column: a pair's :class:`HitchPlan` is built from
+    the :func:`plan_matrix` arrays when it is read.
     """
 
-    def __init__(
-        self,
-        arrays: PlanArrays,
-        slot: np.ndarray,
-        pair_plans: list[list[HitchPlan | None]],
-        column_origin: list[int],
-    ) -> None:
-        self._arrays = arrays
-        self._slot = slot  # index into ``arrays`` of each (UAV, vehicle) pair
-        self._pair_plans = pair_plans  # plan_pair's plans, None for kernel pairs
+    def __init__(self, arrays: PlanArrays, column_origin: list[int]) -> None:
+        self._arrays = arrays  # one element per (UAV, vehicle) pair
         self._column_origin = column_origin
 
     def __len__(self) -> int:
-        return len(self._pair_plans)
+        return self._arrays.saving.shape[0]
 
     def __getitem__(self, i: int) -> _PlanRow:
         return _PlanRow(self, range(len(self))[i])
 
     def plan(self, i: int, j: int) -> HitchPlan:
-        orig = self._column_origin[j]
-        plan = self._pair_plans[i][orig]
-        return plan if plan is not None else self._arrays.plan(self._slot[i, orig])
+        return self._arrays.plan((i, self._column_origin[j]))
 
 
 class _PlanRow(Sequence):
@@ -218,53 +207,34 @@ def build_saving_matrix(
     """Plan every pair and lay out the capacity-expanded saving matrix.
 
     ``theta[i][j]``, an (I, J) array or nested sequence, is the direction
-    deviation of UAV ``i`` and vehicle ``j``. Pairs with no deadline, a
-    finite charging rate and, under the limited model, an unbounded battery
-    or a ride-only vehicle reach the closed form that :func:`plan_matrix`
-    evaluates for all of them in one pass; the rest go through
-    :func:`plan_pair` one by one, in row-major order. A pair with no finite
-    optimum raises :class:`UnboundedHitchError` naming it, the first such
-    pair in row-major order.
+    deviation of UAV ``i`` and vehicle ``j``. Every pair is planned by one
+    :func:`plan_matrix` call. A pair with no finite optimum raises
+    :class:`UnboundedHitchError` naming it, the first such pair in
+    row-major order; :func:`plan_pair` gives the message.
     """
     n_uavs, n_offers = len(tasks), len(offers)
     theta = theta_array(theta, n_uavs, n_offers)
     x, u, deadline, headroom = np.array(
         [(t.x, t.u, t.deadline, t.battery_headroom) for t in tasks], dtype=np.float64
-    ).reshape(n_uavs, 4).T
+    ).reshape(n_uavs, 4).T[:, :, None]
     v, gamma = np.array([(o.v, o.gamma) for o in offers], dtype=np.float64).reshape(n_offers, 2).T
+    arrays = plan_matrix(cfg, x, u, v, gamma, theta, deadline, headroom, limited)
 
-    kernel = np.isinf(deadline)[:, None] & np.isfinite(gamma)
-    if limited:
-        kernel &= np.isinf(headroom)[:, None] | (gamma == 0.0)
-    ii, jj = np.nonzero(kernel)
-    arrays = plan_matrix(cfg, x[ii], u[ii], v[jj], gamma[jj], theta[ii, jj])
-    slot = np.full((n_uavs, n_offers), -1, dtype=np.intp)
-    slot[ii, jj] = np.arange(len(ii))
-    weights = np.zeros((n_uavs, n_offers))
-    weights[ii, jj] = arrays.saving
-
-    # plan_pair raises for the first pair with no finite optimum.
-    scalar = ~kernel
-    scalar[ii[arrays.unbounded], jj[arrays.unbounded]] = True
-    pair_plans: list[list[HitchPlan | None]] = [[None] * n_offers for _ in range(n_uavs)]
-    for i in np.flatnonzero(scalar.any(axis=1)).tolist():
-        cols = np.flatnonzero(scalar[i]).tolist()
-        row = theta[i].tolist()
-        for j in cols:
-            geom = PairGeometry(row[j])
-            try:
-                pair_plans[i][j] = plan_pair(cfg, tasks[i], offers[j], geom, limited)
-            except UnboundedHitchError as exc:
-                raise UnboundedHitchError(f"uav {i}, vehicle {j}: {exc}") from exc
-        weights[i, cols] = [pair_plans[i][j].saving for j in cols]
+    if arrays.unbounded.any():
+        i, j = (int(k) for k in np.argwhere(arrays.unbounded)[0])
+        try:
+            plan_pair(cfg, tasks[i], offers[j], PairGeometry(float(theta[i, j])), limited)
+        except UnboundedHitchError as exc:
+            raise UnboundedHitchError(f"uav {i}, vehicle {j}: {exc}") from exc
+        raise AssertionError(f"plan_pair has a finite optimum for uav {i}, vehicle {j}")
 
     column_origin = [j for j, o in enumerate(offers) for _ in range(min(o.capacity, n_uavs))]
 
     return SavingMatrix(
         n_uavs=n_uavs,
         n_vehicles=len(column_origin),
-        weights=weights[:, column_origin],
-        plans=PlanGrid(arrays, slot, pair_plans, column_origin),
+        weights=arrays.saving[:, column_origin],
+        plans=PlanGrid(arrays, column_origin),
         column_origin=column_origin,
         tol=cfg.tol,
     )

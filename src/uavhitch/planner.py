@@ -398,13 +398,18 @@ def plan_pair(
     return optimal_distance(cfg, task, offer, geom)
 
 
+# Binding of each code in ``PlanArrays.binding``.
+_BINDINGS = (Binding.INTERIOR, Binding.DEADLINE, Binding.BATTERY_FULL, Binding.NO_HITCH)
+_INTERIOR, _DEADLINE, _BATTERY_FULL, _NO_HITCH = range(len(_BINDINGS))
+
+
 @dataclass(frozen=True)
 class PlanArrays:
     """Plans of many pairs, one array element per pair.
 
-    The float fields hold what :class:`HitchPlan` holds; ``interior`` is
-    True where the binding is ``INTERIOR`` and False for ``NO_HITCH``.
-    ``unbounded`` marks the pairs whose threshold angle is pi, for which
+    The float fields hold what :class:`HitchPlan` holds; ``binding`` is
+    each pair's :class:`Binding` as a small integer code and ``swap`` its
+    ``swap_and_depart`` flag. ``unbounded`` marks the pairs for which
     :func:`plan_pair` raises :class:`UnboundedHitchError`; their other
     fields are meaningless.
     """
@@ -414,7 +419,8 @@ class PlanArrays:
     energy: np.ndarray
     consumption: np.ndarray
     saving: np.ndarray
-    interior: np.ndarray
+    binding: np.ndarray
+    swap: np.ndarray
     unbounded: np.ndarray
 
     def plan(self, index) -> HitchPlan:
@@ -425,79 +431,255 @@ class PlanArrays:
             float(self.energy[index]),
             float(self.consumption[index]),
             float(self.saving[index]),
-            Binding.INTERIOR if self.interior[index] else Binding.NO_HITCH,
+            _BINDINGS[self.binding[index]],
+            bool(self.swap[index]),
         )
 
 
 # numpy's arccos and hypot differ from the C library's in the last bit on
-# some inputs, so those two go through ``math``: acos once per distinct value.
+# some inputs, and its square from ``pow(s, 2)``, so those go through
+# ``math``: acos once per distinct value, the others per element.
 _acos = np.frompyfunc(math.acos, 1, 1)
 _hypot = np.frompyfunc(math.hypot, 2, 1)
+_pow = np.frompyfunc(math.pow, 2, 1)
 _sin = np.sin
 _cos = np.cos
+_sqrt = np.sqrt
 
 
-def plan_matrix(cfg: PlannerConfig, x, u, v, gamma, theta) -> PlanArrays:
-    """:func:`optimal_distance` with no deadline, for every pair at once.
+class _Pairs:
+    """The flat inputs of :func:`plan_matrix` and the plans written so far.
 
-    ``x``, ``u`` (per UAV), ``v``, ``gamma`` (per vehicle) and ``theta``
-    (per pair) are arrays that broadcast together, for example shapes
-    (I, 1), (J,) and (I, J); every charging rate must be finite. Each
-    element goes through the operations of :func:`plan_pair` in the same
-    order, so the result holds the same bits as ``plan_pair`` on a task
-    and offer with unbounded deadline and battery.
+    Each method transcribes one scalar planner function for the pairs ``k``
+    (an index array), with every element going through that function's
+    operations in the same order. The plans start as no-hitch plans; each
+    pair's final plan is written once.
     """
-    inputs = (np.asarray(a, dtype=np.float64) for a in (x, u, v, gamma, theta))
-    arrays = np.broadcast_arrays(*inputs)
-    shape = arrays[0].shape
-    x, u, v, gamma, theta = (a.ravel() for a in arrays)
-    if not np.isfinite(gamma).all():
-        raise ValueError("plan_matrix needs finite charging rates; plan swaps with plan_pair")
-    omega, tol = cfg.omega, cfg.tol
 
-    # eligibility: the precondition, then the always-eligible regime (phi = pi)
-    ratio = v / u
-    rate = omega * gamma
-    passes = rate > 1.0 - omega - ratio + tol
-    always = passes & (rate >= 1.0 - omega + ratio)
-    phi = np.full(x.shape, math.pi)
-    k = np.flatnonzero(passes & ~always)
-    cos_phi = np.minimum(1.0, np.maximum(-1.0, (1.0 - omega - rate[k]) * u[k] / v[k]))
-    distinct, inverse = np.unique(cos_phi, return_inverse=True)
-    phi[k] = _acos(distinct).astype(np.float64)[inverse]
-    eligible = passes & (always | (theta < phi - tol))
-    unbounded = eligible & ~(phi < math.pi)
+    def __init__(self, cfg: PlannerConfig, x, u, v, gamma, theta, deadline, headroom) -> None:
+        self.omega, self.tol = cfg.omega, cfg.tol
+        self.x, self.u, self.v, self.gamma, self.theta = x, u, v, gamma, theta
+        self.deadline, self.headroom = deadline, headroom
+        self.base = x / u
+        n = x.size
+        self.y_star, self.saving = np.zeros(n), np.zeros(n)
+        self.total_time, self.energy, self.consumption = (self.base.copy() for _ in range(3))
+        self.binding = np.full(n, _NO_HITCH, dtype=np.int8)
+        self.swap = np.zeros(n, dtype=bool)
+        self.unbounded = np.zeros(n, dtype=bool)
 
-    # _eligible_plan's interior optimum, then _finish_plan's two guards
-    k = np.flatnonzero(eligible & ~unbounded)
-    xk, tk = x[k], theta[k]
-    y = xk * _sin(phi[k] - tk) / _sin(phi[k])
-    hitch = y > 0.0
-    k, y, xk, tk = k[hitch], y[hitch], xk[hitch], tk[hitch]
-    uk, vk = u[k], v[k]
-    flight = _hypot(y - xk * _cos(tk), xk * _sin(tk)).astype(np.float64) / uk
-    charge = (gamma[k] / vk) * y
-    t = y / vk + flight
-    e = flight - charge
-    c = omega * e + (1.0 - omega) * t
-    base = x / u
-    saving = base[k] - c
-    hitch = saving > 0.0
-    k = k[hitch]
+    def arrays(self, shape) -> PlanArrays:
+        fields = (self.y_star, self.total_time, self.energy, self.consumption, self.saving,
+                  self.binding, self.swap, self.unbounded)
+        return PlanArrays(*(a.reshape(shape) for a in fields))
 
-    y_star, saving_out, interior = np.zeros(x.shape), np.zeros(x.shape), np.zeros(x.shape, bool)
-    total_time, energy_out, consumption_out = base.copy(), base.copy(), base.copy()
-    y_star[k] = y[hitch]
-    total_time[k] = t[hitch]
-    energy_out[k] = e[hitch]
-    consumption_out[k] = c[hitch]
-    saving_out[k] = saving[hitch]
-    interior[k] = True
-    return PlanArrays(
-        *(a.reshape(shape) for a in (
-            y_star, total_time, energy_out, consumption_out, saving_out, interior, unbounded
-        ))
-    )
+    def write(self, k, plan) -> None:
+        (self.y_star[k], self.total_time[k], self.energy[k], self.consumption[k],
+         self.saving[k], self.binding[k]) = plan
+
+    def eligible(self, k, rate):
+        """:func:`_eligibility` at weighted charging rates ``rate`` (omega
+        times a finite gamma): the positions in ``k`` of the eligible pairs
+        and their threshold angles."""
+        omega, tol = self.omega, self.tol
+        u, v = self.u[k], self.v[k]
+        ratio = v / u
+        passes = rate > 1.0 - omega - ratio + tol
+        always = passes & (rate >= 1.0 - omega + ratio)
+        phi = np.full(k.size, math.pi)
+        m = np.flatnonzero(passes & ~always)
+        cos_phi = np.minimum(1.0, np.maximum(-1.0, (1.0 - omega - rate[m]) * u[m] / v[m]))
+        distinct, inverse = np.unique(cos_phi, return_inverse=True)
+        phi[m] = _acos(distinct).astype(np.float64)[inverse]
+        ok = np.flatnonzero(passes & (always | (self.theta[k] < phi - tol)))
+        return ok, phi[ok]
+
+    def deadline_cap(self, k):
+        """:func:`_deadline_cap`: inf where the deadline is, else the
+        largest riding distance that meets it."""
+        y = np.full(k.size, math.inf)
+        m = np.flatnonzero(np.isfinite(self.deadline[k]))
+        if m.size:
+            y[m] = self.max_hitch(k[m])
+        return y
+
+    def max_hitch(self, k):
+        """:func:`max_hitch_distance` for pairs with finite deadlines."""
+        x, u, d, v, theta = self.x[k], self.u[k], self.deadline[k], self.v[k], self.theta[k]
+        cos_t = _cos(theta)
+        a = 1.0 - (u * u) / (v * v)
+        b = 2.0 * d * u * u / v - 2.0 * x * cos_t
+        c = x * x - u * u * d * d
+        vd = v * d
+        slack = 1e-12 * np.where(vd > 1.0, vd, 1.0)
+        best = np.zeros(k.size)
+
+        def candidate(m, y):
+            # best = max(best, min(max(y, 0), v*d)) where y is in the window
+            fits = (-slack[m] <= y) & (y <= vd[m] + slack[m])
+            y = np.where(0.0 > y, 0.0, y)
+            y = np.where(vd[m] < y, vd[m], y)
+            better = fits & (y > best[m])
+            best[m[better]] = y[better]
+
+        flat = np.zeros(k.size, dtype=bool)
+        m = np.flatnonzero(a == 0.0)
+        if m.size:
+            xm, ud = x[m], u[m] * d[m]
+            half = _pow(_sin(theta[m] / 2.0), 2.0).astype(np.float64)
+            denom = 2.0 * ((ud - xm) + xm * 2.0 * half)
+            flat[m] = denom == 0.0
+            nz = np.flatnonzero(denom != 0.0)
+            candidate(m[nz], (ud[nz] - xm[nz]) * (ud[nz] + xm[nz]) / denom[nz])
+        m = np.flatnonzero(a != 0.0)
+        if m.size:
+            a, b, c = a[m], b[m], c[m]
+            disc = b * b - 4.0 * a * c
+            root = _sqrt(np.where(0.0 > disc, 0.0, disc))
+            q = np.where(b != 0.0, -0.5 * (b + np.copysign(root, b)), 0.5 * root)
+            candidate(m, q / a)
+            nz = np.flatnonzero(q != 0.0)
+            candidate(m[nz], c[nz] / q[nz])
+        return np.where(flat, x, best)
+
+    def eligible_plan(self, k, phi, y_deadline):
+        """:func:`_eligible_plan` up to :func:`_finish_plan`: the riding
+        distance and binding, and which pairs have no finite optimum."""
+        y = y_deadline.copy()
+        binding = np.full(k.size, _DEADLINE, dtype=np.int8)
+        interior = phi < math.pi
+        m = np.flatnonzero(interior)
+        km = k[m]
+        y_interior = self.x[km] * _sin(phi[m] - self.theta[km]) / _sin(phi[m])
+        inside = y_interior <= y_deadline[m]
+        y[m[inside]] = y_interior[inside]
+        binding[m[inside]] = _INTERIOR
+        return y, binding, ~interior & np.isinf(y_deadline)
+
+    def finish(self, k, y, binding, headroom=None):
+        """:func:`_finish_plan` with the charge capped at ``headroom`` (None:
+        uncapped): the positions in ``k`` of the pairs that hitch and their
+        (y, T, E, C, saving, binding). The others stay no-hitch."""
+        hit = np.flatnonzero(y > 0.0)
+        k, y = k[hit], y[hit]
+        x, u, v, theta = self.x[k], self.u[k], self.v[k], self.theta[k]
+        flight = _hypot(y - x * _cos(theta), x * _sin(theta)).astype(np.float64) / u
+        charge = (self.gamma[k] / v) * y
+        if headroom is not None:
+            h = headroom[hit]
+            charge = np.where(charge < h, charge, h)
+        t = y / v + flight
+        e = flight - charge
+        c = self.omega * e + (1.0 - self.omega) * t
+        saving = self.base[k] - c
+        ok = np.flatnonzero(saving > 0.0)
+        return hit[ok], (y[ok], t[ok], e[ok], c[ok], saving[ok], binding[hit[ok]])
+
+    def plan_offer(self, k) -> None:
+        """:func:`optimal_distance`, at the offer's finite charging rate."""
+        ok, phi = self.eligible(k, self.omega * self.gamma[k])
+        k = k[ok]
+        y, binding, unbounded = self.eligible_plan(k, phi, self.deadline_cap(k))
+        self.unbounded[k[unbounded]] = True
+        m = np.flatnonzero(~unbounded)
+        hit, plan = self.finish(k[m], y[m], binding[m])
+        self.write(k[m[hit]], plan)
+
+    def plan_swap(self, k) -> None:
+        """:func:`battery_swap_plan`: ride-only after the swap."""
+        ok, phi = self.eligible(k, np.zeros(k.size))
+        self.swap[k] = True
+        k = k[ok]
+        self.swap[k] = False
+        y, binding, _ = self.eligible_plan(k, phi, self.deadline_cap(k))
+        hit, plan = self.finish(k, y, binding, np.zeros(k.size))
+        self.write(k[hit], plan)
+
+    def plan_capped(self, k) -> None:
+        """:func:`optimal_distance_limited` for a finite positive charging
+        rate and a finite battery headroom."""
+        ok, phi = self.eligible(k, self.omega * self.gamma[k])
+        k = k[ok]
+        y_deadline = self.deadline_cap(k)
+        headroom = self.headroom[k]
+        y_cap = headroom * self.v[k] / self.gamma[k]
+
+        # The ride-only candidate, evaluated with no charge.
+        ride, ride_phi = self.eligible(k, np.zeros(k.size))
+        y, binding, _ = self.eligible_plan(k[ride], ride_phi, y_deadline[ride])
+        hit, plan = self.finish(k[ride], y, binding, np.zeros(ride.size))
+        ho_y = np.zeros(k.size)
+        ho_binding = np.full(k.size, _NO_HITCH, dtype=np.int8)
+        ho_y[ride[hit]], ho_binding[ride[hit]] = plan[0], plan[5]
+        ride_ok = np.zeros(k.size, dtype=bool)
+        ride_ok[ride] = True
+        # Fully charged before the ride-only optimum: keep riding to it.
+        keep_riding = ride_ok & (y_cap <= ho_y)
+        m = np.flatnonzero(keep_riding)
+        hit, plan = self.finish(k[m], ho_y[m], ho_binding[m], headroom[m])
+        self.write(k[m[hit]], plan)
+        # Otherwise a full battery on which riding alone does not pay stays
+        # no-hitch, and the rest compare the unbounded-battery optimum,
+        # where it is finite, with the cap distance.
+        rest = ~keep_riding & (ride_ok | ~(y_cap <= 0.0))
+        m = np.flatnonzero(rest & ((phi < math.pi) | np.isfinite(y_deadline)))
+        y, binding, _ = self.eligible_plan(k[m], phi[m], y_deadline[m])
+        hit, plan = self.finish(k[m], y, binding)
+        full_y = np.zeros(m.size)
+        full_y[hit] = plan[0]
+        take = y_cap[m] >= full_y
+        chosen = take[hit]
+        self.write(k[m[hit[chosen]]], tuple(a[chosen] for a in plan))
+        rest[m[take]] = False
+        # Full before the unbounded-battery optimum: ride to the cap.
+        m = np.flatnonzero(rest)
+        binding = np.full(m.size, _BATTERY_FULL, dtype=np.int8)
+        hit, plan = self.finish(k[m], y_cap[m], binding, headroom[m])
+        self.write(k[m[hit]], plan)
+
+
+def plan_matrix(
+    cfg: PlannerConfig,
+    x,
+    u,
+    v,
+    gamma,
+    theta,
+    deadline=math.inf,
+    headroom=math.inf,
+    limited: bool = False,
+) -> PlanArrays:
+    """:func:`plan_pair` for every pair at once.
+
+    ``x``, ``u``, ``deadline``, ``headroom`` (per UAV: the battery's
+    capacity minus its level), ``v``, ``gamma`` (per vehicle) and ``theta``
+    (per pair) are arrays that broadcast together, for example shapes
+    (I, 1), (J,) and (I, J); ``limited`` picks the battery model as in
+    :func:`plan_pair`. Every branch of the scalar planner (deadline, battery
+    cap, swap) is transcribed, and each runs only on the pairs that reach
+    it. Each element goes through the operations of :func:`plan_pair` in
+    the same order, so the result holds the same bits.
+    """
+    inputs = [np.asarray(a, dtype=np.float64) for a in (x, u, v, gamma, theta, deadline, headroom)]
+    shape = np.broadcast(*inputs).shape
+    flat = []
+    for a in inputs:  # faster than np.broadcast_arrays on small grids
+        out = np.empty(shape)
+        out[...] = a
+        flat.append(out.reshape(-1))
+    pairs = _Pairs(cfg, *flat)
+    gamma = pairs.gamma
+    swap = np.isinf(gamma)
+    offer_rate = ~swap
+    if limited:
+        capped = offer_rate & (gamma > 0.0) & np.isfinite(pairs.headroom)
+        if capped.any():
+            offer_rate &= ~capped
+            pairs.plan_capped(np.flatnonzero(capped))
+    pairs.plan_offer(np.flatnonzero(offer_rate))
+    if swap.any():
+        pairs.plan_swap(np.flatnonzero(swap))
+    return pairs.arrays(shape)
 
 
 def select_vehicle(

@@ -3,14 +3,16 @@
 ``plan_matrix`` and the saving-matrix build must give the same bits as
 ``plan_pair`` on every pair: every plan field (saving, y*, T, E, C,
 binding, swap flag) is compared through ``repr``, which prints a float's
-shortest round-trip form, so any change of a bit shows. Pairs the array
-planner does not cover (deadlines, finite batteries under the limited
-model, swaps) must reach ``plan_pair`` with their bits unchanged.
+shortest round-trip form, so any change of a bit shows. The array planner
+covers every branch (deadlines, finite batteries under the limited model,
+swaps), so the build calls ``plan_pair`` only to name the first pair with
+no finite optimum.
 """
 
 import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,9 +41,8 @@ from uavhitch.cli import main
 from uavhitch.scenario_io import load_scenario, save_scenario
 
 REGIMES = ["ho", "charging", "pi", "deadline", "battery"]
-# Regimes whose every pair has a deadline or a finite battery under the
-# limited model, so no pair may reach the array planner.
-SCALAR_REGIMES = {"pi", "deadline", "battery"}
+# The drawn charging rate, ride-only and battery swap.
+GAMMAS = {"drawn": None, "zero": 0.0, "swap": math.inf}
 
 
 def reference(cfg, tasks, offers, theta, limited):
@@ -109,22 +110,57 @@ def assert_kernel_matches(cfg, x, u, v, gamma, theta) -> None:
             assert repr(arrays.plan((i, j))) == want
 
 
+def assert_plan_matrix_matches(cfg, tasks, offers, theta, limited) -> None:
+    """Check plan_matrix, with per-UAV deadlines and battery headroom, on an
+    I x J grid against plan_pair: every field of every pair, and which pairs
+    have no finite optimum."""
+    theta = np.asarray(theta, dtype=np.float64)
+    arrays = plan_matrix(
+        cfg,
+        np.array([[t.x] for t in tasks]),
+        np.array([[t.u] for t in tasks]),
+        np.array([o.v for o in offers]),
+        np.array([o.gamma for o in offers]),
+        theta,
+        np.array([[t.deadline] for t in tasks]),
+        np.array([[t.battery_headroom] for t in tasks]),
+        limited,
+    )
+    assert arrays.saving.shape == theta.shape
+    ref = reference(cfg, tasks, offers, theta, limited)
+    for i, line in enumerate(ref):
+        for j, want in enumerate(line):
+            assert arrays.unbounded[i, j] == isinstance(want, Exception), (i, j)
+            if not arrays.unbounded[i, j]:
+                assert repr(arrays.plan((i, j))) == want, (i, j)
+
+
 @pytest.mark.parametrize("regime", REGIMES)
 def test_each_random_instance_matches_plan_pair(regime, monkeypatch):
     rng = random.Random(REGIMES.index(regime))
     calls = count_plan_pair(monkeypatch)
-    n = 300
-    for _ in range(n):
+    raised = 0
+    for _ in range(300):
         cfg, task, offer, geom, limited = random_instance(rng, regime)
-        assert_build_matches(cfg, [task], [offer], [[geom.theta]], limited)
+        raised += not assert_build_matches(cfg, [task], [offer], [[geom.theta]], limited)
         if math.isinf(task.deadline):
             x, u = np.array([task.x]), np.array([task.u])
             v, gamma = np.array([offer.v]), np.array([offer.gamma])
             assert_kernel_matches(cfg, x, u, v, gamma, np.array([[geom.theta]]))
-    if regime in SCALAR_REGIMES:
-        assert calls[0] == n
-    else:
-        assert calls[0] == 0
+    # plan_pair only names the pair of a build that raises.
+    assert calls[0] == raised
+
+
+@pytest.mark.parametrize("limited", [False, True], ids=["unbounded", "limited"])
+@pytest.mark.parametrize("gamma", list(GAMMAS))
+@pytest.mark.parametrize("regime", REGIMES)
+def test_plan_matrix_matches_plan_pair_on_random_instances(regime, gamma, limited):
+    rng = random.Random(f"{regime}-{gamma}-{limited}")
+    for _ in range(150):
+        cfg, task, offer, geom, _ = random_instance(rng, regime)
+        if GAMMAS[gamma] is not None:
+            offer = replace(offer, gamma=GAMMAS[gamma])
+        assert_plan_matrix_matches(cfg, [task], [offer], [[geom.theta]], limited)
 
 
 @pytest.mark.parametrize("regime", REGIMES)
@@ -145,10 +181,10 @@ def test_crossed_random_instances_match_plan_pair(regime, monkeypatch):
         calls[0] = 0
         if assert_build_matches(cfg, tasks, offers, theta, limited):
             built += 1
-            if regime in SCALAR_REGIMES:
-                assert calls[0] == len(tasks) * len(offers)
-            else:
-                assert calls[0] == 0
+            assert calls[0] == 0
+        else:
+            assert calls[0] == 1
+        assert_plan_matrix_matches(cfg, tasks, offers, theta, limited)
     assert built > 0
 
 
@@ -166,6 +202,7 @@ def test_boundary_scenario_matches_plan_pair(tmp_path, limited):
     assert len(keep) == len(s.offers) - 2
     offers = [s.offers[j] for j in keep]
     assert assert_build_matches(s.config, s.tasks, offers, s.geoms[:, keep], limited)
+    assert_plan_matrix_matches(s.config, s.tasks, s.offers, s.geoms, limited)
 
     finite = [j for j, offer in enumerate(s.offers) if math.isfinite(offer.gamma)]
     assert_kernel_matches(
@@ -353,18 +390,66 @@ def test_solvers_read_weights_and_never_plans(tmp_path, solver, make_matrix):
 
 
 @pytest.mark.parametrize("limited", [False, True], ids=["unbounded", "limited"])
-def test_build_makes_one_pair_geometry_per_plan_pair_call(tmp_path, monkeypatch, limited):
+def test_build_makes_no_pair_geometry_and_no_plan_pair_call(tmp_path, monkeypatch, limited):
     path = tmp_path / "mixed.json"
     write_mixed_scenario(path)
     s = load_scenario(str(path))
     calls, made = count_plan_pair(monkeypatch), count_pair_geometries(monkeypatch)
     if limited:
         build_saving_matrix(s.config, s.tasks, s.offers, s.geoms, limited)
+        assert calls[0] == made[0] == 0
     else:
         with pytest.raises(UnboundedHitchError):  # the gamma = 5 vehicle
             build_saving_matrix(s.config, s.tasks, s.offers, s.geoms, limited)
-    assert 0 < calls[0] < len(s.tasks) * len(s.offers)
-    assert made[0] == calls[0]
+        assert calls[0] == made[0] == 1  # plan_pair names the first pair
+
+
+def limited_fleet(rng: random.Random, n_uavs: int, n_vehicles: int):
+    """(cfg, tasks, offers, theta) of a fleet that reaches every branch:
+    deadlines (some exactly the direct time, some unbounded), empty, partial,
+    full and unbounded batteries, ride-only, charging, always-eligible and
+    swap vehicles, and vehicles as fast as the UAVs (u = v) with angles at
+    and next to 0. A UAV with no deadline has a finite battery, so every
+    pair has a finite optimum under the limited model."""
+    u = 60.0
+    tasks = []
+    for i in range(n_uavs):
+        x = rng.uniform(0.5, 20.0)
+        deadline = [math.inf, x / u, (x / u) * rng.uniform(1.0, 1.5)][i % 3]
+        capacity = math.inf if i % 6 in (1, 2) else rng.uniform(0.01, 0.5)
+        level = 0.0 if math.isinf(capacity) else capacity * rng.choice([0.0, 1.0, rng.random()])
+        tasks.append(UavTask(x, u, deadline, capacity, level))
+    offers = []
+    for j in range(n_vehicles):
+        v = u if j % 4 == 0 else rng.uniform(20.0, 70.0)
+        gamma = [0.0, rng.uniform(0.0, 1.5), 5.0, math.inf, rng.uniform(0.0, 0.3)][j % 5]
+        offers.append(VehicleOffer(v, gamma))
+    theta = [[rng.choice([0.0, 1e-12, 1e-6, rng.uniform(0.0, math.pi)]) for _ in offers]
+             for _ in tasks]
+    return PlannerConfig(omega=rng.uniform(0.5, 1.0)), tasks, offers, theta
+
+
+@pytest.mark.parametrize("limited", [False, True], ids=["unbounded", "limited"])
+@pytest.mark.parametrize("seed", range(4))
+def test_plan_matrix_matches_plan_pair_on_limited_fleets(seed, limited):
+    cfg, tasks, offers, theta = limited_fleet(random.Random(seed), 30, 20)
+    assert_plan_matrix_matches(cfg, tasks, offers, theta, limited)
+
+
+@pytest.mark.parametrize("limited", [False, True], ids=["unbounded", "limited"])
+def test_plan_matrix_matches_plan_pair_at_equal_speeds_and_direct_deadline(limited):
+    # u = v with D = x/u: T is flat at D for theta = 0 (the whole trip is
+    # feasible) and the feasible set shrinks to {0} off the axis.
+    u = 26.0
+    tasks = [UavTask(x, u, x / u, capacity, level)
+             for x in (15.0, 1.0, 7.3)
+             for capacity, level in ((math.inf, 0.0), (0.2, 0.05), (0.2, 0.2))]
+    offers = [VehicleOffer(u, gamma) for gamma in (0.0, 0.3, 5.0, math.inf)]
+    theta = [[[0.0, 1e-12, 1e-6, 0.5][j] for j in range(len(offers))] for _ in tasks]
+    for cfg in (PlannerConfig(), PlannerConfig(omega=0.3)):
+        assert_plan_matrix_matches(cfg, tasks, offers, theta, limited)
+        flipped = [row[::-1] for row in theta]
+        assert_plan_matrix_matches(cfg, tasks, offers, flipped, limited)
 
 
 def first_unbounded_scenario() -> dict:
@@ -402,8 +487,10 @@ def test_kernel_ufuncs_match_math(monkeypatch):
     # numpy picks its SIMD code by CPU, so its transcendentals are checked
     # against the C library here rather than trusted. Each ufunc the array
     # planner calls must agree with math on random arguments and on the
-    # arguments the planner itself passes.
-    ufuncs = {"_sin": math.sin, "_cos": math.cos, "_acos": math.acos, "_hypot": math.hypot}
+    # arguments the planner itself passes, building case-1 fleets and
+    # limited fleets with deadlines, swaps and finite batteries.
+    ufuncs = {"_sin": math.sin, "_cos": math.cos, "_acos": math.acos, "_hypot": math.hypot,
+              "_sqrt": math.sqrt, "_pow": math.pow}
     rng = np.random.default_rng(20211024)
     n = 100_000
     args = {
@@ -411,13 +498,15 @@ def test_kernel_ufuncs_match_math(monkeypatch):
         "_cos": [(rng.uniform(-2 * math.pi, 2 * math.pi, n),), (rng.uniform(0, math.pi, n),)],
         "_acos": [(rng.uniform(-1.0, 1.0, n),)],
         "_hypot": [(rng.uniform(-40.0, 40.0, n), rng.uniform(0.0, 20.0, n))],
+        "_sqrt": [(rng.uniform(0.0, 1e4, n),), (rng.uniform(0.0, 1e-6, n),)],
+        "_pow": [(np.sin(rng.uniform(0.0, math.pi / 2, n)), np.full(n, 2.0))],
     }
 
     seen = {name: [] for name in ufuncs}
 
     def recorder(name, fn):
         def record(*a):
-            seen[name].append(tuple(np.array(x, dtype=np.float64) for x in a))
+            seen[name].append(np.broadcast_arrays(*(np.array(x, dtype=np.float64) for x in a)))
             return fn(*a)
 
         return record
@@ -430,6 +519,9 @@ def test_kernel_ufuncs_match_math(monkeypatch):
     ):
         s = generate_scenario(params, 11)
         build_saving_matrix(s.config, s.tasks, s.offers, s.geoms)
+    for seed in range(3):
+        cfg, tasks, offers, theta = limited_fleet(random.Random(seed), 200, 40)
+        build_saving_matrix(cfg, tasks, offers, theta, limited=True)
     monkeypatch.undo()
 
     for name, fn in ufuncs.items():
@@ -442,9 +534,14 @@ def test_kernel_ufuncs_match_math(monkeypatch):
             assert diff.size == 0, f"{name} differs from math on {diff.size} of {got.size} inputs"
 
 
-def test_plan_matrix_broadcasts_and_rejects_swaps():
+def test_plan_matrix_broadcasts_and_plans_swaps():
     cfg = PlannerConfig()
     arrays = plan_matrix(cfg, 5.0, 60.0, np.array([40.0, 30.0]), 0.3, np.array([[0.2], [0.4]]))
     assert arrays.saving.shape == (2, 2)
-    with pytest.raises(ValueError, match="finite charging"):
-        plan_matrix(cfg, 5.0, 60.0, 40.0, math.inf, 0.2)
+    task = UavTask(5.0, 60.0)
+    for limited in (False, True):
+        arrays = plan_matrix(cfg, 5.0, 60.0, 40.0, math.inf, np.array([0.2, 2.0]), limited=limited)
+        for k, theta in enumerate((0.2, 2.0)):
+            want = plan_pair(cfg, task, VehicleOffer(40.0, math.inf), PairGeometry(theta), limited)
+            assert repr(arrays.plan(k)) == repr(want)
+        assert arrays.swap.tolist() == [False, True]  # departs at once on the wide angle
