@@ -2,16 +2,18 @@
 
 Nothing here goes through the closed-form planner paths: the consumption
 minimizer is a dense grid plus golden-section refinement, and the deadline
-inverse is a sign bisection on the travel-time function. Both only rely on
-direct evaluation of the model formulas. ``scalar_msa_match`` keeps the
+inverse is a bisection that decides T(y) <= D exactly, in rational
+arithmetic. Both only rely on direct evaluation of the model formulas. ``scalar_msa_match`` keeps the
 element-by-element form of the primal-dual matcher, which the vectorized
 ``msa_match`` must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -44,26 +46,96 @@ def travel_time_direct(task: UavTask, offer: VehicleOffer, geom: PairGeometry, y
     return y / offer.v + flight / task.u
 
 
+@functools.lru_cache(maxsize=4096)
+def _versine_bounds(theta: float, bits: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= (1 - cos(theta)) / theta^2 <= hi for theta in [0, pi],
+    a few units of 2**-bits apart: the series 1/2! - theta^2/4! +
+    theta^4/6! - ... summed in integers scaled by 2**bits.
+
+    Relative to 1 - cos(theta), the bounds stay tight however small theta
+    is. Each term is the previous one times theta^2 / ((2k+1)(2k+2)) < 0.83,
+    rounded down, so no term is more than 6 units low; once a term rounds to
+    0 the alternating rest of the series is smaller than the true term, at
+    most 6 units. With K terms summed the sum is within 6K + 8 units.
+    """
+    num, den = theta.as_integer_ratio()
+    num2, den2 = num * num, den * den
+    scale = 1 << bits
+    term = total = scale // 2
+    k = 0
+    while term:
+        k += 1
+        term = term * num2 // (den2 * (2 * k + 1) * (2 * k + 2))
+        total += -term if k % 2 else term
+    err = 6 * k + 8
+    return Fraction(total - err, scale), Fraction(total + err, scale)
+
+
+def meets_deadline(task: UavTask, offer: VehicleOffer, geom: PairGeometry, y: float) -> bool:
+    """Whether riding y meets the deadline, T(y) <= D, decided exactly.
+
+    Every float input is an exact rational. T(y) <= D holds exactly when
+    D - y/v >= 0 and x^2 - 2*x*y*cos(theta) + y^2 <= u^2 (D - y/v)^2, with
+    the real cos(theta) enclosed through :func:`_versine_bounds`, ever
+    tighter until the sign is decided. y = 0 (flying direct) always meets it.
+    """
+    if y == 0.0:
+        return True
+    x, u, v, d, y = (Fraction(a) for a in (task.x, task.u, offer.v, task.deadline, y))
+    slack = d - y / v
+    if slack < 0:
+        return False
+    # x^2 + y^2 - u^2 (D - y/v)^2 <= 2*x*y*cos(theta), with 2*x*y > 0 and
+    # cos(theta) = 1 - theta^2 * versine_ratio
+    lhs, k = x * x + y * y - u * u * slack * slack, 2 * x * y
+    if geom.theta == 0.0:
+        return lhs <= k
+    k_theta2 = k * Fraction(geom.theta) ** 2
+    for bits in (128, 512, 2048):
+        lo, hi = _versine_bounds(geom.theta, bits)
+        if lhs <= k - k_theta2 * hi:
+            return True
+        if lhs > k - k_theta2 * lo:
+            return False
+    raise AssertionError(f"T({y}) <= D undecided at theta = {geom.theta}")
+
+
 def bisect_max_hitch(
     task: UavTask, offer: VehicleOffer, geom: PairGeometry, tol: float = 1e-12
 ) -> float:
-    """Largest y with T(y) <= D by sign bisection on [0, v*D].
+    """Largest y in [0, v*D] with T(y) <= D, within tol * max(1, v*D).
 
-    T is convex with T(0) <= D and T(y) > D beyond v*D, so its sublevel
-    set is an interval starting at 0 and bisection pins its right end.
+    T is convex and meets D at y = 0, so its sublevel set is an interval
+    starting at 0 and a bisection pins its right end, deciding each
+    T(y) <= D with :func:`meets_deadline`. A bisection on the rounded T
+    proposes the end first; where the exact test confirms it, that is the
+    answer. Where T is within rounding of D over a stretch (u = v with
+    D = x/u), the rounded one cannot tell, and the bisection is rerun
+    with the exact test.
     """
     d = task.deadline
-    lo, hi = 0.0, offer.v * d
-    if travel_time_direct(task, offer, geom, hi) <= d:
-        return hi
-    span = max(1.0, hi)
-    while hi - lo > tol * span:
-        mid = 0.5 * (lo + hi)
-        if travel_time_direct(task, offer, geom, mid) <= d:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    top = offer.v * d
+    span = max(1.0, top)
+
+    def bisect(feasible) -> tuple[float, float]:
+        lo, hi = 0.0, top
+        if feasible(hi):
+            return hi, math.inf
+        while hi - lo > tol * span:
+            mid = 0.5 * (lo + hi)
+            if feasible(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo, hi
+
+    def exact(y: float) -> bool:
+        return meets_deadline(task, offer, geom, y)
+
+    lo, hi = bisect(lambda y: travel_time_direct(task, offer, geom, y) <= d)
+    if exact(lo) and (math.isinf(hi) or not exact(hi)):
+        return lo
+    return bisect(exact)[0]
 
 
 def golden_min(f, lo: float, hi: float, iters: int = 120) -> float:
