@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -225,14 +226,18 @@ def max_hitch_distance(task: UavTask, offer: VehicleOffer, geom: PairGeometry) -
     slack = 1e-12 * max(1.0, v * d)
     candidates = [0.0]
     if a == 0.0:
-        # u = v: the root is (uD - x)(uD + x) / (2 [(uD - x) + x (1 - cos)]).
-        # Both bracketed terms are nonnegative (D >= x/u), so the sum never
-        # cancels; the naive -c/b form is 0/0 noise when theta ~ 0, D ~ x/u.
-        denom = 2.0 * ((u * d - x) + x * 2.0 * math.sin(geom.theta / 2.0) ** 2)
-        if denom == 0.0:
-            # theta = 0, u = v, D = x/u: T is flat at D on [0, x].
-            return x
-        candidates.append((u * d - x) * (u * d + x) / denom)
+        # u = v, so T(y) >= y/u + (x - y)/u = x/u for every y: no ride meets
+        # a deadline below x/u, and at D = x/u only riding straight ahead
+        # does, where T is flat at D on [0, x]. Near there uD - x is as small
+        # as the rounding error of u*D, so it comes from the exact product.
+        excess = _excess(u, d, x)
+        if excess <= 0.0:
+            return x if excess == 0.0 and geom.theta == 0.0 else 0.0
+        # The root is (uD - x)(uD + x) / (2 [(uD - x) + x (1 - cos)]). Both
+        # bracketed terms are nonnegative, so the sum never cancels; the
+        # naive -c/b form is 0/0 noise when theta ~ 0, D ~ x/u.
+        denom = 2.0 * (excess + x * 2.0 * math.sin(geom.theta / 2.0) ** 2)
+        candidates.append(excess * (u * d + x) / denom)
     else:
         disc = max(b * b - 4.0 * a * c, 0.0)
         root = math.sqrt(disc)
@@ -247,6 +252,11 @@ def max_hitch_distance(task: UavTask, offer: VehicleOffer, geom: PairGeometry) -
         if -slack <= y <= v * d + slack:
             best = max(best, min(max(y, 0.0), v * d))
     return best
+
+
+def _excess(u: float, d: float, x: float) -> float:
+    """u*d - x rounded once: the product is taken exactly."""
+    return float(Fraction(u) * Fraction(d) - Fraction(x))
 
 
 def _deadline_cap(task: UavTask, offer: VehicleOffer, geom: PairGeometry) -> float:
@@ -442,6 +452,7 @@ class PlanArrays:
 _acos = np.frompyfunc(math.acos, 1, 1)
 _hypot = np.frompyfunc(math.hypot, 2, 1)
 _pow = np.frompyfunc(math.pow, 2, 1)
+_excess_each = np.frompyfunc(_excess, 3, 1)
 _sin = np.sin
 _cos = np.cos
 _sqrt = np.sqrt
@@ -522,15 +533,16 @@ class _Pairs:
             better = fits & (y > best[m])
             best[m[better]] = y[better]
 
-        flat = np.zeros(k.size, dtype=bool)
         m = np.flatnonzero(a == 0.0)
         if m.size:
-            xm, ud = x[m], u[m] * d[m]
+            xm, excess = x[m], _excess_each(u[m], d[m], x[m]).astype(np.float64)
+            flat = (excess == 0.0) & (theta[m] == 0.0)
+            best[m[flat]] = xm[flat]
+            ride = excess > 0.0
+            m, xm, excess = m[ride], xm[ride], excess[ride]
             half = _pow(_sin(theta[m] / 2.0), 2.0).astype(np.float64)
-            denom = 2.0 * ((ud - xm) + xm * 2.0 * half)
-            flat[m] = denom == 0.0
-            nz = np.flatnonzero(denom != 0.0)
-            candidate(m[nz], (ud[nz] - xm[nz]) * (ud[nz] + xm[nz]) / denom[nz])
+            denom = 2.0 * (excess + xm * 2.0 * half)
+            candidate(m, excess * (u[m] * d[m] + xm) / denom)
         m = np.flatnonzero(a != 0.0)
         if m.size:
             a, b, c = a[m], b[m], c[m]
@@ -540,7 +552,7 @@ class _Pairs:
             candidate(m, q / a)
             nz = np.flatnonzero(q != 0.0)
             candidate(m[nz], c[nz] / q[nz])
-        return np.where(flat, x, best)
+        return best
 
     def eligible_plan(self, k, phi, y_deadline):
         """:func:`_eligible_plan` up to :func:`_finish_plan`: the riding

@@ -27,9 +27,22 @@ def test_tight_deadline_slow_vehicle_straight_ahead():
 
 
 def test_equal_speeds_straight_ahead_is_flat():
-    # u = v, theta = 0, D = x/u: riding any distance up to x costs nothing
-    task = UavTask(x=5, u=60, deadline=5 / 60)
-    assert max_hitch_distance(task, VehicleOffer(v=60), PairGeometry(0.0)) == pytest.approx(5.0)
+    # u = v, theta = 0, D = x/u exactly (5/64 is a float): riding any
+    # distance up to x costs nothing
+    task = UavTask(x=5, u=64, deadline=5 / 64)
+    assert max_hitch_distance(task, VehicleOffer(v=64), PairGeometry(0.0)) == 5.0
+
+
+@pytest.mark.parametrize("theta", [0.0, 5e-324, 1e-12, 1e-8, 1e-6, 0.3])
+@pytest.mark.parametrize("x, u", [(5.0, 60.0), (1.0, 20.0), (15.0, 26.0), (7.3, 26.0), (5.0, 64.0)])
+def test_equal_speeds_at_the_rounded_direct_time_match_exact_oracle(x, u, theta):
+    # u = v with D = x/u rounded: u*D is a hair above x (a ride of about x
+    # meets D), exactly x (only theta = 0 rides, T flat on [0, x]) or a hair
+    # below (no ride meets D), which only exact arithmetic tells apart.
+    task, offer, geom = UavTask(x=x, u=u, deadline=x / u), VehicleOffer(v=u), PairGeometry(theta)
+    assert max_hitch_distance(task, offer, geom) == pytest.approx(
+        bisect_max_hitch(task, offer, geom), abs=1e-9
+    )
 
 
 def test_equal_speeds_with_slack():

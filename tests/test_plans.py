@@ -203,10 +203,9 @@ def helps_at_any_angle(draw, bounded_deadline: bool):
     # Without a deadline the oracle grid spans [0, 3x]: keep the cap distance inside it.
     headroom = draw(st.floats(0.01, 2.5)) * x * gamma / v
     capacity = headroom / (1.0 - draw(st.floats(0.0, 0.9)))
-    # A deadline within rounding of the direct time with u = v is ill-conditioned:
-    # theta = 1e-12 shrinks the feasible set from [0, x] to {0}, which no float
-    # oracle resolves. test_max_hitch checks the theta = 0 corner in closed form.
-    deadline = (x / u) * draw(st.floats(1.01, 3.0)) if bounded_deadline else math.inf
+    # From exactly the direct time: with u = v, whether any ride meets D = x/u
+    # turns on rounding, which the oracle decides exactly.
+    deadline = (x / u) * draw(st.floats(1.0, 3.0)) if bounded_deadline else math.inf
     task = UavTask(x=x, u=u, deadline=deadline, battery_capacity=capacity,
                    battery_level=capacity - headroom)
     return PlannerConfig(omega=omega), task, VehicleOffer(v=v, gamma=gamma), PairGeometry(theta)
