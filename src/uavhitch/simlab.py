@@ -330,7 +330,7 @@ def sweep_curves(kind: str, **grid) -> tuple[list[str], list[tuple]]:
     :func:`~uavhitch.planner.plan_pair`, battery-limited for ``battery``,
     so ``gamma = inf`` gives swap plans. ``deadline`` (default unbounded)
     and ``tol`` apply to every kind; grids that reach the always-eligible
-    charging regime need a bounded ``deadline``.
+    charging regime need a bounded ``deadline``. Axis bounds must be finite.
     """
     for name in ("points", "v_points", "gamma_points"):
         if grid.get(name, 1) < 1:
@@ -343,6 +343,11 @@ def sweep_curves(kind: str, **grid) -> tuple[list[str], list[tuple]]:
     if unknown:
         raise ValueError(f"unknown sweep parameters: {unknown}")
     params.update(grid)
+
+    for _, lo, hi, _ in axes:
+        for name in (lo, hi):
+            if not math.isfinite(params[name]):
+                raise ValueError(f"{name} must be finite, got {params[name]}")
 
     cfg = PlannerConfig(omega=params["omega"], tol=params["tol"])
     columns = [column for column, _, _, _ in axes]

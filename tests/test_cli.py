@@ -300,6 +300,22 @@ def test_sweep_negative_headroom_exit_2(capsys):
 
 @pytest.mark.parametrize(
     "kind, option, value",
+    [("speed", "--v-max", "inf"), ("speed", "--v-max", "nan"), ("speed", "--v-min", "inf"),
+     ("battery", "--delta-e-max", "inf"), ("gamma", "--gamma-max", "nan"),
+     ("surface", "--gamma-min=-inf", None)],
+)
+def test_sweep_non_finite_axis_bound_exit_2(capsys, kind, option, value):
+    # The bound is named, not the nan a point of its axis would be.
+    args = [option] if value is None else [option, value]
+    assert main(["sweep", "--kind", kind, *args]) == 2
+    if value is None:
+        option, value = option.split("=")
+    name = option[2:].replace("-", "_")
+    assert capsys.readouterr().err == f"error: {name} must be finite, got {float(value)}\n"
+
+
+@pytest.mark.parametrize(
+    "kind, option, value",
     [("speed", "--points", "0"), ("surface", "--v-points", "-3"), ("surface", "--gamma-points", "0")],
 )
 def test_sweep_point_count_below_one_exit_2(capsys, kind, option, value):
