@@ -10,17 +10,15 @@ more than one UAV are expanded into identical virtual columns beforehand,
 at most one per UAV: the solvers fill a vehicle's columns lowest index
 first, so further seats would stay empty.
 
-The build plans every pair once. Pairs with no deadline and a finite
-charging rate (and, under the limited battery model, an unbounded battery
-or a ride-only vehicle) reach the paper's closed form, which
-``planner.plan_matrix`` evaluates for all of them in one numpy pass with
-the same bits as ``plan_pair``; the other pairs go through ``plan_pair``
-one by one. The saving matrix holds its expanded weights as one float64
-array, checked once when the matrix is made, and every solver and the
-certificate read that array alone: a solver returns the matching and its
-total saving, not plans. The matrix's plans are a :class:`PlanGrid` that
-copies nothing per column and builds a pair's ``HitchPlan`` from the arrays
-only when it is read, which ``uavhitch match`` does for the pairs it prints.
+The build plans every pair in one ``planner.plan_matrix`` call, with
+the same bits as ``plan_pair`` and no Python loop over pairs; ``plan_pair``
+runs only to name the first pair with no finite optimum. The saving
+matrix holds its expanded weights as one float64 array, checked once when
+the matrix is made, and every solver and the certificate read that array
+alone: a solver returns the matching and its total saving, not plans. The
+matrix's plans are a :class:`PlanGrid` that copies nothing per column and
+builds a pair's ``HitchPlan`` from the arrays only when it is read, which
+``uavhitch match`` does for the pairs it prints.
 
 Every scan over the columns is a numpy vector operation; in the
 primal-dual solver each applies the same floating-point operations, in

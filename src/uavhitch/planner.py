@@ -17,16 +17,18 @@ Each planner makes one pass per pair: eligibility, the deadline distance
 (one root solve), then closed-form candidates capped by that distance. A
 full battery takes no charge, so it rides any vehicle as a ride-only one.
 
-:func:`plan_matrix` plans many pairs at once with numpy, for the common
-case of no deadline, an unbounded battery and a finite charging rate: the
-paper's closed form, eligibility and y* = x*sin(phi - theta)/sin(phi). It
-gives the same bits as :func:`plan_pair` because every element goes
-through the same floating-point operations in the same order, and the
-transcendentals match the C library's ``math`` functions: ``math.hypot``
-is called per element and ``math.acos`` once per distinct cos(phi), since
-numpy's ``arccos`` and ``hypot`` differ from them in the last bit on some
-inputs, while numpy's ``sin`` and ``cos`` are used directly
-(``tests/test_plan_matrix.py`` checks all four against ``math`` here).
+:func:`plan_matrix` plans many pairs at once with numpy, every branch
+of :func:`plan_pair` included: the deadline distance, the battery cap
+and the swap, under both battery models. Each branch runs only on the
+pairs that reach it. It gives the same bits as :func:`plan_pair` because
+every element goes through the same floating-point operations in the same
+order, and the transcendentals match the C library's ``math`` functions:
+``math.hypot`` and ``math.pow`` are called per element and ``math.acos``
+once per distinct cos(phi), since numpy's ``hypot``, ``square`` and
+``arccos`` differ from them in the last bit on some inputs, while numpy's
+``sin``, ``cos`` and ``sqrt`` are used directly (``tests/test_plan_matrix.py``
+checks all six against ``math`` here). :func:`plan_pair` stays the scalar
+reference.
 """
 
 from __future__ import annotations
@@ -506,7 +508,7 @@ class _Pairs:
         return ok, phi[ok]
 
     def deadline_cap(self, k):
-        """:func:`_deadline_cap`: inf where the deadline is, else the
+        """:func:`_deadline_cap`: inf for an unbounded deadline, else the
         largest riding distance that meets it."""
         y = np.full(k.size, math.inf)
         m = np.flatnonzero(np.isfinite(self.deadline[k]))
