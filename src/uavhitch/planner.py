@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -258,6 +257,8 @@ def max_hitch_distance(task: UavTask, offer: VehicleOffer, geom: PairGeometry) -
 
 def _excess(u: float, d: float, x: float) -> float:
     """u*d - x rounded once: the product is taken exactly."""
+    from fractions import Fraction  # on first use: importing it adds ms to start-up
+
     return float(Fraction(u) * Fraction(d) - Fraction(x))
 
 
@@ -678,9 +679,10 @@ def plan_matrix(
     shape = np.broadcast(*inputs).shape
     flat = []
     for a in inputs:  # faster than np.broadcast_arrays on small grids
-        out = np.empty(shape)
-        out[...] = a
-        flat.append(out.reshape(-1))
+        if a.shape != shape:
+            a, full = np.empty(shape), a
+            a[...] = full
+        flat.append(a.reshape(-1))
     pairs = _Pairs(cfg, *flat)
     gamma = pairs.gamma
     swap = np.isinf(gamma)
