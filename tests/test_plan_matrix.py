@@ -95,19 +95,9 @@ def assert_build_matches(cfg, tasks, offers, theta, limited) -> bool:
 def assert_kernel_matches(cfg, x, u, v, gamma, theta) -> None:
     """Check plan_matrix on an I x J grid against plan_pair with no deadline
     and an unbounded battery."""
-    arrays = plan_matrix(cfg, x[:, None], u[:, None], v, gamma, theta)
-    assert arrays.saving.shape == theta.shape
-    for i in range(len(x)):
-        task = UavTask(float(x[i]), float(u[i]))
-        for j in range(len(v)):
-            offer = VehicleOffer(float(v[j]), float(gamma[j]))
-            try:
-                want = repr(plan_pair(cfg, task, offer, PairGeometry(float(theta[i, j]))))
-            except UnboundedHitchError:
-                assert arrays.unbounded[i, j]
-                continue
-            assert not arrays.unbounded[i, j]
-            assert repr(arrays.plan((i, j))) == want
+    tasks = [UavTask(float(a), float(b)) for a, b in zip(x, u)]
+    offers = [VehicleOffer(float(a), float(b)) for a, b in zip(v, gamma)]
+    assert_plan_matrix_matches(cfg, tasks, offers, theta, False)
 
 
 def assert_plan_matrix_matches(cfg, tasks, offers, theta, limited) -> None:
@@ -437,6 +427,13 @@ def test_plan_matrix_matches_plan_pair_on_limited_fleets(seed, limited):
 
 
 @pytest.mark.parametrize("limited", [False, True], ids=["unbounded", "limited"])
+def test_plan_matrix_matches_plan_pair_across_blocks(limited):
+    cfg, tasks, offers, theta = limited_fleet(random.Random(99), 130, 70)
+    assert 2 * planner._BLOCK > len(tasks) * len(offers) > planner._BLOCK
+    assert_plan_matrix_matches(cfg, tasks, offers, theta, limited)
+
+
+@pytest.mark.parametrize("limited", [False, True], ids=["unbounded", "limited"])
 def test_plan_matrix_matches_plan_pair_at_equal_speeds_and_direct_deadline(limited):
     # u = v with D = x/u: T is flat at D for theta = 0 (the whole trip is
     # feasible) and the feasible set shrinks to {0} off the axis.
@@ -454,9 +451,9 @@ def test_plan_matrix_matches_plan_pair_at_equal_speeds_and_direct_deadline(limit
 
 def first_unbounded_scenario() -> dict:
     # Pairs in row-major order: UAV 0 has a deadline and UAV 1 a finite
-    # battery, so their pairs are planned one by one and all have a finite
-    # optimum; UAVs 2 and 3 reach the array planner, and vehicle 1 charges
-    # so fast that their pairs on it have none.
+    # battery, so all their pairs have a finite optimum; UAVs 2 and 3 have
+    # neither, and vehicle 1 charges so fast that their pairs on it have
+    # none.
     return {
         "config": {"omega": 0.8, "tol": 1e-9},
         "uavs": [
