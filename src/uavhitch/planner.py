@@ -504,18 +504,18 @@ class _Pairs:
         passes = rate > 1.0 - omega - ratio + tol
         always = passes & (rate >= 1.0 - omega + ratio)
         phi = np.full(k.size, math.pi)
-        m = np.flatnonzero(passes & ~always)
+        m = (passes & ~always).nonzero()[0]
         cos_phi = np.minimum(1.0, np.maximum(-1.0, (1.0 - omega - rate[m]) * u[m] / v[m]))
         distinct, inverse = np.unique(cos_phi, return_inverse=True)
         phi[m] = _acos(distinct).astype(np.float64)[inverse]
-        ok = np.flatnonzero(passes & (always | (self.theta[k] < phi - tol)))
+        ok = (passes & (always | (self.theta[k] < phi - tol))).nonzero()[0]
         return ok, phi[ok]
 
     def deadline_cap(self, k):
         """:func:`_deadline_cap`: inf for an unbounded deadline, else the
         largest riding distance that meets it."""
         y = np.full(k.size, math.inf)
-        m = np.flatnonzero(np.isfinite(self.deadline[k]))
+        m = np.isfinite(self.deadline[k]).nonzero()[0]
         if m.size:
             y[m] = self.max_hitch(k[m])
         return y
@@ -539,7 +539,7 @@ class _Pairs:
             better = fits & (y > best[m])
             best[m[better]] = y[better]
 
-        m = np.flatnonzero(a == 0.0)
+        m = (a == 0.0).nonzero()[0]
         if m.size:
             xm, excess = x[m], _excess_each(u[m], d[m], x[m]).astype(np.float64)
             flat = (excess == 0.0) & (theta[m] == 0.0)
@@ -549,14 +549,14 @@ class _Pairs:
             half = _pow(_sin(theta[m] / 2.0), 2.0).astype(np.float64)
             denom = 2.0 * (excess + xm * 2.0 * half)
             candidate(m, excess * (u[m] * d[m] + xm) / denom)
-        m = np.flatnonzero(a != 0.0)
+        m = (a != 0.0).nonzero()[0]
         if m.size:
             a, b, c = a[m], b[m], c[m]
             disc = b * b - 4.0 * a * c
             root = _sqrt(np.where(0.0 > disc, 0.0, disc))
             q = np.where(b != 0.0, -0.5 * (b + np.copysign(root, b)), 0.5 * root)
             candidate(m, q / a)
-            nz = np.flatnonzero(q != 0.0)
+            nz = (q != 0.0).nonzero()[0]
             candidate(m[nz], c[nz] / q[nz])
         return best
 
@@ -566,7 +566,7 @@ class _Pairs:
         y = y_deadline.copy()
         binding = np.full(k.size, _DEADLINE, dtype=np.int8)
         interior = phi < math.pi
-        m = np.flatnonzero(interior)
+        m = interior.nonzero()[0]
         km = k[m]
         y_interior = self.x[km] * _sin(phi[m] - self.theta[km]) / _sin(phi[m])
         inside = y_interior <= y_deadline[m]
@@ -578,7 +578,7 @@ class _Pairs:
         """:func:`_finish_plan` with the charge capped at ``headroom`` (None:
         uncapped): the positions in ``k`` of the pairs that hitch and their
         (y, T, E, C, saving, binding). The others stay no-hitch."""
-        hit = np.flatnonzero(y > 0.0)
+        hit = (y > 0.0).nonzero()[0]
         k, y = k[hit], y[hit]
         x, u, v, theta = self.x[k], self.u[k], self.v[k], self.theta[k]
         flight = _hypot(y - x * _cos(theta), x * _sin(theta)).astype(np.float64) / u
@@ -590,7 +590,7 @@ class _Pairs:
         e = flight - charge
         c = self.omega * e + (1.0 - self.omega) * t
         saving = self.base[k] - c
-        ok = np.flatnonzero(saving > 0.0)
+        ok = (saving > 0.0).nonzero()[0]
         return hit[ok], (y[ok], t[ok], e[ok], c[ok], saving[ok], binding[hit[ok]])
 
     def plan_offer(self, k) -> None:
@@ -599,7 +599,7 @@ class _Pairs:
         k = k[ok]
         y, binding, unbounded = self.eligible_plan(k, phi, self.deadline_cap(k))
         self.unbounded[k[unbounded]] = True
-        m = np.flatnonzero(~unbounded)
+        m = (~unbounded).nonzero()[0]
         hit, plan = self.finish(k[m], y[m], binding[m])
         self.write(k[m[hit]], plan)
 
@@ -633,14 +633,14 @@ class _Pairs:
         ride_ok[ride] = True
         # Fully charged before the ride-only optimum: keep riding to it.
         keep_riding = ride_ok & (y_cap <= ho_y)
-        m = np.flatnonzero(keep_riding)
+        m = keep_riding.nonzero()[0]
         hit, plan = self.finish(k[m], ho_y[m], ho_binding[m], headroom[m])
         self.write(k[m[hit]], plan)
         # Otherwise a full battery on which riding alone does not pay stays
         # no-hitch, and the rest compare the unbounded-battery optimum,
         # where it is finite, with the cap distance.
         rest = ~keep_riding & (ride_ok | ~(y_cap <= 0.0))
-        m = np.flatnonzero(rest & ((phi < math.pi) | np.isfinite(y_deadline)))
+        m = (rest & ((phi < math.pi) | np.isfinite(y_deadline))).nonzero()[0]
         y, binding, _ = self.eligible_plan(k[m], phi[m], y_deadline[m])
         hit, plan = self.finish(k[m], y, binding)
         full_y = np.zeros(m.size)
@@ -650,7 +650,7 @@ class _Pairs:
         self.write(k[m[hit[chosen]]], tuple(a[chosen] for a in plan))
         rest[m[take]] = False
         # Full before the unbounded-battery optimum: ride to the cap.
-        m = np.flatnonzero(rest)
+        m = rest.nonzero()[0]
         binding = np.full(m.size, _BATTERY_FULL, dtype=np.int8)
         hit, plan = self.finish(k[m], y_cap[m], binding, headroom[m])
         self.write(k[m[hit]], plan)
@@ -691,17 +691,18 @@ def plan_matrix(
     gamma = pairs.gamma
     swap = np.isinf(gamma)
     offer_rate = ~swap
-    capped = offer_rate & (gamma > 0.0) & np.isfinite(pairs.headroom) if limited else np.zeros_like(swap)
-    offer_rate &= ~capped
-    sections = ((pairs.plan_offer, offer_rate), (pairs.plan_capped, capped), (pairs.plan_swap, swap))
+    capped = np.zeros_like(swap)
+    if limited:
+        capped = offer_rate & (gamma > 0.0) & np.isfinite(pairs.headroom)
+        offer_rate &= ~capped
     # Blocks of pairs bound the memory the temporaries take: a 200x200
     # limited build peaked at 9.7 MB in one block and 5.2 MB in blocks of
     # 8192 pairs, which is below what the per-pair plans used to take.
-    for start in range(0, gamma.size, _BLOCK):
-        for plan, mask in sections:
-            k = start + np.flatnonzero(mask[start:start + _BLOCK])
-            if k.size:
-                plan(k)
+    for plan, mask in ((pairs.plan_offer, offer_rate), (pairs.plan_capped, capped),
+                       (pairs.plan_swap, swap)):
+        k = mask.nonzero()[0]
+        for start in range(0, k.size, _BLOCK):
+            plan(k[start:start + _BLOCK])
     return pairs.arrays(shape)
 
 
