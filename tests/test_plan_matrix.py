@@ -435,11 +435,12 @@ def test_plan_matrix_matches_plan_pair_across_blocks(limited):
 
 @pytest.mark.parametrize("limited", [False, True], ids=["unbounded", "limited"])
 def test_plan_matrix_matches_plan_pair_at_equal_speeds_and_direct_deadline(limited):
-    # u = v with D = x/u: T is flat at D for theta = 0 (the whole trip is
-    # feasible) and the feasible set shrinks to {0} off the axis.
+    # u = v with D = x/u rounded: whether a ride meets D turns on u*D being
+    # above x (x = 1, 7.3 at u = 26), exactly x (13, where T is flat at D
+    # for theta = 0) or below it (15).
     u = 26.0
     tasks = [UavTask(x, u, x / u, capacity, level)
-             for x in (15.0, 1.0, 7.3)
+             for x in (15.0, 1.0, 7.3, 13.0)
              for capacity, level in ((math.inf, 0.0), (0.2, 0.05), (0.2, 0.2))]
     offers = [VehicleOffer(u, gamma) for gamma in (0.0, 0.3, 5.0, math.inf)]
     theta = [[[0.0, 1e-12, 1e-6, 0.5][j] for j in range(len(offers))] for _ in tasks]
