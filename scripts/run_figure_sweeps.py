@@ -16,13 +16,13 @@ import os
 from uavhitch import sweep_curves
 from uavhitch.scenario_io import csv_text
 
+# Only the battery table departs from sweep_curves' defaults: it spans a
+# wider headroom range, more finely.
 SWEEPS = {
-    "speed": dict(x=5.0, u=60.0, omega=0.8, v_min=5.0, v_max=80.0, points=151),
-    "gamma": dict(x=5.0, u=60.0, v=30.0, omega=0.3, points=121),
-    "surface": dict(x=5.0, u=60.0, omega=0.8, v_min=20.0, v_max=80.0,
-                    v_points=61, gamma_min=0.0, gamma_max=0.5, gamma_points=51),
-    "battery": dict(x=5.0, u=60.0, v=30.0, omega=0.8, gamma=0.3,
-                    delta_e_max=0.2, points=201),
+    "speed": {},
+    "gamma": {},
+    "surface": {},
+    "battery": dict(delta_e_max=0.2, points=201),
 }
 
 

@@ -39,26 +39,10 @@ from .simlab import (
 )
 
 
-def _float_or_inf(text: str) -> float:
-    if text.strip().lower() == "inf":
-        return math.inf
-    return float(text)
-
-
 def _fmt(value: float) -> str:
     if value is None:
         return "-"
-    if value == math.inf:
-        return "inf"
     return format(value, ".6g")
-
-
-def _json_value(value):
-    if value is None:
-        return None
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    return value
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -92,7 +76,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         payload = {
             "eligible": elig.eligible,
             "reason": elig.reason.value,
-            "threshold_angle": _json_value(elig.threshold_angle),
+            "threshold_angle": elig.threshold_angle,
             "y_star": plan.y_star,
             "total_time": plan.total_time,
             "energy": plan.energy,
@@ -241,12 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True, help="distance to destination (km)")
     p.add_argument("--u", type=float, default=60.0, help="UAV flight speed (km/h)")
     p.add_argument("--v", type=float, required=True, help="vehicle speed (km/h)")
-    p.add_argument("--gamma", type=_float_or_inf, default=0.0, help="charging rate (or 'inf')")
+    p.add_argument("--gamma", type=float, default=0.0, help="charging rate (or 'inf')")
     p.add_argument("--theta", type=float, default=0.0, help="direction deviation (radians)")
     p.add_argument("--degrees", action="store_true", help="interpret --theta in degrees")
     p.add_argument("--omega", type=float, default=0.8, help="energy-vs-time weight")
-    p.add_argument("--deadline", type=_float_or_inf, default=math.inf, help="deadline (h)")
-    p.add_argument("--battery-capacity", type=_float_or_inf, default=math.inf)
+    p.add_argument("--deadline", type=float, default=math.inf, help="deadline (h)")
+    p.add_argument("--battery-capacity", type=float, default=math.inf)
     p.add_argument("--battery-level", type=float, default=0.0)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--format", choices=["human", "json"], default="human")
@@ -288,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, default=None)
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--deadline", type=_float_or_inf, default=None)
+    p.add_argument("--deadline", type=float, default=None)
     p.add_argument("--v-min", type=float, default=None)
     p.add_argument("--v-max", type=float, default=None)
     p.add_argument("--gamma-min", type=float, default=None)

@@ -5,17 +5,19 @@ hitching consumption) and solves the maximum-weight bipartite matching with
 a primal-dual method: per-UAV potentials ``p`` start at each row's best
 saving, per-vehicle potentials ``q`` at zero, and alternating trees over
 tight edges (p_i + q_j = w_ij) are grown until every UAV is either matched
-or has p_i = 0. The final potentials certify optimality. Vehicles carrying
-more than one UAV are expanded into identical virtual columns beforehand,
-at most one per UAV: the solvers fill a vehicle's columns lowest index
-first, so further seats would stay empty.
+or has p_i = 0. The final potentials certify optimality.
 
 The build plans every pair in one ``planner.plan_matrix`` call, with
 the same bits as ``plan_pair`` and no Python loop over pairs; ``plan_pair``
 runs only to name the first pair with no finite optimum. The saving
-matrix holds its expanded weights as one float64 array, checked once when
-the matrix is made, and every solver and the certificate read that array
-alone: a solver returns the matching and its total saving, not plans. The
+matrix holds one saving per UAV-vehicle pair, as a float64 array checked
+once when the matrix is made, and each vehicle's capacity. From them it
+derives the capacity-expanded view: a vehicle seating more than one UAV
+fills that many identical columns, at most one per UAV (the solvers fill
+a vehicle's columns lowest index first, so further seats would stay
+empty). The primal-dual and greedy solvers and the certificate read the
+expanded weights, the exhaustive search the per-vehicle savings and seat
+counts: a solver returns the matching and its total saving, not plans. The
 matrix's plans are a :class:`PlanGrid` that copies nothing per column and
 builds a pair's ``HitchPlan`` from the arrays only when it is read, which
 ``uavhitch match`` does for the pairs it prints.
@@ -31,6 +33,7 @@ A greedy baseline and an exhaustive oracle are included for comparison.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -70,8 +73,11 @@ class BruteForceSizeError(ValueError):
     """Instance is too large for the exhaustive matcher."""
 
 
-def _float_array(name: str, value, shape: tuple[int, int]) -> np.ndarray:
-    """``value``, any nested sequence, as a float64 array of ``shape``."""
+def _float_array(
+    name: str, value, shape: tuple[int, int], dims: str = "(n_uavs, n_vehicles)"
+) -> np.ndarray:
+    """``value``, any nested sequence, as a float64 array of ``shape``;
+    ``dims`` names the expected shape in the error."""
     try:
         a = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -79,7 +85,7 @@ def _float_array(name: str, value, shape: tuple[int, int]) -> np.ndarray:
     if a.size == 0 and 0 in shape:  # an empty list stands for any empty shape
         a = a.reshape(shape)
     if a.shape != shape:
-        raise ValueError(f"{name} has shape {a.shape}, expected (n_uavs, n_vehicles) = {shape}")
+        raise ValueError(f"{name} has shape {a.shape}, expected {dims} = {shape}")
     return a
 
 
@@ -99,40 +105,53 @@ def theta_array(theta, n_uavs: int, n_vehicles: int) -> np.ndarray:
 
 @dataclass
 class SavingMatrix:
-    """Savings and plans for every UAV-column pair, capacity-expanded.
+    """Savings and plans of every UAV-vehicle pair, with each vehicle's
+    capacity, and the capacity-expanded view the solvers read.
 
-    ``weights[i, j]`` is the consumption saving of UAV ``i`` riding the
-    vehicle behind expanded column ``j``, and ``plans[i][j]`` its plan;
-    ``column_origin[j]`` maps the column back to the original vehicle.
-    Columns duplicated from one vehicle carry identical weights.
+    ``saving[i, j]`` is the consumption saving of UAV ``i`` riding vehicle
+    ``j``, which seats ``capacity[j]`` UAVs. The expanded view is derived
+    here and nowhere else: vehicle ``j`` fills min(capacity[j], n_uavs)
+    columns, lowest vehicle first; ``column_origin[c]`` maps column ``c``
+    back to its vehicle, ``n_vehicles`` counts the columns, and
+    ``weights[:, c]`` is ``saving[:, column_origin[c]]`` (``weights`` is
+    ``saving`` itself when every vehicle has one column). ``plans[i][c]``
+    is the plan of UAV ``i`` on column ``c``.
 
-    ``weights`` may be given as any nested sequence; it is stored as a
-    float64 array of shape ``(n_uavs, n_vehicles)``. A wrong shape, a
-    ``column_origin`` of the wrong length, or a weight that is negative or
-    not finite raises ``ValueError`` naming the field (and the entry).
+    ``saving`` may be given as any nested sequence; it is stored as a
+    float64 array with one column per vehicle. A wrong shape, a capacity
+    that is not an integer >= 1, or a saving that is negative or not
+    finite raises ``ValueError`` naming the field (and the entry).
     """
 
-    n_uavs: int
-    n_vehicles: int
-    weights: np.ndarray
-    plans: Sequence[Sequence[HitchPlan]]
-    column_origin: list[int]
+    saving: np.ndarray
+    capacity: Sequence[int]
+    plans: Sequence[Sequence[HitchPlan]] | None = None
     tol: float = 1e-9
+    n_uavs: int = field(init=False)
+    n_vehicles: int = field(init=False)
+    weights: np.ndarray = field(init=False)
+    column_origin: list[int] = field(init=False)
 
     def __post_init__(self) -> None:
-        w = _float_array("weights", self.weights, (self.n_uavs, self.n_vehicles))
-        if len(self.column_origin) != self.n_vehicles:
-            raise ValueError(
-                f"column_origin has {len(self.column_origin)} entries, "
-                f"expected n_vehicles = {self.n_vehicles}"
-            )
-        bad = np.argwhere(~((w >= 0.0) & (w < np.inf)))
+        shape = (len(self.saving), len(self.capacity))
+        s = _float_array("saving", self.saving, shape, "(rows, len(capacity))")
+        for j, c in enumerate(self.capacity):
+            if not (isinstance(c, (int, np.integer)) and c >= 1):
+                raise ValueError(f"capacity[{j}] must be an integer >= 1, got {c!r}")
+        bad = np.argwhere(~((s >= 0.0) & (s < np.inf)))
         if len(bad):
             i, j = bad[0]
             raise ValueError(
-                f"weights[{i}, {j}] = {float(w[i, j])!r}: a saving must be finite and >= 0"
+                f"saving[{i}, {j}] = {float(s[i, j])!r}: a saving must be finite and >= 0"
             )
-        self.weights = w
+        self.saving = s
+        self.capacity = [int(c) for c in self.capacity]
+        self.n_uavs = shape[0]
+        self.column_origin = [
+            j for j, c in enumerate(self.capacity) for _ in range(min(c, self.n_uavs))
+        ]
+        self.n_vehicles = len(self.column_origin)
+        self.weights = s if self.n_vehicles == shape[1] else s[:, self.column_origin]
 
 
 @dataclass
@@ -226,16 +245,9 @@ def build_saving_matrix(
             raise UnboundedHitchError(f"uav {i}, vehicle {j}: {exc}") from exc
         raise AssertionError(f"plan_pair has a finite optimum for uav {i}, vehicle {j}")
 
-    column_origin = [j for j, o in enumerate(offers) for _ in range(min(o.capacity, n_uavs))]
-
-    return SavingMatrix(
-        n_uavs=n_uavs,
-        n_vehicles=len(column_origin),
-        weights=arrays.saving[:, column_origin],
-        plans=PlanGrid(arrays, column_origin),
-        column_origin=column_origin,
-        tol=cfg.tol,
-    )
+    m = SavingMatrix(arrays.saving, [o.capacity for o in offers], tol=cfg.tol)
+    m.plans = PlanGrid(arrays, m.column_origin)
+    return m
 
 
 def _collect_result(
@@ -382,26 +394,18 @@ def greedy_match(m: SavingMatrix) -> MatchResult:
 
 def brute_force_match(m: SavingMatrix) -> MatchResult:
     """Exact optimum by exhaustive search over capacity-respecting
-    assignments. Guarded to small instances; duplicated columns of one
-    vehicle are collapsed into a capacity counter."""
-    n_orig = max(m.column_origin, default=-1) + 1
-    if m.n_uavs > MAX_BRUTE_UAVS or n_orig > MAX_BRUTE_VEHICLES:
+    assignments, on each vehicle's saving and seat count. Guarded to
+    small instances."""
+    n_orig = len(m.capacity)
+    # With no UAV there is nothing to search, however many vehicles.
+    if m.n_uavs > MAX_BRUTE_UAVS or (m.n_uavs and n_orig > MAX_BRUTE_VEHICLES):
         raise BruteForceSizeError(
             f"instance {m.n_uavs} UAVs x {n_orig} vehicles exceeds the "
             f"{MAX_BRUTE_UAVS}x{MAX_BRUTE_VEHICLES} exhaustive-search guard"
         )
 
-    cols_of: list[list[int]] = [[] for _ in range(n_orig)]
-    for j, orig in enumerate(m.column_origin):
-        cols_of[orig].append(j)
-    first_col = [cols_of[orig][0] for orig in m.column_origin]
-    differs = (m.weights != m.weights[:, first_col]).any(axis=0)
-    if differs.any():
-        orig = m.column_origin[int(differs.argmax())]
-        raise ValueError(f"expanded columns of vehicle {orig} carry different weights")
-    w = m.weights.tolist()
-
-    caps0 = tuple(len(cols) for cols in cols_of)
+    w = m.saving.tolist()
+    seats = [min(c, m.n_uavs) for c in m.capacity]
     memo: dict[tuple[int, tuple[int, ...]], tuple[float, int]] = {}
 
     def best(i: int, caps: tuple[int, ...]) -> tuple[float, int]:
@@ -417,7 +421,7 @@ def brute_force_match(m: SavingMatrix) -> MatchResult:
         for orig in range(n_orig):
             if caps[orig] == 0:
                 continue
-            wij = w[i][cols_of[orig][0]]
+            wij = w[i][orig]
             if wij <= m.tol:
                 continue
             sub = caps[:orig] + (caps[orig] - 1,) + caps[orig + 1 :]
@@ -427,14 +431,15 @@ def brute_force_match(m: SavingMatrix) -> MatchResult:
         memo[key] = (value, choice)
         return value, choice
 
+    # A vehicle's seats fill its expanded columns lowest first.
+    next_col = list(itertools.accumulate(seats, initial=0))
     match_row = [-1] * m.n_uavs
-    caps = caps0
-    next_slot = [0] * n_orig
+    caps = tuple(seats)
     for i in range(m.n_uavs):
         _, choice = best(i, caps)
         if choice != -1:
-            match_row[i] = cols_of[choice][next_slot[choice]]
-            next_slot[choice] += 1
+            match_row[i] = next_col[choice]
+            next_col[choice] += 1
             caps = caps[:choice] + (caps[choice] - 1,) + caps[choice + 1 :]
     return _collect_result(m, match_row)
 

@@ -41,6 +41,25 @@ def consumption_direct(
     return omega * e + (1.0 - omega) * t
 
 
+def consumption_scalar(omega: float, task: UavTask, offer: VehicleOffer, geom: PairGeometry,
+                       limited: bool = False):
+    """:func:`consumption_direct`'s formulas as a function of one float ``y``,
+    with ``math`` in place of numpy, for the golden-section refinement."""
+    along, across = task.x * math.cos(geom.theta), task.x * math.sin(geom.theta)
+    rate, headroom = offer.gamma / offer.v, task.battery_headroom
+
+    def consumption(y: float) -> float:
+        flight = math.hypot(y - along, across)
+        t = y / offer.v + flight / task.u
+        charge = rate * y
+        if limited:
+            charge = min(charge, headroom)
+        e = flight / task.u - charge
+        return omega * e + (1.0 - omega) * t
+
+    return consumption
+
+
 def travel_time_direct(task: UavTask, offer: VehicleOffer, geom: PairGeometry, y: float) -> float:
     flight = math.hypot(y - task.x * math.cos(geom.theta), task.x * math.sin(geom.theta))
     return y / offer.v + flight / task.u
@@ -187,9 +206,7 @@ def oracle_min_consumption(
     hi = float(ys[k + 1]) if k + 1 < len(ys) else float(ys[k])
     if not math.isinf(cap):
         hi = min(hi, cap)
-    refined = golden_min(
-        lambda y: float(consumption_direct(omega, task, offer, geom, y, limited)), lo, hi
-    )
+    refined = golden_min(consumption_scalar(omega, task, offer, geom, limited), lo, hi)
     return min(best, refined)
 
 

@@ -20,34 +20,17 @@ from uavhitch import (
 CFG = PlannerConfig(omega=0.8)
 
 
-def raw_matrix(weights, origins=None, tol=1e-9):
-    n_rows = len(weights)
-    n_cols = len(weights[0]) if weights else 0
-    return SavingMatrix(
-        n_uavs=n_rows,
-        n_vehicles=n_cols,
-        weights=[list(r) for r in weights],
-        plans=[[None] * n_cols for _ in range(n_rows)],
-        column_origin=origins if origins is not None else list(range(n_cols)),
-        tol=tol,
-    )
+def raw_matrix(saving, capacity=None, tol=1e-9):
+    n_cols = len(saving[0]) if len(saving) else 0
+    return SavingMatrix(saving, capacity if capacity is not None else [1] * n_cols, tol=tol)
 
 
-def random_matrix(rng, n_rows, n_cols, zero_frac=0.35, origins=None):
-    weights = [
-        [0.0 if rng.random() < zero_frac else round(rng.uniform(0.01, 1.0), 6) for _ in range(n_cols)]
+def random_matrix(rng, n_rows, n_vehicles, zero_frac=0.35, capacity=None):
+    saving = [
+        [0.0 if rng.random() < zero_frac else round(rng.uniform(0.01, 1.0), 6) for _ in range(n_vehicles)]
         for _ in range(n_rows)
     ]
-    if origins is not None:
-        # duplicated columns of one vehicle must carry identical weights
-        for row in weights:
-            seen = {}
-            for j, orig in enumerate(origins):
-                if orig in seen:
-                    row[j] = row[seen[orig]]
-                else:
-                    seen[orig] = j
-    return raw_matrix(weights, origins)
+    return raw_matrix(saving, capacity)
 
 
 # ------------------------------------------------------------------- build
@@ -71,27 +54,52 @@ def test_build_capacity_expands_columns():
 
 
 @pytest.mark.parametrize(
-    "weights, n_vehicles, origins, message",
+    "saving, message",
     [
-        ([[math.nan, 1.0], [1.0, 0.5]], 2, [0, 1], "weights[0, 0] = nan"),
-        ([[0.5, math.inf], [1.0, 0.5]], 2, [0, 1], "weights[0, 1] = inf"),
-        ([[0.5, 1.0], [-0.2, -0.1]], 2, [0, 1], "weights[1, 0] = -0.2"),
-        ([[0.5, 1.0], [1.0, 0.5]], 3, [0, 1, 2], "weights has shape (2, 2)"),
-        ([[0.5, 1.0], [1.0]], 2, [0, 1], "weights:"),
-        ([[0.5, 1.0], [1.0, 0.5]], 2, [0, 0, 1], "column_origin has 3 entries"),
+        ([[math.nan, 1.0], [1.0, 0.5]], "saving[0, 0] = nan"),
+        ([[0.5, math.inf], [1.0, 0.5]], "saving[0, 1] = inf"),
+        ([[0.5, 1.0], [-0.2, -0.1]], "saving[1, 0] = -0.2"),
+        ([0.5, 1.0], "saving has shape (2,)"),
+        ([[0.5, 1.0], [1.0]], "saving:"),
     ],
-    ids=["nan", "inf", "negative_row", "shape", "ragged", "column_origin"],
+    ids=["nan", "inf", "negative_row", "shape", "ragged"],
 )
-def test_malformed_saving_matrix_rejected(weights, n_vehicles, origins, message):
+def test_malformed_saving_matrix_rejected(saving, message):
     with pytest.raises(ValueError) as info:
-        SavingMatrix(
-            n_uavs=2,
-            n_vehicles=n_vehicles,
-            weights=weights,
-            plans=[[None] * n_vehicles for _ in range(2)],
-            column_origin=origins,
-        )
+        SavingMatrix(saving, [1, 1])
     assert message in str(info.value)
+
+
+def test_saving_matrix_derives_expanded_view():
+    tasks = [UavTask(x=5, u=60), UavTask(x=7, u=60), UavTask(x=9, u=60)]
+    theta = [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]]
+    offers = [VehicleOffer(v=40, gamma=0.3, capacity=c) for c in (2, 1, 5)]
+    m = build_saving_matrix(CFG, tasks, offers, theta)
+    assert m.capacity == [2, 1, 5]
+    assert m.column_origin == [0, 0, 1, 2, 2, 2]  # min(capacity, 3) columns each
+    assert (m.n_uavs, m.n_vehicles) == (3, 6)
+    assert m.saving.shape == (3, 3)
+    assert (m.weights == m.saving[:, m.column_origin]).all()
+
+    single = build_saving_matrix(CFG, tasks, [VehicleOffer(v=40, gamma=0.3)] * 3, theta)
+    assert single.weights is single.saving
+    assert single.column_origin == [0, 1, 2]
+
+    for capacity, message in [
+        ([1, 0], "capacity[1] must be an integer >= 1, got 0"),
+        ([1, 1.5], "capacity[1] must be an integer >= 1, got 1.5"),
+        ([1, 1, 1], "saving has shape (2, 2), expected (rows, len(capacity)) = (2, 3)"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            SavingMatrix([[0.5, 1.0], [1.0, 0.5]], capacity)
+        assert message in str(info.value)
+
+    # No UAV leaves no column, and no seat for the exhaustive search.
+    empty = SavingMatrix([], [1] * 9)
+    assert (empty.n_uavs, empty.n_vehicles, empty.saving.shape) == (0, 0, (0, 9))
+    for solver in (msa_match, greedy_match, brute_force_match):
+        r = solver(empty)
+        assert r.assignment == {} and r.total_saving == 0.0
 
 
 def test_build_rejects_dimension_mismatch():
@@ -204,8 +212,7 @@ def test_capacity_expansion_against_brute():
     for _ in range(100):
         n_orig = rng.randint(1, 4)
         caps = [rng.randint(1, 3) for _ in range(n_orig)]
-        origins = [j for j, z in enumerate(caps) for _ in range(z)]
-        m = random_matrix(rng, rng.randint(1, 5), len(origins), origins=origins)
+        m = random_matrix(rng, rng.randint(1, 5), n_orig, capacity=caps)
         r = msa_match(m)
         assert r.total_saving == pytest.approx(brute_force_match(m).total_saving, abs=1e-9)
         assert verify_duals(m, r, r.duals)
@@ -217,11 +224,8 @@ def test_capacity_expansion_against_brute():
 def test_unit_capacity_expansion_is_identity():
     rng = random.Random(44)
     for _ in range(50):
-        m1 = random_matrix(rng, 4, 4)
-        m2 = raw_matrix(m1.weights.tolist(), origins=list(range(4)))
-        assert msa_match(m1).total_saving == pytest.approx(
-            msa_match(m2).total_saving, abs=1e-12
-        )
+        m = random_matrix(rng, 4, 4)
+        assert m.weights is m.saving and m.column_origin == list(range(4))
 
 
 def test_adding_column_never_hurts():
@@ -231,7 +235,7 @@ def test_adding_column_never_hurts():
         base = msa_match(m).total_saving
         extra = [[rng.uniform(0, 1)] for _ in range(4)]
         wider = raw_matrix(
-            [list(row) + extra[i] for i, row in enumerate(m.weights)], origins=list(range(4))
+            [list(row) + extra[i] for i, row in enumerate(m.saving)], capacity=[1] * 4
         )
         assert msa_match(wider).total_saving >= base - 1e-12
 
@@ -241,7 +245,7 @@ def test_removing_row_never_helps():
     for _ in range(80):
         m = random_matrix(rng, 5, 4)
         full = msa_match(m).total_saving
-        sub = raw_matrix(m.weights[1:].tolist(), origins=list(m.column_origin))
+        sub = raw_matrix(m.saving[1:].tolist(), m.capacity)
         assert msa_match(sub).total_saving <= full + 1e-12
 
 

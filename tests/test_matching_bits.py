@@ -30,17 +30,6 @@ from uavhitch import (
 )
 
 
-def raw_matrix(weights, origins, tol=1e-9):
-    return SavingMatrix(
-        n_uavs=len(weights),
-        n_vehicles=len(origins),
-        weights=weights,
-        plans=[[None] * len(origins) for _ in weights],
-        column_origin=origins,
-        tol=tol,
-    )
-
-
 def capacity_build():
     s = generate_scenario(GeneratorParams(n_uavs=60, n_vehicles=6, capacity=5), seed=31)
     return build_saving_matrix(s.config, s.tasks, s.offers, s.geoms)
@@ -77,9 +66,7 @@ def tied_raw():
     # Few distinct levels, so many slacks and potentials tie exactly.
     rng = random.Random(7)
     levels = [0.0, 0.25, 0.5, 0.75, 1.0]
-    return raw_matrix(
-        [[rng.choice(levels) for _ in range(12)] for _ in range(15)], list(range(12))
-    )
+    return SavingMatrix([[rng.choice(levels) for _ in range(12)] for _ in range(15)], [1] * 12)
 
 
 def near_tol_raw():
@@ -94,18 +81,16 @@ def near_tol_raw():
         [rng.choice(choices) if rng.random() < 0.6 else rng.uniform(0.0, 1e-6) for _ in range(10)]
         for _ in range(12)
     ]
-    return raw_matrix(weights, list(range(10)), tol=tol)
+    return SavingMatrix(weights, [1] * 10, tol=tol)
 
 
 def duplicated_raw():
     rng = random.Random(9)
     caps = [3, 1, 2, 4, 1]
-    origins = [j for j, z in enumerate(caps) for _ in range(z)]
-    weights = []
-    for _ in range(14):
-        base = [0.0 if rng.random() < 0.3 else rng.uniform(0.0, 50.0) for _ in caps]
-        weights.append([base[j] for j in origins])
-    return raw_matrix(weights, origins)
+    saving = [
+        [0.0 if rng.random() < 0.3 else rng.uniform(0.0, 50.0) for _ in caps] for _ in range(14)
+    ]
+    return SavingMatrix(saving, caps)
 
 
 INSTANCES = {

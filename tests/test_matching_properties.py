@@ -25,20 +25,6 @@ TOL = 1e-9
 NEAR_TOL = [TOL - 1e-12, TOL, TOL + 1e-12]
 
 
-def expanded(base, caps, max_columns=None):
-    """A raw saving matrix whose vehicle ``j`` fills ``caps[j]`` identical
-    columns, truncated to ``max_columns`` columns."""
-    origins = [j for j, cap in enumerate(caps) for _ in range(cap)][:max_columns]
-    return SavingMatrix(
-        n_uavs=len(base),
-        n_vehicles=len(origins),
-        weights=[[float(row[j]) for j in origins] for row in base],
-        plans=[[None] * len(origins) for _ in base],
-        column_origin=origins,
-        tol=TOL,
-    )
-
-
 @st.composite
 def small_instances(draw):
     n_uavs = draw(st.integers(0, 6))
@@ -47,7 +33,8 @@ def small_instances(draw):
     levels = [0.0, *NEAR_TOL, 0.25 * scale, 0.5 * scale, scale]
     value = st.one_of(st.sampled_from(levels), st.floats(0.0, scale))
     row = st.lists(value, min_size=len(caps), max_size=len(caps))
-    return expanded(draw(st.lists(row, min_size=n_uavs, max_size=n_uavs)), caps)
+    # Vehicle j fills min(caps[j], n_uavs) identical columns.
+    return SavingMatrix(draw(st.lists(row, min_size=n_uavs, max_size=n_uavs)), caps, tol=TOL)
 
 
 @st.composite
@@ -55,7 +42,10 @@ def large_instances(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_uavs = draw(st.integers(1, 60))
     n_orig = draw(st.integers(1, 60))
-    caps = rng.integers(1, 4, size=n_orig).tolist()
+    caps = rng.integers(1, 4, size=n_orig)
+    # Keep the vehicles whose columns fit in 60.
+    n_orig = int(np.searchsorted(np.minimum(caps, n_uavs).cumsum(), 60, side="right"))
+    caps = caps[:n_orig].tolist()
     kind = draw(st.sampled_from(["uniform", "ties", "near_tol", "mixed_scale"]))
     shape = (n_uavs, n_orig)
     if kind == "uniform":
@@ -67,7 +57,7 @@ def large_instances(draw):
     else:
         base = 10.0 ** rng.uniform(-3.0, 6.0, shape)
     base[rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 0.8]))] = 0.0
-    return expanded(base.tolist(), caps, max_columns=60)
+    return SavingMatrix(base, caps, tol=TOL)
 
 
 def check_certificate(m, r):

@@ -362,14 +362,7 @@ def capacity_matrix(tmp_path):
                          ids=["mixed_limited", "capacity"])
 def test_solvers_read_weights_and_never_plans(tmp_path, solver, make_matrix):
     built = make_matrix(tmp_path)
-    bare = SavingMatrix(
-        n_uavs=built.n_uavs,
-        n_vehicles=built.n_vehicles,
-        weights=built.weights,
-        plans=UnreadablePlans(),
-        column_origin=built.column_origin,
-        tol=built.tol,
-    )
+    bare = SavingMatrix(built.saving, built.capacity, UnreadablePlans(), built.tol)
     expected, got = solver(built), solver(bare)
     assert got.assignment
     assert got.assignment == expected.assignment
