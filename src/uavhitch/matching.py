@@ -8,8 +8,8 @@ tight edges (p_i + q_j = w_ij) are grown until every UAV is either matched
 or has p_i = 0. The final potentials certify optimality.
 
 The build plans every pair in one ``planner.plan_matrix`` call, with
-the same bits as ``plan_pair`` and no Python loop over pairs; ``plan_pair``
-runs only to name the first pair with no finite optimum. The saving
+the same bits as ``plan_pair`` and no Python loop over pairs, and names
+the first pair with no finite optimum from that call's flags. The saving
 matrix holds one saving per UAV-vehicle pair, as a float64 array checked
 once when the matrix is made, and each vehicle's capacity. From them it
 derives the capacity-expanded view: a vehicle seating more than one UAV
@@ -39,15 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (
-    HitchPlan,
-    PairGeometry,
-    PlannerConfig,
-    UavTask,
-    UnboundedHitchError,
-    VehicleOffer,
-)
-from .planner import PlanArrays, plan_matrix, plan_pair
+from .model import HitchPlan, PlannerConfig, UavTask, UnboundedHitchError, VehicleOffer
+from .planner import UNBOUNDED_MESSAGE, PlanArrays, plan_matrix
 
 __all__ = [
     "SavingMatrix",
@@ -225,9 +218,10 @@ def build_saving_matrix(
 
     ``theta[i][j]``, an (I, J) array or nested sequence, is the direction
     deviation of UAV ``i`` and vehicle ``j``. Every pair is planned by one
-    :func:`plan_matrix` call. A pair with no finite optimum raises
+    :func:`plan_matrix` call; ``limited`` hands it each UAV's battery
+    headroom, else an infinite one. A pair with no finite optimum raises
     :class:`UnboundedHitchError` naming it, the first such pair in
-    row-major order; :func:`plan_pair` gives the message.
+    row-major order.
     """
     n_uavs, n_offers = len(tasks), len(offers)
     theta = theta_array(theta, n_uavs, n_offers)
@@ -235,15 +229,11 @@ def build_saving_matrix(
         [(t.x, t.u, t.deadline, t.battery_headroom) for t in tasks], dtype=np.float64
     ).reshape(n_uavs, 4).T[:, :, None]
     v, gamma = np.array([(o.v, o.gamma) for o in offers], dtype=np.float64).reshape(n_offers, 2).T
-    arrays = plan_matrix(cfg, x, u, v, gamma, theta, deadline, headroom, limited)
+    arrays = plan_matrix(cfg, x, u, v, gamma, theta, deadline, headroom if limited else np.inf)
 
     if arrays.unbounded.any():
-        i, j = (int(k) for k in np.argwhere(arrays.unbounded)[0])
-        try:
-            plan_pair(cfg, tasks[i], offers[j], PairGeometry(float(theta[i, j])), limited)
-        except UnboundedHitchError as exc:
-            raise UnboundedHitchError(f"uav {i}, vehicle {j}: {exc}") from exc
-        raise AssertionError(f"plan_pair has a finite optimum for uav {i}, vehicle {j}")
+        i, j = np.argwhere(arrays.unbounded)[0]
+        raise UnboundedHitchError(f"uav {i}, vehicle {j}: {UNBOUNDED_MESSAGE}")
 
     m = SavingMatrix(arrays.saving, [o.capacity for o in offers], tol=cfg.tol)
     m.plans = PlanGrid(arrays, m.column_origin)

@@ -19,8 +19,10 @@ full battery takes no charge, so it rides any vehicle as a ride-only one.
 
 :func:`plan_matrix` plans many pairs at once with numpy, every branch
 of :func:`plan_pair` included: the deadline distance, the battery cap
-and the swap, under both battery models. Each branch runs only on the
-pairs that reach it. It gives the same bits as :func:`plan_pair` because
+and the swap. The battery headroom is the battery model: a finite one
+caps the charge, an infinite one does not. Each branch runs only on the
+pairs that reach it, and a pair with no finite optimum is flagged rather
+than raised. It gives the same bits as :func:`plan_pair` because
 every element goes through the same floating-point operations in the same
 order, and the transcendentals match the C library's ``math`` functions:
 ``math.hypot`` and ``math.pow`` are called per element and ``math.acos``
@@ -64,6 +66,7 @@ __all__ = [
     "optimal_distance_limited",
     "battery_swap_plan",
     "plan_pair",
+    "UNBOUNDED_MESSAGE",
     "PlanArrays",
     "plan_matrix",
     "select_vehicle",
@@ -291,6 +294,12 @@ def _finish_plan(
     return HitchPlan(y, t, e, c, saving, binding)
 
 
+# Why a pair has no finite optimum; the saving-matrix build names the pair.
+UNBOUNDED_MESSAGE = (
+    "consumption decreases with distance for this offer; a bounded deadline is required"
+)
+
+
 def _eligible_plan(
     cfg: PlannerConfig,
     task: UavTask,
@@ -306,10 +315,7 @@ def _eligible_plan(
         if y_interior <= y_deadline:
             return _finish_plan(cfg, task, offer, geom, y_interior, Binding.INTERIOR, headroom)
     elif math.isinf(y_deadline):
-        raise UnboundedHitchError(
-            "consumption decreases with distance for this offer; "
-            "a bounded deadline is required"
-        )
+        raise UnboundedHitchError(UNBOUNDED_MESSAGE)
     return _finish_plan(cfg, task, offer, geom, y_deadline, Binding.DEADLINE, headroom)
 
 
@@ -665,18 +671,18 @@ def plan_matrix(
     theta,
     deadline=math.inf,
     headroom=math.inf,
-    limited: bool = False,
 ) -> PlanArrays:
     """:func:`plan_pair` for every pair at once.
 
     ``x``, ``u``, ``deadline``, ``headroom`` (per UAV: the battery's
     capacity minus its level), ``v``, ``gamma`` (per vehicle) and ``theta``
     (per pair) are arrays that broadcast together, for example shapes
-    (I, 1), (J,) and (I, J); ``limited`` picks the battery model as in
-    :func:`plan_pair`. Every branch of the scalar planner (deadline, battery
-    cap, swap) is transcribed, and each runs only on the pairs that reach
-    it. Each element goes through the operations of :func:`plan_pair` in
-    the same order, so the result holds the same bits.
+    (I, 1), (J,) and (I, J). A finite headroom caps the charge as
+    ``plan_pair(..., limited=True)`` does; an infinite one (the default) is
+    the unbounded battery, on which both models agree. Every branch of the
+    scalar planner (deadline, battery cap, swap) is transcribed, and each
+    runs only on the pairs that reach it, in the same operations and order
+    as :func:`plan_pair`, so the result holds the same bits.
     """
     inputs = [np.asarray(a, dtype=np.float64) for a in (x, u, v, gamma, theta, deadline, headroom)]
     shape = np.broadcast(*inputs).shape
@@ -690,11 +696,8 @@ def plan_matrix(
     pairs = _Pairs(cfg, *flat)
     gamma = pairs.gamma
     swap = np.isinf(gamma)
-    offer_rate = ~swap
-    capped = np.zeros_like(swap)
-    if limited:
-        capped = offer_rate & (gamma > 0.0) & np.isfinite(pairs.headroom)
-        offer_rate &= ~capped
+    capped = ~swap & (gamma > 0.0) & np.isfinite(pairs.headroom)
+    offer_rate = ~swap & ~capped
     # Blocks of pairs bound the memory the temporaries take: a 200x200
     # limited build peaked at 9.7 MB in one block and 5.2 MB in blocks of
     # 8192 pairs, which is below what the per-pair plans used to take.

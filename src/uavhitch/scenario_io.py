@@ -15,13 +15,18 @@ A scenario file is JSON with the layout
 Unbounded values are encoded as the string "inf" (JSON itself has no
 infinity). ``theta`` is written flat and row-major, and a nested I x J list
 is accepted on read; in memory it is the (I, J) float64 array ``Scenario.geoms``.
+
+A ``uavs`` or ``vehicles`` entry holds the fields of ``UavTask`` or
+``VehicleOffer``, in their order: those with no default are required, the
+others default as in the model. An unknown key is rejected by name.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from dataclasses import MISSING, fields
+from typing import Any, get_type_hints
 
 import numpy as np
 
@@ -50,22 +55,24 @@ def _decode(value: Any, context: str) -> float:
     return float(value)
 
 
+_SCENARIO_KEYS = {"config", "uavs", "vehicles", "theta", "seed", "label"}
+_CONFIG_KEYS = {"omega", "tol"}
+# Per entry kind, in the model's field order: name -> (default, is an int).
+_ENTRY_FIELDS = {
+    kind: {f.name: (f.default, get_type_hints(kind)[f.name] is int) for f in fields(kind)}
+    for kind in (UavTask, VehicleOffer)
+}
+
+
+def _entry_to_dict(entry: UavTask | VehicleOffer) -> dict:
+    return {name: _encode(getattr(entry, name)) for name in _ENTRY_FIELDS[type(entry)]}
+
+
 def scenario_to_dict(s: Scenario) -> dict:
     return {
         "config": {"omega": s.config.omega, "tol": s.config.tol},
-        "uavs": [
-            {
-                "x": t.x,
-                "u": t.u,
-                "deadline": _encode(t.deadline),
-                "battery_capacity": _encode(t.battery_capacity),
-                "battery_level": t.battery_level,
-            }
-            for t in s.tasks
-        ],
-        "vehicles": [
-            {"v": o.v, "gamma": _encode(o.gamma), "capacity": o.capacity} for o in s.offers
-        ],
+        "uavs": [_entry_to_dict(t) for t in s.tasks],
+        "vehicles": [_entry_to_dict(o) for o in s.offers],
         "theta": s.geoms.ravel().tolist(),
         "seed": s.seed,
         "label": s.label,
@@ -78,6 +85,12 @@ def _require_key(d: dict, key: str, context: str) -> Any:
     return d[key]
 
 
+def _reject_unknown(d: dict, known, context: str) -> None:
+    unknown = d.keys() - known
+    if unknown:
+        raise ValueError(f"{context}: unknown keys {sorted(unknown)}")
+
+
 def _require_type(value: Any, kind: type, context: str) -> Any:
     if not isinstance(value, kind):
         name = "an object" if kind is dict else "a list"
@@ -85,56 +98,44 @@ def _require_type(value: Any, kind: type, context: str) -> Any:
     return value
 
 
-def _build(kind: type, context: str, *args: Any, **kwargs: Any) -> Any:
-    """Construct ``kind``, prefixing a rejected value with the entry it came from."""
-    try:
-        return kind(*args, **kwargs)
-    except ValueError as exc:
-        raise ValueError(f"{context}: {exc}") from None
+def _entries(kind: type, data: dict, key: str) -> list:
+    """The ``key`` list of ``data`` as ``kind`` instances, one per entry. A
+    rejected value is named with the entry it came from."""
+    entry_fields = _ENTRY_FIELDS[kind]
+    out = []
+    for i, entry in enumerate(_require_type(_require_key(data, key, "scenario"), list, key)):
+        ctx = f"{key}[{i}]"
+        _require_type(entry, dict, ctx)
+        _reject_unknown(entry, entry_fields, ctx)
+        values = []
+        for name, (default, is_int) in entry_fields.items():
+            value = entry.get(name, default)
+            if value is default:  # the key is absent, or holds the default itself
+                if value is MISSING:
+                    raise ValueError(f"{ctx}: missing key {name!r}")
+            elif not is_int:
+                value = _decode(value, f"{ctx}.{name}")
+            elif not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{ctx}.{name} must be an integer, got {value!r}")
+            values.append(value)
+        try:
+            out.append(kind(*values))
+        except ValueError as exc:
+            raise ValueError(f"{ctx}: {exc}") from None
+    return out
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     _require_type(data, dict, "scenario")
+    _reject_unknown(data, _SCENARIO_KEYS, "scenario")
     cfg_d = _require_type(_require_key(data, "config", "scenario"), dict, "config")
+    _reject_unknown(cfg_d, _CONFIG_KEYS, "config")
     config = PlannerConfig(
         omega=_decode(_require_key(cfg_d, "omega", "config"), "config.omega"),
         tol=_decode(_require_key(cfg_d, "tol", "config"), "config.tol"),
     )
-    tasks = []
-    for i, t in enumerate(_require_type(_require_key(data, "uavs", "scenario"), list, "uavs")):
-        ctx = f"uavs[{i}]"
-        _require_type(t, dict, ctx)
-        tasks.append(
-            _build(
-                UavTask,
-                ctx,
-                x=_decode(_require_key(t, "x", ctx), f"{ctx}.x"),
-                u=_decode(_require_key(t, "u", ctx), f"{ctx}.u"),
-                deadline=_decode(t.get("deadline", "inf"), f"{ctx}.deadline"),
-                battery_capacity=_decode(
-                    t.get("battery_capacity", "inf"), f"{ctx}.battery_capacity"
-                ),
-                battery_level=_decode(t.get("battery_level", 0.0), f"{ctx}.battery_level"),
-            )
-        )
-    offers = []
-    for j, o in enumerate(
-        _require_type(_require_key(data, "vehicles", "scenario"), list, "vehicles")
-    ):
-        ctx = f"vehicles[{j}]"
-        _require_type(o, dict, ctx)
-        capacity = o.get("capacity", 1)
-        if not isinstance(capacity, int) or isinstance(capacity, bool):
-            raise ValueError(f"{ctx}.capacity must be an integer, got {capacity!r}")
-        offers.append(
-            _build(
-                VehicleOffer,
-                ctx,
-                v=_decode(_require_key(o, "v", ctx), f"{ctx}.v"),
-                gamma=_decode(o.get("gamma", 0.0), f"{ctx}.gamma"),
-                capacity=capacity,
-            )
-        )
+    tasks = _entries(UavTask, data, "uavs")
+    offers = _entries(VehicleOffer, data, "vehicles")
 
     n_uavs, n_vehicles = len(tasks), len(offers)
     theta = _require_type(_require_key(data, "theta", "scenario"), list, "theta")

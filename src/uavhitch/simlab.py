@@ -18,7 +18,7 @@ import numpy as np
 
 from .matching import build_saving_matrix, greedy_match, msa_match, theta_array
 from .model import PairGeometry, PlannerConfig, UavTask, VehicleOffer
-from .planner import plan_pair
+from .planner import optimal_distance_limited
 
 __all__ = [
     "GeneratorParams",
@@ -326,9 +326,9 @@ def sweep_curves(kind: str, **grid) -> tuple[list[str], list[tuple]]:
     Kinds: ``speed`` (optimal consumption vs vehicle speed), ``gamma``
     (vs charging rate), ``surface`` (vs speed and rate, speed outer),
     ``battery`` (optimal riding distance vs battery headroom ``delta_e``,
-    planned at exactly that headroom). Every point goes through
-    :func:`~uavhitch.planner.plan_pair`, battery-limited for ``battery``,
-    so ``gamma = inf`` gives swap plans. ``deadline`` (default unbounded)
+    planned at exactly that headroom). Every point is planned by
+    :func:`~uavhitch.planner.optimal_distance_limited`, which caps the
+    charge only on a finite battery; ``gamma = inf`` gives swap plans. ``deadline`` (default unbounded)
     and ``tol`` apply to every kind; grids that reach the always-eligible
     charging regime need a bounded ``deadline``. Axis bounds must be finite.
     """
@@ -356,6 +356,6 @@ def sweep_curves(kind: str, **grid) -> tuple[list[str], list[tuple]]:
     for point in itertools.product(*values):
         p = {**params, **dict(zip(columns, point))}
         task, offer = _sweep_task(p), VehicleOffer(v=p["v"], gamma=p["gamma"])
-        plan = plan_pair(cfg, task, offer, PairGeometry(p["theta"]), limited="delta_e" in p)
+        plan = optimal_distance_limited(cfg, task, offer, PairGeometry(p["theta"]))
         rows.append((*point, getattr(plan, field)))
     return [*columns, "value"], rows

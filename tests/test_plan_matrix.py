@@ -5,8 +5,8 @@
 binding, swap flag) is compared through ``repr``, which prints a float's
 shortest round-trip form, so any change of a bit shows. The array planner
 covers every branch (deadlines, finite batteries under the limited model,
-swaps), so the build calls ``plan_pair`` only to name the first pair with
-no finite optimum.
+swaps), so the build never calls ``plan_pair``: it names the first pair
+with no finite optimum from ``plan_matrix``'s flags.
 """
 
 import json
@@ -66,8 +66,13 @@ def count_plan_pair(monkeypatch) -> list[int]:
         calls[0] += 1
         return plan_pair(*args, **kwargs)
 
-    monkeypatch.setattr(matching, "plan_pair", counted)
+    monkeypatch.setattr(planner, "plan_pair", counted)
     return calls
+
+
+def test_matching_has_no_plan_pair():
+    assert not hasattr(matching, "plan_pair")
+    assert not hasattr(matching, "PairGeometry")
 
 
 def assert_build_matches(cfg, tasks, offers, theta, limited) -> bool:
@@ -101,9 +106,10 @@ def assert_kernel_matches(cfg, x, u, v, gamma, theta) -> None:
 
 
 def assert_plan_matrix_matches(cfg, tasks, offers, theta, limited) -> None:
-    """Check plan_matrix, with per-UAV deadlines and battery headroom, on an
-    I x J grid against plan_pair: every field of every pair, and which pairs
-    have no finite optimum."""
+    """Check plan_matrix, with per-UAV deadlines, on an I x J grid against
+    plan_pair: every field of every pair, and which pairs have no finite
+    optimum. The limited model is each task's battery headroom, the
+    unbounded one an infinite headroom."""
     theta = np.asarray(theta, dtype=np.float64)
     arrays = plan_matrix(
         cfg,
@@ -113,8 +119,7 @@ def assert_plan_matrix_matches(cfg, tasks, offers, theta, limited) -> None:
         np.array([o.gamma for o in offers]),
         theta,
         np.array([[t.deadline] for t in tasks]),
-        np.array([[t.battery_headroom] for t in tasks]),
-        limited,
+        np.array([[t.battery_headroom if limited else math.inf] for t in tasks]),
     )
     assert arrays.saving.shape == theta.shape
     ref = reference(cfg, tasks, offers, theta, limited)
@@ -129,16 +134,14 @@ def assert_plan_matrix_matches(cfg, tasks, offers, theta, limited) -> None:
 def test_each_random_instance_matches_plan_pair(regime, monkeypatch):
     rng = random.Random(REGIMES.index(regime))
     calls = count_plan_pair(monkeypatch)
-    raised = 0
     for _ in range(300):
         cfg, task, offer, geom, limited = random_instance(rng, regime)
-        raised += not assert_build_matches(cfg, [task], [offer], [[geom.theta]], limited)
+        assert assert_build_matches(cfg, [task], [offer], [[geom.theta]], limited)
         if math.isinf(task.deadline):
             x, u = np.array([task.x]), np.array([task.u])
             v, gamma = np.array([offer.v]), np.array([offer.gamma])
             assert_kernel_matches(cfg, x, u, v, gamma, np.array([[geom.theta]]))
-    # plan_pair only names the pair of a build that raises.
-    assert calls[0] == raised
+    assert calls[0] == 0
 
 
 @pytest.mark.parametrize("limited", [False, True], ids=["unbounded", "limited"])
@@ -169,11 +172,8 @@ def test_crossed_random_instances_match_plan_pair(regime, monkeypatch):
         for k, d in enumerate(draws):
             theta[k][k] = d[3].theta
         calls[0] = 0
-        if assert_build_matches(cfg, tasks, offers, theta, limited):
-            built += 1
-            assert calls[0] == 0
-        else:
-            assert calls[0] == 1
+        built += assert_build_matches(cfg, tasks, offers, theta, limited)
+        assert calls[0] == 0
         assert_plan_matrix_matches(cfg, tasks, offers, theta, limited)
     assert built > 0
 
@@ -380,11 +380,10 @@ def test_build_makes_no_pair_geometry_and_no_plan_pair_call(tmp_path, monkeypatc
     calls, made = count_plan_pair(monkeypatch), count_pair_geometries(monkeypatch)
     if limited:
         build_saving_matrix(s.config, s.tasks, s.offers, s.geoms, limited)
-        assert calls[0] == made[0] == 0
     else:
         with pytest.raises(UnboundedHitchError):  # the gamma = 5 vehicle
             build_saving_matrix(s.config, s.tasks, s.offers, s.geoms, limited)
-        assert calls[0] == made[0] == 1  # plan_pair names the first pair
+    assert calls[0] == made[0] == 0
 
 
 def limited_fleet(rng: random.Random, n_uavs: int, n_vehicles: int):
@@ -530,9 +529,9 @@ def test_plan_matrix_broadcasts_and_plans_swaps():
     arrays = plan_matrix(cfg, 5.0, 60.0, np.array([40.0, 30.0]), 0.3, np.array([[0.2], [0.4]]))
     assert arrays.saving.shape == (2, 2)
     task = UavTask(5.0, 60.0)
+    arrays = plan_matrix(cfg, 5.0, 60.0, 40.0, math.inf, np.array([0.2, 2.0]))
     for limited in (False, True):
-        arrays = plan_matrix(cfg, 5.0, 60.0, 40.0, math.inf, np.array([0.2, 2.0]), limited=limited)
         for k, theta in enumerate((0.2, 2.0)):
             want = plan_pair(cfg, task, VehicleOffer(40.0, math.inf), PairGeometry(theta), limited)
             assert repr(arrays.plan(k)) == repr(want)
-        assert arrays.swap.tolist() == [False, True]  # departs at once on the wide angle
+    assert arrays.swap.tolist() == [False, True]  # departs at once on the wide angle
