@@ -53,8 +53,29 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _seed(text: str) -> int:
+    """A master seed: an integer >= 0, as numpy's seeding requires."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return seed
+
+
+def _counts(text: str) -> list[int]:
+    try:
+        return [int(c) for c in text.split(",") if c]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}")
+
+
 def _default_seed() -> int:
-    return int(os.environ.get("UAVHITCH_SEED", "0"))
+    try:
+        return _seed(os.environ.get("UAVHITCH_SEED", "0"))
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"UAVHITCH_SEED {exc}") from None
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -167,7 +188,6 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     theta_range = case_theta_range(args.case) if args.case else (0.0, args.theta_max)
-    counts = [int(c) for c in args.uavs.split(",") if c]
     params = GeneratorParams(
         n_uavs=0,
         n_vehicles=args.vehicles,
@@ -190,7 +210,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             path = os.path.join(args.emit_scenarios, label + ".json")
             save_scenario(replace(scenario, label=label), path)
 
-    rows = run_experiment(params, args.trials, counts, master_seed=args.seed, on_scenario=save)
+    rows = run_experiment(params, args.trials, args.uavs, master_seed=args.seed, on_scenario=save)
     _emit(csv_text(EXPERIMENT_CSV_HEADER, [r.as_csv_row() for r in rows]), args.output)
     return 0
 
@@ -249,10 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--case", type=int, choices=[1, 2], help="standard deviation range")
     group.add_argument("--theta-max", type=float, default=math.pi, help="custom theta range")
-    p.add_argument("--uavs", default="5,10,20,30,40", help="comma-separated UAV counts")
+    p.add_argument(
+        "--uavs", type=_counts, default="5,10,20,30,40", help="comma-separated UAV counts"
+    )
     p.add_argument("--vehicles", type=int, default=40)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, help="master seed (default: UAVHITCH_SEED or 0)")
     p.add_argument("--omega", type=float, default=0.8)
     p.add_argument("--u", type=float, default=60.0)
     p.add_argument("--v", type=float, default=40.0)
@@ -295,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
     try:
+        if getattr(args, "seed", 0) is None:
+            args.seed = _default_seed()
         return args.func(args)
     except BruteForceSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -327,10 +327,11 @@ def sweep_curves(kind: str, **grid) -> tuple[list[str], list[tuple]]:
     (vs charging rate), ``surface`` (vs speed and rate, speed outer),
     ``battery`` (optimal riding distance vs battery headroom ``delta_e``,
     planned at exactly that headroom). Every point is planned by
-    :func:`~uavhitch.planner.optimal_distance_limited`, which caps the
-    charge only on a finite battery; ``gamma = inf`` gives swap plans. ``deadline`` (default unbounded)
-    and ``tol`` apply to every kind; grids that reach the always-eligible
-    charging regime need a bounded ``deadline``. Axis bounds must be finite.
+    :func:`~uavhitch.planner.optimal_distance_limited`, which caps the charge
+    only on a finite battery; ``gamma = inf`` gives swap plans. ``deadline``
+    (default unbounded) and ``tol`` apply to every kind; grids that reach the
+    always-eligible charging regime need a bounded ``deadline``. Axis bounds
+    must be finite.
     """
     for name in ("points", "v_points", "gamma_points"):
         if grid.get(name, 1) < 1:

@@ -394,3 +394,58 @@ def test_seed_env_default(tmp_path, monkeypatch):
     monkeypatch.delenv("UAVHITCH_SEED")
     assert main([*args, "--seed", "7", "--output", b]) == 0
     assert open(a).read() == open(b).read()
+
+
+@pytest.mark.parametrize(
+    "env, flags, message",
+    [
+        ("abc", [], "UAVHITCH_SEED must be an integer >= 0, got 'abc'"),
+        ("-3", [], "UAVHITCH_SEED must be an integer >= 0, got '-3'"),
+        (None, ["--seed", "-3"], "argument --seed: must be an integer >= 0, got '-3'"),
+        (None, ["--seed", "abc"], "argument --seed: must be an integer >= 0, got 'abc'"),
+        (None, ["--uavs", "5,x"], "argument --uavs: must be comma-separated integers, got '5,x'"),
+    ],
+)
+def test_simulate_names_bad_seed_or_count(tmp_path, monkeypatch, capsys, env, flags, message):
+    if env is None:
+        monkeypatch.delenv("UAVHITCH_SEED", raising=False)
+    else:
+        monkeypatch.setenv("UAVHITCH_SEED", env)
+    args = ["simulate", "--case", "1", "--uavs", "3", "--vehicles", "4", "--trials", "1",
+            "--output", str(tmp_path / "a.csv"), *flags]
+    try:
+        code = main(args)
+    except SystemExit as exc:  # argparse rejects a flag's value itself
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "a.csv").exists()
+
+
+def test_seed_flag_overrides_a_bad_env_seed(tmp_path, monkeypatch):
+    monkeypatch.setenv("UAVHITCH_SEED", "abc")
+    args = ["simulate", "--case", "1", "--uavs", "3", "--vehicles", "4", "--trials", "1"]
+    assert main([*args, "--seed", "0", "--output", str(tmp_path / "a.csv")]) == 0
+
+
+@pytest.mark.parametrize(
+    "part, key, message",
+    [
+        ("uavs", "dealine", "uavs[0]: unknown keys ['dealine']"),
+        ("vehicles", "capcity", "vehicles[0]: unknown keys ['capcity']"),
+        ("config", "omgea", "config: unknown keys ['omgea']"),
+        (None, "sead", "scenario: unknown keys ['sead']"),
+    ],
+)
+def test_validate_rejects_misspelled_key(tmp_path, capsys, part, key, message):
+    scenario = json.loads(json.dumps(SCENARIO))
+    if part is None:
+        scenario[key] = 3
+    elif part == "config":
+        scenario["config"][key] = scenario["config"].pop("omega")
+    else:
+        scenario[part][0][key] = 2
+    path = tmp_path / "misspelled.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,9 +1,10 @@
 import json
 import math
+from dataclasses import MISSING, fields, replace
 
 import pytest
 
-from uavhitch import GeneratorParams, case_theta_range, generate_scenario
+from uavhitch import GeneratorParams, UavTask, VehicleOffer, case_theta_range, generate_scenario
 from uavhitch.scenario_io import (
     csv_text,
     dump_scenario,
@@ -94,3 +95,51 @@ def test_non_json_file_rejected(tmp_path):
 def test_csv_text_deterministic_floats():
     text = csv_text(["a", "b"], [[1, 0.1 + 0.2], [2, 1.0 / 3.0]])
     assert text == "a,b\n1,0.30000000000000004\n2,0.3333333333333333\n"
+
+
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        (lambda d: d, "scenario: unknown keys ['sead']"),
+        (lambda d: d["config"], "config: unknown keys ['sead']"),
+        (lambda d: d["uavs"][1], "uavs[1]: unknown keys ['sead']"),
+        (lambda d: d["vehicles"][2], "vehicles[2]: unknown keys ['sead']"),
+    ],
+    ids=["top", "config", "uav", "vehicle"],
+)
+def test_unknown_key_rejected_by_name(scenario, where, message):
+    d = scenario_to_dict(scenario)
+    where(d)["sead"] = 1
+    with pytest.raises(ValueError) as info:
+        scenario_from_dict(d)
+    assert str(info.value) == message
+
+
+def test_every_entry_field_round_trips(scenario):
+    # Every UavTask and VehicleOffer field away from its default.
+    task = UavTask(x=5.0, u=60.0, deadline=0.25, battery_capacity=0.4, battery_level=0.1)
+    offer = VehicleOffer(v=40.0, gamma=math.inf, capacity=3)
+    for f in fields(UavTask):
+        assert f.default is MISSING or getattr(task, f.name) != f.default, f.name
+    for f in fields(VehicleOffer):
+        assert f.default is MISSING or getattr(offer, f.name) != f.default, f.name
+    s = replace(scenario, tasks=[task] * 3, offers=[offer] * 4)
+    d = scenario_to_dict(s)
+    assert d["uavs"][0] == {"x": 5.0, "u": 60.0, "deadline": 0.25,
+                            "battery_capacity": 0.4, "battery_level": 0.1}
+    assert d["vehicles"][0] == {"v": 40.0, "gamma": "inf", "capacity": 3}
+    loaded = scenario_from_dict(json.loads(dump_scenario(s)))
+    assert loaded.tasks == s.tasks and loaded.offers == s.offers
+    assert dump_scenario(loaded) == dump_scenario(s)
+
+
+def test_omitted_entry_fields_take_the_model_defaults(scenario):
+    d = scenario_to_dict(scenario)
+    d["uavs"] = [{"x": 5.0, "u": 60.0} for _ in range(3)]
+    d["vehicles"] = [{"v": 40.0} for _ in range(4)]
+    s = scenario_from_dict(d)
+    assert s.tasks == [UavTask(5.0, 60.0)] * 3
+    assert s.offers == [VehicleOffer(40.0)] * 4
+    del d["uavs"][0]["u"]
+    with pytest.raises(ValueError, match=r"uavs\[0\]: missing key 'u'"):
+        scenario_from_dict(d)
