@@ -53,27 +53,30 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _seed(text: str) -> int:
-    """A master seed: an integer >= 0, as numpy's seeding requires."""
+def _nonnegative_int(text: str) -> int:
+    """A vehicle count, or a master seed as numpy's seeding requires."""
     try:
-        seed = int(text)
+        value = int(text)
     except ValueError:
-        seed = -1
-    if seed < 0:
+        value = -1
+    if value < 0:
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return seed
+    return value
 
 
 def _counts(text: str) -> list[int]:
     try:
-        return [int(c) for c in text.split(",") if c]
+        counts = [int(c) for c in text.split(",") if c]
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}")
+    if any(c < 0 for c in counts):
+        raise argparse.ArgumentTypeError(f"counts must be >= 0, got {text!r}")
+    return counts
 
 
 def _default_seed() -> int:
     try:
-        return _seed(os.environ.get("UAVHITCH_SEED", "0"))
+        return _nonnegative_int(os.environ.get("UAVHITCH_SEED", "0"))
     except argparse.ArgumentTypeError as exc:
         raise ValueError(f"UAVHITCH_SEED {exc}") from None
 
@@ -272,9 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--uavs", type=_counts, default="5,10,20,30,40", help="comma-separated UAV counts"
     )
-    p.add_argument("--vehicles", type=int, default=40)
+    p.add_argument("--vehicles", type=_nonnegative_int, default=40)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=_seed, help="master seed (default: UAVHITCH_SEED or 0)")
+    p.add_argument(
+        "--seed", type=_nonnegative_int, help="master seed (default: UAVHITCH_SEED or 0)"
+    )
     p.add_argument("--omega", type=float, default=0.8)
     p.add_argument("--u", type=float, default=60.0)
     p.add_argument("--v", type=float, default=40.0)

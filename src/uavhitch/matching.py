@@ -7,9 +7,9 @@ saving, per-vehicle potentials ``q`` at zero, and alternating trees over
 tight edges (p_i + q_j = w_ij) are grown until every UAV is either matched
 or has p_i = 0. The final potentials certify optimality.
 
-The build plans every pair in one ``planner.plan_matrix`` call, with
-the same bits as ``plan_pair`` and no Python loop over pairs, and names
-the first pair with no finite optimum from that call's flags. The saving
+The build plans every pair in one ``planner.plan_matrix`` call, the one
+planner, with no Python loop over pairs, and names the first pair with
+no finite optimum from that call's flags. The saving
 matrix holds one saving per UAV-vehicle pair, as a float64 array checked
 once when the matrix is made, and each vehicle's capacity. From them it
 derives the capacity-expanded view: a vehicle seating more than one UAV

@@ -1,4 +1,4 @@
-"""Closed-form hitching plans for a single UAV-vehicle pair.
+"""Closed-form hitching plans for UAV-vehicle pairs.
 
 A UAV ``i`` at distance ``x`` from its destination can ride a vehicle for a
 distance ``y`` along the vehicle's direction (deviating by ``theta`` from the
@@ -13,24 +13,29 @@ C is convex in y, which yields the closed-form optima implemented here. The
 pivotal quantity is cos(phi) = (1 - (1 + gamma)*omega) * u / v: vehicles are
 worth hitching exactly when theta stays below the threshold angle phi.
 
-Each planner makes one pass per pair: eligibility, the deadline distance
-(one root solve), then closed-form candidates capped by that distance. A
-full battery takes no charge, so it rides any vehicle as a ride-only one.
-
-:func:`plan_matrix` plans many pairs at once with numpy, every branch
-of :func:`plan_pair` included: the deadline distance, the battery cap
-and the swap. The battery headroom is the battery model: a finite one
+Every plan comes from :func:`plan_matrix`, which plans many pairs at once
+with numpy: eligibility, the deadline distance (one root solve), then
+closed-form candidates capped by that distance, the battery cap and the
+swap. A full battery takes no charge, so it rides any vehicle as a
+ride-only one. The battery headroom is the battery model: a finite one
 caps the charge, an infinite one does not. Each branch runs only on the
 pairs that reach it, and a pair with no finite optimum is flagged rather
-than raised. It gives the same bits as :func:`plan_pair` because
+than raised. The one-pair entries (:func:`plan_pair` and the
+``optimal_distance*`` and :func:`battery_swap_plan` functions) are 0-d
+calls of it that raise :class:`UnboundedHitchError` on that flag, and
+:func:`select_vehicle` is one call over its offers.
+
+The reference is the scalar decision chain in ``tests/oracles.py``
+(``scalar_plan_pair``), which :func:`plan_matrix` reproduces bit for bit:
 every element goes through the same floating-point operations in the same
 order, and the transcendentals match the C library's ``math`` functions:
 ``math.hypot`` and ``math.pow`` are called per element and ``math.acos``
 once per distinct cos(phi), since numpy's ``hypot``, ``square`` and
 ``arccos`` differ from them in the last bit on some inputs, while numpy's
 ``sin``, ``cos`` and ``sqrt`` are used directly (``tests/test_plan_matrix.py``
-checks all six against ``math`` here). :func:`plan_pair` stays the scalar
-reference.
+checks all six against ``math`` here). :func:`eligibility` and
+:func:`max_hitch_distance` stay scalar closed forms: ``uavhitch plan``
+reports the first, and the reference chain calls both.
 """
 
 from __future__ import annotations
@@ -163,14 +168,7 @@ def eligibility(
       so fast that even riding away from the destination pays off);
     * otherwise the threshold is its arccos and theta must stay below it.
     """
-    return _eligibility(cfg, task, offer, geom, offer.gamma)
-
-
-def _eligibility(
-    cfg: PlannerConfig, task: UavTask, offer: VehicleOffer, geom: PairGeometry, gamma: float
-) -> Eligibility:
-    """:func:`eligibility` at charging rate ``gamma`` instead of the offer's."""
-    omega, tol = cfg.omega, cfg.tol
+    omega, tol, gamma = cfg.omega, cfg.tol, offer.gamma
     u, v = task.u, offer.v
     # With omega = 0 the charging term never enters the objective, so an
     # infinite rate contributes nothing; otherwise inf * omega = inf.
@@ -265,156 +263,11 @@ def _excess(u: float, d: float, x: float) -> float:
     return float(Fraction(u) * Fraction(d) - Fraction(x))
 
 
-def _deadline_cap(task: UavTask, offer: VehicleOffer, geom: PairGeometry) -> float:
-    return math.inf if math.isinf(task.deadline) else max_hitch_distance(task, offer, geom)
-
-
-def _no_hitch_plan(task: UavTask, swap: bool = False) -> HitchPlan:
-    base = task.direct_time
-    return HitchPlan(0.0, base, base, base, 0.0, Binding.NO_HITCH, swap)
-
-
-def _finish_plan(
-    cfg: PlannerConfig,
-    task: UavTask,
-    offer: VehicleOffer,
-    geom: PairGeometry,
-    y: float,
-    binding: Binding,
-    headroom: float | None,
-) -> HitchPlan:
-    if y <= 0.0:
-        return _no_hitch_plan(task)
-    t, e, c = _evaluate(task, offer, geom, y, headroom, cfg.omega)
-    saving = task.direct_time - c
-    if saving <= 0.0:
-        # The capped plan never beats the baseline for an eligible vehicle;
-        # guard against rounding right at the boundary.
-        return _no_hitch_plan(task)
-    return HitchPlan(y, t, e, c, saving, binding)
-
-
-# Why a pair has no finite optimum; the saving-matrix build names the pair.
+# Why a pair has no finite optimum; the one-pair entries raise it, and the
+# saving-matrix build and the sweep prefix the pair or point at fault.
 UNBOUNDED_MESSAGE = (
     "consumption decreases with distance for this offer; a bounded deadline is required"
 )
-
-
-def _eligible_plan(
-    cfg: PlannerConfig,
-    task: UavTask,
-    offer: VehicleOffer,
-    geom: PairGeometry,
-    phi: float,
-    y_deadline: float,
-    headroom: float | None = None,
-) -> HitchPlan:
-    """Plan for an offer eligible at threshold angle phi, capped at y_deadline."""
-    if phi < math.pi:
-        y_interior = task.x * math.sin(phi - geom.theta) / math.sin(phi)
-        if y_interior <= y_deadline:
-            return _finish_plan(cfg, task, offer, geom, y_interior, Binding.INTERIOR, headroom)
-    elif math.isinf(y_deadline):
-        raise UnboundedHitchError(UNBOUNDED_MESSAGE)
-    return _finish_plan(cfg, task, offer, geom, y_deadline, Binding.DEADLINE, headroom)
-
-
-def optimal_distance(
-    cfg: PlannerConfig, task: UavTask, offer: VehicleOffer, geom: PairGeometry
-) -> HitchPlan:
-    """Best riding distance with an unbounded battery.
-
-    For an eligible vehicle the convex objective has the stationary point
-    y = x*sin(phi - theta)/sin(phi), capped by the deadline. In the
-    always-eligible regime (phi = pi) only the deadline stops the ride, so
-    an unbounded deadline is an error there.
-    """
-    elig = eligibility(cfg, task, offer, geom)
-    if not elig.eligible:
-        return _no_hitch_plan(task)
-    y_deadline = _deadline_cap(task, offer, geom)
-    return _eligible_plan(cfg, task, offer, geom, elig.threshold_angle, y_deadline)
-
-
-def optimal_distance_ho(
-    cfg: PlannerConfig, task: UavTask, offer: VehicleOffer, geom: PairGeometry
-) -> HitchPlan:
-    """Best riding distance on a ride-only vehicle. Requires gamma == 0."""
-    if offer.gamma != 0.0:
-        raise ValueError("optimal_distance_ho requires a ride-only offer (gamma == 0)")
-    return optimal_distance(cfg, task, offer, geom)
-
-
-def optimal_distance_limited(
-    cfg: PlannerConfig, task: UavTask, offer: VehicleOffer, geom: PairGeometry
-) -> HitchPlan:
-    """Best riding distance when the battery can only absorb so much charge.
-
-    Once the battery is full, continued riding behaves like a ride-only
-    vehicle, so the optimum is one of three candidates, each capped by the
-    deadline distance: the unbounded-battery optimum (cap never reached),
-    the ride-only optimum (cap reached before it), or the cap distance.
-    """
-    if math.isinf(offer.gamma):
-        # Instant charge is a battery swap; that plan owns the accounting.
-        return battery_swap_plan(cfg, task, offer, geom)
-    headroom = task.battery_headroom
-    if offer.gamma == 0.0 or math.isinf(headroom):
-        return optimal_distance(cfg, task, offer, geom)
-
-    elig = eligibility(cfg, task, offer, geom)
-    if not elig.eligible:
-        return _no_hitch_plan(task)
-    y_deadline = _deadline_cap(task, offer, geom)
-    y_cap = headroom * offer.v / offer.gamma
-
-    ride = _eligibility(cfg, task, offer, geom, 0.0)
-    if ride.eligible:
-        ho_plan = _eligible_plan(cfg, task, offer, geom, ride.threshold_angle, y_deadline, 0.0)
-        if y_cap <= ho_plan.y_star:
-            # Fully charged before the ride-only optimum: keep riding to it.
-            return _finish_plan(cfg, task, offer, geom, ho_plan.y_star, ho_plan.binding, headroom)
-    elif y_cap <= 0.0:
-        return _no_hitch_plan(task)  # a full battery, and riding alone does not pay
-
-    if elig.threshold_angle < math.pi or math.isfinite(y_deadline):
-        full = _eligible_plan(cfg, task, offer, geom, elig.threshold_angle, y_deadline)
-        if y_cap >= full.y_star:
-            return full
-    # Full before the unbounded-battery optimum (never past the deadline
-    # distance, and absent at phi = pi without a deadline): ride to the cap.
-    return _finish_plan(cfg, task, offer, geom, y_cap, Binding.BATTERY_FULL, headroom)
-
-
-def battery_swap_plan(
-    cfg: PlannerConfig, task: UavTask, offer: VehicleOffer, geom: PairGeometry
-) -> HitchPlan:
-    """Plan for a vehicle that swaps in a fresh battery (gamma = inf).
-
-    Any vehicle is worth meeting for the swap. Afterwards the full battery
-    makes further riding a ride-only decision: continue to the ride-only
-    optimum if the direction qualifies, otherwise depart immediately.
-    """
-    if not math.isinf(offer.gamma):
-        raise ValueError("battery_swap_plan requires a battery-swap offer (gamma == inf)")
-    elig = _eligibility(cfg, task, offer, geom, 0.0)
-    if not elig.eligible:
-        return _no_hitch_plan(task, swap=True)
-    y_deadline = _deadline_cap(task, offer, geom)
-    return _eligible_plan(cfg, task, offer, geom, elig.threshold_angle, y_deadline, 0.0)
-
-
-def plan_pair(
-    cfg: PlannerConfig,
-    task: UavTask,
-    offer: VehicleOffer,
-    geom: PairGeometry,
-    limited: bool = False,
-) -> HitchPlan:
-    """Dispatch to the plan matching the offer and battery model."""
-    if limited or math.isinf(offer.gamma):
-        return optimal_distance_limited(cfg, task, offer, geom)
-    return optimal_distance(cfg, task, offer, geom)
 
 
 # Binding of each code in ``PlanArrays.binding``.
@@ -428,9 +281,9 @@ class PlanArrays:
 
     The float fields hold what :class:`HitchPlan` holds; ``binding`` is
     each pair's :class:`Binding` as a small integer code and ``swap`` its
-    ``swap_and_depart`` flag. ``unbounded`` marks the pairs for which
-    :func:`plan_pair` raises :class:`UnboundedHitchError`; their other
-    fields are meaningless.
+    ``swap_and_depart`` flag. ``unbounded`` marks the pairs with no finite
+    optimum, for which the one-pair entries raise
+    :class:`UnboundedHitchError`; their other fields are meaningless.
     """
 
     y_star: np.ndarray
@@ -473,9 +326,9 @@ _BLOCK = 8192
 class _Pairs:
     """The flat inputs of :func:`plan_matrix` and the plans written so far.
 
-    Each method transcribes one scalar planner function for the pairs ``k``
-    (an index array), with every element going through that function's
-    operations in the same order. The plans start as no-hitch plans; each
+    Each method transcribes one function of the scalar reference chain in
+    ``tests/oracles.py`` for the pairs ``k`` (an index array), with every
+    element going through that function's operations in the same order. The plans start as no-hitch plans; each
     pair's final plan is written once.
     """
 
@@ -501,7 +354,7 @@ class _Pairs:
          self.saving[k], self.binding[k]) = plan
 
     def eligible(self, k, rate):
-        """:func:`_eligibility` at weighted charging rates ``rate`` (omega
+        """``scalar_eligibility`` at weighted charging rates ``rate`` (omega
         times a finite gamma): the positions in ``k`` of the eligible pairs
         and their threshold angles."""
         omega, tol = self.omega, self.tol
@@ -518,7 +371,7 @@ class _Pairs:
         return ok, phi[ok]
 
     def deadline_cap(self, k):
-        """:func:`_deadline_cap`: inf for an unbounded deadline, else the
+        """``scalar_deadline_cap``: inf for an unbounded deadline, else the
         largest riding distance that meets it."""
         y = np.full(k.size, math.inf)
         m = np.isfinite(self.deadline[k]).nonzero()[0]
@@ -567,7 +420,7 @@ class _Pairs:
         return best
 
     def eligible_plan(self, k, phi, y_deadline):
-        """:func:`_eligible_plan` up to :func:`_finish_plan`: the riding
+        """``scalar_eligible_plan`` up to ``scalar_finish_plan``: the riding
         distance and binding, and which pairs have no finite optimum."""
         y = y_deadline.copy()
         binding = np.full(k.size, _DEADLINE, dtype=np.int8)
@@ -581,7 +434,7 @@ class _Pairs:
         return y, binding, ~interior & np.isinf(y_deadline)
 
     def finish(self, k, y, binding, headroom=None):
-        """:func:`_finish_plan` with the charge capped at ``headroom`` (None:
+        """``scalar_finish_plan`` with the charge capped at ``headroom`` (None:
         uncapped): the positions in ``k`` of the pairs that hitch and their
         (y, T, E, C, saving, binding). The others stay no-hitch."""
         hit = (y > 0.0).nonzero()[0]
@@ -600,7 +453,7 @@ class _Pairs:
         return hit[ok], (y[ok], t[ok], e[ok], c[ok], saving[ok], binding[hit[ok]])
 
     def plan_offer(self, k) -> None:
-        """:func:`optimal_distance`, at the offer's finite charging rate."""
+        """``scalar_optimal_distance``, at the offer's finite charging rate."""
         ok, phi = self.eligible(k, self.omega * self.gamma[k])
         k = k[ok]
         y, binding, unbounded = self.eligible_plan(k, phi, self.deadline_cap(k))
@@ -610,7 +463,7 @@ class _Pairs:
         self.write(k[m[hit]], plan)
 
     def plan_swap(self, k) -> None:
-        """:func:`battery_swap_plan`: ride-only after the swap."""
+        """``scalar_battery_swap_plan``: ride-only after the swap."""
         ok, phi = self.eligible(k, np.zeros(k.size))
         self.swap[k] = True
         k = k[ok]
@@ -620,8 +473,8 @@ class _Pairs:
         self.write(k[hit], plan)
 
     def plan_capped(self, k) -> None:
-        """:func:`optimal_distance_limited` for a finite positive charging
-        rate and a finite battery headroom."""
+        """``scalar_optimal_distance_limited`` for a finite positive
+        charging rate and a finite battery headroom."""
         ok, phi = self.eligible(k, self.omega * self.gamma[k])
         k = k[ok]
         y_deadline = self.deadline_cap(k)
@@ -672,17 +525,17 @@ def plan_matrix(
     deadline=math.inf,
     headroom=math.inf,
 ) -> PlanArrays:
-    """:func:`plan_pair` for every pair at once.
+    """The plan of every pair at once.
 
     ``x``, ``u``, ``deadline``, ``headroom`` (per UAV: the battery's
     capacity minus its level), ``v``, ``gamma`` (per vehicle) and ``theta``
     (per pair) are arrays that broadcast together, for example shapes
-    (I, 1), (J,) and (I, J). A finite headroom caps the charge as
-    ``plan_pair(..., limited=True)`` does; an infinite one (the default) is
-    the unbounded battery, on which both models agree. Every branch of the
-    scalar planner (deadline, battery cap, swap) is transcribed, and each
-    runs only on the pairs that reach it, in the same operations and order
-    as :func:`plan_pair`, so the result holds the same bits.
+    (I, 1), (J,) and (I, J); 0-d inputs plan one pair. A finite headroom
+    caps the charge (the limited battery model); an infinite one (the
+    default) is the unbounded battery, on which both models agree. Each
+    branch (deadline, battery cap, swap) runs only on the pairs that reach
+    it, in the same operations and order as the scalar reference, so the
+    result holds its bits.
     """
     inputs = [np.asarray(a, dtype=np.float64) for a in (x, u, v, gamma, theta, deadline, headroom)]
     shape = np.broadcast(*inputs).shape
@@ -709,6 +562,93 @@ def plan_matrix(
     return pairs.arrays(shape)
 
 
+def _plan_one(
+    cfg: PlannerConfig,
+    task: UavTask,
+    offer: VehicleOffer,
+    geom: PairGeometry,
+    headroom: float,
+) -> HitchPlan:
+    """One pair's plan from a 0-d :func:`plan_matrix` call; raises
+    :class:`UnboundedHitchError` where the pair has no finite optimum."""
+    arrays = plan_matrix(
+        cfg, task.x, task.u, offer.v, offer.gamma, geom.theta, task.deadline, headroom
+    )
+    if arrays.unbounded[()]:
+        raise UnboundedHitchError(UNBOUNDED_MESSAGE)
+    return arrays.plan(())
+
+
+def optimal_distance(
+    cfg: PlannerConfig, task: UavTask, offer: VehicleOffer, geom: PairGeometry
+) -> HitchPlan:
+    """Best riding distance with an unbounded battery.
+
+    For an eligible vehicle the convex objective has the stationary point
+    y = x*sin(phi - theta)/sin(phi), capped by the deadline. In the
+    always-eligible regime (phi = pi) only the deadline stops the ride, so
+    an unbounded deadline is an error there. A swap offer has no finite
+    energy on an unbounded battery, so it is rejected.
+    """
+    if math.isinf(offer.gamma):
+        raise ValueError(
+            "optimal_distance cannot plan a battery-swap offer (gamma = inf); "
+            "use battery_swap_plan or optimal_distance_limited"
+        )
+    return _plan_one(cfg, task, offer, geom, math.inf)
+
+
+def optimal_distance_ho(
+    cfg: PlannerConfig, task: UavTask, offer: VehicleOffer, geom: PairGeometry
+) -> HitchPlan:
+    """Best riding distance on a ride-only vehicle. Requires gamma == 0."""
+    if offer.gamma != 0.0:
+        raise ValueError("optimal_distance_ho requires a ride-only offer (gamma == 0)")
+    return optimal_distance(cfg, task, offer, geom)
+
+
+def optimal_distance_limited(
+    cfg: PlannerConfig, task: UavTask, offer: VehicleOffer, geom: PairGeometry
+) -> HitchPlan:
+    """Best riding distance when the battery can only absorb so much charge.
+
+    Once the battery is full, continued riding behaves like a ride-only
+    vehicle, so the optimum is one of three candidates, each capped by the
+    deadline distance: the unbounded-battery optimum (cap never reached),
+    the ride-only optimum (cap reached before it), or the cap distance. A
+    swap offer gets :func:`battery_swap_plan`'s plan, and an unbounded
+    battery :func:`optimal_distance`'s.
+    """
+    return _plan_one(cfg, task, offer, geom, task.battery_headroom)
+
+
+def battery_swap_plan(
+    cfg: PlannerConfig, task: UavTask, offer: VehicleOffer, geom: PairGeometry
+) -> HitchPlan:
+    """Plan for a vehicle that swaps in a fresh battery (gamma = inf).
+
+    Any vehicle is worth meeting for the swap. Afterwards the full battery
+    makes further riding a ride-only decision: continue to the ride-only
+    optimum if the direction qualifies, otherwise depart immediately.
+    """
+    if not math.isinf(offer.gamma):
+        raise ValueError("battery_swap_plan requires a battery-swap offer (gamma == inf)")
+    return _plan_one(cfg, task, offer, geom, math.inf)
+
+
+def plan_pair(
+    cfg: PlannerConfig,
+    task: UavTask,
+    offer: VehicleOffer,
+    geom: PairGeometry,
+    limited: bool = False,
+) -> HitchPlan:
+    """The plan of one pair under the battery model: the task's headroom
+    when ``limited``, else an unbounded battery."""
+    headroom = task.battery_headroom if limited else math.inf
+    return _plan_one(cfg, task, offer, geom, headroom)
+
+
 def select_vehicle(
     cfg: PlannerConfig,
     task: UavTask,
@@ -721,6 +661,17 @@ def select_vehicle(
     """
     if not offers:
         raise ValueError("select_vehicle needs at least one offer")
-    plans = [plan_pair(cfg, task, offer, geom, limited) for offer, geom in offers]
-    best = min(range(len(plans)), key=lambda i: plans[i].consumption)
-    return best, plans[best]
+    arrays = plan_matrix(
+        cfg,
+        task.x,
+        task.u,
+        [offer.v for offer, _ in offers],
+        [offer.gamma for offer, _ in offers],
+        [geom.theta for _, geom in offers],
+        task.deadline,
+        task.battery_headroom if limited else math.inf,
+    )
+    if arrays.unbounded.any():
+        raise UnboundedHitchError(UNBOUNDED_MESSAGE)
+    best = int(np.argmin(arrays.consumption))  # the first minimum, as min() picks
+    return best, arrays.plan(best)

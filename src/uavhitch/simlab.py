@@ -17,8 +17,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .matching import build_saving_matrix, greedy_match, msa_match, theta_array
-from .model import PairGeometry, PlannerConfig, UavTask, VehicleOffer
-from .planner import optimal_distance_limited
+from .model import PairGeometry, PlannerConfig, UavTask, UnboundedHitchError, VehicleOffer
+from .planner import UNBOUNDED_MESSAGE, plan_matrix
 
 __all__ = [
     "GeneratorParams",
@@ -326,11 +326,14 @@ def sweep_curves(kind: str, **grid) -> tuple[list[str], list[tuple]]:
     Kinds: ``speed`` (optimal consumption vs vehicle speed), ``gamma``
     (vs charging rate), ``surface`` (vs speed and rate, speed outer),
     ``battery`` (optimal riding distance vs battery headroom ``delta_e``,
-    planned at exactly that headroom). Every point is planned by
-    :func:`~uavhitch.planner.optimal_distance_limited`, which caps the charge
-    only on a finite battery; ``gamma = inf`` gives swap plans. ``deadline``
-    (default unbounded) and ``tol`` apply to every kind; grids that reach the
-    always-eligible charging regime need a bounded ``deadline``. Axis bounds
+    planned at exactly that headroom). The whole grid is one
+    :func:`~uavhitch.planner.plan_matrix` call at each point's battery
+    headroom, so every point gets the plan
+    :func:`~uavhitch.planner.optimal_distance_limited` gives it: the charge
+    is capped only on a finite battery, and ``gamma = inf`` gives swap
+    plans. ``deadline`` (default unbounded) and ``tol`` apply to every kind;
+    grids that reach the always-eligible charging regime need a bounded
+    ``deadline``, and the error names the first such point. Axis bounds
     must be finite.
     """
     for name in ("points", "v_points", "gamma_points"):
@@ -353,10 +356,28 @@ def sweep_curves(kind: str, **grid) -> tuple[list[str], list[tuple]]:
     cfg = PlannerConfig(omega=params["omega"], tol=params["tol"])
     columns = [column for column, _, _, _ in axes]
     values = [_linspace(params[lo], params[hi], params[n]) for _, lo, hi, n in axes]
-    rows = []
-    for point in itertools.product(*values):
+    points = list(itertools.product(*values))
+    # plan_matrix's inputs, one row per point up to the first invalid one:
+    # the points before it are planned, so the sweep fails on its first bad
+    # point in row order, whether that point is invalid or unbounded.
+    inputs, invalid = [], None
+    for point in points:
         p = {**params, **dict(zip(columns, point))}
-        task, offer = _sweep_task(p), VehicleOffer(v=p["v"], gamma=p["gamma"])
-        plan = optimal_distance_limited(cfg, task, offer, PairGeometry(p["theta"]))
-        rows.append((*point, getattr(plan, field)))
-    return [*columns, "value"], rows
+        try:
+            task, offer = _sweep_task(p), VehicleOffer(v=p["v"], gamma=p["gamma"])
+            geom = PairGeometry(p["theta"])
+        except ValueError as exc:
+            invalid = exc
+            break
+        inputs.append((task.x, task.u, offer.v, offer.gamma, geom.theta, task.deadline,
+                       task.battery_headroom))
+    arrays = plan_matrix(cfg, *np.array(inputs, dtype=np.float64).reshape(-1, 7).T)
+    flagged = arrays.unbounded.nonzero()[0]
+    if flagged.size:
+        at = ", ".join(f"{c}={x}" for c, x in zip(columns, points[flagged[0]]))
+        raise UnboundedHitchError(f"{at}: {UNBOUNDED_MESSAGE}")
+    if invalid is not None:
+        raise invalid
+    return [*columns, "value"], [
+        (*point, value) for point, value in zip(points, getattr(arrays, field).tolist())
+    ]

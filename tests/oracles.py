@@ -1,11 +1,19 @@
 """Independent numeric oracles used by the test suite.
 
-Nothing here goes through the closed-form planner paths: the consumption
-minimizer is a dense grid plus golden-section refinement, and the deadline
-inverse is a bisection that decides T(y) <= D exactly, in rational
-arithmetic. Both only rely on direct evaluation of the model formulas. ``scalar_msa_match`` keeps the
-element-by-element form of the primal-dual matcher, which the vectorized
-``msa_match`` must reproduce bit for bit.
+The numeric oracles go through no closed-form planner path: the
+consumption minimizer is a dense grid plus golden-section refinement, and
+the deadline inverse is a bisection that decides T(y) <= D exactly, in
+rational arithmetic. Both only rely on direct evaluation of the model
+formulas.
+
+Two scalar references keep the element-by-element form of a vectorized
+path, which must reproduce them bit for bit. ``scalar_plan_pair`` is the
+decision chain of one pair (eligibility, deadline distance, closed-form
+candidates, battery cap, swap), one Python call per pair, that
+``planner.plan_matrix`` transcribes; it uses the planner's scalar closed
+forms (``eligibility``, ``max_hitch_distance``, ``_evaluate``) and never
+``plan_matrix``. ``scalar_msa_match`` is the primal-dual matcher that
+``msa_match`` vectorizes.
 """
 
 from __future__ import annotations
@@ -17,7 +25,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from uavhitch import PairGeometry, PlannerConfig, UavTask, VehicleOffer
+from uavhitch import (
+    Binding,
+    Eligibility,
+    EligibilityReason,
+    HitchPlan,
+    PairGeometry,
+    PlannerConfig,
+    UavTask,
+    UnboundedHitchError,
+    VehicleOffer,
+    eligibility,
+    max_hitch_distance,
+)
+from uavhitch.planner import UNBOUNDED_MESSAGE, _evaluate
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -266,6 +287,179 @@ def _moderate_gamma(rng: random.Random, omega: float, u: float, v: float) -> flo
     else:
         hi = 2.0
     return rng.uniform(0.0, min(hi, 2.0))
+
+
+def scalar_eligibility(
+    cfg: PlannerConfig, task: UavTask, offer: VehicleOffer, geom: PairGeometry, gamma: float
+) -> Eligibility:
+    """:func:`eligibility` at charging rate ``gamma`` instead of the offer's."""
+    omega, tol = cfg.omega, cfg.tol
+    u, v = task.u, offer.v
+    # With omega = 0 the charging term never enters the objective, so an
+    # infinite rate contributes nothing; otherwise inf * omega = inf.
+    weighted_rate = omega * gamma if math.isfinite(gamma) else (math.inf if omega > 0.0 else 0.0)
+
+    # Precondition (threshold angle would be <= 0): omega*gamma <= 1 - omega - v/u.
+    if weighted_rate <= 1.0 - omega - v / u + tol:
+        reason = (
+            EligibilityReason.SPEED_TOO_LOW
+            if gamma == 0.0
+            else EligibilityReason.CHARGE_TOO_LOW
+        )
+        return Eligibility(False, reason, None)
+
+    # Always-eligible regime: omega*gamma >= 1 - omega + v/u.
+    if weighted_rate >= 1.0 - omega + v / u:
+        return Eligibility(True, EligibilityReason.ELIGIBLE, math.pi)
+
+    cos_phi = (1.0 - omega - weighted_rate) * u / v
+    phi = math.acos(min(1.0, max(-1.0, cos_phi)))
+    if geom.theta < phi - tol:
+        return Eligibility(True, EligibilityReason.ELIGIBLE, phi)
+    return Eligibility(False, EligibilityReason.ANGLE_TOO_WIDE, phi)
+
+
+def scalar_deadline_cap(task: UavTask, offer: VehicleOffer, geom: PairGeometry) -> float:
+    return math.inf if math.isinf(task.deadline) else max_hitch_distance(task, offer, geom)
+
+
+def scalar_no_hitch_plan(task: UavTask, swap: bool = False) -> HitchPlan:
+    base = task.direct_time
+    return HitchPlan(0.0, base, base, base, 0.0, Binding.NO_HITCH, swap)
+
+
+def scalar_finish_plan(
+    cfg: PlannerConfig,
+    task: UavTask,
+    offer: VehicleOffer,
+    geom: PairGeometry,
+    y: float,
+    binding: Binding,
+    headroom: float | None,
+) -> HitchPlan:
+    if y <= 0.0:
+        return scalar_no_hitch_plan(task)
+    t, e, c = _evaluate(task, offer, geom, y, headroom, cfg.omega)
+    saving = task.direct_time - c
+    if saving <= 0.0:
+        # The capped plan never beats the baseline for an eligible vehicle;
+        # guard against rounding right at the boundary.
+        return scalar_no_hitch_plan(task)
+    return HitchPlan(y, t, e, c, saving, binding)
+
+
+def scalar_eligible_plan(
+    cfg: PlannerConfig,
+    task: UavTask,
+    offer: VehicleOffer,
+    geom: PairGeometry,
+    phi: float,
+    y_deadline: float,
+    headroom: float | None = None,
+) -> HitchPlan:
+    """Plan for an offer eligible at threshold angle phi, capped at y_deadline."""
+    if phi < math.pi:
+        y_interior = task.x * math.sin(phi - geom.theta) / math.sin(phi)
+        if y_interior <= y_deadline:
+            return scalar_finish_plan(
+                cfg, task, offer, geom, y_interior, Binding.INTERIOR, headroom
+            )
+    elif math.isinf(y_deadline):
+        raise UnboundedHitchError(UNBOUNDED_MESSAGE)
+    return scalar_finish_plan(cfg, task, offer, geom, y_deadline, Binding.DEADLINE, headroom)
+
+
+def scalar_optimal_distance(
+    cfg: PlannerConfig, task: UavTask, offer: VehicleOffer, geom: PairGeometry
+) -> HitchPlan:
+    """Best riding distance with an unbounded battery.
+
+    For an eligible vehicle the convex objective has the stationary point
+    y = x*sin(phi - theta)/sin(phi), capped by the deadline. In the
+    always-eligible regime (phi = pi) only the deadline stops the ride, so
+    an unbounded deadline is an error there.
+    """
+    elig = eligibility(cfg, task, offer, geom)
+    if not elig.eligible:
+        return scalar_no_hitch_plan(task)
+    y_deadline = scalar_deadline_cap(task, offer, geom)
+    return scalar_eligible_plan(cfg, task, offer, geom, elig.threshold_angle, y_deadline)
+
+
+def scalar_optimal_distance_limited(
+    cfg: PlannerConfig, task: UavTask, offer: VehicleOffer, geom: PairGeometry
+) -> HitchPlan:
+    """Best riding distance when the battery can only absorb so much charge.
+
+    Once the battery is full, continued riding behaves like a ride-only
+    vehicle, so the optimum is one of three candidates, each capped by the
+    deadline distance: the unbounded-battery optimum (cap never reached),
+    the ride-only optimum (cap reached before it), or the cap distance.
+    """
+    if math.isinf(offer.gamma):
+        # Instant charge is a battery swap; that plan owns the accounting.
+        return scalar_battery_swap_plan(cfg, task, offer, geom)
+    headroom = task.battery_headroom
+    if offer.gamma == 0.0 or math.isinf(headroom):
+        return scalar_optimal_distance(cfg, task, offer, geom)
+
+    elig = eligibility(cfg, task, offer, geom)
+    if not elig.eligible:
+        return scalar_no_hitch_plan(task)
+    y_deadline = scalar_deadline_cap(task, offer, geom)
+    y_cap = headroom * offer.v / offer.gamma
+
+    ride = scalar_eligibility(cfg, task, offer, geom, 0.0)
+    if ride.eligible:
+        ho_plan = scalar_eligible_plan(
+            cfg, task, offer, geom, ride.threshold_angle, y_deadline, 0.0
+        )
+        if y_cap <= ho_plan.y_star:
+            # Fully charged before the ride-only optimum: keep riding to it.
+            return scalar_finish_plan(
+                cfg, task, offer, geom, ho_plan.y_star, ho_plan.binding, headroom
+            )
+    elif y_cap <= 0.0:
+        return scalar_no_hitch_plan(task)  # a full battery, and riding alone does not pay
+
+    if elig.threshold_angle < math.pi or math.isfinite(y_deadline):
+        full = scalar_eligible_plan(cfg, task, offer, geom, elig.threshold_angle, y_deadline)
+        if y_cap >= full.y_star:
+            return full
+    # Full before the unbounded-battery optimum (never past the deadline
+    # distance, and absent at phi = pi without a deadline): ride to the cap.
+    return scalar_finish_plan(cfg, task, offer, geom, y_cap, Binding.BATTERY_FULL, headroom)
+
+
+def scalar_battery_swap_plan(
+    cfg: PlannerConfig, task: UavTask, offer: VehicleOffer, geom: PairGeometry
+) -> HitchPlan:
+    """Plan for a vehicle that swaps in a fresh battery (gamma = inf).
+
+    Any vehicle is worth meeting for the swap. Afterwards the full battery
+    makes further riding a ride-only decision: continue to the ride-only
+    optimum if the direction qualifies, otherwise depart immediately.
+    """
+    if not math.isinf(offer.gamma):
+        raise ValueError("battery_swap_plan requires a battery-swap offer (gamma == inf)")
+    elig = scalar_eligibility(cfg, task, offer, geom, 0.0)
+    if not elig.eligible:
+        return scalar_no_hitch_plan(task, swap=True)
+    y_deadline = scalar_deadline_cap(task, offer, geom)
+    return scalar_eligible_plan(cfg, task, offer, geom, elig.threshold_angle, y_deadline, 0.0)
+
+
+def scalar_plan_pair(
+    cfg: PlannerConfig,
+    task: UavTask,
+    offer: VehicleOffer,
+    geom: PairGeometry,
+    limited: bool = False,
+) -> HitchPlan:
+    """Dispatch to the plan matching the offer and battery model."""
+    if limited or math.isinf(offer.gamma):
+        return scalar_optimal_distance_limited(cfg, task, offer, geom)
+    return scalar_optimal_distance(cfg, task, offer, geom)
 
 
 def scalar_msa_match(m) -> tuple:

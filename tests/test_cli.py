@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from uavhitch.cli import main
+from uavhitch.planner import UNBOUNDED_MESSAGE
 from uavhitch.scenario_io import load_scenario
 
 
@@ -281,6 +282,25 @@ def test_sweep_invalid_range_exit_2(capsys):
     assert "deadline" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "options, point",
+    [
+        (["--kind", "gamma", "--omega", "0.8", "--gamma-max", "5"], "gamma=0.875"),
+        (["--kind", "surface", "--gamma-max", "5"], "v=20.0, gamma=0.7000000000000001"),
+        # Descending: the negative rates after the first point are invalid,
+        # but the sweep fails on its first bad point.
+        (["--kind", "gamma", "--omega", "0.8", "--gamma-min", "5", "--gamma-max", "-1"],
+         "gamma=5.0"),
+    ],
+    ids=["gamma", "surface", "descending"],
+)
+def test_sweep_names_the_first_point_with_no_finite_optimum(capsys, options, point):
+    # The first point in row order at which omega*gamma >= 1 - omega + v/u,
+    # where consumption keeps falling with the riding distance.
+    assert main(["sweep", *options]) == 2
+    assert capsys.readouterr().err == f"error: {point}: {UNBOUNDED_MESSAGE}\n"
+
+
 def test_sweep_swap_vehicle_matches_plan(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--kind", "speed", "--gamma", "inf", "--points", "3",
@@ -404,6 +424,8 @@ def test_seed_env_default(tmp_path, monkeypatch):
         (None, ["--seed", "-3"], "argument --seed: must be an integer >= 0, got '-3'"),
         (None, ["--seed", "abc"], "argument --seed: must be an integer >= 0, got 'abc'"),
         (None, ["--uavs", "5,x"], "argument --uavs: must be comma-separated integers, got '5,x'"),
+        (None, ["--uavs", "-5"], "argument --uavs: counts must be >= 0, got '-5'"),
+        (None, ["--vehicles", "-1"], "argument --vehicles: must be an integer >= 0, got '-1'"),
     ],
 )
 def test_simulate_names_bad_seed_or_count(tmp_path, monkeypatch, capsys, env, flags, message):

@@ -1,12 +1,13 @@
-"""Differential tests of the array planner against the scalar one.
+"""Differential tests of the array planner against the scalar reference.
 
-``plan_matrix`` and the saving-matrix build must give the same bits as
-``plan_pair`` on every pair: every plan field (saving, y*, T, E, C,
-binding, swap flag) is compared through ``repr``, which prints a float's
-shortest round-trip form, so any change of a bit shows. The array planner
-covers every branch (deadlines, finite batteries under the limited model,
-swaps), so the build never calls ``plan_pair``: it names the first pair
-with no finite optimum from ``plan_matrix``'s flags.
+``plan_matrix``, the saving-matrix build and every one-pair entry must give
+the same bits as ``oracles.scalar_plan_pair`` (the scalar decision chain,
+which never calls ``plan_matrix``) on every pair: every plan field (saving,
+y*, T, E, C, binding, swap flag) is compared through ``repr``, which prints
+a float's shortest round-trip form, so any change of a bit shows. The
+array planner covers every branch (deadlines, finite batteries under the
+limited model, swaps), so the build never calls ``plan_pair``: it names
+the first pair with no finite optimum from ``plan_matrix``'s flags.
 """
 
 import json
@@ -16,7 +17,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import random_instance
+from oracles import (
+    random_instance,
+    scalar_battery_swap_plan,
+    scalar_optimal_distance,
+    scalar_optimal_distance_limited,
+    scalar_plan_pair,
+)
 from test_output_bytes import write_boundary_scenario, write_mixed_scenario
 
 import uavhitch.matching as matching
@@ -29,13 +36,17 @@ from uavhitch import (
     UavTask,
     UnboundedHitchError,
     VehicleOffer,
+    battery_swap_plan,
     brute_force_match,
     build_saving_matrix,
     generate_scenario,
     greedy_match,
     msa_match,
+    optimal_distance,
+    optimal_distance_limited,
     plan_matrix,
     plan_pair,
+    select_vehicle,
 )
 from uavhitch.cli import main
 from uavhitch.scenario_io import load_scenario, save_scenario
@@ -46,13 +57,14 @@ GAMMAS = {"drawn": None, "zero": 0.0, "swap": math.inf}
 
 
 def reference(cfg, tasks, offers, theta, limited):
-    """plan_pair's repr of every pair, or its UnboundedHitchError message."""
+    """The scalar reference's repr of every pair, or its
+    UnboundedHitchError message."""
     out = []
     for task, row in zip(tasks, np.asarray(theta).tolist()):
         line = []
         for offer, t in zip(offers, row):
             try:
-                line.append(repr(plan_pair(cfg, task, offer, PairGeometry(t), limited)))
+                line.append(repr(scalar_plan_pair(cfg, task, offer, PairGeometry(t), limited)))
             except UnboundedHitchError as exc:
                 line.append(exc)
         out.append(line)
@@ -76,7 +88,7 @@ def test_matching_has_no_plan_pair():
 
 
 def assert_build_matches(cfg, tasks, offers, theta, limited) -> bool:
-    """Check build_saving_matrix against plan_pair; True if it built."""
+    """Check build_saving_matrix against the reference; True if it built."""
     ref = reference(cfg, tasks, offers, theta, limited)
     bad = [(i, j) for i, line in enumerate(ref) for j, r in enumerate(line)
            if isinstance(r, Exception)]
@@ -98,8 +110,8 @@ def assert_build_matches(cfg, tasks, offers, theta, limited) -> bool:
 
 
 def assert_kernel_matches(cfg, x, u, v, gamma, theta) -> None:
-    """Check plan_matrix on an I x J grid against plan_pair with no deadline
-    and an unbounded battery."""
+    """Check plan_matrix on an I x J grid against the reference with no
+    deadline and an unbounded battery."""
     tasks = [UavTask(float(a), float(b)) for a, b in zip(x, u)]
     offers = [VehicleOffer(float(a), float(b)) for a, b in zip(v, gamma)]
     assert_plan_matrix_matches(cfg, tasks, offers, theta, False)
@@ -107,7 +119,7 @@ def assert_kernel_matches(cfg, x, u, v, gamma, theta) -> None:
 
 def assert_plan_matrix_matches(cfg, tasks, offers, theta, limited) -> None:
     """Check plan_matrix, with per-UAV deadlines, on an I x J grid against
-    plan_pair: every field of every pair, and which pairs have no finite
+    the reference: every field of every pair, and which pairs have no finite
     optimum. The limited model is each task's battery headroom, the
     unbounded one an infinite headroom."""
     theta = np.asarray(theta, dtype=np.float64)
@@ -128,6 +140,64 @@ def assert_plan_matrix_matches(cfg, tasks, offers, theta, limited) -> None:
             assert arrays.unbounded[i, j] == isinstance(want, Exception), (i, j)
             if not arrays.unbounded[i, j]:
                 assert repr(arrays.plan((i, j))) == want, (i, j)
+
+
+def outcome(entry, *args) -> object:
+    """repr of what an entry returns, or the type and message it raised."""
+    try:
+        return repr(entry(*args))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def scalar_select_vehicle(cfg, task, offers, limited):
+    """select_vehicle's rule on the reference's plans: the lowest
+    consumption, the lowest offer index on a tie."""
+    plans = [scalar_plan_pair(cfg, task, offer, geom, limited) for offer, geom in offers]
+    best = min(range(len(plans)), key=lambda i: plans[i].consumption)
+    return best, plans[best]
+
+
+def assert_entries_match(cfg, task, offer, geom, limited) -> None:
+    """Check the one-pair entries of the battery model against the
+    reference: the plan, or the exception's type and message."""
+    args = (cfg, task, offer, geom)
+    assert outcome(plan_pair, *args, limited) == outcome(scalar_plan_pair, *args, limited)
+    assert outcome(battery_swap_plan, *args) == outcome(scalar_battery_swap_plan, *args)
+    if limited:
+        want = outcome(scalar_optimal_distance_limited, *args)
+        assert outcome(optimal_distance_limited, *args) == want
+    elif math.isfinite(offer.gamma):  # a swap offer is rejected, see test_plans.py
+        assert outcome(optimal_distance, *args) == outcome(scalar_optimal_distance, *args)
+
+
+def assert_selection_matches(cfg, task, offers, limited) -> None:
+    """Check select_vehicle against the reference's rule, with the offers'
+    swap versions and a copy of the first offer (an exact tie) added."""
+    swaps = [(replace(offer, gamma=math.inf), geom) for offer, geom in offers]
+    offers = [*offers, *swaps, offers[0]]
+    args = (cfg, task, offers, limited)
+    assert outcome(select_vehicle, *args) == outcome(scalar_select_vehicle, *args)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_scalar_reference_never_calls_the_kernel(regime, monkeypatch):
+    def kernel(*args, **kwargs):
+        raise AssertionError("the reference called plan_matrix")
+
+    monkeypatch.setattr(planner, "plan_matrix", kernel)
+    with pytest.raises(AssertionError, match="the reference called plan_matrix"):
+        plan_pair(PlannerConfig(), UavTask(5.0, 60.0), VehicleOffer(40.0), PairGeometry(0.1))
+    rng = random.Random(f"reference-{regime}")
+    for _ in range(200):
+        cfg, task, offer, geom, limited = random_instance(rng, regime)
+        for gamma in GAMMAS.values():
+            drawn = offer if gamma is None else replace(offer, gamma=gamma)
+            for model in (False, True):
+                try:
+                    scalar_plan_pair(cfg, task, drawn, geom, model)
+                except UnboundedHitchError:
+                    pass
 
 
 @pytest.mark.parametrize("regime", REGIMES)
@@ -154,6 +224,8 @@ def test_plan_matrix_matches_plan_pair_on_random_instances(regime, gamma, limite
         if GAMMAS[gamma] is not None:
             offer = replace(offer, gamma=GAMMAS[gamma])
         assert_plan_matrix_matches(cfg, [task], [offer], [[geom.theta]], limited)
+        assert_entries_match(cfg, task, offer, geom, limited)
+        assert_selection_matches(cfg, task, [(offer, geom)], limited)
 
 
 @pytest.mark.parametrize("regime", REGIMES)
@@ -175,6 +247,9 @@ def test_crossed_random_instances_match_plan_pair(regime, monkeypatch):
         built += assert_build_matches(cfg, tasks, offers, theta, limited)
         assert calls[0] == 0
         assert_plan_matrix_matches(cfg, tasks, offers, theta, limited)
+        for task, row in zip(tasks, theta):
+            pairs = [(offer, PairGeometry(t)) for offer, t in zip(offers, row)]
+            assert_selection_matches(cfg, task, pairs, limited)
     assert built > 0
 
 
@@ -306,7 +381,7 @@ def test_build_and_match_make_no_plan_pair_call_on_kernel_pairs(monkeypatch):
     assert calls[0] == 0
     for i, j, plan in plans:
         geom = PairGeometry(float(s.geoms[i, j]))
-        assert repr(plan) == repr(plan_pair(s.config, s.tasks[i], s.offers[j], geom))
+        assert repr(plan) == repr(scalar_plan_pair(s.config, s.tasks[i], s.offers[j], geom))
 
 
 def count_pair_geometries(monkeypatch) -> list[int]:
@@ -532,6 +607,8 @@ def test_plan_matrix_broadcasts_and_plans_swaps():
     arrays = plan_matrix(cfg, 5.0, 60.0, 40.0, math.inf, np.array([0.2, 2.0]))
     for limited in (False, True):
         for k, theta in enumerate((0.2, 2.0)):
-            want = plan_pair(cfg, task, VehicleOffer(40.0, math.inf), PairGeometry(theta), limited)
+            want = scalar_plan_pair(
+                cfg, task, VehicleOffer(40.0, math.inf), PairGeometry(theta), limited
+            )
             assert repr(arrays.plan(k)) == repr(want)
     assert arrays.swap.tolist() == [False, True]  # departs at once on the wide angle

@@ -251,6 +251,27 @@ def test_swap_departs_immediately_on_wide_angle():
         assert plan.binding is Binding.NO_HITCH
 
 
+@pytest.mark.parametrize(
+    "omega, deadline",
+    [(0.0, math.inf), (0.8, math.inf), (0.8, 0.3)],
+    ids=["time-only", "no-deadline", "deadline"],
+)
+def test_optimal_distance_rejects_a_swap_offer(omega, deadline):
+    # Without the check these answered three ways: a no-hitch plan, an
+    # UnboundedHitchError and an undefined-energy error.
+    task = UavTask(x=10, u=60, deadline=deadline)
+    offer, geom = VehicleOffer(v=40, gamma=math.inf), PairGeometry(0.5)
+    with pytest.raises(ValueError) as info:
+        optimal_distance(PlannerConfig(omega=omega), task, offer, geom)
+    assert type(info.value) is ValueError
+    assert str(info.value) == (
+        "optimal_distance cannot plan a battery-swap offer (gamma = inf); "
+        "use battery_swap_plan or optimal_distance_limited"
+    )
+    swap = battery_swap_plan(PlannerConfig(omega=omega), task, offer, geom)
+    assert optimal_distance_limited(PlannerConfig(omega=omega), task, offer, geom) == swap
+
+
 def test_swap_requires_infinite_rate():
     with pytest.raises(ValueError):
         battery_swap_plan(CFG, TASK, VehicleOffer(v=40, gamma=2.0), PairGeometry(0.5))

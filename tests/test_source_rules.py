@@ -1,10 +1,13 @@
-"""Rules on the package source that keep results identical across Python
-versions.
+"""Rules on the package source.
 
 The builtin ``sum`` adds floats with compensated summation from Python 3.12
 on, so a float total could differ in its last bits between interpreters and
 move same-seed CSV bytes. The package adds floats left to right instead
-(``simlab._sum_in_order``); this test fails on any call to the builtin.
+(``simlab._sum_in_order``); one test fails on any call to the builtin.
+
+Every plan comes from ``planner.plan_matrix``, so a ``HitchPlan`` is built
+in one place only, ``PlanArrays.plan``; another test fails on any other
+construction, which would be a second planning path.
 """
 
 import ast
@@ -31,3 +34,30 @@ def test_package_source_calls_no_builtin_sum():
     assert modules
     calls = [site for path in modules for site in builtin_sum_calls(path)]
     assert not calls, f"builtin sum() called at {calls}"
+
+
+def hitch_plan_builders(path: pathlib.Path) -> list[str]:
+    """``file:Class.function`` of every ``HitchPlan(...)`` call in a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "HitchPlan":
+                    found.append(f"{path.name}:{'.'.join(scope)}")
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_hitch_plans_are_built_only_by_plan_arrays():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    builders = [site for path in modules for site in hitch_plan_builders(path)]
+    assert builders == ["planner.py:PlanArrays.plan"]
