@@ -1,32 +1,25 @@
 """Fleet-level assignment of UAVs to vehicles.
 
 Builds the matrix of per-pair savings (baseline consumption minus the best
-hitching consumption) and solves the maximum-weight bipartite matching with
-a primal-dual method: per-UAV potentials ``p`` start at each row's best
-saving, per-vehicle potentials ``q`` at zero, and alternating trees over
-tight edges (p_i + q_j = w_ij) are grown until every UAV is either matched
-or has p_i = 0. The final potentials certify optimality.
+hitching consumption) in one ``planner.plan_matrix`` call, naming the
+first pair with no finite optimum from its flags, and solves the
+maximum-saving assignment, vehicle j seating at most min(capacity_j, I)
+UAVs, with a primal-dual method: per-UAV potentials ``p`` start at each
+row's best saving, per-vehicle potentials ``q`` at zero, and alternating
+trees over tight edges (p_i + q_j = w_ij) are grown, one column and one
+seat count per vehicle, until every UAV is either matched or has p_i = 0.
+The final potentials certify optimality. Every scan over the vehicles is
+one numpy vector operation; where every vehicle has one seat, each
+applies the floating-point operations of the element-by-element loop
+over expanded columns that ``tests/oracles.py`` keeps as the reference,
+in the same order, so the potentials and matching are exactly its own.
 
-The build plans every pair in one ``planner.plan_matrix`` call, the one
-planner, with no Python loop over pairs, and names the first pair with
-no finite optimum from that call's flags. The saving
-matrix holds one saving per UAV-vehicle pair, as a float64 array checked
-once when the matrix is made, and each vehicle's capacity. From them it
-derives the capacity-expanded view: a vehicle seating more than one UAV
-fills that many identical columns, at most one per UAV (the solvers fill
-a vehicle's columns lowest index first, so further seats would stay
-empty). The primal-dual and greedy solvers and the certificate read the
-expanded weights, the exhaustive search the per-vehicle savings and seat
-counts: a solver returns the matching and its total saving, not plans. The
-matrix's plans are a :class:`PlanGrid` that copies nothing per column and
-builds a pair's ``HitchPlan`` from the arrays only when it is read, which
-``uavhitch match`` does for the pairs it prints.
-
-Every scan over the columns is a numpy vector operation; in the
-primal-dual solver each applies the same floating-point operations, in
-the same order, as an element-by-element loop, so the potentials and the
-matching are exactly those of that loop (``tests/oracles.py`` keeps it as
-the reference).
+Results are reported in the capacity-expanded view the matrix derives: a
+vehicle fills one identical column per seat, ``q`` repeats over them, and
+a vehicle's riders take them lowest first, in UAV order. The certificate
+and the plans read that view. The plans are a :class:`PlanGrid` that
+builds a pair's ``HitchPlan`` only when it is read, as ``uavhitch match``
+does for the pairs it prints.
 
 A greedy baseline and an exhaustive oracle are included for comparison.
 """
@@ -34,6 +27,7 @@ A greedy baseline and an exhaustive oracle are included for comparison.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -99,16 +93,17 @@ def theta_array(theta, n_uavs: int, n_vehicles: int) -> np.ndarray:
 @dataclass
 class SavingMatrix:
     """Savings and plans of every UAV-vehicle pair, with each vehicle's
-    capacity, and the capacity-expanded view the solvers read.
+    capacity, its seats and the capacity-expanded view of the results.
 
     ``saving[i, j]`` is the consumption saving of UAV ``i`` riding vehicle
-    ``j``, which seats ``capacity[j]`` UAVs. The expanded view is derived
-    here and nowhere else: vehicle ``j`` fills min(capacity[j], n_uavs)
-    columns, lowest vehicle first; ``column_origin[c]`` maps column ``c``
-    back to its vehicle, ``n_vehicles`` counts the columns, and
-    ``weights[:, c]`` is ``saving[:, column_origin[c]]`` (``weights`` is
-    ``saving`` itself when every vehicle has one column). ``plans[i][c]``
-    is the plan of UAV ``i`` on column ``c``.
+    ``j``, which seats ``capacity[j]`` UAVs; ``seats[j]`` is
+    min(capacity[j], n_uavs), since further seats would stay empty. The
+    expanded view is derived here and nowhere else: vehicle ``j`` fills
+    ``seats[j]`` columns, lowest vehicle first; ``column_origin[c]`` maps
+    column ``c`` back to its vehicle, ``n_vehicles`` counts the columns,
+    and ``weights[:, c]`` is ``saving[:, column_origin[c]]`` (``saving``
+    itself when every vehicle has one column). ``plans[i][c]`` is the plan
+    of UAV ``i`` on column ``c``.
 
     ``saving`` may be given as any nested sequence; it is stored as a
     float64 array with one column per vehicle. A wrong shape, a capacity
@@ -124,6 +119,7 @@ class SavingMatrix:
     n_vehicles: int = field(init=False)
     weights: np.ndarray = field(init=False)
     column_origin: list[int] = field(init=False)
+    seats: list[int] = field(init=False)
 
     def __post_init__(self) -> None:
         shape = (len(self.saving), len(self.capacity))
@@ -140,16 +136,16 @@ class SavingMatrix:
         self.saving = s
         self.capacity = [int(c) for c in self.capacity]
         self.n_uavs = shape[0]
-        self.column_origin = [
-            j for j, c in enumerate(self.capacity) for _ in range(min(c, self.n_uavs))
-        ]
+        self.seats = [min(c, self.n_uavs) for c in self.capacity]
+        self.column_origin = [j for j, c in enumerate(self.seats) for _ in range(c)]
         self.n_vehicles = len(self.column_origin)
         self.weights = s if self.n_vehicles == shape[1] else s[:, self.column_origin]
 
 
 @dataclass
 class DualState:
-    """Final potentials of the primal-dual solver."""
+    """Final potentials of the primal-dual solver, in the expanded view:
+    ``q`` holds each vehicle's potential once per column."""
 
     p: list[float]
     q: list[float]
@@ -160,10 +156,11 @@ class MatchResult:
     """An assignment of UAVs to vehicles with its total saving.
 
     ``assignment`` maps UAV index to original vehicle index, in UAV order;
-    ``matched_columns`` maps it to the expanded column, which the dual
-    certificate reads and which indexes ``SavingMatrix.plans`` for a
-    matched pair's plan. ``iterations`` counts augmentation rounds of the
-    primal-dual loop (zero for the other solvers).
+    ``matched_columns`` maps it to an expanded column, a vehicle's riders
+    taking its columns lowest first, in UAV order. The dual certificate
+    reads it, and it indexes ``SavingMatrix.plans`` for a matched pair's
+    plan. ``iterations`` counts augmentation rounds of the primal-dual
+    loop (zero for the other solvers).
     """
 
     assignment: dict[int, int]
@@ -241,67 +238,58 @@ def build_saving_matrix(
 
 
 def _collect_result(
-    m: SavingMatrix,
-    match_row: list[int],
-    duals: DualState | None = None,
-    iterations: int = 0,
+    m: SavingMatrix, match_row: list[int], duals: DualState | None = None, iterations: int = 0
 ) -> MatchResult:
-    assignment: dict[int, int] = {}
-    matched_columns: dict[int, int] = {}
-    total = 0.0
-    for i in range(m.n_uavs):
-        j = match_row[i]
-        if j < 0 or m.weights[i, j] <= m.tol:
-            continue
-        assignment[i] = m.column_origin[j]
-        matched_columns[i] = j
-        total += float(m.weights[i, j])
-    return MatchResult(
-        assignment=assignment,
-        total_saving=total,
-        matched_columns=matched_columns,
-        duals=duals,
-        iterations=iterations,
-    )
+    """The result of ``match_row``, each UAV's vehicle or -1. A vehicle's
+    riders take its expanded columns lowest first, in UAV order."""
+    next_col = list(itertools.accumulate(m.seats, initial=0))
+    r = MatchResult({}, 0.0, duals=duals, iterations=iterations)
+    for i, j in enumerate(match_row):
+        if j >= 0 and m.saving[i, j] > m.tol:
+            r.assignment[i] = j
+            r.matched_columns[i] = next_col[j]
+            next_col[j] += 1
+            r.total_saving += float(m.saving[i, j])
+    return r
 
 
 def msa_match(m: SavingMatrix) -> MatchResult:
-    """Maximum-saving matching via the primal-dual tree-growing loop.
+    """Maximum-saving matching via the primal-dual tree-growing loop, on
+    one column per vehicle with its seat count.
 
     Zero-saving edges are never traversed: a UAV whose best saving is zero
     keeps p_i = 0 and simply flies direct. Each round roots a tree at an
     unmatched UAV, lowers p on reached UAVs and raises q on reached
-    vehicles by the minimum positive slack until either an augmenting path
-    appears or some reached UAV's potential hits zero and that UAV drops
-    out of the matching.
+    vehicles by the minimum positive slack. Reaching a vehicle with a free
+    seat ends the tree with an augmentation; reaching a full one adds all
+    of its riders to the tree. If a reached UAV's potential hits zero
+    first, it drops out, freeing a seat, and the path back to the root is
+    flipped. No vehicle ever loses a rider, so one with a free seat has
+    never been in a tree and keeps q_j = 0.
 
-    Each scan of a step is one numpy vector operation: the slack set-up
-    and update of a row joining the tree, one arg-min over the column
-    slacks and tree-row potentials together (a column wins a tie, and the
-    lowest index wins within each part), and the shift of p, q and the
-    slacks by eps. Only the path flip runs in Python. Every element goes
-    through the same floating-point operations in the same order as an
-    element-by-element loop, so p, q, the matching and the iteration
-    count are bit-identical to that loop's.
+    Each scan is one numpy operation: the slack update of the rows joining
+    the tree (2-D over a full vehicle's riders in UAV order), one arg-min
+    over the vehicle slacks and tree-row potentials together (a vehicle
+    wins a tie, then the lowest index), and the shift by eps. Only the
+    path flip runs in Python. The result is in the expanded view.
     """
-    n_rows, n_cols = m.n_uavs, m.n_vehicles
-    tol = m.tol
+    n_rows, n_cols = m.saving.shape
 
-    p = m.weights.max(axis=1, initial=0.0)
+    p = m.saving.max(axis=1, initial=0.0)
     # An edge at or below tol gets weight -inf, so its slack is +inf and
     # it never enters a tree.
-    w = m.weights.copy()
-    np.putmask(w, w <= tol, -np.inf)
+    w = m.saving.copy()
+    np.putmask(w, w <= m.tol, -np.inf)
     q = np.zeros(n_cols)
     match_row = [-1] * n_rows
-    match_col = [-1] * n_cols
+    riders: list[list[int]] = [[] for _ in range(n_cols)]  # in UAV order
     iterations = 0
 
-    # Per-tree state, reset at each root. ``limit`` is the column slacks
+    # Per-tree state, reset at each root. ``limit`` is the vehicle slacks
     # followed by the tree rows' potentials, each the distance the duals
-    # may move before it triggers a step. Tree columns and rows outside
+    # may move before it triggers a step. Tree vehicles and rows outside
     # the tree hold +inf, so the arg-min skips them and ``limit -= eps``
-    # leaves them there. ``q_open`` is q with +inf on tree columns, which
+    # leaves them there. ``q_open`` is q with +inf on tree vehicles, which
     # keeps them out of the slack update.
     limit = np.empty(n_cols + n_rows)
     slack = limit[:n_cols]
@@ -311,31 +299,43 @@ def msa_match(m: SavingMatrix) -> MatchResult:
     slack_row = np.empty(n_cols, dtype=np.intp)
     prev_row = [-1] * n_cols
 
-    def add_row(r: int) -> None:
-        p_tree[r] = p[r]
-        s = (p[r] + q_open) - w[r]
+    def add_rows(rows: list[int]) -> None:
+        if len(rows) == 1:
+            r = rows[0]
+            p_tree[r] = p[r]
+            s = (p[r] + q_open) - w[r]
+        else:
+            # The arg-min keeps the earliest row on a tie, as one at a time would.
+            rows = np.array(rows)
+            p_tree[rows] = p_r = p[rows]
+            s2 = (p_r[:, None] + q_open) - w[rows]
+            k = s2.argmin(axis=0)
+            s = s2[k, np.arange(n_cols)]
+            r = rows[k]
         better = s < slack  # strict: on a tie the earlier row keeps the column
         np.putmask(slack, better, s)
         np.putmask(slack_row, better, r)
 
     def augment(j: int) -> None:
-        # Flip the alternating path back to the root.
+        # Seat the row that reached j, then refill the seat it left.
         while j != -1:
             r = prev_row[j]
             j_next = match_row[r]
             match_row[r] = j
-            match_col[j] = r
+            insort(riders[j], r)
+            if j_next != -1:
+                riders[j_next].remove(r)
             j = j_next
 
     for root in range(n_rows):
-        if p[root] <= tol:
+        if p[root] <= m.tol:
             continue
         iterations += 1
         limit.fill(np.inf)
         in_tree_col.fill(False)
         q_open[:] = q
 
-        add_row(root)
+        add_rows([root])
         while True:
             k = int(limit.argmin())
             eps = float(limit[k])
@@ -346,39 +346,43 @@ def msa_match(m: SavingMatrix) -> MatchResult:
             if k < n_cols:
                 j = k
                 prev_row[j] = int(slack_row[j])
-                if match_col[j] == -1:
+                if len(riders[j]) < m.seats[j]:
                     augment(j)
                     break
                 in_tree_col[j] = True
                 q_open[j] = np.inf
                 slack[j] = np.inf
-                add_row(match_col[j])
+                add_rows(riders[j])
             else:
-                # A reached UAV ran out of potential: it leaves the
-                # matching and the path back to the root is flipped.
+                # A reached UAV ran out of potential and drops out.
                 r = k - n_cols
                 freed = match_row[r]
                 match_row[r] = -1
                 if freed != -1:
+                    riders[freed].remove(r)
                     augment(freed)
                 break
         np.copyto(p, p_tree, where=p_tree < np.inf)
 
-    duals = DualState(p=p.tolist(), q=q.tolist())
+    duals = DualState(p=p.tolist(), q=q[m.column_origin].tolist())
     return _collect_result(m, match_row, duals=duals, iterations=iterations)
 
 
 def greedy_match(m: SavingMatrix) -> MatchResult:
     """Baseline heuristic: each UAV in index order grabs the vehicle with
-    the largest saving still available (lowest column on ties)."""
+    the largest saving among those with a seat left (lowest index on
+    ties)."""
     match_row = [-1] * m.n_uavs
-    if m.n_vehicles:
-        w = m.weights.copy()
+    if len(m.seats):
+        w = m.saving.copy()
+        left = list(m.seats)
         for i, row in enumerate(w):
             j = int(row.argmax())
             if row[j] > m.tol:
                 match_row[i] = j
-                w[:, j] = -np.inf  # taken
+                left[j] -= 1
+                if not left[j]:
+                    w[:, j] = -np.inf  # full
     return _collect_result(m, match_row)
 
 
@@ -395,7 +399,6 @@ def brute_force_match(m: SavingMatrix) -> MatchResult:
         )
 
     w = m.saving.tolist()
-    seats = [min(c, m.n_uavs) for c in m.capacity]
     memo: dict[tuple[int, tuple[int, ...]], tuple[float, int]] = {}
 
     def best(i: int, caps: tuple[int, ...]) -> tuple[float, int]:
@@ -421,15 +424,12 @@ def brute_force_match(m: SavingMatrix) -> MatchResult:
         memo[key] = (value, choice)
         return value, choice
 
-    # A vehicle's seats fill its expanded columns lowest first.
-    next_col = list(itertools.accumulate(seats, initial=0))
     match_row = [-1] * m.n_uavs
-    caps = tuple(seats)
+    caps = tuple(m.seats)
     for i in range(m.n_uavs):
         _, choice = best(i, caps)
         if choice != -1:
-            match_row[i] = next_col[choice]
-            next_col[choice] += 1
+            match_row[i] = choice
             caps = caps[:choice] + (caps[choice] - 1,) + caps[choice + 1 :]
     return _collect_result(m, match_row)
 

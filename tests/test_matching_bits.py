@@ -2,13 +2,17 @@
 
 Each digest hashes the repr of the matched columns, the iteration count,
 both dual potential vectors and the total saving, so any change to the
-order or kind of floating-point operations in ``msa_match`` shows here.
-The digests were taken from the scalar loop over Python lists that
-preceded the numpy column scans (``oracles.scalar_msa_match`` keeps it).
-The instances cover a capacity-expanded
-build, a battery-limited mixed fleet with deadlines and swap vehicles, and
-raw matrices with exact ties, weights a hair either side of ``tol`` and
-duplicated capacity columns.
+order or kind of floating-point operations shows here. The digests were
+taken from the scalar loop over Python lists and expanded capacity
+columns that ``oracles.scalar_msa_match`` keeps. Where every vehicle has
+one seat, the digest pins ``msa_match`` itself. Where a vehicle has more,
+it pins the reference: ``msa_match`` walks each vehicle once with its
+seat count and may seat a rider on another of the vehicle's columns, so
+on every instance it must equal the reference's assignment, iterations,
+potentials and total saving instead. The instances cover a
+capacity-expanded build, a battery-limited mixed fleet with deadlines and
+swap vehicles, and raw matrices with exact ties, weights a hair either
+side of ``tol`` and duplicated capacity columns.
 """
 
 import hashlib
@@ -17,6 +21,7 @@ import random
 
 import pytest
 
+from oracles import scalar_msa_match
 from uavhitch import (
     GeneratorParams,
     PlannerConfig,
@@ -117,14 +122,7 @@ INSTANCES = {
 }
 
 
-def digest(result) -> str:
-    key = (
-        sorted(result.matched_columns.items()),
-        result.iterations,
-        result.duals.p,
-        result.duals.q,
-        result.total_saving,
-    )
+def digest(key) -> str:
     return hashlib.sha256(repr(key).encode()).hexdigest()
 
 
@@ -134,4 +132,15 @@ def test_msa_match_bits_pinned(name):
     m = make()
     r = msa_match(m)
     assert verify_duals(m, r, r.duals)
-    assert digest(r) == expected
+    reference = scalar_msa_match(m)
+    key = (
+        sorted(r.matched_columns.items()),
+        r.iterations,
+        r.duals.p,
+        r.duals.q,
+        r.total_saving,
+    )
+    assert digest(key if set(m.seats) <= {1} else reference) == expected
+    matched, iterations, p, q, total = reference
+    assert r.assignment == {i: m.column_origin[j] for i, j in matched}
+    assert repr(key[1:]) == repr((iterations, p, q, total))
