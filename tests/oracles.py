@@ -12,8 +12,10 @@ decision chain of one pair (eligibility, deadline distance, closed-form
 candidates, battery cap, swap), one Python call per pair, that
 ``planner.plan_matrix`` transcribes; it uses the planner's scalar closed
 forms (``eligibility``, ``max_hitch_distance``, ``_evaluate``) and never
-``plan_matrix``. ``scalar_msa_match`` is the primal-dual matcher that
-``msa_match`` vectorizes.
+``plan_matrix``. ``scalar_msa_match`` is the primal-dual matcher over
+capacity-expanded columns, one column per seat, that ``msa_match``
+replaced: where every vehicle has one seat, ``msa_match`` must reproduce
+it bit for bit, and the matcher's capacity > 1 pins gate it.
 """
 
 from __future__ import annotations
@@ -463,8 +465,8 @@ def scalar_plan_pair(
 
 
 def scalar_msa_match(m) -> tuple:
-    """The primal-dual max-saving loop over Python lists, one column at a
-    time. Returns ``(sorted matched columns, iterations, p, q, total)``
+    """The primal-dual max-saving loop over Python lists, one expanded
+    column at a time. Returns ``(sorted matched columns, iterations, p, q, total)``
     with the matched columns and total taken over edges above ``tol``.
     """
     n_rows, n_cols = m.n_uavs, m.n_vehicles

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import scalar_msa_match
 from uavhitch import (
     BruteForceSizeError,
     PairGeometry,
@@ -76,6 +77,7 @@ def test_saving_matrix_derives_expanded_view():
     offers = [VehicleOffer(v=40, gamma=0.3, capacity=c) for c in (2, 1, 5)]
     m = build_saving_matrix(CFG, tasks, offers, theta)
     assert m.capacity == [2, 1, 5]
+    assert m.seats == [2, 1, 3]
     assert m.column_origin == [0, 0, 1, 2, 2, 2]  # min(capacity, 3) columns each
     assert (m.n_uavs, m.n_vehicles) == (3, 6)
     assert m.saving.shape == (3, 3)
@@ -97,6 +99,7 @@ def test_saving_matrix_derives_expanded_view():
     # No UAV leaves no column, and no seat for the exhaustive search.
     empty = SavingMatrix([], [1] * 9)
     assert (empty.n_uavs, empty.n_vehicles, empty.saving.shape) == (0, 0, (0, 9))
+    assert empty.seats == [0] * 9
     for solver in (msa_match, greedy_match, brute_force_match):
         r = solver(empty)
         assert r.assignment == {} and r.total_saving == 0.0
@@ -216,9 +219,37 @@ def test_capacity_expansion_against_brute():
         r = msa_match(m)
         assert r.total_saving == pytest.approx(brute_force_match(m).total_saving, abs=1e-9)
         assert verify_duals(m, r, r.duals)
-        # per-vehicle load never exceeds its capacity
         for orig, z in enumerate(caps):
-            assert sum(1 for v in r.assignment.values() if v == orig) <= z
+            riders = [i for i, v in r.assignment.items() if v == orig]  # in UAV order
+            assert len(riders) <= z
+            # The riders take the vehicle's columns lowest first, and its q
+            # repeats over them; it is 0 while a seat is free.
+            cols = [c for c, v in enumerate(m.column_origin) if v == orig]
+            assert [r.matched_columns[i] for i in riders] == cols[: len(riders)]
+            assert {r.duals.q[c] for c in cols} == {r.duals.q[cols[0]]}
+            if len(riders) < m.seats[orig]:
+                assert r.duals.q[cols[0]] == 0.0
+
+
+@pytest.mark.parametrize(
+    "saving, capacity, expected",
+    [
+        # UAVs 0 and 1 ride vehicle 0 and tie on vehicle 1: the earlier moves.
+        ([[1.5, 1.5], [1.5, 1.5], [0.5, 0.0]], [2, 1], {0: 1, 1: 0, 2: 0}),
+        # Vehicle 1 seats UAV 2 before UAV 0; they join UAV 4's tree as 0, 2.
+        (
+            [[1.5, 1.5], [0.5, 0.5], [1.5, 1.5], [1.0, 0.5], [0.0, 1.0]],
+            [1, 2],
+            {0: 0, 2: 1, 4: 1},
+        ),
+    ],
+    ids=["earliest_rider_keeps_a_tie", "riders_join_in_uav_order"],
+)
+def test_full_vehicle_riders_join_in_uav_order(saving, capacity, expected):
+    m = raw_matrix(saving, capacity)
+    assert msa_match(m).assignment == expected
+    # The expanded-column reference settles on the same optimum.
+    assert {i: m.column_origin[j] for i, j in scalar_msa_match(m)[0]} == expected
 
 
 def test_unit_capacity_expansion_is_identity():
