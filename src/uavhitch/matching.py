@@ -19,9 +19,8 @@ vehicle fills one identical column per seat, ``q`` repeats over them, and
 a vehicle's riders take them lowest first, in UAV order. The certificate
 and the plans read that view. The plans are a :class:`PlanGrid` that
 builds a pair's ``HitchPlan`` only when it is read, as ``uavhitch match``
-does for the pairs it prints.
-
-A greedy baseline and an exhaustive oracle are included for comparison.
+does for the pairs it prints. A greedy baseline and an exhaustive oracle
+are included for comparison.
 """
 
 from __future__ import annotations
@@ -274,12 +273,13 @@ def msa_match(m: SavingMatrix) -> MatchResult:
     path flip runs in Python. The result is in the expanded view.
     """
     n_rows, n_cols = m.saving.shape
+    tol, seats = m.tol, m.seats
 
     p = m.saving.max(axis=1, initial=0.0)
     # An edge at or below tol gets weight -inf, so its slack is +inf and
     # it never enters a tree.
     w = m.saving.copy()
-    np.putmask(w, w <= m.tol, -np.inf)
+    np.putmask(w, w <= tol, -np.inf)
     q = np.zeros(n_cols)
     match_row = [-1] * n_rows
     riders: list[list[int]] = [[] for _ in range(n_cols)]  # in UAV order
@@ -290,14 +290,14 @@ def msa_match(m: SavingMatrix) -> MatchResult:
     # may move before it triggers a step. Tree vehicles and rows outside
     # the tree hold +inf, so the arg-min skips them and ``limit -= eps``
     # leaves them there. ``q_open`` is q with +inf on tree vehicles, which
-    # keeps them out of the slack update.
+    # keeps them out of the slack update, so a tree vehicle's ``slack_row``
+    # stays the row that reached it: the path back to the root.
     limit = np.empty(n_cols + n_rows)
     slack = limit[:n_cols]
     p_tree = limit[n_cols:]
     q_open = np.empty(n_cols)
     in_tree_col = np.empty(n_cols, dtype=bool)
     slack_row = np.empty(n_cols, dtype=np.intp)
-    prev_row = [-1] * n_cols
 
     def add_rows(rows: list[int]) -> None:
         if len(rows) == 1:
@@ -319,7 +319,7 @@ def msa_match(m: SavingMatrix) -> MatchResult:
     def augment(j: int) -> None:
         # Seat the row that reached j, then refill the seat it left.
         while j != -1:
-            r = prev_row[j]
+            r = int(slack_row[j])
             j_next = match_row[r]
             match_row[r] = j
             insort(riders[j], r)
@@ -328,7 +328,7 @@ def msa_match(m: SavingMatrix) -> MatchResult:
             j = j_next
 
     for root in range(n_rows):
-        if p[root] <= m.tol:
+        if p[root] <= tol:
             continue
         iterations += 1
         limit.fill(np.inf)
@@ -345,14 +345,14 @@ def msa_match(m: SavingMatrix) -> MatchResult:
 
             if k < n_cols:
                 j = k
-                prev_row[j] = int(slack_row[j])
-                if len(riders[j]) < m.seats[j]:
+                rows = riders[j]
+                if len(rows) < seats[j]:
                     augment(j)
                     break
                 in_tree_col[j] = True
                 q_open[j] = np.inf
                 slack[j] = np.inf
-                add_rows(riders[j])
+                add_rows(rows)
             else:
                 # A reached UAV ran out of potential and drops out.
                 r = k - n_cols
