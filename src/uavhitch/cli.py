@@ -53,14 +53,14 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _nonnegative_int(text: str) -> int:
-    """A vehicle count, or a master seed as numpy's seeding requires."""
+def _int_at_least(text: str, low: int = 0) -> int:
+    """A count, or a master seed as numpy's seeding requires (``low`` = 0)."""
     try:
         value = int(text)
     except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
     return value
 
 
@@ -76,7 +76,7 @@ def _counts(text: str) -> list[int]:
 
 def _default_seed() -> int:
     try:
-        return _nonnegative_int(os.environ.get("UAVHITCH_SEED", "0"))
+        return _int_at_least(os.environ.get("UAVHITCH_SEED", "0"))
     except argparse.ArgumentTypeError as exc:
         raise ValueError(f"UAVHITCH_SEED {exc}") from None
 
@@ -275,10 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--uavs", type=_counts, default="5,10,20,30,40", help="comma-separated UAV counts"
     )
-    p.add_argument("--vehicles", type=_nonnegative_int, default=40)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--vehicles", type=_int_at_least, default=40)
+    p.add_argument("--trials", type=lambda text: _int_at_least(text, 1), default=100)
     p.add_argument(
-        "--seed", type=_nonnegative_int, help="master seed (default: UAVHITCH_SEED or 0)"
+        "--seed", type=_int_at_least, help="master seed (default: UAVHITCH_SEED or 0)"
     )
     p.add_argument("--omega", type=float, default=0.8)
     p.add_argument("--u", type=float, default=60.0)

@@ -25,6 +25,7 @@ are included for comparison.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import insort
 from collections.abc import Sequence
@@ -101,8 +102,8 @@ class SavingMatrix:
     ``seats[j]`` columns, lowest vehicle first; ``column_origin[c]`` maps
     column ``c`` back to its vehicle, ``n_vehicles`` counts the columns,
     and ``weights[:, c]`` is ``saving[:, column_origin[c]]`` (``saving``
-    itself when every vehicle has one column). ``plans[i][c]`` is the plan
-    of UAV ``i`` on column ``c``.
+    itself when every vehicle has one column), made on first read.
+    ``plans[i][c]`` is the plan of UAV ``i`` on column ``c``.
 
     ``saving`` may be given as any nested sequence; it is stored as a
     float64 array with one column per vehicle. A wrong shape, a capacity
@@ -116,7 +117,6 @@ class SavingMatrix:
     tol: float = 1e-9
     n_uavs: int = field(init=False)
     n_vehicles: int = field(init=False)
-    weights: np.ndarray = field(init=False)
     column_origin: list[int] = field(init=False)
     seats: list[int] = field(init=False)
 
@@ -138,7 +138,11 @@ class SavingMatrix:
         self.seats = [min(c, self.n_uavs) for c in self.capacity]
         self.column_origin = [j for j, c in enumerate(self.seats) for _ in range(c)]
         self.n_vehicles = len(self.column_origin)
-        self.weights = s if self.n_vehicles == shape[1] else s[:, self.column_origin]
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        s = self.saving
+        return s if self.n_vehicles == s.shape[1] else s[:, self.column_origin]
 
 
 @dataclass
@@ -437,26 +441,29 @@ def brute_force_match(m: SavingMatrix) -> MatchResult:
 def verify_duals(m: SavingMatrix, result: MatchResult, duals: DualState) -> bool:
     """Certify optimality of a matching from the solver's potentials.
 
-    Checks dual feasibility (p_i + q_j >= w_ij), tightness of matched
-    edges, nonnegativity of q, and complementary slackness: an unmatched
+    Checks finite potentials, dual feasibility (p_i + q_j >= w_ij, per
+    vehicle at its lowest q_j, as fl(p_i + q_j) never falls as q_j grows),
+    tight matched edges, q >= 0 and complementary slackness: an unmatched
     UAV must have p_i = 0 and an unmatched column q_j = 0. All within tol.
     """
     tol = m.tol
-    if len(duals.p) != m.n_uavs or len(duals.q) != m.n_vehicles:
-        return False
     p = np.array(duals.p, dtype=np.float64)
     q = np.array(duals.q, dtype=np.float64)
-    w = m.weights
+    if (len(p) != m.n_uavs or len(q) != m.n_vehicles
+            or not (np.isfinite(p).all() and np.isfinite(q).all())):
+        return False
+    q_min = np.full(len(m.seats), np.inf)
+    np.minimum.at(q_min, m.column_origin, q)
     rows = np.array(list(result.matched_columns.keys()), dtype=np.intp)
     cols = np.array(list(result.matched_columns.values()), dtype=np.intp)
     unmatched_row = np.ones(m.n_uavs, dtype=bool)
     unmatched_row[rows] = False
     unmatched_col = np.ones(m.n_vehicles, dtype=bool)
     unmatched_col[cols] = False
-    w_matched = w[rows, cols]
+    w_matched = m.saving[rows, np.array(m.column_origin, dtype=np.intp)[cols]]
     return not (
         (p < -tol).any()
-        or (np.add.outer(p, q) < w - tol).any()
+        or (np.add.outer(p, q_min) < m.saving - tol).any()
         or (q < -tol).any()
         or (q[unmatched_col] > tol).any()
         or (p[unmatched_row] > tol).any()

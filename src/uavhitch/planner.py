@@ -33,9 +33,12 @@ order, and the transcendentals match the C library's ``math`` functions:
 once per distinct cos(phi), since numpy's ``hypot``, ``square`` and
 ``arccos`` differ from them in the last bit on some inputs, while numpy's
 ``sin``, ``cos`` and ``sqrt`` are used directly (``tests/test_plan_matrix.py``
-checks all six against ``math`` here). :func:`eligibility` and
-:func:`max_hitch_distance` stay scalar closed forms: ``uavhitch plan``
-reports the first, and the reference chain calls both.
+checks all six against ``math`` here).
+
+Each formula is written once, in the array kernels ``_eligible`` (the
+threshold angle), ``_max_hitch`` (the deadline root) and ``_objective``
+(T, E and C). The one-pair helpers, from :func:`flight_leg` to
+:func:`max_hitch_distance`, check their input and call them on one element.
 """
 
 from __future__ import annotations
@@ -79,13 +82,120 @@ __all__ = [
 ]
 
 
+def _excess(u: float, d: float, x: float) -> float:
+    """u*d - x rounded once: the product is taken exactly."""
+    from fractions import Fraction  # on first use: importing it adds ms to start-up
+
+    return float(Fraction(u) * Fraction(d) - Fraction(x))
+
+
+# Every transcendental the kernels call, bound once. numpy's arccos and
+# hypot differ from the C library's in the last bit on some inputs, and its
+# square from ``pow(s, 2)``, so those go through ``math``: acos once per
+# distinct value, the others per element.
+_acos = np.frompyfunc(math.acos, 1, 1)
+_hypot = np.frompyfunc(math.hypot, 2, 1)
+_pow = np.frompyfunc(math.pow, 2, 1)
+_excess_each = np.frompyfunc(_excess, 3, 1)
+_sin = np.sin
+_cos = np.cos
+_sqrt = np.sqrt
+_copysign = np.copysign
+
+
+def _each(*values) -> np.ndarray:
+    """Each value as a one-element float64 array: a one-pair kernel call."""
+    return np.array(values, dtype=np.float64).reshape(len(values), 1)
+
+
+def _eligible(omega: float, tol: float, u, v, theta, rate):
+    """:func:`eligibility` at weighted charging rates ``rate`` (omega times
+    gamma): whether each pair passes the precondition, its threshold angle
+    (pi where every direction pays or the precondition fails), and whether
+    it is eligible."""
+    ratio = v / u
+    passes = rate > 1.0 - omega - ratio + tol
+    always = passes & (rate >= 1.0 - omega + ratio)
+    phi = np.full(u.size, math.pi)
+    m = (passes & ~always).nonzero()[0]
+    cos_phi = np.minimum(1.0, np.maximum(-1.0, (1.0 - omega - rate[m]) * u[m] / v[m]))
+    distinct, inverse = np.unique(cos_phi, return_inverse=True)
+    phi[m] = _acos(distinct).astype(np.float64)[inverse]
+    return passes, phi, passes & (always | (theta < phi - tol))
+
+
+def _max_hitch(x, u, d, v, theta):
+    """:func:`max_hitch_distance` for pairs with finite deadlines ``d``."""
+    cos_t = _cos(theta)
+    a = 1.0 - (u * u) / (v * v)
+    b = 2.0 * d * u * u / v - 2.0 * x * cos_t
+    c = x * x - u * u * d * d
+    vd = v * d
+    slack = 1e-12 * np.where(vd > 1.0, vd, 1.0)
+    best = np.zeros(x.size)
+
+    def candidate(m, y):
+        # best = max(best, min(max(y, 0), v*d)) where y is in the window
+        fits = (-slack[m] <= y) & (y <= vd[m] + slack[m])
+        y = np.where(0.0 > y, 0.0, y)
+        y = np.where(vd[m] < y, vd[m], y)
+        better = fits & (y > best[m])
+        best[m[better]] = y[better]
+
+    m = (a == 0.0).nonzero()[0]
+    if m.size:
+        # u = v, so T(y) >= y/u + (x - y)/u = x/u for every y: no ride meets
+        # a deadline below x/u, and at D = x/u only riding straight ahead
+        # does, where T is flat at D on [0, x]. Near there uD - x is as small
+        # as the rounding error of u*D, so it comes from the exact product.
+        xm, excess = x[m], _excess_each(u[m], d[m], x[m]).astype(np.float64)
+        flat = (excess == 0.0) & (theta[m] == 0.0)
+        best[m[flat]] = xm[flat]
+        ride = excess > 0.0
+        m, xm, excess = m[ride], xm[ride], excess[ride]
+        # The root is (uD - x)(uD + x) / (2 [(uD - x) + x (1 - cos)]). Both
+        # bracketed terms are nonnegative, so the sum never cancels; the
+        # naive -c/b form is 0/0 noise when theta ~ 0, D ~ x/u.
+        half = _pow(_sin(theta[m] / 2.0), 2.0).astype(np.float64)
+        denom = 2.0 * (excess + xm * 2.0 * half)
+        candidate(m, excess * (u[m] * d[m] + xm) / denom)
+    m = (a != 0.0).nonzero()[0]
+    if m.size:
+        a, b, c = a[m], b[m], c[m]
+        disc = b * b - 4.0 * a * c
+        root = _sqrt(np.where(0.0 > disc, 0.0, disc))
+        # Stable split: q/a and c/q avoid cancellation when |a| is tiny.
+        q = np.where(b != 0.0, -0.5 * (b + _copysign(root, b)), 0.5 * root)
+        candidate(m, q / a)
+        nz = (q != 0.0).nonzero()[0]
+        candidate(m[nz], c[nz] / q[nz])
+    return best
+
+
+def _flight(x, theta, y):
+    """:func:`flight_leg`, element by element."""
+    return _hypot(y - x * _cos(theta), x * _sin(theta)).astype(np.float64)
+
+
+def _objective(omega: float, x, u, v, gamma, theta, y, headroom):
+    """(T, E, C) at riding distances ``y``, the charge capped at
+    ``headroom`` (None: uncapped) and C weighted by ``omega``."""
+    flight = _flight(x, theta, y) / u
+    charge = (gamma / v) * y
+    if headroom is not None:
+        charge = np.where(charge < headroom, charge, headroom)
+    t = y / v + flight
+    e = flight - charge
+    return t, e, omega * e + (1.0 - omega) * t
+
+
 def flight_leg(x: float, theta: float, y: float) -> float:
     """Length of the flight from the drop-off point to the destination.
 
     Evaluated as hypot(y - x*cos(theta), x*sin(theta)), which is exact for
     theta = 0 (|x - y|) and never suffers cancellation under the root.
     """
-    return math.hypot(y - x * math.cos(theta), x * math.sin(theta))
+    return float(_flight(*_each(x, theta, y))[0])
 
 
 def _evaluate(
@@ -96,7 +206,7 @@ def _evaluate(
     headroom: float | None,
     omega: float = 0.0,
 ) -> tuple[float, float, float]:
-    """(T, E, C) at riding distance y, with the flight leg computed once.
+    """(T, E, C) at riding distance y, from a one-element :func:`_objective` call.
 
     The charge saturates at ``headroom`` (0: ride-only; ``None`` or
     infinite: unbounded battery, where a swap has no finite energy). C is
@@ -106,13 +216,11 @@ def _evaluate(
         raise ValueError(f"hitch distance y must be >= 0, got {y}")
     if math.isinf(offer.gamma) and (headroom is None or math.isinf(headroom)):
         raise ValueError("energy is undefined for battery-swap offers (gamma=inf)")
-    flight = flight_leg(task.x, geom.theta, y) / task.u
-    charge = (offer.gamma / offer.v) * y
-    if headroom is not None:
-        charge = 0.0 if y == 0.0 else min(headroom, charge)
-    t = y / offer.v + flight
-    e = flight - charge
-    return t, e, omega * e + (1.0 - omega) * t
+    # No ride takes no charge; a zero rate also keeps inf * 0 out of it.
+    gamma = 0.0 if y == 0.0 else offer.gamma
+    args = _each(task.x, task.u, offer.v, gamma, geom.theta, y)
+    t, e, c = _objective(omega, *args, None if headroom is None else np.array([headroom]))
+    return float(t[0]), float(e[0]), float(c[0])
 
 
 def travel_time(task: UavTask, offer: VehicleOffer, geom: PairGeometry, y: float) -> float:
@@ -168,30 +276,19 @@ def eligibility(
       so fast that even riding away from the destination pays off);
     * otherwise the threshold is its arccos and theta must stay below it.
     """
-    omega, tol, gamma = cfg.omega, cfg.tol, offer.gamma
-    u, v = task.u, offer.v
+    omega, gamma = cfg.omega, offer.gamma
     # With omega = 0 the charging term never enters the objective, so an
     # infinite rate contributes nothing; otherwise inf * omega = inf.
-    weighted_rate = omega * gamma if math.isfinite(gamma) else (math.inf if omega > 0.0 else 0.0)
-
-    # Precondition (threshold angle would be <= 0): omega*gamma <= 1 - omega - v/u.
-    if weighted_rate <= 1.0 - omega - v / u + tol:
+    rate = omega * gamma if math.isfinite(gamma) else (math.inf if omega > 0.0 else 0.0)
+    passes, phi, ok = _eligible(omega, cfg.tol, *_each(task.u, offer.v, geom.theta, rate))
+    if not passes[0]:
+        # A charge with no weight in the objective cannot be at fault.
         reason = (
-            EligibilityReason.SPEED_TOO_LOW
-            if gamma == 0.0
-            else EligibilityReason.CHARGE_TOO_LOW
+            EligibilityReason.SPEED_TOO_LOW if rate == 0.0 else EligibilityReason.CHARGE_TOO_LOW
         )
         return Eligibility(False, reason, None)
-
-    # Always-eligible regime: omega*gamma >= 1 - omega + v/u.
-    if weighted_rate >= 1.0 - omega + v / u:
-        return Eligibility(True, EligibilityReason.ELIGIBLE, math.pi)
-
-    cos_phi = (1.0 - omega - weighted_rate) * u / v
-    phi = math.acos(min(1.0, max(-1.0, cos_phi)))
-    if geom.theta < phi - tol:
-        return Eligibility(True, EligibilityReason.ELIGIBLE, phi)
-    return Eligibility(False, EligibilityReason.ANGLE_TOO_WIDE, phi)
+    reason = EligibilityReason.ELIGIBLE if ok[0] else EligibilityReason.ANGLE_TOO_WIDE
+    return Eligibility(bool(ok[0]), reason, float(phi[0]))
 
 
 def eligibility_ho(
@@ -217,50 +314,7 @@ def max_hitch_distance(task: UavTask, offer: VehicleOffer, geom: PairGeometry) -
     """
     if math.isinf(task.deadline):
         raise ValueError("max_hitch_distance requires a bounded deadline")
-    x, u, d = task.x, task.u, task.deadline
-    v = offer.v
-    cos_t = math.cos(geom.theta)
-
-    a = 1.0 - (u * u) / (v * v)
-    b = 2.0 * d * u * u / v - 2.0 * x * cos_t
-    c = x * x - u * u * d * d
-
-    slack = 1e-12 * max(1.0, v * d)
-    candidates = [0.0]
-    if a == 0.0:
-        # u = v, so T(y) >= y/u + (x - y)/u = x/u for every y: no ride meets
-        # a deadline below x/u, and at D = x/u only riding straight ahead
-        # does, where T is flat at D on [0, x]. Near there uD - x is as small
-        # as the rounding error of u*D, so it comes from the exact product.
-        excess = _excess(u, d, x)
-        if excess <= 0.0:
-            return x if excess == 0.0 and geom.theta == 0.0 else 0.0
-        # The root is (uD - x)(uD + x) / (2 [(uD - x) + x (1 - cos)]). Both
-        # bracketed terms are nonnegative, so the sum never cancels; the
-        # naive -c/b form is 0/0 noise when theta ~ 0, D ~ x/u.
-        denom = 2.0 * (excess + x * 2.0 * math.sin(geom.theta / 2.0) ** 2)
-        candidates.append(excess * (u * d + x) / denom)
-    else:
-        disc = max(b * b - 4.0 * a * c, 0.0)
-        root = math.sqrt(disc)
-        # Stable split: q/a and c/q avoid cancellation when |a| is tiny.
-        q = -0.5 * (b + math.copysign(root, b)) if b != 0.0 else 0.5 * root
-        candidates.append(q / a)
-        if q != 0.0:
-            candidates.append(c / q)
-
-    best = 0.0
-    for y in candidates:
-        if -slack <= y <= v * d + slack:
-            best = max(best, min(max(y, 0.0), v * d))
-    return best
-
-
-def _excess(u: float, d: float, x: float) -> float:
-    """u*d - x rounded once: the product is taken exactly."""
-    from fractions import Fraction  # on first use: importing it adds ms to start-up
-
-    return float(Fraction(u) * Fraction(d) - Fraction(x))
+    return float(_max_hitch(*_each(task.x, task.u, task.deadline, offer.v, geom.theta))[0])
 
 
 # Why a pair has no finite optimum; the one-pair entries raise it, and the
@@ -308,18 +362,6 @@ class PlanArrays:
         )
 
 
-# numpy's arccos and hypot differ from the C library's in the last bit on
-# some inputs, and its square from ``pow(s, 2)``, so those go through
-# ``math``: acos once per distinct value, the others per element.
-_acos = np.frompyfunc(math.acos, 1, 1)
-_hypot = np.frompyfunc(math.hypot, 2, 1)
-_pow = np.frompyfunc(math.pow, 2, 1)
-_excess_each = np.frompyfunc(_excess, 3, 1)
-_sin = np.sin
-_cos = np.cos
-_sqrt = np.sqrt
-
-
 _BLOCK = 8192
 
 
@@ -328,7 +370,8 @@ class _Pairs:
 
     Each method transcribes one function of the scalar reference chain in
     ``tests/oracles.py`` for the pairs ``k`` (an index array), with every
-    element going through that function's operations in the same order. The plans start as no-hitch plans; each
+    element going through that function's operations in the same order,
+    in the module's kernels. The plans start as no-hitch plans; each
     pair's final plan is written once.
     """
 
@@ -357,17 +400,8 @@ class _Pairs:
         """``scalar_eligibility`` at weighted charging rates ``rate`` (omega
         times a finite gamma): the positions in ``k`` of the eligible pairs
         and their threshold angles."""
-        omega, tol = self.omega, self.tol
-        u, v = self.u[k], self.v[k]
-        ratio = v / u
-        passes = rate > 1.0 - omega - ratio + tol
-        always = passes & (rate >= 1.0 - omega + ratio)
-        phi = np.full(k.size, math.pi)
-        m = (passes & ~always).nonzero()[0]
-        cos_phi = np.minimum(1.0, np.maximum(-1.0, (1.0 - omega - rate[m]) * u[m] / v[m]))
-        distinct, inverse = np.unique(cos_phi, return_inverse=True)
-        phi[m] = _acos(distinct).astype(np.float64)[inverse]
-        ok = (passes & (always | (self.theta[k] < phi - tol))).nonzero()[0]
+        _, phi, ok = _eligible(self.omega, self.tol, self.u[k], self.v[k], self.theta[k], rate)
+        ok = ok.nonzero()[0]
         return ok, phi[ok]
 
     def deadline_cap(self, k):
@@ -376,48 +410,9 @@ class _Pairs:
         y = np.full(k.size, math.inf)
         m = np.isfinite(self.deadline[k]).nonzero()[0]
         if m.size:
-            y[m] = self.max_hitch(k[m])
+            k = k[m]
+            y[m] = _max_hitch(self.x[k], self.u[k], self.deadline[k], self.v[k], self.theta[k])
         return y
-
-    def max_hitch(self, k):
-        """:func:`max_hitch_distance` for pairs with finite deadlines."""
-        x, u, d, v, theta = self.x[k], self.u[k], self.deadline[k], self.v[k], self.theta[k]
-        cos_t = _cos(theta)
-        a = 1.0 - (u * u) / (v * v)
-        b = 2.0 * d * u * u / v - 2.0 * x * cos_t
-        c = x * x - u * u * d * d
-        vd = v * d
-        slack = 1e-12 * np.where(vd > 1.0, vd, 1.0)
-        best = np.zeros(k.size)
-
-        def candidate(m, y):
-            # best = max(best, min(max(y, 0), v*d)) where y is in the window
-            fits = (-slack[m] <= y) & (y <= vd[m] + slack[m])
-            y = np.where(0.0 > y, 0.0, y)
-            y = np.where(vd[m] < y, vd[m], y)
-            better = fits & (y > best[m])
-            best[m[better]] = y[better]
-
-        m = (a == 0.0).nonzero()[0]
-        if m.size:
-            xm, excess = x[m], _excess_each(u[m], d[m], x[m]).astype(np.float64)
-            flat = (excess == 0.0) & (theta[m] == 0.0)
-            best[m[flat]] = xm[flat]
-            ride = excess > 0.0
-            m, xm, excess = m[ride], xm[ride], excess[ride]
-            half = _pow(_sin(theta[m] / 2.0), 2.0).astype(np.float64)
-            denom = 2.0 * (excess + xm * 2.0 * half)
-            candidate(m, excess * (u[m] * d[m] + xm) / denom)
-        m = (a != 0.0).nonzero()[0]
-        if m.size:
-            a, b, c = a[m], b[m], c[m]
-            disc = b * b - 4.0 * a * c
-            root = _sqrt(np.where(0.0 > disc, 0.0, disc))
-            q = np.where(b != 0.0, -0.5 * (b + np.copysign(root, b)), 0.5 * root)
-            candidate(m, q / a)
-            nz = (q != 0.0).nonzero()[0]
-            candidate(m[nz], c[nz] / q[nz])
-        return best
 
     def eligible_plan(self, k, phi, y_deadline):
         """``scalar_eligible_plan`` up to ``scalar_finish_plan``: the riding
@@ -439,15 +434,10 @@ class _Pairs:
         (y, T, E, C, saving, binding). The others stay no-hitch."""
         hit = (y > 0.0).nonzero()[0]
         k, y = k[hit], y[hit]
-        x, u, v, theta = self.x[k], self.u[k], self.v[k], self.theta[k]
-        flight = _hypot(y - x * _cos(theta), x * _sin(theta)).astype(np.float64) / u
-        charge = (self.gamma[k] / v) * y
         if headroom is not None:
-            h = headroom[hit]
-            charge = np.where(charge < h, charge, h)
-        t = y / v + flight
-        e = flight - charge
-        c = self.omega * e + (1.0 - self.omega) * t
+            headroom = headroom[hit]
+        t, e, c = _objective(self.omega, self.x[k], self.u[k], self.v[k], self.gamma[k],
+                             self.theta[k], y, headroom)
         saving = self.base[k] - c
         ok = (saving > 0.0).nonzero()[0]
         return hit[ok], (y[ok], t[ok], e[ok], c[ok], saving[ok], binding[hit[ok]])

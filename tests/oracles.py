@@ -10,9 +10,11 @@ Two scalar references keep the element-by-element form of a vectorized
 path, which must reproduce them bit for bit. ``scalar_plan_pair`` is the
 decision chain of one pair (eligibility, deadline distance, closed-form
 candidates, battery cap, swap), one Python call per pair, that
-``planner.plan_matrix`` transcribes; it uses the planner's scalar closed
-forms (``eligibility``, ``max_hitch_distance``, ``_evaluate``) and never
-``plan_matrix``. ``scalar_msa_match`` is the primal-dual matcher over
+``planner.plan_matrix`` transcribes. Its closed forms are its own, in
+``math`` one float at a time (``scalar_eligibility``,
+``scalar_max_hitch_distance``, ``scalar_evaluate``): it calls neither
+``plan_matrix`` nor the planner's array kernels, which the planner's
+one-pair helpers share with ``plan_matrix``. ``scalar_msa_match`` is the primal-dual matcher over
 capacity-expanded columns, one column per seat, that ``msa_match``
 replaced: where every vehicle has one seat, ``msa_match`` must reproduce
 it bit for bit, and the matcher's capacity > 1 pins gate it.
@@ -37,10 +39,8 @@ from uavhitch import (
     UavTask,
     UnboundedHitchError,
     VehicleOffer,
-    eligibility,
-    max_hitch_distance,
 )
-from uavhitch.planner import UNBOUNDED_MESSAGE, _evaluate
+from uavhitch.planner import UNBOUNDED_MESSAGE
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -305,7 +305,7 @@ def scalar_eligibility(
     if weighted_rate <= 1.0 - omega - v / u + tol:
         reason = (
             EligibilityReason.SPEED_TOO_LOW
-            if gamma == 0.0
+            if weighted_rate == 0.0
             else EligibilityReason.CHARGE_TOO_LOW
         )
         return Eligibility(False, reason, None)
@@ -321,8 +321,88 @@ def scalar_eligibility(
     return Eligibility(False, EligibilityReason.ANGLE_TOO_WIDE, phi)
 
 
+def scalar_max_hitch_distance(task: UavTask, offer: VehicleOffer, geom: PairGeometry) -> float:
+    """Largest riding distance that still meets the deadline.
+
+    Solves T(y) = D by squaring the flight-time term, which yields
+
+        (1 - u^2/v^2) y^2 + (2 D u^2 / v - 2 x cos(theta)) y + (x^2 - u^2 D^2) = 0
+
+    subject to the sign condition y <= v*D introduced by the squaring. The
+    largest feasible root is returned; when u = v the equation degenerates
+    to a linear one, and when that also vanishes (theta = 0, D = x/u) the
+    whole interval [0, x] is feasible and x is returned.
+    """
+    if math.isinf(task.deadline):
+        raise ValueError("max_hitch_distance requires a bounded deadline")
+    x, u, d = task.x, task.u, task.deadline
+    v = offer.v
+    cos_t = math.cos(geom.theta)
+
+    a = 1.0 - (u * u) / (v * v)
+    b = 2.0 * d * u * u / v - 2.0 * x * cos_t
+    c = x * x - u * u * d * d
+
+    slack = 1e-12 * max(1.0, v * d)
+    candidates = [0.0]
+    if a == 0.0:
+        # u = v, so T(y) >= y/u + (x - y)/u = x/u for every y: no ride meets
+        # a deadline below x/u, and at D = x/u only riding straight ahead
+        # does, where T is flat at D on [0, x]. Near there uD - x is as small
+        # as the rounding error of u*D, so it comes from the exact product.
+        excess = float(Fraction(u) * Fraction(d) - Fraction(x))
+        if excess <= 0.0:
+            return x if excess == 0.0 and geom.theta == 0.0 else 0.0
+        # The root is (uD - x)(uD + x) / (2 [(uD - x) + x (1 - cos)]). Both
+        # bracketed terms are nonnegative, so the sum never cancels; the
+        # naive -c/b form is 0/0 noise when theta ~ 0, D ~ x/u.
+        denom = 2.0 * (excess + x * 2.0 * math.sin(geom.theta / 2.0) ** 2)
+        candidates.append(excess * (u * d + x) / denom)
+    else:
+        disc = max(b * b - 4.0 * a * c, 0.0)
+        root = math.sqrt(disc)
+        # Stable split: q/a and c/q avoid cancellation when |a| is tiny.
+        q = -0.5 * (b + math.copysign(root, b)) if b != 0.0 else 0.5 * root
+        candidates.append(q / a)
+        if q != 0.0:
+            candidates.append(c / q)
+
+    best = 0.0
+    for y in candidates:
+        if -slack <= y <= v * d + slack:
+            best = max(best, min(max(y, 0.0), v * d))
+    return best
+
+
+def scalar_evaluate(
+    task: UavTask,
+    offer: VehicleOffer,
+    geom: PairGeometry,
+    y: float,
+    headroom: float | None,
+    omega: float = 0.0,
+) -> tuple[float, float, float]:
+    """(T, E, C) at riding distance y, with the flight leg computed once.
+
+    The charge saturates at ``headroom`` (0: ride-only; ``None`` or
+    infinite: unbounded battery, where a swap has no finite energy). C is
+    weighted by ``omega``.
+    """
+    if y < 0.0:
+        raise ValueError(f"hitch distance y must be >= 0, got {y}")
+    if math.isinf(offer.gamma) and (headroom is None or math.isinf(headroom)):
+        raise ValueError("energy is undefined for battery-swap offers (gamma=inf)")
+    flight = math.hypot(y - task.x * math.cos(geom.theta), task.x * math.sin(geom.theta)) / task.u
+    charge = (offer.gamma / offer.v) * y
+    if headroom is not None:
+        charge = 0.0 if y == 0.0 else min(headroom, charge)
+    t = y / offer.v + flight
+    e = flight - charge
+    return t, e, omega * e + (1.0 - omega) * t
+
+
 def scalar_deadline_cap(task: UavTask, offer: VehicleOffer, geom: PairGeometry) -> float:
-    return math.inf if math.isinf(task.deadline) else max_hitch_distance(task, offer, geom)
+    return math.inf if math.isinf(task.deadline) else scalar_max_hitch_distance(task, offer, geom)
 
 
 def scalar_no_hitch_plan(task: UavTask, swap: bool = False) -> HitchPlan:
@@ -341,7 +421,7 @@ def scalar_finish_plan(
 ) -> HitchPlan:
     if y <= 0.0:
         return scalar_no_hitch_plan(task)
-    t, e, c = _evaluate(task, offer, geom, y, headroom, cfg.omega)
+    t, e, c = scalar_evaluate(task, offer, geom, y, headroom, cfg.omega)
     saving = task.direct_time - c
     if saving <= 0.0:
         # The capped plan never beats the baseline for an eligible vehicle;
@@ -381,7 +461,7 @@ def scalar_optimal_distance(
     always-eligible regime (phi = pi) only the deadline stops the ride, so
     an unbounded deadline is an error there.
     """
-    elig = eligibility(cfg, task, offer, geom)
+    elig = scalar_eligibility(cfg, task, offer, geom, offer.gamma)
     if not elig.eligible:
         return scalar_no_hitch_plan(task)
     y_deadline = scalar_deadline_cap(task, offer, geom)
@@ -405,7 +485,7 @@ def scalar_optimal_distance_limited(
     if offer.gamma == 0.0 or math.isinf(headroom):
         return scalar_optimal_distance(cfg, task, offer, geom)
 
-    elig = eligibility(cfg, task, offer, geom)
+    elig = scalar_eligibility(cfg, task, offer, geom, offer.gamma)
     if not elig.eligible:
         return scalar_no_hitch_plan(task)
     y_deadline = scalar_deadline_cap(task, offer, geom)

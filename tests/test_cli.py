@@ -426,6 +426,7 @@ def test_seed_env_default(tmp_path, monkeypatch):
         (None, ["--uavs", "5,x"], "argument --uavs: must be comma-separated integers, got '5,x'"),
         (None, ["--uavs", "-5"], "argument --uavs: counts must be >= 0, got '-5'"),
         (None, ["--vehicles", "-1"], "argument --vehicles: must be an integer >= 0, got '-1'"),
+        (None, ["--trials", "0"], "argument --trials: must be an integer >= 1, got '0'"),
     ],
 )
 def test_simulate_names_bad_seed_or_count(tmp_path, monkeypatch, capsys, env, flags, message):

@@ -97,6 +97,12 @@ def test_battery_swap_offer_direction_range():
         PlannerConfig(omega=0.0), TASK, VehicleOffer(v=40.0, gamma=math.inf), PairGeometry(0.1)
     )
     assert not e0.eligible  # v < u and no time gain from riding slower
+    # and the charge, with no weight, is not what fails it
+    for gamma in (math.inf, 0.3):
+        e0 = eligibility(
+            PlannerConfig(omega=0.0), TASK, VehicleOffer(v=40.0, gamma=gamma), PairGeometry(2.0)
+        )
+        assert e0.reason is EligibilityReason.SPEED_TOO_LOW, gamma
 
 
 @given(

@@ -300,6 +300,22 @@ def test_certificate_rejects_perturbed_duals():
 
     bad = DualState(p=list(r.duals.p), q=bad_q)
     assert not verify_duals(m, r, bad)
+    # every comparison with NaN is false, so NaN potentials pass no check
+    nan = math.nan
+    assert not verify_duals(m, r, DualState([nan, nan], [nan, nan]))
+    assert not verify_duals(m, r, DualState([0.5, 0.4], [nan, 0.0]))
+
+    # Vehicle 0 seats UAVs 0 and 1 on its two columns; unmatched UAV 2
+    # (p = 0) needs q >= 0.3 on both. Lowering the second column's q, and
+    # raising its rider's p to keep the edge tight, breaks feasibility only.
+    m = raw_matrix([[0.5, 0.1], [0.4, 0.1], [0.3, 0.0]], capacity=[2, 1])
+    r = msa_match(m)
+    assert r.matched_columns == {0: 0, 1: 1}
+    assert verify_duals(m, r, r.duals)
+    p, q = list(r.duals.p), list(r.duals.q)
+    p[1] += 2 * m.tol
+    q[1] -= 2 * m.tol
+    assert not verify_duals(m, r, DualState(p, q))
 
 
 def test_no_matched_pair_below_tolerance():

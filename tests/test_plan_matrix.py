@@ -20,6 +20,9 @@ import pytest
 from oracles import (
     random_instance,
     scalar_battery_swap_plan,
+    scalar_eligibility,
+    scalar_evaluate,
+    scalar_max_hitch_distance,
     scalar_optimal_distance,
     scalar_optimal_distance_limited,
     scalar_plan_pair,
@@ -39,14 +42,21 @@ from uavhitch import (
     battery_swap_plan,
     brute_force_match,
     build_saving_matrix,
+    consumption,
+    eligibility,
+    energy,
+    energy_limited,
+    flight_leg,
     generate_scenario,
     greedy_match,
+    max_hitch_distance,
     msa_match,
     optimal_distance,
     optimal_distance_limited,
     plan_matrix,
     plan_pair,
     select_vehicle,
+    travel_time,
 )
 from uavhitch.cli import main
 from uavhitch.scenario_io import load_scenario, save_scenario
@@ -171,6 +181,33 @@ def assert_entries_match(cfg, task, offer, geom, limited) -> None:
         assert outcome(optimal_distance, *args) == outcome(scalar_optimal_distance, *args)
 
 
+def evaluated(k, *args):
+    """Component k of the reference's (T, E, C)."""
+    return scalar_evaluate(*args)[k]
+
+
+def assert_helpers_match(cfg, task, offer, geom) -> None:
+    """Check the one-pair helpers against the reference by repr, or by the
+    type and message of what they raise: eligibility, the deadline distance
+    and the five evaluators, from a negative riding distance to past the
+    destination."""
+    args = (task, offer, geom)
+    assert outcome(eligibility, cfg, *args) == outcome(scalar_eligibility, cfg, *args, offer.gamma)
+    assert outcome(max_hitch_distance, *args) == outcome(scalar_max_hitch_distance, *args)
+    unit = (UavTask(task.x, 1.0), VehicleOffer(offer.v), geom)  # E(y) = F(y) at u = 1, gamma = 0
+    headroom = task.battery_headroom
+    for y in (-1e-12, 0.0, 0.5 * task.x, task.x, 3.0 * task.x):
+        if y >= 0.0:
+            want = outcome(evaluated, 1, *unit, y, None)
+            assert outcome(flight_leg, task.x, geom.theta, y) == want
+        assert outcome(travel_time, *args, y) == outcome(evaluated, 0, *args, y, 0.0)
+        assert outcome(energy, *args, y) == outcome(evaluated, 1, *args, y, None)
+        assert outcome(energy_limited, *args, y) == outcome(evaluated, 1, *args, y, headroom)
+        for limited, cap in ((False, None), (True, headroom)):
+            want = outcome(evaluated, 2, *args, y, cap, cfg.omega)
+            assert outcome(consumption, cfg, *args, y, limited) == want
+
+
 def assert_selection_matches(cfg, task, offers, limited) -> None:
     """Check select_vehicle against the reference's rule, with the offers'
     swap versions and a copy of the first offer (an exact tie) added."""
@@ -182,12 +219,24 @@ def assert_selection_matches(cfg, task, offers, limited) -> None:
 
 @pytest.mark.parametrize("regime", REGIMES)
 def test_scalar_reference_never_calls_the_kernel(regime, monkeypatch):
-    def kernel(*args, **kwargs):
-        raise AssertionError("the reference called plan_matrix")
+    def kernel(name):
+        def called(*args, **kwargs):
+            raise AssertionError(f"the reference called {name}")
 
-    monkeypatch.setattr(planner, "plan_matrix", kernel)
-    with pytest.raises(AssertionError, match="the reference called plan_matrix"):
-        plan_pair(PlannerConfig(), UavTask(5.0, 60.0), VehicleOffer(40.0), PairGeometry(0.1))
+        return called
+
+    for name in ("plan_matrix", "_eligible", "_max_hitch", "_objective"):
+        monkeypatch.setattr(planner, name, kernel(name))
+    cfg, task = PlannerConfig(), UavTask(5.0, 60.0, deadline=0.2)
+    offer, geom = VehicleOffer(40.0), PairGeometry(0.1)
+    for name, call in (
+        ("plan_matrix", lambda: plan_pair(cfg, task, offer, geom)),
+        ("_eligible", lambda: eligibility(cfg, task, offer, geom)),
+        ("_max_hitch", lambda: max_hitch_distance(task, offer, geom)),
+        ("_objective", lambda: consumption(cfg, task, offer, geom, 1.0)),
+    ):
+        with pytest.raises(AssertionError, match=f"the reference called {name}"):
+            call()
     rng = random.Random(f"reference-{regime}")
     for _ in range(200):
         cfg, task, offer, geom, limited = random_instance(rng, regime)
@@ -226,6 +275,8 @@ def test_plan_matrix_matches_plan_pair_on_random_instances(regime, gamma, limite
         assert_plan_matrix_matches(cfg, [task], [offer], [[geom.theta]], limited)
         assert_entries_match(cfg, task, offer, geom, limited)
         assert_selection_matches(cfg, task, [(offer, geom)], limited)
+        if not limited:  # the helpers take no battery model
+            assert_helpers_match(cfg, task, offer, geom)
 
 
 @pytest.mark.parametrize("regime", REGIMES)
@@ -515,6 +566,11 @@ def test_plan_matrix_matches_plan_pair_at_equal_speeds_and_direct_deadline(limit
         assert_plan_matrix_matches(cfg, tasks, offers, theta, limited)
         flipped = [row[::-1] for row in theta]
         assert_plan_matrix_matches(cfg, tasks, offers, flipped, limited)
+        if not limited:
+            for task in tasks:
+                for offer in offers:
+                    for t in theta[0]:
+                        assert_helpers_match(cfg, task, offer, PairGeometry(t))
 
 
 def first_unbounded_scenario() -> dict:

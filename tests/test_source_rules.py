@@ -8,6 +8,12 @@ move same-seed CSV bytes. The package adds floats left to right instead
 Every plan comes from ``planner.plan_matrix``, so a ``HitchPlan`` is built
 in one place only, ``PlanArrays.plan``; another test fails on any other
 construction, which would be a second planning path.
+
+Each planner formula is written once, in the array kernels that
+``plan_matrix`` and the one-pair helpers share. The planner binds every
+transcendental it uses once, in a table of module-level names (``math``'s
+through ``np.frompyfunc`` where numpy's differ in the last bit); a third
+test fails on any other mention, which would be a second transcription.
 """
 
 import ast
@@ -61,3 +67,43 @@ def test_hitch_plans_are_built_only_by_plan_arrays():
     modules = sorted(PACKAGE.rglob("*.py"))
     builders = [site for path in modules for site in hitch_plan_builders(path)]
     assert builders == ["planner.py:PlanArrays.plan"]
+
+
+TRANSCENDENTALS = {"acos", "hypot", "pow", "sqrt", "sin", "cos", "copysign"}
+
+
+def is_table_entry(node: ast.AST) -> bool:
+    """``name = np.frompyfunc(...)`` or ``name = np.f`` (or ``math.f``)."""
+    if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)):
+        return False
+    value = node.value
+    if isinstance(value, ast.Call):
+        if not (isinstance(value.func, ast.Attribute) and value.func.attr == "frompyfunc"):
+            return False
+        value = value.func
+    return isinstance(value, ast.Attribute) and is_module(value.value)
+
+
+def is_module(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id in ("math", "np", "numpy")
+
+
+def transcendentals_outside_the_table(path: pathlib.Path) -> list[str]:
+    """``file:line`` of every ``math.f``/``np.f`` mention of a transcendental
+    outside a module-level table entry."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    table = {id(n) for stmt in tree.body if is_table_entry(stmt) for n in ast.walk(stmt)}
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in TRANSCENDENTALS
+        and is_module(node.value)
+        and id(node) not in table
+    ]
+
+
+def test_planner_transcendentals_appear_only_in_its_table():
+    sites = transcendentals_outside_the_table(PACKAGE / "planner.py")
+    assert not sites, f"transcendentals outside the table at {sites}"
