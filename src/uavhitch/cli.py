@@ -15,6 +15,9 @@ import math
 import os
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from .matching import (
     BruteForceSizeError,
@@ -135,6 +138,47 @@ def _solve(matrix: SavingMatrix, solver: str) -> MatchResult:
     return brute_force_match(matrix)
 
 
+def _json_floats(values: list[float]) -> list[str]:
+    """Each float as ``json.dumps`` writes it; a finite one is its repr."""
+    if all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    return [json.dumps(v) for v in values]
+
+
+def _match_json(
+    solver: str,
+    n_uavs: int,
+    n_vehicles: int,
+    pairs: tuple[list, ...],
+    total_saving: float,
+    iterations: int,
+    certificate: bool | None,
+) -> str:
+    """The ``match`` JSON, byte for byte what ``json.dumps(payload, indent=2)
+    + "\n"`` writes for the payload with these keys, in this order.
+
+    ``pairs`` holds one list per pair key: the UAVs and their vehicles
+    (ints), ``y_star``, ``total_time``, ``energy``, ``consumption`` and
+    ``saving`` (floats) and ``binding`` (:class:`Binding` values). Each
+    pair is one template, so the pure-Python encoder that ``indent`` selects
+    never runs.
+    """
+    uavs, vehicles, *floats, bindings = pairs
+    q = encode_basestring_ascii
+    items = ",".join(
+        f'\n    {{\n      "uav": {i},\n      "vehicle": {j},\n      "y_star": {y},'
+        f'\n      "total_time": {t},\n      "energy": {e},\n      "consumption": {c},'
+        f'\n      "saving": {s},\n      "binding": {q(b.value)}\n    }}'
+        for i, j, y, t, e, c, s, b in zip(uavs, vehicles, *map(_json_floats, floats), bindings)
+    )
+    pairs_text = f"[{items}\n  ]" if items else "[]"
+    return (
+        f'{{\n  "solver": {q(solver)},\n  "n_uavs": {n_uavs},\n  "n_vehicles": {n_vehicles},'
+        f'\n  "pairs": {pairs_text},\n  "total_saving": {json.dumps(total_saving)},'
+        f'\n  "iterations": {iterations},\n  "dual_certificate": {json.dumps(certificate)}\n}}\n'
+    )
+
+
 def _cmd_match(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     matrix = build_saving_matrix(
@@ -144,39 +188,23 @@ def _cmd_match(args: argparse.Namespace) -> int:
     certificate = (
         verify_duals(matrix, result, result.duals) if result.duals is not None else None
     )
-    pairs = [
-        (i, result.assignment[i], matrix.plans[i][c]) for i, c in result.matched_columns.items()
-    ]
+    # The printed pairs, in UAV order, read in bulk from the planned arrays.
+    uavs, vehicles = list(result.assignment), list(result.assignment.values())
+    at = (np.array(uavs, dtype=np.intp), np.array(vehicles, dtype=np.intp))
+    y_star, total_time, energy, consumption, saving, binding = matrix.arrays.columns(at)
 
     if args.format == "json":
-        payload = {
-            "solver": args.solver,
-            "n_uavs": matrix.n_uavs,
-            "n_vehicles": len(scenario.offers),
-            "pairs": [
-                {
-                    "uav": i,
-                    "vehicle": j,
-                    "y_star": plan.y_star,
-                    "total_time": plan.total_time,
-                    "energy": plan.energy,
-                    "consumption": plan.consumption,
-                    "saving": plan.saving,
-                    "binding": plan.binding.value,
-                }
-                for i, j, plan in pairs
-            ],
-            "total_saving": result.total_saving,
-            "iterations": result.iterations,
-            "dual_certificate": certificate,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        pairs = (uavs, vehicles, y_star, total_time, energy, consumption, saving, binding)
+        text = _match_json(
+            args.solver, matrix.n_uavs, len(scenario.offers), pairs,
+            result.total_saving, result.iterations, certificate,
+        )
+        _emit(text, args.output)
     else:
         lines = [f"solver: {args.solver}"]
-        for i, j, plan in pairs:
+        for i, j, y, s, b in zip(uavs, vehicles, y_star, saving, binding):
             lines.append(
-                f"  uav {i} -> vehicle {j}: y*={_fmt(plan.y_star)} km, "
-                f"saving={_fmt(plan.saving)}, binding={plan.binding.value}"
+                f"  uav {i} -> vehicle {j}: y*={_fmt(y)} km, saving={_fmt(s)}, binding={b.value}"
             )
         unmatched = [i for i in range(matrix.n_uavs) if i not in result.assignment]
         if unmatched:

@@ -17,10 +17,13 @@ in the same order, so the potentials and matching are exactly its own.
 Results are reported in the capacity-expanded view the matrix derives: a
 vehicle fills one identical column per seat, ``q`` repeats over them, and
 a vehicle's riders take them lowest first, in UAV order. The certificate
-and the plans read that view. The plans are a :class:`PlanGrid` that
-builds a pair's ``HitchPlan`` only when it is read, as ``uavhitch match``
-does for the pairs it prints. A greedy baseline and an exhaustive oracle
-are included for comparison.
+reads that view. The matrix keeps the ``plan_matrix`` arrays of every
+(UAV, vehicle) pair as ``SavingMatrix.arrays``; ``uavhitch match`` reads
+the fields of the pairs it prints from them in bulk, by the UAV and
+vehicle indices of ``MatchResult.assignment``, and builds no
+``HitchPlan``. ``SavingMatrix.plans``, a :class:`PlanGrid` over the
+expanded columns, builds one when it is read. A greedy baseline and an
+exhaustive oracle are included for comparison.
 """
 
 from __future__ import annotations
@@ -103,7 +106,10 @@ class SavingMatrix:
     column ``c`` back to its vehicle, ``n_vehicles`` counts the columns,
     and ``weights[:, c]`` is ``saving[:, column_origin[c]]`` (``saving``
     itself when every vehicle has one column), made on first read.
-    ``plans[i][c]`` is the plan of UAV ``i`` on column ``c``.
+    ``plans[i][c]`` is the plan of UAV ``i`` on column ``c``, and
+    ``arrays`` the :class:`PlanArrays` of the (I, J) pairs, one element
+    per UAV-vehicle pair; both are None for a matrix made from savings
+    alone.
 
     ``saving`` may be given as any nested sequence; it is stored as a
     float64 array with one column per vehicle. A wrong shape, a capacity
@@ -115,6 +121,7 @@ class SavingMatrix:
     capacity: Sequence[int]
     plans: Sequence[Sequence[HitchPlan]] | None = None
     tol: float = 1e-9
+    arrays: PlanArrays | None = None
     n_uavs: int = field(init=False)
     n_vehicles: int = field(init=False)
     column_origin: list[int] = field(init=False)
@@ -159,11 +166,11 @@ class MatchResult:
     """An assignment of UAVs to vehicles with its total saving.
 
     ``assignment`` maps UAV index to original vehicle index, in UAV order;
-    ``matched_columns`` maps it to an expanded column, a vehicle's riders
-    taking its columns lowest first, in UAV order. The dual certificate
-    reads it, and it indexes ``SavingMatrix.plans`` for a matched pair's
-    plan. ``iterations`` counts augmentation rounds of the primal-dual
-    loop (zero for the other solvers).
+    its keys and values index ``SavingMatrix.arrays`` for the matched
+    pairs' plans. ``matched_columns`` maps it to an expanded column, a
+    vehicle's riders taking its columns lowest first, in UAV order; the
+    dual certificate reads it. ``iterations`` counts augmentation rounds
+    of the primal-dual loop (zero for the other solvers).
     """
 
     assignment: dict[int, int]
@@ -235,7 +242,7 @@ def build_saving_matrix(
         i, j = np.argwhere(arrays.unbounded)[0]
         raise UnboundedHitchError(f"uav {i}, vehicle {j}: {UNBOUNDED_MESSAGE}")
 
-    m = SavingMatrix(arrays.saving, [o.capacity for o in offers], tol=cfg.tol)
+    m = SavingMatrix(arrays.saving, [o.capacity for o in offers], tol=cfg.tol, arrays=arrays)
     m.plans = PlanGrid(arrays, m.column_origin)
     return m
 

@@ -150,8 +150,11 @@ def scenario_from_dict(data: dict) -> Scenario:
             f"theta has {len(theta)} entries, expected {n_uavs} x {n_vehicles} "
             f"= {n_uavs * n_vehicles}"
         )
-    theta = [math.inf if t == "inf" else t for t in theta]
-    if {type(t) for t in theta} - {float, int}:  # else every entry is a plain number
+    kinds = set(map(type, theta))
+    if str in kinds:
+        theta = [math.inf if t == "inf" else t for t in theta]
+        kinds = set(map(type, theta))
+    if kinds - {float, int}:  # else every entry is a plain number
         for k, t in enumerate(theta):
             if isinstance(t, bool) or not isinstance(t, (int, float)):
                 i, j = divmod(k, n_vehicles)

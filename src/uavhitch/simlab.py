@@ -77,6 +77,15 @@ class GeneratorParams:
             raise ValueError(f"x_max must be positive, got {self.x_max}")
         if self.deadline_factor is not None and self.deadline_factor < 1.0:
             raise ValueError("deadline_factor below 1 makes the direct flight infeasible")
+        # The model types check their own fields, also for a run that draws
+        # no UAV or no vehicle: one probe each, at the longest trip and at
+        # both ends of a sampled range, made once here and not per trial.
+        PlannerConfig(omega=self.omega, tol=self.tol)
+        UavTask(x=self.x_max, u=self.u)
+        for v, gamma in itertools.product(
+            self.v_range or (self.v,), self.gamma_range or (self.gamma,)
+        ):
+            VehicleOffer(v=v, gamma=gamma, capacity=self.capacity)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,8 +5,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
-from uavhitch.cli import main
+from uavhitch.cli import _match_json, main
+from uavhitch.model import Binding, UavTask, VehicleOffer
 from uavhitch.planner import UNBOUNDED_MESSAGE
 from uavhitch.scenario_io import load_scenario
 
@@ -443,6 +445,109 @@ def test_simulate_names_bad_seed_or_count(tmp_path, monkeypatch, capsys, env, fl
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "a.csv").exists()
+
+
+def model_message(make) -> str:
+    with pytest.raises(ValueError) as exc:
+        make()
+    return str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "flags, make",
+    [
+        (["--uavs", "0", "--u", "-5"], lambda: UavTask(x=20.0, u=-5.0)),
+        (["--vehicles", "0", "--v", "0", "--gamma", "-1"], lambda: VehicleOffer(v=0.0, gamma=-1.0)),
+        (["--vehicles", "0", "--gamma", "-1"], lambda: VehicleOffer(v=40.0, gamma=-1.0)),
+        (["--vehicles", "0", "--capacity", "0"], lambda: VehicleOffer(v=40.0, capacity=0)),
+    ],
+)
+def test_simulate_checks_model_flags_when_nothing_is_drawn(tmp_path, capsys, flags, make):
+    # The same flags fail once a UAV or a vehicle is drawn; with none drawn
+    # they must fail too, with the model's own message.
+    out = tmp_path / "a.csv"
+    args = ["simulate", "--case", "1", "--uavs", "3", "--vehicles", "4", "--trials", "1",
+            "--output", str(out), *flags]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {model_message(make)}\n"
+    assert not out.exists()
+
+
+PAIR_FLOATS = ("y_star", "total_time", "energy", "consumption", "saving")
+PAIR_KEYS = ("uav", "vehicle", *PAIR_FLOATS, "binding")
+NO_PAIRS = ([],) * len(PAIR_KEYS)
+
+
+def match_payload(solver, n_uavs, n_vehicles, pairs, total_saving, iterations, certificate):
+    """The ``match`` JSON payload as a dict, as ``json.dumps`` would be given it."""
+    return {
+        "solver": solver,
+        "n_uavs": n_uavs,
+        "n_vehicles": n_vehicles,
+        "pairs": [
+            {**dict(zip(PAIR_KEYS, pair[:-1])), "binding": pair[-1].value}
+            for pair in zip(*pairs)
+        ],
+        "total_saving": total_saving,
+        "iterations": iterations,
+        "dual_certificate": certificate,
+    }
+
+
+def assert_match_json_is_json_dumps(*args):
+    assert _match_json(*args) == json.dumps(match_payload(*args), indent=2) + "\n"
+
+
+# st.floats draws -0.0 and subnormals among the finite floats.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+PAIR = st.tuples(st.integers(), st.integers(), *[FINITE] * len(PAIR_FLOATS), st.sampled_from(Binding))
+
+
+@given(
+    solver=st.text(),
+    n_uavs=st.integers(),
+    n_vehicles=st.integers(),
+    pairs=st.lists(PAIR, max_size=6),
+    total_saving=FINITE,
+    iterations=st.integers(),
+    certificate=st.sampled_from([True, False, None]),
+)
+def test_match_json_equals_json_dumps(
+    solver, n_uavs, n_vehicles, pairs, total_saving, iterations, certificate
+):
+    columns = tuple(map(list, zip(*pairs))) if pairs else NO_PAIRS
+    assert_match_json_is_json_dumps(
+        solver, n_uavs, n_vehicles, columns, total_saving, iterations, certificate
+    )
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", [*PAIR_FLOATS, "total_saving"])
+@pytest.mark.parametrize("certificate", [True, False, None])
+def test_match_json_writes_non_finite_floats_as_json_dumps(field, value, certificate):
+    floats = {name: [0.5, -0.0, 5e-324] for name in PAIR_FLOATS}
+    total_saving = 1.25
+    if field == "total_saving":
+        total_saving = value
+    else:
+        floats[field][1] = value
+    pairs = ([0, 1, 2], [2, 0, 1], *floats.values(), [Binding.INTERIOR, Binding.NO_HITCH, Binding.DEADLINE])
+    assert_match_json_is_json_dumps("msa", 3, 3, pairs, total_saving, 7, certificate)
+
+
+@pytest.mark.parametrize("solver", ["msa", "greedy", "brute"])
+def test_match_json_with_no_saving_pair_writes_an_empty_list(tmp_path, solver):
+    # At theta = pi no vehicle helps, so every UAV flies direct.
+    scenario = {**SCENARIO, "uavs": [{"x": 5.0, "u": 60.0}, {"x": 8.0, "u": 60.0}],
+                "vehicles": [{"v": 40.0, "gamma": 0.3}, {"v": 50.0}], "theta": [math.pi] * 4}
+    path, out = tmp_path / "direct.json", tmp_path / "match.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["match", str(path), "--solver", solver, "--format", "json",
+                 "--output", str(out)]) == 0
+    certificate = True if solver == "msa" else None
+    payload = match_payload(solver, 2, 2, NO_PAIRS, 0.0, 0, certificate)
+    assert payload["pairs"] == []
+    assert out.read_text() == json.dumps(payload, indent=2) + "\n"
 
 
 def test_seed_flag_overrides_a_bad_env_seed(tmp_path, monkeypatch):

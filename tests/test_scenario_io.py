@@ -2,9 +2,11 @@ import json
 import math
 from dataclasses import MISSING, fields, replace
 
+import numpy as np
 import pytest
 
 from uavhitch import GeneratorParams, UavTask, VehicleOffer, case_theta_range, generate_scenario
+from uavhitch import scenario_io
 from uavhitch.scenario_io import (
     csv_text,
     dump_scenario,
@@ -51,6 +53,51 @@ def test_nested_theta_accepted(scenario):
     flat = d["theta"]
     d["theta"] = [flat[i * 4 : (i + 1) * 4] for i in range(3)]
     assert dump_scenario(scenario_from_dict(d)) == dump_scenario(scenario)
+
+
+class PassCountingList(list):
+    """A list that counts the passes made over it by iteration."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def mixed_theta(scenario) -> list:
+    """The scenario's flat theta with "inf" strings and ints among its floats."""
+    theta = scenario_to_dict(scenario)["theta"]
+    theta[1], theta[2], theta[6], theta[9], theta[11] = "inf", 0, "inf", 3, 1
+    return theta
+
+
+def test_mixed_theta_loads_as_the_per_entry_path(scenario, monkeypatch):
+    d = {**scenario_to_dict(scenario), "theta": mixed_theta(scenario)}
+    with pytest.raises(ValueError, match=r"^theta\[0,1\]: theta must be in \[0, pi\], got inf$"):
+        scenario_from_dict(d)
+    per_entry = np.array([math.inf if t == "inf" else t for t in d["theta"]], dtype=np.float64)
+    monkeypatch.setattr(scenario_io, "Scenario", lambda **kw: kw)  # skips the range check
+    geoms = scenario_from_dict(d)["geoms"]
+    assert geoms.dtype == np.float64
+    assert geoms.tobytes() == per_entry.reshape(3, 4).tobytes()
+
+
+def test_all_number_theta_is_scanned_once(scenario, monkeypatch):
+    monkeypatch.setattr(scenario_io, "Scenario", lambda **kw: kw)
+    d = scenario_to_dict(scenario)
+    numpy_passes = PassCountingList(d["theta"])
+    np.array(numpy_passes, dtype=np.float64)
+
+    def passes(theta) -> int:
+        counted = PassCountingList(theta)
+        scenario_from_dict({**d, "theta": counted})
+        return counted.passes
+
+    ints = [0 if k % 2 else t for k, t in enumerate(d["theta"])]
+    # One type scan, then numpy converts the list itself: no "inf" rewrite
+    # makes a copy of it.
+    assert passes(d["theta"]) == passes(ints) == numpy_passes.passes + 1
 
 
 def test_theta_length_mismatch_rejected(scenario):

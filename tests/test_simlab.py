@@ -8,6 +8,7 @@ from uavhitch import (
     PlannerConfig,
     Scenario,
     UavTask,
+    VehicleOffer,
     case_theta_range,
     generate_scenario,
     run_experiment,
@@ -33,6 +34,28 @@ def test_empty_scenario():
     assert s.tasks == [] and s.offers == [] and s.geoms.shape == (0, 0)
     r = run_trial(s)
     assert r.total_direct == 0.0 and r.saving_msa == 0.0
+
+
+@pytest.mark.parametrize(
+    "params, make",
+    [
+        ({"omega": 1.5}, lambda: PlannerConfig(omega=1.5)),
+        ({"u": 0.0}, lambda: UavTask(x=20.0, u=0.0)),
+        ({"x_max": math.inf}, lambda: UavTask(x=math.inf, u=60.0)),
+        ({"v_range": (0.0, 40.0)}, lambda: VehicleOffer(v=0.0)),
+        ({"v_range": (20.0, math.inf)}, lambda: VehicleOffer(v=math.inf)),
+        ({"gamma_range": (-0.5, 0.5)}, lambda: VehicleOffer(v=40.0, gamma=-0.5)),
+        ({"gamma_range": (0.0, math.nan)}, lambda: VehicleOffer(v=40.0, gamma=math.nan)),
+        ({"capacity": 0}, lambda: VehicleOffer(v=40.0, capacity=0)),
+    ],
+)
+def test_params_check_model_fields_with_the_model_message(params, make):
+    # Checked once, when the params are made, so also with nothing to draw.
+    with pytest.raises(ValueError) as expected:
+        make()
+    with pytest.raises(ValueError) as got:
+        GeneratorParams(n_uavs=0, n_vehicles=0, **params)
+    assert str(got.value) == str(expected.value)
 
 
 def test_trial_totals_add_left_to_right():

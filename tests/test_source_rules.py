@@ -14,6 +14,11 @@ Each planner formula is written once, in the array kernels that
 transcendental it uses once, in a table of module-level names (``math``'s
 through ``np.frompyfunc`` where numpy's differ in the last bit); a third
 test fails on any other mention, which would be a second transcription.
+
+``SavingMatrix.plans`` is the capacity-expanded view of the plans, kept
+for the benchmark's tracer until that view is deleted. The package reads a
+matched pair's plan from ``SavingMatrix.arrays``; a fourth test fails on
+any read of a ``plans`` attribute in it, which would bring a reader back.
 """
 
 import ast
@@ -107,3 +112,21 @@ def transcendentals_outside_the_table(path: pathlib.Path) -> list[str]:
 def test_planner_transcendentals_appear_only_in_its_table():
     sites = transcendentals_outside_the_table(PACKAGE / "planner.py")
     assert not sites, f"transcendentals outside the table at {sites}"
+
+
+def plans_reads(path: pathlib.Path) -> list[str]:
+    """``file:line`` of every read of a ``.plans`` attribute in a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "plans"
+        and not isinstance(node.ctx, ast.Store)
+    ]
+
+
+def test_package_source_never_reads_saving_matrix_plans():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    reads = [site for path in modules for site in plans_reads(path)]
+    assert not reads, f".plans read at {reads}"
