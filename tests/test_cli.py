@@ -457,7 +457,8 @@ def model_message(make) -> str:
     "flags, make",
     [
         (["--uavs", "0", "--u", "-5"], lambda: UavTask(x=20.0, u=-5.0)),
-        (["--vehicles", "0", "--v", "0", "--gamma", "-1"], lambda: VehicleOffer(v=0.0, gamma=-1.0)),
+        (["--vehicles", "0", "--v", "0", "--gamma", "-1"],
+         lambda: VehicleOffer(v=0.0, gamma=-1.0)),
         (["--vehicles", "0", "--gamma", "-1"], lambda: VehicleOffer(v=40.0, gamma=-1.0)),
         (["--vehicles", "0", "--capacity", "0"], lambda: VehicleOffer(v=40.0, capacity=0)),
     ],
@@ -500,7 +501,9 @@ def assert_match_json_is_json_dumps(*args):
 
 # st.floats draws -0.0 and subnormals among the finite floats.
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-PAIR = st.tuples(st.integers(), st.integers(), *[FINITE] * len(PAIR_FLOATS), st.sampled_from(Binding))
+PAIR = st.tuples(
+    st.integers(), st.integers(), *[FINITE] * len(PAIR_FLOATS), st.sampled_from(Binding)
+)
 
 
 @given(
@@ -531,7 +534,8 @@ def test_match_json_writes_non_finite_floats_as_json_dumps(field, value, certifi
         total_saving = value
     else:
         floats[field][1] = value
-    pairs = ([0, 1, 2], [2, 0, 1], *floats.values(), [Binding.INTERIOR, Binding.NO_HITCH, Binding.DEADLINE])
+    bindings = [Binding.INTERIOR, Binding.NO_HITCH, Binding.DEADLINE]
+    pairs = ([0, 1, 2], [2, 0, 1], *floats.values(), bindings)
     assert_match_json_is_json_dumps("msa", 3, 3, pairs, total_saving, 7, certificate)
 
 

@@ -55,6 +55,19 @@ def test_nested_theta_accepted(scenario):
     assert dump_scenario(scenario_from_dict(d)) == dump_scenario(scenario)
 
 
+def test_mixed_theta_loads_as_the_per_entry_path(scenario, monkeypatch):
+    d = scenario_to_dict(scenario)
+    # "inf" strings and ints among the floats
+    d["theta"][1], d["theta"][2], d["theta"][6], d["theta"][9] = "inf", 0, "inf", 3
+    with pytest.raises(ValueError, match=r"^theta\[0,1\]: theta must be in \[0, pi\], got inf$"):
+        scenario_from_dict(d)
+    per_entry = np.array([math.inf if t == "inf" else t for t in d["theta"]], dtype=np.float64)
+    monkeypatch.setattr(scenario_io, "Scenario", lambda **kw: kw)  # skips the range check
+    geoms = scenario_from_dict(d)["geoms"]
+    assert geoms.dtype == np.float64
+    assert geoms.tobytes() == per_entry.reshape(3, 4).tobytes()
+
+
 class PassCountingList(list):
     """A list that counts the passes made over it by iteration."""
 
@@ -63,24 +76,6 @@ class PassCountingList(list):
     def __iter__(self):
         self.passes += 1
         return super().__iter__()
-
-
-def mixed_theta(scenario) -> list:
-    """The scenario's flat theta with "inf" strings and ints among its floats."""
-    theta = scenario_to_dict(scenario)["theta"]
-    theta[1], theta[2], theta[6], theta[9], theta[11] = "inf", 0, "inf", 3, 1
-    return theta
-
-
-def test_mixed_theta_loads_as_the_per_entry_path(scenario, monkeypatch):
-    d = {**scenario_to_dict(scenario), "theta": mixed_theta(scenario)}
-    with pytest.raises(ValueError, match=r"^theta\[0,1\]: theta must be in \[0, pi\], got inf$"):
-        scenario_from_dict(d)
-    per_entry = np.array([math.inf if t == "inf" else t for t in d["theta"]], dtype=np.float64)
-    monkeypatch.setattr(scenario_io, "Scenario", lambda **kw: kw)  # skips the range check
-    geoms = scenario_from_dict(d)["geoms"]
-    assert geoms.dtype == np.float64
-    assert geoms.tobytes() == per_entry.reshape(3, 4).tobytes()
 
 
 def test_all_number_theta_is_scanned_once(scenario, monkeypatch):
