@@ -13,18 +13,11 @@ from .model import (
     VehicleOffer,
 )
 from .planner import (
-    battery_swap_plan,
     consumption,
     eligibility,
-    eligibility_ho,
     energy,
-    energy_limited,
     flight_leg,
-    hitch_only_speed_threshold,
     max_hitch_distance,
-    optimal_distance,
-    optimal_distance_ho,
-    optimal_distance_limited,
     PlanArrays,
     plan_matrix,
     plan_pair,

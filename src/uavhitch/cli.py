@@ -30,7 +30,7 @@ from .matching import (
     verify_duals,
 )
 from .model import PairGeometry, PlannerConfig, UavTask, VehicleOffer
-from .planner import eligibility, optimal_distance_limited
+from .planner import eligibility, plan_pair
 from .scenario_io import csv_text, load_scenario, save_scenario
 from .simlab import (
     EXPERIMENT_CSV_HEADER,
@@ -97,7 +97,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     offer = VehicleOffer(v=args.v, gamma=args.gamma)
     geom = PairGeometry(theta)
     elig = eligibility(cfg, task, offer, geom)
-    plan = optimal_distance_limited(cfg, task, offer, geom)
+    plan = plan_pair(cfg, task, offer, geom)
 
     if args.format == "json":
         payload = {

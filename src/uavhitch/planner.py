@@ -20,10 +20,11 @@ swap. A full battery takes no charge, so it rides any vehicle as a
 ride-only one. The battery headroom is the battery model: a finite one
 caps the charge, an infinite one does not. Each branch runs only on the
 pairs that reach it, and a pair with no finite optimum is flagged rather
-than raised. The one-pair entries (:func:`plan_pair` and the
-``optimal_distance*`` and :func:`battery_swap_plan` functions) are 0-d
-calls of it that raise :class:`UnboundedHitchError` on that flag, and
-:func:`select_vehicle` is one call over its offers.
+than raised. The one planning entry for one pair, :func:`plan_pair`, is a
+0-d call of it at the task's own battery headroom that raises
+:class:`UnboundedHitchError` on that flag, and :func:`select_vehicle` is
+one call over its offers. A task's default battery is infinite, so it
+plans the unbounded model.
 
 The reference is the scalar decision chain in ``tests/oracles.py``
 (``scalar_plan_pair``), which :func:`plan_matrix` reproduces bit for bit:
@@ -64,21 +65,14 @@ __all__ = [
     "flight_leg",
     "travel_time",
     "energy",
-    "energy_limited",
     "consumption",
     "eligibility",
-    "eligibility_ho",
     "max_hitch_distance",
-    "optimal_distance",
-    "optimal_distance_ho",
-    "optimal_distance_limited",
-    "battery_swap_plan",
     "plan_pair",
     "UNBOUNDED_MESSAGE",
     "PlanArrays",
     "plan_matrix",
     "select_vehicle",
-    "hitch_only_speed_threshold",
 ]
 
 
@@ -203,23 +197,24 @@ def _evaluate(
     offer: VehicleOffer,
     geom: PairGeometry,
     y: float,
-    headroom: float | None,
+    headroom: float,
     omega: float = 0.0,
 ) -> tuple[float, float, float]:
     """(T, E, C) at riding distance y, from a one-element :func:`_objective` call.
 
-    The charge saturates at ``headroom`` (0: ride-only; ``None`` or
-    infinite: unbounded battery, where a swap has no finite energy). C is
+    The charge saturates at ``headroom`` (0: ride-only; infinite: the
+    unbounded battery, uncapped, where a swap has no finite energy). C is
     weighted by ``omega``.
     """
     if y < 0.0:
         raise ValueError(f"hitch distance y must be >= 0, got {y}")
-    if math.isinf(offer.gamma) and (headroom is None or math.isinf(headroom)):
+    unbounded = math.isinf(headroom)
+    if math.isinf(offer.gamma) and unbounded:
         raise ValueError("energy is undefined for battery-swap offers (gamma=inf)")
     # No ride takes no charge; a zero rate also keeps inf * 0 out of it.
     gamma = 0.0 if y == 0.0 else offer.gamma
     args = _each(task.x, task.u, offer.v, gamma, geom.theta, y)
-    t, e, c = _objective(omega, *args, None if headroom is None else np.array([headroom]))
+    t, e, c = _objective(omega, *args, None if unbounded else np.array([headroom]))
     return float(t[0]), float(e[0]), float(c[0])
 
 
@@ -230,36 +225,21 @@ def travel_time(task: UavTask, offer: VehicleOffer, geom: PairGeometry, y: float
 
 
 def energy(task: UavTask, offer: VehicleOffer, geom: PairGeometry, y: float) -> float:
-    """Net energy use with an unbounded battery: flight burn minus charge.
+    """Net energy use: flight burn minus charge, the charge capped at the
+    task's battery headroom.
 
     Negative values mean the UAV lands with more energy than it started
-    with. Battery-swap offers (infinite gamma) have no finite energy here;
-    use :func:`battery_swap_plan` for those.
+    with. A battery-swap offer (infinite gamma) has no finite energy on an
+    unbounded battery; :func:`plan_pair` plans it.
     """
-    return _evaluate(task, offer, geom, y, None)[1]
-
-
-def energy_limited(task: UavTask, offer: VehicleOffer, geom: PairGeometry, y: float) -> float:
-    """Net energy use when charging saturates at the battery headroom."""
     return _evaluate(task, offer, geom, y, task.battery_headroom)[1]
 
 
 def consumption(
-    cfg: PlannerConfig,
-    task: UavTask,
-    offer: VehicleOffer,
-    geom: PairGeometry,
-    y: float,
-    limited: bool = False,
+    cfg: PlannerConfig, task: UavTask, offer: VehicleOffer, geom: PairGeometry, y: float
 ) -> float:
     """Weighted objective omega*E + (1 - omega)*T at riding distance y."""
-    headroom = task.battery_headroom if limited else None
-    return _evaluate(task, offer, geom, y, headroom, cfg.omega)[2]
-
-
-def hitch_only_speed_threshold(cfg: PlannerConfig, task: UavTask) -> float:
-    """Minimum vehicle speed for a ride-only vehicle to be worth taking."""
-    return (1.0 - cfg.omega) * task.u
+    return _evaluate(task, offer, geom, y, task.battery_headroom, cfg.omega)[2]
 
 
 def eligibility(
@@ -291,15 +271,6 @@ def eligibility(
     return Eligibility(bool(ok[0]), reason, float(phi[0]))
 
 
-def eligibility_ho(
-    cfg: PlannerConfig, task: UavTask, offer: VehicleOffer, geom: PairGeometry
-) -> Eligibility:
-    """Eligibility for a ride-only vehicle. Requires offer.gamma == 0."""
-    if offer.gamma != 0.0:
-        raise ValueError("eligibility_ho requires a ride-only offer (gamma == 0)")
-    return eligibility(cfg, task, offer, geom)
-
-
 def max_hitch_distance(task: UavTask, offer: VehicleOffer, geom: PairGeometry) -> float:
     """Largest riding distance that still meets the deadline.
 
@@ -317,8 +288,8 @@ def max_hitch_distance(task: UavTask, offer: VehicleOffer, geom: PairGeometry) -
     return float(_max_hitch(*_each(task.x, task.u, task.deadline, offer.v, geom.theta))[0])
 
 
-# Why a pair has no finite optimum; the one-pair entries raise it, and the
-# saving-matrix build and the sweep prefix the pair or point at fault.
+# Why a pair has no finite optimum; plan_pair and select_vehicle raise it,
+# and the saving-matrix build and the sweep prefix the pair or point at fault.
 UNBOUNDED_MESSAGE = (
     "consumption decreases with distance for this offer; a bounded deadline is required"
 )
@@ -336,7 +307,7 @@ class PlanArrays:
     The float fields hold what :class:`HitchPlan` holds; ``binding`` is
     each pair's :class:`Binding` as a small integer code and ``swap`` its
     ``swap_and_depart`` flag. ``unbounded`` marks the pairs with no finite
-    optimum, for which the one-pair entries raise
+    optimum, for which :func:`plan_pair` and :func:`select_vehicle` raise
     :class:`UnboundedHitchError`; their other fields are meaningless.
     """
 
@@ -562,100 +533,42 @@ def plan_matrix(
     return pairs.arrays(shape)
 
 
-def _plan_one(
-    cfg: PlannerConfig,
-    task: UavTask,
-    offer: VehicleOffer,
-    geom: PairGeometry,
-    headroom: float,
+def plan_pair(
+    cfg: PlannerConfig, task: UavTask, offer: VehicleOffer, geom: PairGeometry
 ) -> HitchPlan:
-    """One pair's plan from a 0-d :func:`plan_matrix` call; raises
-    :class:`UnboundedHitchError` where the pair has no finite optimum."""
+    """Best riding distance for one pair, under the task's battery headroom.
+
+    For an eligible vehicle the convex objective has the stationary point
+    y = x*sin(phi - theta)/sin(phi), capped by the deadline. In the
+    always-eligible regime (phi = pi) only the deadline stops the ride, so
+    there an unbounded deadline raises :class:`UnboundedHitchError`.
+
+    A finite headroom caps the charge. Once the battery is full, riding on
+    behaves like a ride-only vehicle, so the optimum is one of three
+    candidates, each capped by the deadline distance: the unbounded-battery
+    optimum (cap never reached), the ride-only optimum (cap reached before
+    it), or the cap distance. A swap offer (gamma = inf) is always worth
+    meeting; after it the full battery makes riding on a ride-only
+    decision: to the ride-only optimum if the direction qualifies, else
+    depart at once. An infinite headroom (the default task) is the
+    unbounded battery.
+    """
     arrays = plan_matrix(
-        cfg, task.x, task.u, offer.v, offer.gamma, geom.theta, task.deadline, headroom
+        cfg, task.x, task.u, offer.v, offer.gamma, geom.theta, task.deadline,
+        task.battery_headroom,
     )
     if arrays.unbounded[()]:
         raise UnboundedHitchError(UNBOUNDED_MESSAGE)
     return arrays.plan(())
 
 
-def optimal_distance(
-    cfg: PlannerConfig, task: UavTask, offer: VehicleOffer, geom: PairGeometry
-) -> HitchPlan:
-    """Best riding distance with an unbounded battery.
-
-    For an eligible vehicle the convex objective has the stationary point
-    y = x*sin(phi - theta)/sin(phi), capped by the deadline. In the
-    always-eligible regime (phi = pi) only the deadline stops the ride, so
-    an unbounded deadline is an error there. A swap offer has no finite
-    energy on an unbounded battery, so it is rejected.
-    """
-    if math.isinf(offer.gamma):
-        raise ValueError(
-            "optimal_distance cannot plan a battery-swap offer (gamma = inf); "
-            "use battery_swap_plan or optimal_distance_limited"
-        )
-    return _plan_one(cfg, task, offer, geom, math.inf)
-
-
-def optimal_distance_ho(
-    cfg: PlannerConfig, task: UavTask, offer: VehicleOffer, geom: PairGeometry
-) -> HitchPlan:
-    """Best riding distance on a ride-only vehicle. Requires gamma == 0."""
-    if offer.gamma != 0.0:
-        raise ValueError("optimal_distance_ho requires a ride-only offer (gamma == 0)")
-    return optimal_distance(cfg, task, offer, geom)
-
-
-def optimal_distance_limited(
-    cfg: PlannerConfig, task: UavTask, offer: VehicleOffer, geom: PairGeometry
-) -> HitchPlan:
-    """Best riding distance when the battery can only absorb so much charge.
-
-    Once the battery is full, continued riding behaves like a ride-only
-    vehicle, so the optimum is one of three candidates, each capped by the
-    deadline distance: the unbounded-battery optimum (cap never reached),
-    the ride-only optimum (cap reached before it), or the cap distance. A
-    swap offer gets :func:`battery_swap_plan`'s plan, and an unbounded
-    battery :func:`optimal_distance`'s.
-    """
-    return _plan_one(cfg, task, offer, geom, task.battery_headroom)
-
-
-def battery_swap_plan(
-    cfg: PlannerConfig, task: UavTask, offer: VehicleOffer, geom: PairGeometry
-) -> HitchPlan:
-    """Plan for a vehicle that swaps in a fresh battery (gamma = inf).
-
-    Any vehicle is worth meeting for the swap. Afterwards the full battery
-    makes further riding a ride-only decision: continue to the ride-only
-    optimum if the direction qualifies, otherwise depart immediately.
-    """
-    if not math.isinf(offer.gamma):
-        raise ValueError("battery_swap_plan requires a battery-swap offer (gamma == inf)")
-    return _plan_one(cfg, task, offer, geom, math.inf)
-
-
-def plan_pair(
-    cfg: PlannerConfig,
-    task: UavTask,
-    offer: VehicleOffer,
-    geom: PairGeometry,
-    limited: bool = False,
-) -> HitchPlan:
-    """The plan of one pair under the battery model: the task's headroom
-    when ``limited``, else an unbounded battery."""
-    headroom = task.battery_headroom if limited else math.inf
-    return _plan_one(cfg, task, offer, geom, headroom)
-
-
 def select_vehicle(
     cfg: PlannerConfig,
     task: UavTask,
     offers: list[tuple[VehicleOffer, PairGeometry]],
-    limited: bool = False,
 ) -> tuple[int, HitchPlan]:
-    """Pick the offer with the lowest resulting consumption.
+    """Pick the offer with the lowest resulting consumption, each planned
+    as :func:`plan_pair` plans it.
 
     Ties go to the lowest offer index.
     """
@@ -669,7 +582,7 @@ def select_vehicle(
         [offer.gamma for offer, _ in offers],
         [geom.theta for _, geom in offers],
         task.deadline,
-        task.battery_headroom if limited else math.inf,
+        task.battery_headroom,
     )
     if arrays.unbounded.any():
         raise UnboundedHitchError(UNBOUNDED_MESSAGE)

@@ -52,7 +52,10 @@ def _decode(value: Any, context: str) -> float:
         return math.inf
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{context}: expected a number or 'inf', got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{context}: integer too large for a float") from None
 
 
 _SCENARIO_KEYS = {"config", "uavs", "vehicles", "theta", "seed", "label"}
@@ -125,6 +128,14 @@ def _entries(kind: type, data: dict, key: str) -> list:
     return out
 
 
+def _check_theta_entries(theta: list, n_vehicles: int) -> None:
+    """Check each flat theta entry as :func:`_decode` does, naming the
+    first bad one by its pair."""
+    for k, t in enumerate(theta):
+        i, j = divmod(k, n_vehicles)
+        _decode(t, f"theta[{i},{j}]")
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     _require_type(data, dict, "scenario")
     _reject_unknown(data, _SCENARIO_KEYS, "scenario")
@@ -155,11 +166,12 @@ def scenario_from_dict(data: dict) -> Scenario:
         theta = [math.inf if t == "inf" else t for t in theta]
         kinds = set(map(type, theta))
     if kinds - {float, int}:  # else every entry is a plain number
-        for k, t in enumerate(theta):
-            if isinstance(t, bool) or not isinstance(t, (int, float)):
-                i, j = divmod(k, n_vehicles)
-                raise ValueError(f"theta[{i},{j}]: expected a number or 'inf', got {t!r}")
-    geoms = np.array(theta, dtype=np.float64).reshape(n_uavs, n_vehicles)
+        _check_theta_entries(theta, n_vehicles)
+    try:
+        geoms = np.array(theta, dtype=np.float64).reshape(n_uavs, n_vehicles)
+    except OverflowError:  # an int past the float range
+        _check_theta_entries(theta, n_vehicles)
+        raise
 
     seed = data.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):

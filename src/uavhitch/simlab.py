@@ -75,7 +75,7 @@ class GeneratorParams:
             raise ValueError(f"theta_range must lie within [0, pi], got {self.theta_range}")
         if not self.x_max > 0.0:
             raise ValueError(f"x_max must be positive, got {self.x_max}")
-        if self.deadline_factor is not None and self.deadline_factor < 1.0:
+        if self.deadline_factor is not None and not self.deadline_factor >= 1.0:
             raise ValueError("deadline_factor below 1 makes the direct flight infeasible")
         # The model types check their own fields, also for a run that draws
         # no UAV or no vehicle: one probe each, at the longest trip and at
@@ -338,7 +338,7 @@ def sweep_curves(kind: str, **grid) -> tuple[list[str], list[tuple]]:
     planned at exactly that headroom). The whole grid is one
     :func:`~uavhitch.planner.plan_matrix` call at each point's battery
     headroom, so every point gets the plan
-    :func:`~uavhitch.planner.optimal_distance_limited` gives it: the charge
+    :func:`~uavhitch.planner.plan_pair` gives its task: the charge
     is capped only on a finite battery, and ``gamma = inf`` gives swap
     plans. ``deadline`` (default unbounded) and ``tol`` apply to every kind;
     grids that reach the always-eligible charging regime need a bounded

@@ -25,13 +25,10 @@ from uavhitch import (
     build_saving_matrix,
     case_theta_range,
     eligibility,
-    eligibility_ho,
     generate_scenario,
     max_hitch_distance,
     msa_match,
-    optimal_distance,
-    optimal_distance_ho,
-    optimal_distance_limited,
+    plan_pair,
     run_trial,
     scale_scenario,
     select_vehicle,
@@ -39,7 +36,13 @@ from uavhitch import (
 )
 from uavhitch.cli import main as cli_main
 from uavhitch.simlab import derive_trial_seed
-from oracles import bisect_max_hitch, oracle_min_consumption, random_instance
+from oracles import (
+    bisect_max_hitch,
+    oracle_min_consumption,
+    random_instance,
+    scalar_eligibility,
+    scalar_optimal_distance,
+)
 
 REPORT_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "reports")
 
@@ -48,14 +51,6 @@ REGIME_COUNTS = {"ho": 2500, "charging": 2500, "pi": 1500, "deadline": 2000, "ba
 
 def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {criterion}: {detail}")
-
-
-def plan_for(cfg, task, offer, geom, limited):
-    if limited:
-        return optimal_distance_limited(cfg, task, offer, geom)
-    if offer.gamma == 0.0:
-        return optimal_distance_ho(cfg, task, offer, geom)
-    return optimal_distance(cfg, task, offer, geom)
 
 
 def test_criterion_1_closed_form_vs_grid_oracle():
@@ -67,7 +62,7 @@ def test_criterion_1_closed_form_vs_grid_oracle():
     for regime, count in REGIME_COUNTS.items():
         for _ in range(count):
             cfg, task, offer, geom, limited = random_instance(rng, regime)
-            plan = plan_for(cfg, task, offer, geom, limited)
+            plan = plan_pair(cfg, task, offer, geom)
             oracle = oracle_min_consumption(cfg.omega, task, offer, geom, limited)
             scale = max(task.direct_time, abs(oracle))
             diff = abs(plan.consumption - oracle)
@@ -93,9 +88,9 @@ def test_criterion_2_speed_threshold():
 
     cfg = PlannerConfig(omega=0.8)
     task = UavTask(x=5, u=60)
-    at_threshold = eligibility_ho(cfg, task, VehicleOffer(v=12.0), PairGeometry(0.0))
-    below = eligibility_ho(cfg, task, VehicleOffer(v=11.0), PairGeometry(0.0))
-    above = eligibility_ho(cfg, task, VehicleOffer(v=12.0 + 1e-6), PairGeometry(0.0))
+    at_threshold = eligibility(cfg, task, VehicleOffer(v=12.0), PairGeometry(0.0))
+    below = eligibility(cfg, task, VehicleOffer(v=11.0), PairGeometry(0.0))
+    above = eligibility(cfg, task, VehicleOffer(v=12.0 + 1e-6), PairGeometry(0.0))
     behavior_ok = (
         not at_threshold.eligible
         and at_threshold.reason.value == "speed_too_low"
@@ -103,7 +98,7 @@ def test_criterion_2_speed_threshold():
         and above.eligible
     )
 
-    plan = optimal_distance_ho(cfg, task, VehicleOffer(v=12.0 + 1e-9), PairGeometry(0.0))
+    plan = plan_pair(cfg, task, VehicleOffer(v=12.0 + 1e-9), PairGeometry(0.0))
     baseline = task.direct_time
     near_ok = abs(plan.consumption - baseline) <= 1e-6
 
@@ -118,25 +113,28 @@ def test_criterion_2_speed_threshold():
 
 
 def test_criterion_3_degeneracy_identities():
+    # The gamma = 0 offer is the ride-only (HO) case, and an infinite
+    # battery the unbounded model: both must give the scalar reference's
+    # eligibility and unbounded-battery plan bit for bit.
     rng = random.Random(3)
     failures = []
     for _ in range(1000):
         cfg, task, offer, geom, _ = random_instance(rng, "ho")
-        if eligibility(cfg, task, offer, geom) != eligibility_ho(cfg, task, offer, geom):
+        if eligibility(cfg, task, offer, geom) != scalar_eligibility(cfg, task, offer, geom, 0.0):
             failures.append(("eligibility", task, offer, geom))
-        if optimal_distance(cfg, task, offer, geom) != optimal_distance_ho(cfg, task, offer, geom):
+        if plan_pair(cfg, task, offer, geom) != scalar_optimal_distance(cfg, task, offer, geom):
             failures.append(("distance", task, offer, geom))
 
         cfg2, task2, offer2, geom2, _ = random_instance(rng, "charging")
         if offer2.gamma > 0.0:
             unbounded = replace(task2, battery_capacity=math.inf, battery_level=0.0)
-            if optimal_distance_limited(cfg2, unbounded, offer2, geom2) != optimal_distance(
+            if plan_pair(cfg2, unbounded, offer2, geom2) != scalar_optimal_distance(
                 cfg2, unbounded, offer2, geom2
             ):
                 failures.append(("limited@inf", task2, offer2, geom2))
             full = replace(task2, battery_capacity=1.0, battery_level=1.0)
-            lim = optimal_distance_limited(cfg2, full, offer2, geom2)
-            ho = optimal_distance_ho(cfg2, full, replace(offer2, gamma=0.0), geom2)
+            lim = plan_pair(cfg2, full, offer2, geom2)
+            ho = plan_pair(cfg2, full, replace(offer2, gamma=0.0), geom2)
             if not (
                 lim.y_star == ho.y_star
                 and lim.binding == ho.binding
@@ -152,10 +150,10 @@ def test_criterion_4_angle_properties():
     failures = []
     for _ in range(2000):
         cfg, task, offer, geom, _ = random_instance(rng, "ho")
-        e = eligibility_ho(cfg, task, offer, geom)
+        e = eligibility(cfg, task, offer, geom)
         if e.threshold_angle is not None and e.threshold_angle > math.pi / 2 + 1e-12:
             failures.append(("phi>pi/2", task, offer))
-        plan = optimal_distance_ho(cfg, task, offer, geom)
+        plan = plan_pair(cfg, task, offer, geom)
         if plan.y_star > 0.0 and plan.y_star > task.x * math.cos(geom.theta) + 1e-9:
             failures.append(("y*>xcos", task, offer, geom))
 
@@ -216,7 +214,7 @@ def _audit_deadline_selection_rule(rng):
             offer = VehicleOffer(v=rng.uniform(10.0, 60.0), gamma=rng.uniform(0.05, 0.8))
             geom = PairGeometry(rng.uniform(0.0, 1.0))
             pair.append((offer, geom))
-        plans = [optimal_distance(cfg, task, off, g) for off, g in pair]
+        plans = [plan_pair(cfg, task, off, g) for off, g in pair]
         if any(p.binding.value != "deadline" for p in plans):
             continue
         caps = [bisect_max_hitch(task, off, g) for off, g in pair]
@@ -413,8 +411,8 @@ def test_criterion_8_homogeneity():
         for i, task in enumerate(s.tasks):
             geoms = [PairGeometry(theta) for theta in s.geoms[i].tolist()]
             for j, offer in enumerate(s.offers):
-                p1 = optimal_distance(s.config, task, offer, geoms[j])
-                p2 = optimal_distance(doubled.config, doubled.tasks[i], offer, geoms[j])
+                p1 = plan_pair(s.config, task, offer, geoms[j])
+                p2 = plan_pair(doubled.config, doubled.tasks[i], offer, geoms[j])
                 if p1.binding.value == "interior" and p2.consumption != 2.0 * p1.consumption:
                     failures.append(("interior consumption", case, i, j))
             offers = list(zip(s.offers, geoms))

@@ -243,6 +243,10 @@ SCENARIO = {
         ("theta", [True], "theta[0,0]: expected a number or 'inf', got True"),
         ("theta", ["0.5"], "theta[0,0]: expected a number or 'inf', got '0.5'"),
         ("theta", [None], "theta[0,0]: expected a number or 'inf', got None"),
+        # 401-digit ints, past the float range
+        ("uavs", [{"x": 10**400, "u": 60.0}], "uavs[0].x: integer too large for a float"),
+        ("theta", [10**400], "theta[0,0]: integer too large for a float"),
+        ("config", {"omega": 10**400, "tol": 1e-9}, "config.omega: integer too large for a float"),
     ],
 )
 def test_malformed_scenario_names_field(tmp_path, capsys, field, value, message):
@@ -265,7 +269,7 @@ def test_sweep_speed_csv(tmp_path):
 
 
 def test_sweep_surface_matches_direct_evaluation(tmp_path):
-    from uavhitch import PairGeometry, PlannerConfig, UavTask, VehicleOffer, optimal_distance
+    from uavhitch import PairGeometry, PlannerConfig, UavTask, VehicleOffer, plan_pair
 
     out = str(tmp_path / "surface.csv")
     assert main(["sweep", "--kind", "surface", "--v-points", "5", "--gamma-points", "3",
@@ -275,7 +279,7 @@ def test_sweep_surface_matches_direct_evaluation(tmp_path):
     cfg, task = PlannerConfig(omega=0.8), UavTask(x=5, u=60)
     for ln in lines[1:11]:
         v, g, c = map(float, ln.split(","))
-        plan = optimal_distance(cfg, task, VehicleOffer(v=v, gamma=g), PairGeometry(0.0))
+        plan = plan_pair(cfg, task, VehicleOffer(v=v, gamma=g), PairGeometry(0.0))
         assert c == pytest.approx(plan.consumption, abs=1e-12)
 
 
@@ -429,6 +433,11 @@ def test_seed_env_default(tmp_path, monkeypatch):
         (None, ["--uavs", "-5"], "argument --uavs: counts must be >= 0, got '-5'"),
         (None, ["--vehicles", "-1"], "argument --vehicles: must be an integer >= 0, got '-1'"),
         (None, ["--trials", "0"], "argument --trials: must be an integer >= 1, got '0'"),
+        # NaN passes a `< 1.0` check; with no UAV drawn it would also exit 0.
+        (None, ["--deadline-factor", "nan"],
+         "deadline_factor below 1 makes the direct flight infeasible"),
+        (None, ["--uavs", "0", "--deadline-factor", "nan"],
+         "deadline_factor below 1 makes the direct flight infeasible"),
     ],
 )
 def test_simulate_names_bad_seed_or_count(tmp_path, monkeypatch, capsys, env, flags, message):

@@ -10,7 +10,6 @@ from uavhitch import (
     VehicleOffer,
     consumption,
     energy,
-    energy_limited,
     travel_time,
 )
 
@@ -44,7 +43,7 @@ def test_negative_distance_rejected():
     with pytest.raises(ValueError):
         energy(task, offer, geom, -0.1)
     with pytest.raises(ValueError):
-        energy_limited(task, offer, geom, -1e-12)
+        energy(UavTask(x=5, u=60, battery_capacity=1.0), offer, geom, -1e-12)
 
 
 def test_energy_zero_flight_leg():
@@ -69,37 +68,36 @@ def test_energy_limited_full_battery_matches_no_charging():
     offer = VehicleOffer(v=40, gamma=0.3)
     geom = PairGeometry(math.pi / 2)
     for y in (0.0, 1.0, 3.0):
-        assert energy_limited(task, offer, geom, y) == energy(
+        assert energy(task, offer, geom, y) == energy(
             task, VehicleOffer(v=40, gamma=0.0), geom, y
         )
 
 
 def test_energy_limited_unbounded_battery_matches_energy():
+    # A battery the charge never fills gives the unbounded battery's energy.
     task = UavTask(x=4, u=60)
+    large = UavTask(x=4, u=60, battery_capacity=1e9)
     offer = VehicleOffer(v=40, gamma=0.3)
     geom = PairGeometry(0.7)
     for y in (0.0, 2.0, 6.0):
-        assert energy_limited(task, offer, geom, y) == energy(task, offer, geom, y)
+        assert energy(large, offer, geom, y) == energy(task, offer, geom, y)
 
 
 def test_energy_limited_cap_binds():
     task = UavTask(x=4, u=60, battery_capacity=0.51, battery_level=0.5)
-    e = energy_limited(task, VehicleOffer(v=40, gamma=0.3), PairGeometry(math.pi / 2), 3.0)
+    e = energy(task, VehicleOffer(v=40, gamma=0.3), PairGeometry(math.pi / 2), 3.0)
     # (gamma/v)*y = 0.0225 > headroom 0.01, so the cap binds
     assert e == pytest.approx(5 / 60 - 0.01, rel=1e-12)
 
 
 def test_swap_on_unbounded_battery_has_no_energy_but_has_a_travel_time():
     # A swap offer charges instantly; an infinite battery would absorb an
-    # infinite charge, so every energy helper refuses, as energy() does.
+    # infinite charge, so energy() and consumption() refuse.
     task, swap, geom = UavTask(x=5, u=60), VehicleOffer(v=40, gamma=math.inf), PairGeometry(0.3)
     with pytest.raises(ValueError, match="battery-swap"):
         energy(task, swap, geom, 1.0)
     with pytest.raises(ValueError, match="battery-swap"):
-        energy_limited(task, swap, geom, 1.0)
-    for limited in (False, True):
-        with pytest.raises(ValueError, match="battery-swap"):
-            consumption(CFG, task, swap, geom, 1.0, limited=limited)
+        consumption(CFG, task, swap, geom, 1.0)
     # T does not depend on charging.
     t = travel_time(task, swap, geom, 1.0)
     assert t == 1 / 40 + math.hypot(1 - 5 * math.cos(0.3), 5 * math.sin(0.3)) / 60
@@ -108,7 +106,7 @@ def test_swap_on_unbounded_battery_has_no_energy_but_has_a_travel_time():
 
 def test_swap_on_finite_battery_charges_to_the_headroom():
     task = UavTask(x=5, u=60, battery_capacity=0.4, battery_level=0.1)
-    e = energy_limited(task, VehicleOffer(v=40, gamma=math.inf), PairGeometry(0.3), 1.0)
+    e = energy(task, VehicleOffer(v=40, gamma=math.inf), PairGeometry(0.3), 1.0)
     flight = math.hypot(1 - 5 * math.cos(0.3), 5 * math.sin(0.3)) / 60
     assert e == flight - (0.4 - 0.1)
 

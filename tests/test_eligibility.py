@@ -10,45 +10,43 @@ from uavhitch import (
     UavTask,
     VehicleOffer,
     eligibility,
-    eligibility_ho,
-    hitch_only_speed_threshold,
 )
 
 TASK = UavTask(x=5, u=60)
 
 
 def test_slow_vehicle_rejected():
-    e = eligibility_ho(PlannerConfig(omega=0.8), TASK, VehicleOffer(v=12.0), PairGeometry(0.3))
+    e = eligibility(PlannerConfig(omega=0.8), TASK, VehicleOffer(v=12.0), PairGeometry(0.3))
     assert not e.eligible
     assert e.reason is EligibilityReason.SPEED_TOO_LOW
     assert e.threshold_angle is None
 
 
 def test_speed_threshold_value():
-    assert hitch_only_speed_threshold(PlannerConfig(omega=0.8), TASK) == pytest.approx(12.0)
+    # A ride-only vehicle pays only above (1 - omega)*u = 12 km/h.
+    cfg, geom = PlannerConfig(omega=0.8), PairGeometry(0.0)
+    for v in (11.999, 12.0):
+        e = eligibility(cfg, TASK, VehicleOffer(v=v), geom)
+        assert e.reason is EligibilityReason.SPEED_TOO_LOW, v
+    assert eligibility(cfg, TASK, VehicleOffer(v=12.001), geom).eligible
 
 
 def test_full_energy_weight_threshold_is_right_angle():
-    e = eligibility_ho(PlannerConfig(omega=1.0), TASK, VehicleOffer(v=40.0), PairGeometry(0.3))
+    e = eligibility(PlannerConfig(omega=1.0), TASK, VehicleOffer(v=40.0), PairGeometry(0.3))
     assert e.threshold_angle == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_ride_only_threshold_angle():
-    e = eligibility_ho(PlannerConfig(omega=0.8), TASK, VehicleOffer(v=40.0), PairGeometry(0.3))
+    e = eligibility(PlannerConfig(omega=0.8), TASK, VehicleOffer(v=40.0), PairGeometry(0.3))
     assert e.eligible
     assert e.threshold_angle == pytest.approx(math.acos(0.3), abs=1e-9)
 
 
 def test_angle_too_wide():
-    e = eligibility_ho(PlannerConfig(omega=0.8), TASK, VehicleOffer(v=40.0), PairGeometry(1.4))
+    e = eligibility(PlannerConfig(omega=0.8), TASK, VehicleOffer(v=40.0), PairGeometry(1.4))
     assert not e.eligible
     assert e.reason is EligibilityReason.ANGLE_TOO_WIDE
     assert e.threshold_angle is not None
-
-
-def test_eligibility_ho_requires_ride_only_offer():
-    with pytest.raises(ValueError):
-        eligibility_ho(PlannerConfig(), TASK, VehicleOffer(v=40.0, gamma=0.1), PairGeometry(0.3))
 
 
 def test_charging_widens_threshold_beyond_right_angle():
@@ -80,11 +78,13 @@ def test_fast_charging_accepts_any_direction():
 
 
 def test_gamma_zero_reduces_to_ride_only():
+    # The ride-only rule: theta below acos((1 - omega)*u/v).
     cfg = PlannerConfig(omega=0.8)
+    phi = math.acos((1.0 - 0.8) * 60.0 / 40.0)
     for theta in (0.0, 0.5, 1.3, 2.0, math.pi):
-        geom = PairGeometry(theta)
-        offer = VehicleOffer(v=40.0, gamma=0.0)
-        assert eligibility(cfg, TASK, offer, geom) == eligibility_ho(cfg, TASK, offer, geom)
+        e = eligibility(cfg, TASK, VehicleOffer(v=40.0, gamma=0.0), PairGeometry(theta))
+        assert e.threshold_angle == phi
+        assert e.eligible == (theta < phi - cfg.tol), theta
 
 
 def test_battery_swap_offer_direction_range():
@@ -142,7 +142,7 @@ def test_threshold_nondecreasing_in_omega(u, v, gamma, o1, o2):
 
 @given(omega=st.floats(0, 1), u=st.floats(10, 150), v=st.floats(1, 150), theta=st.floats(0, math.pi))
 def test_ride_only_threshold_never_exceeds_right_angle(omega, u, v, theta):
-    e = eligibility_ho(
+    e = eligibility(
         PlannerConfig(omega=omega), UavTask(x=5, u=u), VehicleOffer(v=v), PairGeometry(theta)
     )
     if e.threshold_angle is not None:

@@ -35,6 +35,7 @@ import hashlib
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -248,19 +249,19 @@ def test_sweep_csv_bytes_pinned(tmp_path, options, digest):
 
 def plan_matrix_digest(tmp_path, write_scenario) -> str:
     # The match JSON shows matched pairs only and omits swap_and_depart;
-    # this pins every field of every pair's plan under both battery models,
-    # and which pairs have no finite optimum without the battery cap.
+    # this pins every field of every pair's plan under both battery models
+    # (an unbounded copy of each task, then the task itself), and which
+    # pairs have no finite optimum without the battery cap.
     path = tmp_path / "scenario.json"
     write_scenario(path)
     s = load_scenario(str(path))
     lines = []
-    for limited in (False, True):
-        for task, row in zip(s.tasks, s.geoms.tolist()):
+    unbounded = [replace(task, battery_capacity=math.inf) for task in s.tasks]
+    for tasks in (unbounded, s.tasks):
+        for task, row in zip(tasks, s.geoms.tolist()):
             for offer, theta in zip(s.offers, row):
                 try:
-                    lines.append(
-                        repr(plan_pair(s.config, task, offer, PairGeometry(theta), limited))
-                    )
+                    lines.append(repr(plan_pair(s.config, task, offer, PairGeometry(theta))))
                 except UnboundedHitchError:
                     lines.append("unbounded")
     return sha256("\n".join(lines).encode())

@@ -1,6 +1,6 @@
 """Differential tests of the array planner against the scalar reference.
 
-``plan_matrix``, the saving-matrix build and every one-pair entry must give
+``plan_matrix``, the saving-matrix build and ``plan_pair`` must give
 the same bits as ``oracles.scalar_plan_pair`` (the scalar decision chain,
 which never calls ``plan_matrix``) on every pair: every plan field (saving,
 y*, T, E, C, binding, swap flag) is compared through ``repr``, which prints
@@ -39,20 +39,16 @@ from uavhitch import (
     UavTask,
     UnboundedHitchError,
     VehicleOffer,
-    battery_swap_plan,
     brute_force_match,
     build_saving_matrix,
     consumption,
     eligibility,
     energy,
-    energy_limited,
     flight_leg,
     generate_scenario,
     greedy_match,
     max_hitch_distance,
     msa_match,
-    optimal_distance,
-    optimal_distance_limited,
     plan_matrix,
     plan_pair,
     select_vehicle,
@@ -160,25 +156,30 @@ def outcome(entry, *args) -> object:
         return type(exc), str(exc)
 
 
-def scalar_select_vehicle(cfg, task, offers, limited):
-    """select_vehicle's rule on the reference's plans: the lowest
-    consumption, the lowest offer index on a tie."""
-    plans = [scalar_plan_pair(cfg, task, offer, geom, limited) for offer, geom in offers]
+def scalar_select_vehicle(cfg, task, offers):
+    """select_vehicle's rule on the reference's plans at the task's own
+    headroom: the lowest consumption, the lowest offer index on a tie."""
+    plans = [scalar_plan_pair(cfg, task, offer, geom, True) for offer, geom in offers]
     best = min(range(len(plans)), key=lambda i: plans[i].consumption)
     return best, plans[best]
 
 
-def assert_entries_match(cfg, task, offer, geom, limited) -> None:
-    """Check the one-pair entries of the battery model against the
-    reference: the plan, or the exception's type and message."""
+def assert_entries_match(cfg, task, offer, geom) -> None:
+    """Check plan_pair against every scalar reference that applies to the
+    pair: the plan, or the exception's type and message. It plans at the
+    task's own headroom, which is the reference's limited model; on an
+    unbounded battery that is also the unbounded model, and on a swap
+    offer the swap plan."""
     args = (cfg, task, offer, geom)
-    assert outcome(plan_pair, *args, limited) == outcome(scalar_plan_pair, *args, limited)
-    assert outcome(battery_swap_plan, *args) == outcome(scalar_battery_swap_plan, *args)
-    if limited:
-        want = outcome(scalar_optimal_distance_limited, *args)
-        assert outcome(optimal_distance_limited, *args) == want
-    elif math.isfinite(offer.gamma):  # a swap offer is rejected, see test_plans.py
-        assert outcome(optimal_distance, *args) == outcome(scalar_optimal_distance, *args)
+    got = outcome(plan_pair, *args)
+    assert got == outcome(scalar_plan_pair, *args, True)
+    assert got == outcome(scalar_optimal_distance_limited, *args)
+    if math.isinf(task.battery_headroom):
+        assert got == outcome(scalar_plan_pair, *args, False)
+        if math.isfinite(offer.gamma):
+            assert got == outcome(scalar_optimal_distance, *args)
+    if math.isinf(offer.gamma):
+        assert got == outcome(scalar_battery_swap_plan, *args)
 
 
 def evaluated(k, *args):
@@ -189,31 +190,33 @@ def evaluated(k, *args):
 def assert_helpers_match(cfg, task, offer, geom) -> None:
     """Check the one-pair helpers against the reference by repr, or by the
     type and message of what they raise: eligibility, the deadline distance
-    and the five evaluators, from a negative riding distance to past the
-    destination."""
+    and the four evaluators, from a negative riding distance to past the
+    destination. ``energy`` and ``consumption`` cap the charge at the
+    task's headroom; an infinite one is also the reference's uncapped
+    path."""
     args = (task, offer, geom)
     assert outcome(eligibility, cfg, *args) == outcome(scalar_eligibility, cfg, *args, offer.gamma)
     assert outcome(max_hitch_distance, *args) == outcome(scalar_max_hitch_distance, *args)
     unit = (UavTask(task.x, 1.0), VehicleOffer(offer.v), geom)  # E(y) = F(y) at u = 1, gamma = 0
     headroom = task.battery_headroom
+    caps = (headroom, None) if math.isinf(headroom) else (headroom,)
     for y in (-1e-12, 0.0, 0.5 * task.x, task.x, 3.0 * task.x):
         if y >= 0.0:
             want = outcome(evaluated, 1, *unit, y, None)
             assert outcome(flight_leg, task.x, geom.theta, y) == want
         assert outcome(travel_time, *args, y) == outcome(evaluated, 0, *args, y, 0.0)
-        assert outcome(energy, *args, y) == outcome(evaluated, 1, *args, y, None)
-        assert outcome(energy_limited, *args, y) == outcome(evaluated, 1, *args, y, headroom)
-        for limited, cap in ((False, None), (True, headroom)):
+        for cap in caps:
+            assert outcome(energy, *args, y) == outcome(evaluated, 1, *args, y, cap)
             want = outcome(evaluated, 2, *args, y, cap, cfg.omega)
-            assert outcome(consumption, cfg, *args, y, limited) == want
+            assert outcome(consumption, cfg, *args, y) == want
 
 
-def assert_selection_matches(cfg, task, offers, limited) -> None:
+def assert_selection_matches(cfg, task, offers) -> None:
     """Check select_vehicle against the reference's rule, with the offers'
     swap versions and a copy of the first offer (an exact tie) added."""
     swaps = [(replace(offer, gamma=math.inf), geom) for offer, geom in offers]
     offers = [*offers, *swaps, offers[0]]
-    args = (cfg, task, offers, limited)
+    args = (cfg, task, offers)
     assert outcome(select_vehicle, *args) == outcome(scalar_select_vehicle, *args)
 
 
@@ -270,13 +273,14 @@ def test_plan_matrix_matches_plan_pair_on_random_instances(regime, gamma, limite
     rng = random.Random(f"{regime}-{gamma}-{limited}")
     for _ in range(150):
         cfg, task, offer, geom, _ = random_instance(rng, regime)
+        if not limited:
+            task = replace(task, battery_capacity=math.inf)
         if GAMMAS[gamma] is not None:
             offer = replace(offer, gamma=GAMMAS[gamma])
         assert_plan_matrix_matches(cfg, [task], [offer], [[geom.theta]], limited)
-        assert_entries_match(cfg, task, offer, geom, limited)
-        assert_selection_matches(cfg, task, [(offer, geom)], limited)
-        if not limited:  # the helpers take no battery model
-            assert_helpers_match(cfg, task, offer, geom)
+        assert_entries_match(cfg, task, offer, geom)
+        assert_selection_matches(cfg, task, [(offer, geom)])
+        assert_helpers_match(cfg, task, offer, geom)
 
 
 @pytest.mark.parametrize("regime", REGIMES)
@@ -300,7 +304,7 @@ def test_crossed_random_instances_match_plan_pair(regime, monkeypatch):
         assert_plan_matrix_matches(cfg, tasks, offers, theta, limited)
         for task, row in zip(tasks, theta):
             pairs = [(offer, PairGeometry(t)) for offer, t in zip(offers, row)]
-            assert_selection_matches(cfg, task, pairs, limited)
+            assert_selection_matches(cfg, task, pairs)
     assert built > 0
 
 
@@ -566,7 +570,7 @@ def test_plan_matrix_matches_plan_pair_at_equal_speeds_and_direct_deadline(limit
         assert_plan_matrix_matches(cfg, tasks, offers, theta, limited)
         flipped = [row[::-1] for row in theta]
         assert_plan_matrix_matches(cfg, tasks, offers, flipped, limited)
-        if not limited:
+        if not limited:  # the helpers plan at each task's headroom: once is enough
             for task in tasks:
                 for offer in offers:
                     for t in theta[0]:

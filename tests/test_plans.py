@@ -13,12 +13,8 @@ from uavhitch import (
     UavTask,
     UnboundedHitchError,
     VehicleOffer,
-    battery_swap_plan,
-    consumption,
     eligibility,
-    optimal_distance,
-    optimal_distance_ho,
-    optimal_distance_limited,
+    plan_pair,
     select_vehicle,
 )
 from oracles import oracle_min_consumption, random_instance
@@ -27,25 +23,17 @@ CFG = PlannerConfig(omega=0.8)
 TASK = UavTask(x=5, u=60)
 
 
-def plan_for(cfg, task, offer, geom, limited):
-    if limited:
-        return optimal_distance_limited(cfg, task, offer, geom)
-    if offer.gamma == 0.0:
-        return optimal_distance_ho(cfg, task, offer, geom)
-    return optimal_distance(cfg, task, offer, geom)
-
-
 # ---------------------------------------------------------------- ride-only
 
 
 def test_full_energy_weight_rides_to_closest_point():
-    plan = optimal_distance_ho(PlannerConfig(omega=1.0), TASK, VehicleOffer(v=40), PairGeometry(0.4))
+    plan = plan_pair(PlannerConfig(omega=1.0), TASK, VehicleOffer(v=40), PairGeometry(0.4))
     assert plan.y_star == pytest.approx(5 * math.cos(0.4), rel=1e-12)
     assert plan.binding is Binding.INTERIOR
 
 
 def test_wide_angle_yields_no_hitch():
-    plan = optimal_distance_ho(CFG, TASK, VehicleOffer(v=40), PairGeometry(1.4))
+    plan = plan_pair(CFG, TASK, VehicleOffer(v=40), PairGeometry(1.4))
     assert plan.y_star == 0.0
     assert plan.binding is Binding.NO_HITCH
     assert plan.consumption == TASK.direct_time
@@ -53,7 +41,7 @@ def test_wide_angle_yields_no_hitch():
 
 
 def test_ride_only_interior_plan_matches_analysis():
-    plan = optimal_distance_ho(CFG, TASK, VehicleOffer(v=40), PairGeometry(0.5))
+    plan = plan_pair(CFG, TASK, VehicleOffer(v=40), PairGeometry(0.5))
     phi = math.acos(0.3)
     assert plan.y_star == pytest.approx(5 * math.cos(0.5) - 5 * math.sin(0.5) / math.tan(phi), rel=1e-9)
     assert plan.consumption == pytest.approx((5 / 60) * math.cos(phi - 0.5), rel=1e-9)
@@ -65,7 +53,7 @@ def test_ride_only_never_passes_closest_point():
     rng = random.Random(11)
     for _ in range(300):
         cfg, task, offer, geom, _ = random_instance(rng, "ho")
-        plan = optimal_distance_ho(cfg, task, offer, geom)
+        plan = plan_pair(cfg, task, offer, geom)
         if plan.y_star > 0.0:
             assert geom.theta < math.pi / 2
             assert plan.y_star <= task.x * math.cos(geom.theta) + 1e-9
@@ -76,19 +64,21 @@ def test_ride_only_never_passes_closest_point():
 
 
 def test_gamma_zero_plan_identical_to_ride_only():
+    # A ride-only vehicle charges nothing, so the battery never enters its plan.
     rng = random.Random(13)
     for _ in range(300):
         cfg, task, offer, geom, _ = random_instance(rng, "ho")
-        assert optimal_distance(cfg, task, offer, geom) == optimal_distance_ho(
-            cfg, task, offer, geom
-        )
+        plan = plan_pair(cfg, task, offer, geom)
+        for level in (0.0, 0.3, 1.0):
+            battery = replace(task, battery_capacity=1.0, battery_level=level)
+            assert plan_pair(cfg, battery, offer, geom) == plan
 
 
 def test_fast_charging_rides_past_closest_point():
     # omega*gamma > 1 - omega: the optimum overshoots x*cos(theta)
-    plan = optimal_distance(CFG, TASK, VehicleOffer(v=40, gamma=0.3), PairGeometry(0.5))
+    plan = plan_pair(CFG, TASK, VehicleOffer(v=40, gamma=0.3), PairGeometry(0.5))
     assert plan.y_star > 5 * math.cos(0.5)
-    ho = optimal_distance_ho(CFG, TASK, VehicleOffer(v=40), PairGeometry(0.5))
+    ho = plan_pair(CFG, TASK, VehicleOffer(v=40), PairGeometry(0.5))
     assert plan.y_star > ho.y_star
     assert plan.consumption < ho.consumption
 
@@ -100,8 +90,8 @@ def test_charging_never_shortens_the_ride():
         cfg, task, offer, geom, _ = random_instance(rng, "charging")
         if offer.gamma == 0.0:
             continue
-        charged = optimal_distance(cfg, task, offer, geom)
-        plain = optimal_distance_ho(cfg, task, replace(offer, gamma=0.0), geom)
+        charged = plan_pair(cfg, task, offer, geom)
+        plain = plan_pair(cfg, task, replace(offer, gamma=0.0), geom)
         if charged.y_star > 0.0 and plain.y_star > 0.0:
             assert charged.y_star >= plain.y_star - 1e-12
             assert charged.consumption <= plain.consumption + 1e-12
@@ -109,7 +99,7 @@ def test_charging_never_shortens_the_ride():
 
 def test_charging_interior_against_oracle():
     offer, geom = VehicleOffer(v=40, gamma=0.3), PairGeometry(0.5)
-    plan = optimal_distance(CFG, TASK, offer, geom)
+    plan = plan_pair(CFG, TASK, offer, geom)
     oracle = oracle_min_consumption(0.8, TASK, offer, geom)
     assert plan.consumption == pytest.approx(oracle, abs=1e-6)
 
@@ -117,13 +107,13 @@ def test_charging_interior_against_oracle():
 def test_always_eligible_without_deadline_is_rejected():
     offer = VehicleOffer(v=40, gamma=1.2)  # omega*gamma = 0.96 >= 0.2 + 2/3
     with pytest.raises(UnboundedHitchError):
-        optimal_distance(CFG, TASK, offer, PairGeometry(2.5))
+        plan_pair(CFG, TASK, offer, PairGeometry(2.5))
 
 
 def test_always_eligible_with_deadline_rides_to_the_cap():
     task = UavTask(x=5, u=60, deadline=0.25)
     offer = VehicleOffer(v=40, gamma=1.2)
-    plan = optimal_distance(CFG, task, offer, PairGeometry(2.5))
+    plan = plan_pair(CFG, task, offer, PairGeometry(2.5))
     assert plan.binding is Binding.DEADLINE
     assert plan.total_time == pytest.approx(0.25, abs=1e-9)
     assert plan.saving > 0.0
@@ -132,8 +122,8 @@ def test_always_eligible_with_deadline_rides_to_the_cap():
 def test_deadline_caps_interior_optimum():
     task = UavTask(x=5, u=60, deadline=0.12)
     offer, geom = VehicleOffer(v=40, gamma=0.3), PairGeometry(0.5)
-    plan = optimal_distance(CFG, task, offer, geom)
-    unbounded = optimal_distance(CFG, TASK, offer, geom)
+    plan = plan_pair(CFG, task, offer, geom)
+    unbounded = plan_pair(CFG, TASK, offer, geom)
     assert plan.binding is Binding.DEADLINE
     assert plan.y_star < unbounded.y_star
     assert plan.total_time <= 0.12 + 1e-9
@@ -146,7 +136,7 @@ def test_randomized_plans_beat_oracle_grid():
     for regime in ("ho", "charging", "pi", "deadline", "battery"):
         for _ in range(40):
             cfg, task, offer, geom, limited = random_instance(rng, regime)
-            plan = plan_for(cfg, task, offer, geom, limited)
+            plan = plan_pair(cfg, task, offer, geom)
             oracle = oracle_min_consumption(cfg.omega, task, offer, geom, limited, n_grid=2001)
             assert plan.consumption <= oracle + 1e-6 * max(1.0, abs(oracle)), (regime, task, offer, geom)
             if math.isfinite(task.deadline):
@@ -157,11 +147,17 @@ def test_randomized_plans_beat_oracle_grid():
 
 
 def test_unbounded_battery_reduces_to_plain_plan():
+    # A battery that fills only well past the unbounded optimum (and past
+    # x, beyond the ride-only one) leaves the unbounded plan as it is.
     rng = random.Random(17)
     for _ in range(200):
         cfg, task, offer, geom, _ = random_instance(rng, "charging")
-        plan = optimal_distance_limited(cfg, task, offer, geom)
-        assert plan == optimal_distance(cfg, task, offer, geom)
+        if offer.gamma == 0.0:
+            continue
+        plan = plan_pair(cfg, task, offer, geom)
+        headroom = (2.0 * plan.y_star + task.x) * offer.gamma / offer.v
+        battery = replace(task, battery_capacity=headroom)
+        assert plan_pair(cfg, battery, offer, geom) == plan
 
 
 def test_full_battery_reduces_to_ride_only():
@@ -171,8 +167,8 @@ def test_full_battery_reduces_to_ride_only():
         if offer.gamma == 0.0:
             continue
         task = replace(task, battery_capacity=0.7, battery_level=0.7)
-        plan = optimal_distance_limited(cfg, task, offer, geom)
-        ho = optimal_distance_ho(cfg, task, replace(offer, gamma=0.0), geom)
+        plan = plan_pair(cfg, task, offer, geom)
+        ho = plan_pair(cfg, task, replace(offer, gamma=0.0), geom)
         assert plan.y_star == ho.y_star
         assert plan.binding == ho.binding
         assert plan.consumption == pytest.approx(ho.consumption, abs=1e-12)
@@ -181,13 +177,13 @@ def test_full_battery_reduces_to_ride_only():
 def test_battery_cap_between_optima_binds():
     # pick headroom so the cap falls strictly between the two optima
     offer, geom = VehicleOffer(v=30, gamma=0.3), PairGeometry(math.pi / 4)
-    ho = optimal_distance_ho(CFG, TASK, VehicleOffer(v=30), geom)
-    full = optimal_distance(CFG, TASK, offer, geom)
+    ho = plan_pair(CFG, TASK, VehicleOffer(v=30), geom)
+    full = plan_pair(CFG, TASK, offer, geom)
     assert ho.y_star < full.y_star
     y_cap = 0.5 * (ho.y_star + full.y_star)
     headroom = y_cap * offer.gamma / offer.v
     task = replace(TASK, battery_capacity=headroom + 0.5, battery_level=0.5)
-    plan = optimal_distance_limited(CFG, task, offer, geom)
+    plan = plan_pair(CFG, task, offer, geom)
     assert plan.binding is Binding.BATTERY_FULL
     assert plan.y_star == pytest.approx(y_cap, rel=1e-9)
     oracle = oracle_min_consumption(0.8, task, offer, geom, limited=True)
@@ -217,7 +213,7 @@ def helps_at_any_angle(draw, bounded_deadline: bool):
 def test_limited_plan_at_any_angle_matches_oracle(bounded_deadline, data):
     cfg, task, offer, geom = data.draw(helps_at_any_angle(bounded_deadline))
     assert eligibility(cfg, task, offer, geom).threshold_angle == math.pi
-    plan = optimal_distance_limited(cfg, task, offer, geom)
+    plan = plan_pair(cfg, task, offer, geom)
     oracle = oracle_min_consumption(cfg.omega, task, offer, geom, limited=True)
     # criterion 1's tolerance
     assert abs(plan.consumption - oracle) <= 1e-6 * max(task.direct_time, abs(oracle))
@@ -226,9 +222,7 @@ def test_limited_plan_at_any_angle_matches_oracle(bounded_deadline, data):
 def test_gamma_zero_with_finite_battery_falls_through():
     task = replace(TASK, battery_capacity=1.0, battery_level=0.2)
     offer, geom = VehicleOffer(v=40, gamma=0.0), PairGeometry(0.5)
-    assert optimal_distance_limited(CFG, task, offer, geom) == optimal_distance_ho(
-        CFG, task, offer, geom
-    )
+    assert plan_pair(CFG, task, offer, geom) == plan_pair(CFG, TASK, offer, geom)
 
 
 # -------------------------------------------------------------- battery swap
@@ -236,8 +230,8 @@ def test_gamma_zero_with_finite_battery_falls_through():
 
 def test_swap_continues_riding_when_direction_works():
     offer = VehicleOffer(v=40, gamma=math.inf)
-    plan = battery_swap_plan(CFG, TASK, offer, PairGeometry(0.5))
-    ho = optimal_distance_ho(CFG, TASK, VehicleOffer(v=40), PairGeometry(0.5))
+    plan = plan_pair(CFG, TASK, offer, PairGeometry(0.5))
+    ho = plan_pair(CFG, TASK, VehicleOffer(v=40), PairGeometry(0.5))
     assert plan.y_star == ho.y_star
     assert not plan.swap_and_depart
 
@@ -245,36 +239,10 @@ def test_swap_continues_riding_when_direction_works():
 def test_swap_departs_immediately_on_wide_angle():
     offer = VehicleOffer(v=40, gamma=math.inf)
     for theta in (1.4, 2.0, math.pi):
-        plan = battery_swap_plan(CFG, TASK, offer, PairGeometry(theta))
+        plan = plan_pair(CFG, TASK, offer, PairGeometry(theta))
         assert plan.y_star == 0.0
         assert plan.swap_and_depart
         assert plan.binding is Binding.NO_HITCH
-
-
-@pytest.mark.parametrize(
-    "omega, deadline",
-    [(0.0, math.inf), (0.8, math.inf), (0.8, 0.3)],
-    ids=["time-only", "no-deadline", "deadline"],
-)
-def test_optimal_distance_rejects_a_swap_offer(omega, deadline):
-    # Without the check these answered three ways: a no-hitch plan, an
-    # UnboundedHitchError and an undefined-energy error.
-    task = UavTask(x=10, u=60, deadline=deadline)
-    offer, geom = VehicleOffer(v=40, gamma=math.inf), PairGeometry(0.5)
-    with pytest.raises(ValueError) as info:
-        optimal_distance(PlannerConfig(omega=omega), task, offer, geom)
-    assert type(info.value) is ValueError
-    assert str(info.value) == (
-        "optimal_distance cannot plan a battery-swap offer (gamma = inf); "
-        "use battery_swap_plan or optimal_distance_limited"
-    )
-    swap = battery_swap_plan(PlannerConfig(omega=omega), task, offer, geom)
-    assert optimal_distance_limited(PlannerConfig(omega=omega), task, offer, geom) == swap
-
-
-def test_swap_requires_infinite_rate():
-    with pytest.raises(ValueError):
-        battery_swap_plan(CFG, TASK, VehicleOffer(v=40, gamma=2.0), PairGeometry(0.5))
 
 
 # ------------------------------------------------------------- vehicle pick
@@ -289,7 +257,7 @@ def test_select_single_offer():
     offers = [(VehicleOffer(v=40, gamma=0.3), PairGeometry(0.4))]
     idx, plan = select_vehicle(CFG, TASK, offers)
     assert idx == 0
-    assert plan == optimal_distance(CFG, TASK, offers[0][0], offers[0][1])
+    assert plan == plan_pair(CFG, TASK, offers[0][0], offers[0][1])
 
 
 def test_select_prefers_smaller_angle_on_identical_offers():

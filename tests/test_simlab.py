@@ -248,10 +248,10 @@ def test_battery_sweep_shows_three_regimes():
     assert header == ["delta_e", "value"]
     cfg = PlannerConfig(omega=0.8)
     task = UavTask(x=5.0, u=60.0)
-    from uavhitch import VehicleOffer, PairGeometry, optimal_distance, optimal_distance_ho
+    from uavhitch import VehicleOffer, PairGeometry, plan_pair
 
-    ho = optimal_distance_ho(cfg, task, VehicleOffer(v=30.0), PairGeometry(math.pi / 4))
-    full = optimal_distance(cfg, task, VehicleOffer(v=30.0, gamma=0.3), PairGeometry(math.pi / 4))
+    ho = plan_pair(cfg, task, VehicleOffer(v=30.0), PairGeometry(math.pi / 4))
+    full = plan_pair(cfg, task, VehicleOffer(v=30.0, gamma=0.3), PairGeometry(math.pi / 4))
     ys = dict(rows)
     assert ys[0.0] == pytest.approx(ho.y_star, rel=1e-9)  # no headroom: ride-only optimum
     assert ys[0.2] == pytest.approx(full.y_star, rel=1e-9)  # ample headroom: full optimum
@@ -264,7 +264,7 @@ def test_battery_sweep_shows_three_regimes():
     "grid", [{}, {"delta_e_max": 0.2, "points": 201}], ids=["default", "figure-script"]
 )
 def test_battery_sweep_plans_the_exact_headroom(grid):
-    from uavhitch import VehicleOffer, PairGeometry, optimal_distance_limited
+    from uavhitch import VehicleOffer, PairGeometry, plan_pair
 
     _, rows = sweep_curves("battery", **grid)
     cfg = PlannerConfig(omega=0.8)
@@ -274,7 +274,7 @@ def test_battery_sweep_plans_the_exact_headroom(grid):
         capacity, level = (2.0 * delta_e, delta_e) if delta_e > 0.0 else (1.0, 1.0)
         task = UavTask(x=5.0, u=60.0, battery_capacity=capacity, battery_level=level)
         assert task.battery_headroom == delta_e
-        assert y_star == optimal_distance_limited(cfg, task, offer, geom).y_star, delta_e
+        assert y_star == plan_pair(cfg, task, offer, geom).y_star, delta_e
 
 
 def test_sweep_rejects_unknown_kind_and_params():

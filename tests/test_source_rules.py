@@ -19,6 +19,12 @@ test fails on any other mention, which would be a second transcription.
 for the benchmark's tracer until that view is deleted. The package reads a
 matched pair's plan from ``SavingMatrix.arrays``; a fourth test fails on
 any read of a ``plans`` attribute in it, which would bring a reader back.
+
+The battery model is the headroom: ``plan_matrix`` takes one per UAV, and
+``plan_pair``, ``select_vehicle``, ``energy`` and ``consumption`` read the
+task's own ``battery_headroom``, which is infinite for an unbounded
+battery. A fifth test fails on any function parameter named ``limited``
+in ``planner.py``, which would be a second switch for the same model.
 """
 
 import ast
@@ -130,3 +136,21 @@ def test_package_source_never_reads_saving_matrix_plans():
     modules = sorted(PACKAGE.rglob("*.py"))
     reads = [site for path in modules for site in plans_reads(path)]
     assert not reads, f".plans read at {reads}"
+
+
+def limited_parameters(path: pathlib.Path) -> list[str]:
+    """``file:function`` of every function that takes a ``limited`` parameter."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        f"{path.name}:{node.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs,
+                    node.args.vararg, node.args.kwarg)
+        if arg is not None and arg.arg == "limited"
+    ]
+
+
+def test_planner_takes_no_limited_flag():
+    sites = limited_parameters(PACKAGE / "planner.py")
+    assert not sites, f"limited parameter at {sites}"
