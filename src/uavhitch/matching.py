@@ -9,10 +9,13 @@ row's best saving, per-vehicle potentials ``q`` at zero, and alternating
 trees over tight edges (p_i + q_j = w_ij) are grown, one column and one
 seat count per vehicle, until every UAV is either matched or has p_i = 0.
 The final potentials certify optimality. Every scan over the vehicles is
-one numpy vector operation; where every vehicle has one seat, each
-applies the floating-point operations of the element-by-element loop
-over expanded columns that ``tests/oracles.py`` keeps as the reference,
-in the same order, so the potentials and matching are exactly its own.
+one numpy vector operation, and one subtraction per tree step shifts the
+slacks, the tree's UAV potentials and the negated q of its vehicles
+together, since fl(-q - eps) = -fl(q + eps). Where every vehicle has one
+seat, each applies the floating-point operations of the
+element-by-element loop over expanded columns that ``tests/oracles.py``
+keeps as the reference, in the same order, so the potentials and
+matching are exactly its own.
 
 Results are reported in the capacity-expanded view the matrix derives: a
 vehicle fills one identical column per seat, ``q`` repeats over them, and
@@ -131,7 +134,7 @@ class SavingMatrix:
         shape = (len(self.saving), len(self.capacity))
         s = _float_array("saving", self.saving, shape, "(rows, len(capacity))")
         for j, c in enumerate(self.capacity):
-            if not (isinstance(c, (int, np.integer)) and c >= 1):
+            if isinstance(c, bool) or not (isinstance(c, (int, np.integer)) and c >= 1):
                 raise ValueError(f"capacity[{j}] must be an integer >= 1, got {c!r}")
         bad = np.argwhere(~((s >= 0.0) & (s < np.inf)))
         if len(bad):
@@ -278,10 +281,12 @@ def msa_match(m: SavingMatrix) -> MatchResult:
     never been in a tree and keeps q_j = 0.
 
     Each scan is one numpy operation: the slack update of the rows joining
-    the tree (2-D over a full vehicle's riders in UAV order), one arg-min
-    over the vehicle slacks and tree-row potentials together (a vehicle
-    wins a tie, then the lowest index), and the shift by eps. Only the
-    path flip runs in Python. The result is in the expanded view.
+    the tree (2-D over a full vehicle's riders in UAV order, into scratch
+    arrays), one arg-min over the vehicle slacks and tree-row potentials
+    together (a vehicle wins a tie, then the lowest index), and one shift
+    by eps of those and of -q on the tree vehicles, which share a buffer;
+    -q takes the roundings q would, and q is written back once per tree.
+    Only the path flip runs in Python. The result is in the expanded view.
     """
     n_rows, n_cols = m.saving.shape
     tol, seats = m.tol, m.seats
@@ -296,36 +301,37 @@ def msa_match(m: SavingMatrix) -> MatchResult:
     riders: list[list[int]] = [[] for _ in range(n_cols)]  # in UAV order
     iterations = 0
 
-    # Per-tree state, reset at each root. ``limit`` is the vehicle slacks
-    # followed by the tree rows' potentials, each the distance the duals
-    # may move before it triggers a step. Tree vehicles and rows outside
-    # the tree hold +inf, so the arg-min skips them and ``limit -= eps``
-    # leaves them there. ``q_open`` is q with +inf on tree vehicles, which
-    # keeps them out of the slack update, so a tree vehicle's ``slack_row``
-    # stays the row that reached it: the path back to the root.
-    limit = np.empty(n_cols + n_rows)
-    slack = limit[:n_cols]
-    p_tree = limit[n_cols:]
+    # Per-tree state, reset at each root. ``buf`` holds the vehicle slacks,
+    # the tree rows' potentials and -q of the tree vehicles. The first two
+    # segments, ``limit``, are each the distance the duals may move before
+    # it triggers a step; tree vehicles and rows outside the tree hold +inf
+    # there, so the arg-min skips them. One ``buf -= eps`` shifts all three:
+    # fl(-q - eps) = -fl(q + eps), so ``neg_q`` takes q's own roundings,
+    # and q is written back once per tree. ``q_open`` is q with +inf on
+    # tree vehicles, which keeps them out of the slack update, so a tree
+    # vehicle's ``slack_row`` stays the row that reached it: the path back
+    # to the root.
+    buf = np.empty(2 * n_cols + n_rows)
+    limit = buf[:n_cols + n_rows]
+    slack = buf[:n_cols]
+    p_tree = buf[n_cols:n_cols + n_rows]
+    neg_q = buf[n_cols + n_rows:]
     q_open = np.empty(n_cols)
-    in_tree_col = np.empty(n_cols, dtype=bool)
     slack_row = np.empty(n_cols, dtype=np.intp)
+    s = np.empty(n_cols)  # scratch of the slack update
+    better = np.empty(n_cols, dtype=bool)
 
-    def add_rows(rows: list[int]) -> None:
-        if len(rows) == 1:
-            r = rows[0]
-            p_tree[r] = p[r]
-            s = (p[r] + q_open) - w[r]
-        else:
-            # The arg-min keeps the earliest row on a tie, as one at a time would.
-            rows = np.array(rows)
-            p_tree[rows] = p_r = p[rows]
-            s2 = (p_r[:, None] + q_open) - w[rows]
-            k = s2.argmin(axis=0)
-            s = s2[k, np.arange(n_cols)]
-            r = rows[k]
-        better = s < slack  # strict: on a tie the earlier row keeps the column
-        np.putmask(slack, better, s)
-        np.putmask(slack_row, better, r)
+    def add_full_vehicle(rows: list[int]) -> None:
+        # The riders of a full vehicle join together, in one 2-D update; the
+        # arg-min keeps the earliest row on a tie, as one at a time would.
+        rows = np.array(rows)
+        p_tree[rows] = p_r = p[rows]
+        s2 = (p_r[:, None] + q_open) - w[rows]
+        k = s2.argmin(axis=0)
+        s_k = s2[k, np.arange(n_cols)]
+        np.less(s_k, slack, out=better)
+        np.minimum(slack, s_k, out=slack)
+        np.copyto(slack_row, rows[k], where=better)
 
     def augment(j: int) -> None:
         # Seat the row that reached j, then refill the seat it left.
@@ -338,21 +344,34 @@ def msa_match(m: SavingMatrix) -> MatchResult:
                 riders[j_next].remove(r)
             j = j_next
 
+    # Bound once: the loop below runs once per tree step.
+    add, subtract, less, minimum = np.add, np.subtract, np.less, np.minimum
+    next_event = limit.argmin
+    w_rows = list(w)
+    inf = np.inf
     for root in range(n_rows):
         if p[root] <= tol:
             continue
         iterations += 1
-        limit.fill(np.inf)
-        in_tree_col.fill(False)
+        buf.fill(inf)
         q_open[:] = q
+        tree_cols = []
 
-        add_rows([root])
+        rows = [root]  # the rows joining the tree
         while True:
-            k = int(limit.argmin())
-            eps = float(limit[k])
+            if len(rows) == 1:
+                r = rows[0]
+                p_tree[r] = p_r = p[r]
+                subtract(add(q_open, p_r, out=s), w_rows[r], out=s)
+                less(s, slack, out=better)  # strict: on a tie the earlier row keeps the column
+                minimum(slack, s, out=slack)
+                slack_row[better] = r
+            else:
+                add_full_vehicle(rows)
+            k = int(next_event())
+            eps = limit[k]
             if eps > 0.0:
-                limit -= eps
-                np.add(q, eps, out=q, where=in_tree_col)
+                buf -= eps
 
             if k < n_cols:
                 j = k
@@ -360,10 +379,10 @@ def msa_match(m: SavingMatrix) -> MatchResult:
                 if len(rows) < seats[j]:
                     augment(j)
                     break
-                in_tree_col[j] = True
-                q_open[j] = np.inf
-                slack[j] = np.inf
-                add_rows(rows)
+                tree_cols.append(j)
+                neg_q[j] = -q[j]
+                q_open[j] = inf
+                slack[j] = inf
             else:
                 # A reached UAV ran out of potential and drops out.
                 r = k - n_cols
@@ -373,7 +392,9 @@ def msa_match(m: SavingMatrix) -> MatchResult:
                     riders[freed].remove(r)
                     augment(freed)
                 break
-        np.copyto(p, p_tree, where=p_tree < np.inf)
+        np.copyto(p, p_tree, where=p_tree < inf)
+        if tree_cols:
+            q[tree_cols] = -neg_q[tree_cols]
 
     duals = DualState(p=p.tolist(), q=q[m.column_origin].tolist())
     return _collect_result(m, match_row, duals=duals, iterations=iterations)

@@ -115,7 +115,8 @@ class VehicleOffer:
             raise ValueError(f"vehicle speed v must be positive and finite, got {self.v}")
         if not self.gamma >= 0.0:
             raise ValueError(f"charging rate gamma must be >= 0, got {self.gamma}")
-        if not isinstance(self.capacity, int) or self.capacity < 1:
+        capacity = self.capacity
+        if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
             raise ValueError(f"capacity must be an integer >= 1, got {self.capacity}")
 
 

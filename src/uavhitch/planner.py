@@ -29,12 +29,15 @@ plans the unbounded model.
 The reference is the scalar decision chain in ``tests/oracles.py``
 (``scalar_plan_pair``), which :func:`plan_matrix` reproduces bit for bit:
 every element goes through the same floating-point operations in the same
-order, and the transcendentals match the C library's ``math`` functions:
-``math.hypot`` and ``math.pow`` are called per element and ``math.acos``
-once per distinct cos(phi), since numpy's ``hypot``, ``square`` and
-``arccos`` differ from them in the last bit on some inputs, while numpy's
-``sin``, ``cos`` and ``sqrt`` are used directly (``tests/test_plan_matrix.py``
-checks all six against ``math`` here).
+order, and the transcendentals match the ``math`` functions: ``math.pow``
+is called per element and ``math.acos`` once per distinct cos(phi), since
+numpy's ``square`` and ``arccos`` differ from them in the last bit on some
+inputs; numpy's ``sin``, ``cos`` and ``sqrt`` are used directly; and the
+flight leg's hypot is this module's own correctly rounded numpy function,
+``_hypot``, which gives ``math.hypot``'s bits wherever that is correctly
+rounded (``tests/test_plan_matrix.py`` checks all six against ``math``
+here, and ``scripts/check_hypot.py`` checks ``_hypot`` against exact
+arithmetic).
 
 Each formula is written once, in the array kernels ``_eligible`` (the
 threshold angle), ``_max_hitch`` (the deadline root) and ``_objective``
@@ -83,18 +86,138 @@ def _excess(u: float, d: float, x: float) -> float:
     return float(Fraction(u) * Fraction(d) - Fraction(x))
 
 
-# Every transcendental the kernels call, bound once. numpy's arccos and
-# hypot differ from the C library's in the last bit on some inputs, and its
-# square from ``pow(s, 2)``, so those go through ``math``: acos once per
-# distinct value, the others per element.
+# Every transcendental the kernels call, bound once. numpy's arccos differs
+# from the C library's in the last bit on some inputs, and its square from
+# ``pow(s, 2)``, so those go through ``math``: acos once per distinct value,
+# pow per element. ``_hypot`` is this module's own, correctly rounded.
 _acos = np.frompyfunc(math.acos, 1, 1)
-_hypot = np.frompyfunc(math.hypot, 2, 1)
 _pow = np.frompyfunc(math.pow, 2, 1)
 _excess_each = np.frompyfunc(_excess, 3, 1)
 _sin = np.sin
 _cos = np.cos
 _sqrt = np.sqrt
 _copysign = np.copysign
+
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+_TINY = 2.0 ** -1022  # the smallest normal float
+_TIE = 2.0 ** -99  # a scaled residual this close to a midpoint is settled exactly
+
+
+def _square(a, p, hi, err) -> None:
+    """p + err = a*a exactly, written into ``p`` and ``err``: Dekker's
+    two-product on Veltkamp's split of ``a`` into two 26-bit halves, hi +
+    lo. ``a`` is overwritten with lo, and ``hi`` holds scratch."""
+    np.multiply(a, a, out=p)
+    np.multiply(a, _SPLIT, out=hi)
+    np.subtract(hi, a, out=err)
+    np.subtract(hi, err, out=hi)
+    np.subtract(a, hi, out=a)
+    np.multiply(hi, hi, out=err)
+    np.subtract(err, p, out=err)
+    np.multiply(hi, a, out=hi)
+    np.add(err, hi, out=err)
+    np.add(err, hi, out=err)
+    np.multiply(a, a, out=a)
+    np.add(err, a, out=err)
+
+
+def _exact_hypot(a: float, b: float) -> float:
+    """hypot(a, b) rounded once, from integers: the few elements
+    :func:`_hypot` does not settle in floating point."""
+    if math.isinf(a) or math.isinf(b):
+        return math.inf  # even when the other is NaN
+    if math.isnan(a) or math.isnan(b):
+        return math.nan
+    (na, da), (nb, db) = abs(a).as_integer_ratio(), abs(b).as_integer_ratio()
+    d = max(da, db)  # a power of two, as da and db are
+    n = (na * (d // da)) ** 2 + (nb * (d // db)) ** 2  # (a^2 + b^2) d^2
+    # A root of 55 bits or more, with a sticky last bit if it is inexact,
+    # rounds as the exact one does.
+    shift = max(0, 55 - n.bit_length() // 2)
+    n <<= 2 * shift
+    root = math.isqrt(n)
+    try:
+        return (2 * root + (root * root != n)) / (d << shift + 1)  # int / int rounds once
+    except OverflowError:
+        return math.inf
+
+
+_exact_hypot_each = np.frompyfunc(_exact_hypot, 2, 1)
+
+
+def _hypot(x, y):
+    """sqrt(x*x + y*y) correctly rounded, element by element, for float
+    arrays of one shape and at least one dimension: the bits of
+    ``math.hypot`` wherever that is correctly rounded (it is not on some
+    subnormal results and exact midpoints). An infinity beats NaN, and no
+    RuntimeWarning is raised.
+
+    After scaling by 2**-e, the larger magnitude is in [0.5, 1), nothing
+    overflows and the two-products are exact (a smaller one that underflows
+    is far below the last bit of the result). ``h``, the rounded root of
+    the rounded sum of squares, is within one ulp of the correctly rounded
+    root, so the residual r = x^2 + y^2 - h^2 settles it: past the midpoint
+    to the next float up exactly when r > h*ulp + ulp^2/4, and likewise
+    down (Borges, "An Improved Algorithm for hypot(a,b)", arXiv:1904.09481).
+    r is within 2**-100 of exact; where it is within ``_TIE`` of a
+    midpoint, and for zero, subnormal, infinite or NaN input, the element
+    is computed from integers instead.
+
+    Every step writes into one workspace of eight rows: with a new array
+    per step, the saving-matrix build of a 200 x 200 fleet took about 1,200
+    more page faults, which cost more than the arithmetic.
+    """
+    w = np.empty((8, *np.shape(x)))
+    np.abs(x, out=w[0])
+    np.abs(y, out=w[1])
+    big, small = w[2], w[3]
+    np.maximum(w[0], w[1], out=big)
+    np.minimum(w[0], w[1], out=small)
+    odd = None
+    if not (big.min(initial=math.inf) >= _TINY and big.max(initial=0.0) < math.inf):
+        odd = ~((big >= _TINY) & (big < math.inf))
+        big[odd], small[odd] = 1.0, 0.0
+    e = np.frexp(big, out=(big, None))[1]
+    np.negative(e, out=e)
+    np.ldexp(small, e, out=small)
+    _square(w[2:4], w[0:2], w[4:6], w[6:8])
+    a1, b1, s, h_lo, scratch, _, a2, b2 = w  # big^2 = a1 + a2, small^2 = b1 + b2
+    np.add(a1, b1, out=s)
+    np.subtract(s, a1, out=a1)
+    np.subtract(b1, a1, out=b1)  # the error of s, exactly
+    np.add(a2, b2, out=a2)
+    np.add(b1, a2, out=b1)  # the error terms but h's
+    h = _sqrt(s)
+    np.copyto(h_lo, h)
+    _square(h_lo, a1, scratch, a2)  # h^2 = a1 + a2
+    np.subtract(s, a1, out=s)  # exact (Sterbenz)
+    np.subtract(b1, a2, out=b1)
+    r = np.add(s, b1, out=s)
+    # The floats next to h, from its bits, and how far past the midpoints
+    # to them r is (both products are exact).
+    above, below = w[3:5].view(np.int64)
+    np.add(h.view(np.int64), 1, out=above)
+    np.subtract(h.view(np.int64), 1, out=below)
+    above, below = above.view(np.float64), below.view(np.float64)
+    past_up, past_down = w[6], w[7]
+    np.subtract(above, h, out=past_up)
+    np.multiply(past_up, h, out=past_up)
+    np.subtract(r, past_up, out=past_up)
+    np.subtract(h, below, out=past_down)
+    np.multiply(past_down, h, out=past_down)
+    np.add(r, past_down, out=past_down)
+    np.copyto(h, below, where=past_down < 0.0)
+    np.copyto(h, above, where=past_up > 0.0)
+    np.negative(e, out=e)
+    with np.errstate(over="ignore"):  # a result past the float range is inf
+        np.ldexp(h, e, out=h)
+    gap = np.minimum(np.abs(past_up, out=past_up), np.abs(past_down, out=past_down), out=past_up)
+    if gap.min(initial=math.inf) <= _TIE:
+        odd = gap <= _TIE if odd is None else odd | (gap <= _TIE)
+    if odd is not None:
+        x, y = np.broadcast_arrays(x, y)
+        h[odd] = _exact_hypot_each(x[odd], y[odd])
+    return h
 
 
 def _each(*values) -> np.ndarray:
@@ -168,7 +291,7 @@ def _max_hitch(x, u, d, v, theta):
 
 def _flight(x, theta, y):
     """:func:`flight_leg`, element by element."""
-    return _hypot(y - x * _cos(theta), x * _sin(theta)).astype(np.float64)
+    return _hypot(y - x * _cos(theta), x * _sin(theta))
 
 
 def _objective(omega: float, x, u, v, gamma, theta, y, headroom):
@@ -206,8 +329,8 @@ def _evaluate(
     unbounded battery, uncapped, where a swap has no finite energy). C is
     weighted by ``omega``.
     """
-    if y < 0.0:
-        raise ValueError(f"hitch distance y must be >= 0, got {y}")
+    if not 0.0 <= y < math.inf:
+        raise ValueError(f"hitch distance y must be finite and >= 0, got {y}")
     unbounded = math.isinf(headroom)
     if math.isinf(offer.gamma) and unbounded:
         raise ValueError("energy is undefined for battery-swap offers (gamma=inf)")
