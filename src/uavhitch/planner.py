@@ -101,6 +101,7 @@ _copysign = np.copysign
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 _TINY = 2.0 ** -1022  # the smallest normal float
 _TIE = 2.0 ** -99  # a scaled residual this close to a midpoint is settled exactly
+_FEW = 8  # elements that _hypot settles from integers alone
 
 
 def _square(a, p, hi, err) -> None:
@@ -147,10 +148,9 @@ _exact_hypot_each = np.frompyfunc(_exact_hypot, 2, 1)
 
 def _hypot(x, y):
     """sqrt(x*x + y*y) correctly rounded, element by element, for float
-    arrays of one shape and at least one dimension: the bits of
-    ``math.hypot`` wherever that is correctly rounded (it is not on some
-    subnormal results and exact midpoints). An infinity beats NaN, and no
-    RuntimeWarning is raised.
+    arrays of one shape: the bits of ``math.hypot`` wherever that is
+    correctly rounded (it is not on some subnormal results and exact
+    midpoints). An infinity beats NaN, and no RuntimeWarning is raised.
 
     After scaling by 2**-e, the larger magnitude is in [0.5, 1), nothing
     overflows and the two-products are exact (a smaller one that underflows
@@ -164,9 +164,13 @@ def _hypot(x, y):
     is computed from integers instead.
 
     Every step writes into one workspace of eight rows: with a new array
-    per step, the saving-matrix build of a 200 x 200 fleet took about 1,200
-    more page faults, which cost more than the arithmetic.
+    per step, each saving-matrix build of a 200 x 200 limited fleet took
+    about 1,000 more page faults, which cost more than the arithmetic.
+    Up to ``_FEW`` elements, as in a one-pair plan, the integer path alone
+    is faster than the numpy steps' fixed cost.
     """
+    if np.size(x) <= _FEW:
+        return np.asarray(_exact_hypot_each(x, y), dtype=np.float64)
     w = np.empty((8, *np.shape(x)))
     np.abs(x, out=w[0])
     np.abs(y, out=w[1])
@@ -215,7 +219,6 @@ def _hypot(x, y):
     if gap.min(initial=math.inf) <= _TIE:
         odd = gap <= _TIE if odd is None else odd | (gap <= _TIE)
     if odd is not None:
-        x, y = np.broadcast_arrays(x, y)
         h[odd] = _exact_hypot_each(x[odd], y[odd])
     return h
 

@@ -388,8 +388,8 @@ def scalar_evaluate(
     infinite: unbounded battery, where a swap has no finite energy). C is
     weighted by ``omega``.
     """
-    if y < 0.0:
-        raise ValueError(f"hitch distance y must be >= 0, got {y}")
+    if not 0.0 <= y < math.inf:
+        raise ValueError(f"hitch distance y must be finite and >= 0, got {y}")
     if math.isinf(offer.gamma) and (headroom is None or math.isinf(headroom)):
         raise ValueError("energy is undefined for battery-swap offers (gamma=inf)")
     flight = math.hypot(y - task.x * math.cos(geom.theta), task.x * math.sin(geom.theta)) / task.u

@@ -46,6 +46,17 @@ def test_negative_distance_rejected():
         energy(UavTask(x=5, u=60, battery_capacity=1.0), offer, geom, -1e-12)
 
 
+@pytest.mark.parametrize("y", [math.nan, math.inf])
+def test_non_finite_distance_rejected(y):
+    task = UavTask(x=5, u=60)
+    offer, geom = VehicleOffer(v=40, gamma=0.3), PairGeometry(0.3)
+    for evaluate in (travel_time, energy):
+        with pytest.raises(ValueError, match=f"hitch distance y must be finite and >= 0, got {y}"):
+            evaluate(task, offer, geom, y)
+    with pytest.raises(ValueError, match="hitch distance y"):
+        consumption(CFG, task, offer, geom, y)
+
+
 def test_energy_zero_flight_leg():
     # hitch straight to the destination: nothing left to fly
     task = UavTask(x=5, u=60)

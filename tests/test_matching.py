@@ -105,6 +105,14 @@ def test_saving_matrix_derives_expanded_view():
         assert r.assignment == {} and r.total_saving == 0.0
 
 
+def test_saving_matrix_rejects_a_bool_capacity():
+    # A scenario file with "capacity": true exits 2; the matrix agrees.
+    for flag in (True, False):
+        message = rf"capacity\[0\] must be an integer >= 1, got {flag}"
+        with pytest.raises(ValueError, match=message):
+            SavingMatrix([[1.0]], [flag])
+
+
 def test_build_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
         build_saving_matrix(CFG, [UavTask(x=5, u=60)], [VehicleOffer(v=40)], [])

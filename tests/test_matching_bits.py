@@ -13,6 +13,10 @@ potentials and total saving instead. The instances cover a
 capacity-expanded build, a battery-limited mixed fleet with deadlines and
 swap vehicles, and raw matrices with exact ties, weights a hair either
 side of ``tol`` and duplicated capacity columns.
+
+Beyond the pins, ``msa_match`` must equal the reference bit for bit on
+battery-limited 200 x 200 fleets with deadlines and swap vehicles, whose
+long trees take many steps at eps = 0.
 """
 
 import hashlib
@@ -144,3 +148,35 @@ def test_msa_match_bits_pinned(name):
     matched, iterations, p, q, total = reference
     assert r.assignment == {i: m.column_origin[j] for i, j in matched}
     assert repr(key[1:]) == repr((iterations, p, q, total))
+
+
+def fleet_build(seed: int, n: int = 200):
+    """A battery-limited n x n fleet like the benchmark's mixed one:
+    deadlines 1.3x the direct time, batteries at a random level, about 10%
+    swap vehicles, one seat each."""
+    rng = random.Random(seed)
+    tasks = []
+    for _ in range(n):
+        x = rng.uniform(0.5, 20.0)
+        capacity = rng.uniform(0.05, 0.5)
+        tasks.append(UavTask(x, 60.0, 1.3 * x / 60.0, capacity, capacity * rng.random()))
+    offers = [
+        VehicleOffer(
+            rng.uniform(20.0, 60.0), math.inf if rng.random() < 0.1 else rng.uniform(0.0, 1.5)
+        )
+        for _ in range(n)
+    ]
+    theta = [[rng.uniform(0.0, math.pi) for _ in offers] for _ in tasks]
+    return build_saving_matrix(PlannerConfig(omega=0.8), tasks, offers, theta, limited=True)
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_msa_match_equals_reference_on_limited_fleets(seed):
+    m = fleet_build(seed)
+    r = msa_match(m)
+    matched, iterations, p, q, total = scalar_msa_match(m)
+    assert r.iterations > 100
+    assert r.assignment == {i: m.column_origin[j] for i, j in matched}
+    assert repr((r.iterations, r.duals.p, r.duals.q, r.total_saving)) == repr(
+        (iterations, p, q, total)
+    )

@@ -47,6 +47,13 @@ def test_offer_invariants():
         VehicleOffer(v=40, capacity=0)
 
 
+@pytest.mark.parametrize("capacity", [True, False])
+def test_offer_rejects_a_bool_capacity(capacity):
+    # A scenario file with "capacity": true exits 2; the model agrees.
+    with pytest.raises(ValueError, match=f"capacity must be an integer >= 1, got {capacity}"):
+        VehicleOffer(v=40, capacity=capacity)
+
+
 def test_geometry_invariants():
     PairGeometry(0.0)
     PairGeometry(math.pi)

@@ -191,17 +191,17 @@ def assert_helpers_match(cfg, task, offer, geom) -> None:
     """Check the one-pair helpers against the reference by repr, or by the
     type and message of what they raise: eligibility, the deadline distance
     and the four evaluators, from a negative riding distance to past the
-    destination. ``energy`` and ``consumption`` cap the charge at the
-    task's headroom; an infinite one is also the reference's uncapped
-    path."""
+    destination, and NaN and infinite ones. ``energy`` and ``consumption``
+    cap the charge at the task's headroom; an infinite one is also the
+    reference's uncapped path."""
     args = (task, offer, geom)
     assert outcome(eligibility, cfg, *args) == outcome(scalar_eligibility, cfg, *args, offer.gamma)
     assert outcome(max_hitch_distance, *args) == outcome(scalar_max_hitch_distance, *args)
     unit = (UavTask(task.x, 1.0), VehicleOffer(offer.v), geom)  # E(y) = F(y) at u = 1, gamma = 0
     headroom = task.battery_headroom
     caps = (headroom, None) if math.isinf(headroom) else (headroom,)
-    for y in (-1e-12, 0.0, 0.5 * task.x, task.x, 3.0 * task.x):
-        if y >= 0.0:
+    for y in (-1e-12, 0.0, 0.5 * task.x, task.x, 3.0 * task.x, math.nan, math.inf):
+        if 0.0 <= y < math.inf:
             want = outcome(evaluated, 1, *unit, y, None)
             assert outcome(flight_leg, task.x, geom.theta, y) == want
         assert outcome(travel_time, *args, y) == outcome(evaluated, 0, *args, y, 0.0)
@@ -657,6 +657,44 @@ def test_kernel_ufuncs_match_math(monkeypatch):
             want = np.array(list(map(fn, *(x.tolist() for x in a))), dtype=np.float64)
             diff = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
             assert diff.size == 0, f"{name} differs from math on {diff.size} of {got.size} inputs"
+
+
+def test_hypot_matches_math_on_a_million_inputs():
+    # Both are correctly rounded here, so they agree bit for bit: half the
+    # inputs in the planner's range, half across 600 binades.
+    rng = np.random.default_rng(20261019)
+    n = 500_000
+    a = np.concatenate([rng.uniform(-1000.0, 1000.0, n),
+                        np.ldexp(rng.uniform(-2.0, 2.0, n), rng.integers(-300, 301, n))])
+    b = np.concatenate([rng.uniform(-1000.0, 1000.0, n),
+                        np.ldexp(rng.uniform(-2.0, 2.0, n), rng.integers(-300, 301, n))])
+    got = planner._hypot(a, b)
+    want = np.array(list(map(math.hypot, a.tolist(), b.tolist())))
+    diff = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert diff.size == 0, f"_hypot differs from math.hypot at {diff[:5]}"
+
+
+def test_hypot_settles_ties_and_special_values():
+    # a, b and c = hypot(a, b) are a Pythagorean triple, c odd with 54
+    # bits, so c lies halfway between two floats; the tie goes to the one
+    # with the even significand, c - 1 (math.hypot gives c + 1). Infinity
+    # beats NaN, and subnormal results round once, on their own grid.
+    p, q = 90_035_989, 36_757_058
+    a, b, c = p * p - q * q, 2 * p * q, p * p + q * q
+    assert a * a + b * b == c * c and max(a, b) < 2**53 <= c < 2**54 and c % 2
+    tie = float(c - 1)
+    assert (c - 1) % 4 == 0 and math.hypot(a, b) == float(c + 1)
+    inf, nan, tiny = math.inf, math.nan, 5e-324
+    cases = [
+        (float(a), float(b), tie), (-float(b), float(a), tie),
+        (inf, nan), (nan, -inf), (nan, 1.0), (nan, nan), (-0.0, 0.0), (0.0, -3.0),
+        (3.0 * tiny, 4.0 * tiny), (tiny, tiny), (1e308, 1e308), (1.5e308, 1.5e308, inf),
+    ]
+    x = np.array([case[0] for case in cases])
+    y = np.array([case[1] for case in cases])
+    want = [case[2] if len(case) == 3 else math.hypot(case[0], case[1]) for case in cases]
+    got = planner._hypot(x, y).tolist()
+    assert repr(got) == repr(want)
 
 
 def test_plan_matrix_broadcasts_and_plans_swaps():

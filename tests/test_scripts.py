@@ -1,4 +1,5 @@
-"""Both reproduction scripts run to completion; the figure tables match their pins."""
+"""The scripts run to completion: both reproduction scripts, whose figure
+tables match their pins, and the exact check of the planner's hypot."""
 
 import hashlib
 import os
@@ -47,3 +48,10 @@ def test_figure_sweeps_script(tmp_path):
     for kind, sha256 in expected.items():
         table = (tmp_path / f"sweep_{kind}.csv").read_bytes()
         assert hashlib.sha256(table).hexdigest() == sha256, kind
+
+
+def test_check_hypot_script():
+    r = run_script("check_hypot.py", "--n", "20000")
+    assert r.returncode == 0, r.stdout + r.stderr
+    lines = r.stdout.splitlines()
+    assert len(lines) == 7 and all(line.endswith(" 0 misrounded") for line in lines), r.stdout

@@ -25,6 +25,11 @@ The battery model is the headroom: ``plan_matrix`` takes one per UAV, and
 task's own ``battery_headroom``, which is infinite for an unbounded
 battery. A fifth test fails on any function parameter named ``limited``
 in ``planner.py``, which would be a second switch for the same model.
+
+The planner's ``_hypot`` is its own correctly rounded numpy function, so
+the result bits rest on IEEE arithmetic rather than on the interpreter's
+``math.hypot``, which is also a per-element Python call. A sixth test
+fails on any ``np.frompyfunc(math.hypot, ...)`` in ``planner.py``.
 """
 
 import ast
@@ -154,3 +159,24 @@ def limited_parameters(path: pathlib.Path) -> list[str]:
 def test_planner_takes_no_limited_flag():
     sites = limited_parameters(PACKAGE / "planner.py")
     assert not sites, f"limited parameter at {sites}"
+
+
+def math_hypot_ufuncs(path: pathlib.Path) -> list[str]:
+    """``file:line`` of every ``np.frompyfunc(math.hypot, ...)`` in a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "frompyfunc"
+        and node.args
+        and isinstance(node.args[0], ast.Attribute)
+        and node.args[0].attr == "hypot"
+        and is_module(node.args[0].value)
+    ]
+
+
+def test_planner_wraps_no_math_hypot():
+    sites = math_hypot_ufuncs(PACKAGE / "planner.py")
+    assert not sites, f"np.frompyfunc(math.hypot, ...) at {sites}"
