@@ -235,7 +235,6 @@ SCENARIO = {
         ("uavs", [{"x": -1.0, "u": 60.0}], "uavs[0]: distance x must be positive and finite"),
         ("uavs", [{"x": 5.0, "u": "inf"}], "uavs[0]: flight speed u must be positive and finite"),
         ("vehicles", [{"v": "inf"}], "vehicles[0]: vehicle speed v must be positive and finite"),
-        ("vehicles", [{"v": 40.0, "capacity": True}], "vehicles[0].capacity must be an integer"),
         ("theta", [4.0], "theta[0,0]: theta must be in [0, pi], got 4.0"),
         ("theta", [math.nan], "theta[0,0]: theta must be in [0, pi], got nan"),
         ("theta", [-0.1], "theta[0,0]: theta must be in [0, pi], got -0.1"),
@@ -248,6 +247,7 @@ SCENARIO = {
         ("uavs", [{"x": 10**400, "u": 60.0}], "uavs[0].x: integer too large for a float"),
         ("theta", [10**400], "theta[0,0]: integer too large for a float"),
         ("config", {"omega": 10**400, "tol": 1e-9}, "config.omega: integer too large for a float"),
+        ("vehicles", [{"v": 40.0, "capacity": True}], "vehicles[0].capacity must be an integer"),
     ],
 )
 def test_malformed_scenario_names_field(tmp_path, capsys, field, value, message):
