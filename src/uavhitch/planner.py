@@ -27,8 +27,9 @@ one call over its offers. A task's default battery is infinite, so it
 plans the unbounded model.
 
 The reference is the scalar decision chain in ``tests/oracles.py``
-(``scalar_plan_pair``), which :func:`plan_matrix` reproduces bit for bit:
-every element goes through the same floating-point operations in the same
+(``scalar_plan_pair``), which :func:`plan_matrix` reproduces bit for bit
+wherever ``math.hypot`` is correctly rounded on the flight legs: every
+element goes through the same floating-point operations in the same
 order, and the transcendentals match the ``math`` functions: ``math.pow``
 is called per element and ``math.acos`` once per distinct cos(phi), since
 numpy's ``square`` and ``arccos`` differ from them in the last bit on some
@@ -37,7 +38,10 @@ flight leg's hypot is this module's own correctly rounded numpy function,
 ``_hypot``, which gives ``math.hypot``'s bits wherever that is correctly
 rounded (``tests/test_plan_matrix.py`` checks all six against ``math``
 here, and ``scripts/check_hypot.py`` checks ``_hypot`` against exact
-arithmetic).
+arithmetic). CPython's ``math.hypot`` misrounds some subnormal results,
+so a task with a subnormal distance ``x`` (such as 1e-310), whose flight
+legs are subnormal, can plan to other bits than the reference: the
+planner's are the correctly rounded ones.
 
 Each formula is written once, in the array kernels ``_eligible`` (the
 threshold angle), ``_max_hitch`` (the deadline root) and ``_objective``
@@ -101,7 +105,6 @@ _copysign = np.copysign
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 _TINY = 2.0 ** -1022  # the smallest normal float
 _TIE = 2.0 ** -99  # a scaled residual this close to a midpoint is settled exactly
-_FEW = 8  # elements that _hypot settles from integers alone
 
 
 def _square(a, p, hi, err) -> None:
@@ -148,9 +151,10 @@ _exact_hypot_each = np.frompyfunc(_exact_hypot, 2, 1)
 
 def _hypot(x, y):
     """sqrt(x*x + y*y) correctly rounded, element by element, for float
-    arrays of one shape: the bits of ``math.hypot`` wherever that is
-    correctly rounded (it is not on some subnormal results and exact
-    midpoints). An infinity beats NaN, and no RuntimeWarning is raised.
+    arrays of one shape and at least one dimension: the bits of
+    ``math.hypot`` wherever that is correctly rounded (it is not on some
+    subnormal results and exact midpoints). An infinity beats NaN, and no
+    RuntimeWarning is raised.
 
     After scaling by 2**-e, the larger magnitude is in [0.5, 1), nothing
     overflows and the two-products are exact (a smaller one that underflows
@@ -166,11 +170,7 @@ def _hypot(x, y):
     Every step writes into one workspace of eight rows: with a new array
     per step, each saving-matrix build of a 200 x 200 limited fleet took
     about 1,000 more page faults, which cost more than the arithmetic.
-    Up to ``_FEW`` elements, as in a one-pair plan, the integer path alone
-    is faster than the numpy steps' fixed cost.
     """
-    if np.size(x) <= _FEW:
-        return np.asarray(_exact_hypot_each(x, y), dtype=np.float64)
     w = np.empty((8, *np.shape(x)))
     np.abs(x, out=w[0])
     np.abs(y, out=w[1])
