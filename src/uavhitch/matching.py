@@ -8,7 +8,10 @@ UAVs, with a primal-dual method: per-UAV potentials ``p`` start at each
 row's best saving, per-vehicle potentials ``q`` at zero, and alternating
 trees over tight edges (p_i + q_j = w_ij) are grown, one column and one
 seat count per vehicle, until every UAV is either matched or has p_i = 0.
-The final potentials certify optimality. Every scan over the vehicles is
+A tree's first step, the root's slacks and their arg-min, is taken before
+any tree state is set up; most trees end there, on a vehicle with a free
+seat, and cost one slack scan and one arg-min. The final potentials
+certify optimality. Every scan over the vehicles is
 one numpy vector operation, and one subtraction per tree step shifts the
 slacks, the tree's UAV potentials and the negated q of its vehicles
 together, since fl(-q - eps) = -fl(q + eps). Where every vehicle has one
@@ -133,20 +136,28 @@ class SavingMatrix:
     def __post_init__(self) -> None:
         shape = (len(self.saving), len(self.capacity))
         s = _float_array("saving", self.saving, shape, "(rows, len(capacity))")
-        for j, c in enumerate(self.capacity):
-            if isinstance(c, bool) or not (isinstance(c, (int, np.integer)) and c >= 1):
-                raise ValueError(f"capacity[{j}] must be an integer >= 1, got {c!r}")
-        bad = np.argwhere(~((s >= 0.0) & (s < np.inf)))
-        if len(bad):
-            i, j = bad[0]
+        capacity = self.capacity
+        # One pass over the entries' types and one min; the loop runs only
+        # to name the first bad entry.
+        types = set(map(type, capacity))
+        if not (
+            all(issubclass(t, (int, np.integer)) and t is not bool for t in types)
+            and min(capacity, default=1) >= 1
+        ):
+            for j, c in enumerate(capacity):
+                if isinstance(c, bool) or not (isinstance(c, (int, np.integer)) and c >= 1):
+                    raise ValueError(f"capacity[{j}] must be an integer >= 1, got {c!r}")
+        ok = (s >= 0.0) & (s < np.inf)
+        if not ok.all():
+            i, j = np.argwhere(~ok)[0]
             raise ValueError(
                 f"saving[{i}, {j}] = {float(s[i, j])!r}: a saving must be finite and >= 0"
             )
         self.saving = s
-        self.capacity = [int(c) for c in self.capacity]
-        self.n_uavs = shape[0]
-        self.seats = [min(c, self.n_uavs) for c in self.capacity]
-        self.column_origin = [j for j, c in enumerate(self.seats) for _ in range(c)]
+        self.capacity = list(map(int, capacity))
+        self.n_uavs = n = shape[0]
+        self.seats = [c if c < n else n for c in self.capacity]
+        self.column_origin = np.repeat(np.arange(shape[1]), self.seats).tolist()
         self.n_vehicles = len(self.column_origin)
 
     @functools.cached_property
@@ -255,15 +266,18 @@ def _collect_result(
 ) -> MatchResult:
     """The result of ``match_row``, each UAV's vehicle or -1. A vehicle's
     riders take its expanded columns lowest first, in UAV order."""
+    rows = [i for i, j in enumerate(match_row) if j >= 0]
+    cols = [match_row[i] for i in rows]
+    saving = m.saving[np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)].tolist()
+    assignment, matched_columns, total, tol = {}, {}, 0.0, m.tol
     next_col = list(itertools.accumulate(m.seats, initial=0))
-    r = MatchResult({}, 0.0, duals=duals, iterations=iterations)
-    for i, j in enumerate(match_row):
-        if j >= 0 and m.saving[i, j] > m.tol:
-            r.assignment[i] = j
-            r.matched_columns[i] = next_col[j]
+    for i, j, w in zip(rows, cols, saving):
+        if w > tol:
+            assignment[i] = j
+            matched_columns[i] = next_col[j]
             next_col[j] += 1
-            r.total_saving += float(m.saving[i, j])
-    return r
+            total += w
+    return MatchResult(assignment, total, matched_columns, duals, iterations)
 
 
 def msa_match(m: SavingMatrix) -> MatchResult:
@@ -286,7 +300,13 @@ def msa_match(m: SavingMatrix) -> MatchResult:
     together (a vehicle wins a tie, then the lowest index), and one shift
     by eps of those and of -q on the tree vehicles, which share a buffer;
     -q takes the roundings q would, and q is written back once per tree.
-    Only the path flip runs in Python. The result is in the expanded view.
+    The root's own slacks and their arg-min come first, before the buffer
+    is filled: if that vehicle wins against p_r and has a free seat, the
+    root takes it at p_r - eps and nothing else is touched (Jonker and
+    Volgenant's column reduction, *Computing* 38, 1987, settles the same
+    rows without a search); otherwise those slacks seed the tree and the
+    loop goes on from that arg-min. Only the path flip runs in Python.
+    The result is in the expanded view.
     """
     n_rows, n_cols = m.saving.shape
     tol, seats = m.tol, m.seats
@@ -350,15 +370,53 @@ def msa_match(m: SavingMatrix) -> MatchResult:
     w_rows = list(w)
     inf = np.inf
     for root in range(n_rows):
-        if p[root] <= tol:
+        p_r = p[root]
+        if p_r <= tol:
             continue
         iterations += 1
+        # The first step, before any tree state is set up: the root's
+        # slacks and their arg-min (a vehicle wins a tie with p_r). Most
+        # trees end here, on a vehicle with a free seat.
+        subtract(add(q, p_r, out=s), w_rows[root], out=s)
+        k = int(s.argmin())
+        eps = s[k]
+        if eps <= p_r:
+            if len(riders[k]) < seats[k]:
+                if eps > 0.0:
+                    p[root] = p_r - eps  # the fl(p - eps) of ``buf -= eps``
+                match_row[root] = k
+                insort(riders[k], root)
+                continue
+        else:
+            k, eps = n_cols + root, p_r
         buf.fill(inf)
+        slack[:] = s
+        slack_row.fill(root)
+        p_tree[root] = p_r
         q_open[:] = q
         tree_cols = []
 
-        rows = [root]  # the rows joining the tree
         while True:
+            if eps > 0.0:
+                buf -= eps
+            if k >= n_cols:
+                # A reached UAV ran out of potential and drops out.
+                r = k - n_cols
+                freed = match_row[r]
+                match_row[r] = -1
+                if freed != -1:
+                    riders[freed].remove(r)
+                    augment(freed)
+                break
+            j = k
+            rows = riders[j]
+            if len(rows) < seats[j]:
+                augment(j)
+                break
+            tree_cols.append(j)
+            neg_q[j] = -q[j]
+            q_open[j] = inf
+            slack[j] = inf
             if len(rows) == 1:
                 r = rows[0]
                 p_tree[r] = p_r = p[r]
@@ -370,33 +428,12 @@ def msa_match(m: SavingMatrix) -> MatchResult:
                 add_full_vehicle(rows)
             k = int(next_event())
             eps = limit[k]
-            if eps > 0.0:
-                buf -= eps
-
-            if k < n_cols:
-                j = k
-                rows = riders[j]
-                if len(rows) < seats[j]:
-                    augment(j)
-                    break
-                tree_cols.append(j)
-                neg_q[j] = -q[j]
-                q_open[j] = inf
-                slack[j] = inf
-            else:
-                # A reached UAV ran out of potential and drops out.
-                r = k - n_cols
-                freed = match_row[r]
-                match_row[r] = -1
-                if freed != -1:
-                    riders[freed].remove(r)
-                    augment(freed)
-                break
         np.copyto(p, p_tree, where=p_tree < inf)
         if tree_cols:
             q[tree_cols] = -neg_q[tree_cols]
 
-    duals = DualState(p=p.tolist(), q=q[m.column_origin].tolist())
+    q_cols = q if m.n_vehicles == n_cols else q[m.column_origin]
+    duals = DualState(p=p.tolist(), q=q_cols.tolist())
     return _collect_result(m, match_row, duals=duals, iterations=iterations)
 
 

@@ -150,26 +150,33 @@ def generate_scenario(params: GeneratorParams, seed: int) -> Scenario:
     the configured range, drawn row-major and kept as drawn.
     """
     rng = np.random.default_rng(seed)
+    n_vehicles = params.n_vehicles
     xs = params.x_max * (1.0 - rng.random(params.n_uavs))
     lo, hi = params.theta_range
-    thetas = rng.uniform(lo, hi, size=(params.n_uavs, params.n_vehicles))
-    if params.v_range is not None:
-        vs = rng.uniform(params.v_range[0], params.v_range[1], params.n_vehicles)
+    thetas = rng.uniform(lo, hi, size=(params.n_uavs, n_vehicles))
+    if params.v_range is None and params.gamma_range is None:
+        # Homogeneous vehicles share one frozen offer.
+        offers = [
+            VehicleOffer(v=float(params.v), gamma=float(params.gamma), capacity=params.capacity)
+        ] * n_vehicles
     else:
-        vs = np.full(params.n_vehicles, params.v)
-    if params.gamma_range is not None:
-        gammas = rng.uniform(params.gamma_range[0], params.gamma_range[1], params.n_vehicles)
-    else:
-        gammas = np.full(params.n_vehicles, params.gamma)
+        if params.v_range is not None:
+            vs = rng.uniform(params.v_range[0], params.v_range[1], n_vehicles)
+        else:
+            vs = np.full(n_vehicles, params.v)
+        if params.gamma_range is not None:
+            gammas = rng.uniform(params.gamma_range[0], params.gamma_range[1], n_vehicles)
+        else:
+            gammas = np.full(n_vehicles, params.gamma)
+        offers = [
+            VehicleOffer(v=float(v), gamma=float(g), capacity=params.capacity)
+            for v, g in zip(vs, gammas)
+        ]
 
     k = params.deadline_factor
     tasks = [
         UavTask(x=x, u=params.u, deadline=math.inf if k is None else k * x / params.u)
         for x in xs.tolist()
-    ]
-    offers = [
-        VehicleOffer(v=float(v), gamma=float(g), capacity=params.capacity)
-        for v, g in zip(vs, gammas)
     ]
     return Scenario(
         tasks=tasks,

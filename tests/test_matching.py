@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from oracles import scalar_msa_match
@@ -87,9 +88,19 @@ def test_saving_matrix_derives_expanded_view():
     assert single.weights is single.saving
     assert single.column_origin == [0, 1, 2]
 
+    numpy_int = SavingMatrix([[0.5, 1.0], [1.0, 0.5]], [np.int64(2), 1])
+    assert numpy_int.capacity == [2, 1] and type(numpy_int.capacity[0]) is int
+    assert numpy_int.seats == [2, 1] and numpy_int.column_origin == [0, 0, 1]
+
     for capacity, message in [
         ([1, 0], "capacity[1] must be an integer >= 1, got 0"),
         ([1, 1.5], "capacity[1] must be an integer >= 1, got 1.5"),
+        ([np.bool_(True), 1], "capacity[0] must be an integer >= 1, got np.True_"),
+        ([2.0, 1], "capacity[0] must be an integer >= 1, got 2.0"),
+        ([1, -1], "capacity[1] must be an integer >= 1, got -1"),
+        ([1, "1"], "capacity[1] must be an integer >= 1, got '1'"),
+        ([-1, "1"], "capacity[0] must be an integer >= 1, got -1"),  # the first bad entry
+        (["1", -1], "capacity[0] must be an integer >= 1, got '1'"),
         ([1, 1, 1], "saving has shape (2, 2), expected (rows, len(capacity)) = (2, 3)"),
     ]:
         with pytest.raises(ValueError) as info:

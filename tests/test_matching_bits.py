@@ -16,7 +16,9 @@ side of ``tol`` and duplicated capacity columns.
 
 Beyond the pins, ``msa_match`` must equal the reference bit for bit on
 battery-limited 200 x 200 fleets with deadlines and swap vehicles, whose
-long trees take many steps at eps = 0.
+long trees take many steps at eps = 0, and on one small matrix per exit
+of a tree's first step. One more digest pins ``msa_match`` itself on 3,000
+small random matrices with exact ties and capacities 1-3.
 """
 
 import hashlib
@@ -150,6 +152,65 @@ def test_msa_match_bits_pinned(name):
     assert repr(key[1:]) == repr((iterations, p, q, total))
 
 
+
+# One small matrix per exit of a tree's first step, the root's slacks and
+# their arg-min, which ``msa_match`` takes before any tree state is set up:
+# (saving, capacity, tol, the last root's expected assignment, p and q).
+FIRST_STEP = {
+    # The root's best vehicle is free and tight: it is seated at eps = 0.
+    "free_at_eps_0": ([[0.5, 0.3]], [1, 1], 1e-9, {0: 0}, [0.5], [0.0, 0.0]),
+    # The arg-max vehicle 0 is full with q = 0.4 after root 1, so root 2's
+    # least slack is on the free vehicle 2, at eps = 0.9 - 0.8 > 0.
+    "free_at_eps_above_0": (
+        [[1.0, 0.0, 0.0], [1.0, 0.6, 0.0], [0.9, 0.0, 0.8]], [1, 1, 1], 1e-9,
+        {0: 0, 1: 1, 2: 2}, [0.6, 0.6, 0.9 - ((0.0 + 0.9) - 0.8)], [0.4, 0.0, 0.0],
+    ),
+    # Root 2's slack on vehicle 2 rounds to exactly p = 1.0: the vehicle
+    # wins the tie and the root is seated at p = 0. (The edge is then tight
+    # only to 1e-17, above this tol, so no certificate is checked here.)
+    "tie_with_p": (
+        [[3.0, 0.0, 0.0], [3.0, 1.0, 0.0], [1.0, 0.0, 1e-17]], [1, 1, 1], 1e-18,
+        {0: 0, 1: 1, 2: 2}, [1.0, 1.0, 0.0], [2.0, 0.0, 0.0],
+    ),
+    # Vehicle 0 has q = 2 > p = 1 of root 2, whose other edge is zero: the
+    # root drops out at step one.
+    "drop_out": (
+        [[3.0, 0.0], [3.0, 1.0], [1.0, 0.0]], [1, 1], 1e-9,
+        {0: 0, 1: 1}, [1.0, 1.0, 0.0], [2.0, 0.0],
+    ),
+    # Root 1's first step reaches vehicle 0, full, and the tree grows.
+    "full_vehicle": (
+        [[1.0, 0.5], [1.0, 0.2]], [1, 1], 1e-9, {0: 1, 1: 0}, [0.5, 0.5], [0.5, 0.0],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FIRST_STEP)
+def test_msa_match_first_step_exits_equal_reference(name):
+    saving, capacity, tol, assignment, p, q = FIRST_STEP[name]
+    m = SavingMatrix(saving, capacity, tol=tol)
+    r = msa_match(m)
+    matched, iterations, ref_p, ref_q, total = scalar_msa_match(m)
+    assert r.assignment == {i: m.column_origin[j] for i, j in matched} == assignment
+    assert repr((r.iterations, r.duals.p, r.duals.q, r.total_saving)) == repr(
+        (iterations, ref_p, ref_q, total)
+    )
+    assert (r.duals.p, r.duals.q) == (p, q)
+
+
+def test_msa_match_first_step_takes_a_free_seat_of_a_shared_vehicle():
+    # Vehicle 0 seats two: root 1 joins root 0 there at its first step. The
+    # reference seats it on the vehicle's second column; the totals, the
+    # iteration count and the certificate agree.
+    m = SavingMatrix([[1.0, 0.5], [1.0, 0.2]], [2, 1])
+    r = msa_match(m)
+    matched, iterations, _, _, total = scalar_msa_match(m)
+    assert r.assignment == {0: 0, 1: 0}
+    assert r.matched_columns == {0: 0, 1: 1}
+    assert (r.iterations, r.total_saving) == (iterations, total) == (2, 2.0)
+    assert verify_duals(m, r, r.duals)
+
+
 def fleet_build(seed: int, n: int = 200):
     """A battery-limited n x n fleet like the benchmark's mixed one:
     deadlines 1.3x the direct time, batteries at a random level, about 10%
@@ -179,4 +240,36 @@ def test_msa_match_equals_reference_on_limited_fleets(seed):
     assert r.assignment == {i: m.column_origin[j] for i, j in matched}
     assert repr((r.iterations, r.duals.p, r.duals.q, r.total_saving)) == repr(
         (iterations, p, q, total)
+    )
+
+
+def random_tied_matrices(n: int = 3000, seed: int = 19):
+    """Small matrices, 1-13 UAVs x 1-13 vehicles, with capacities 1-3: half
+    drawn from five levels, so slacks and potentials tie exactly, half
+    uniform with about 30% zero savings. A third have one seat per vehicle."""
+    rng = random.Random(seed)
+    levels = (0.0, 0.25, 0.5, 0.75, 1.0)
+    for _ in range(n):
+        n_rows, n_vehicles = rng.randint(1, 13), rng.randint(1, 13)
+        tied = rng.random() < 0.5
+        saving = [
+            [
+                rng.choice(levels) if tied
+                else 0.0 if rng.random() < 0.3 else rng.uniform(0.0, 10.0)
+                for _ in range(n_vehicles)
+            ]
+            for _ in range(n_rows)
+        ]
+        most = rng.randint(1, 3)
+        yield SavingMatrix(saving, [rng.randint(1, most) for _ in range(n_vehicles)])
+
+
+def test_msa_match_bits_pinned_on_random_tied_matrices():
+    h = hashlib.sha256()
+    for m in random_tied_matrices():
+        r = msa_match(m)
+        key = (r.assignment, r.iterations, r.duals.p, r.duals.q, r.total_saving)
+        h.update(repr(key).encode())
+    assert h.hexdigest() == (
+        "e5adaa92ede6ddfc747e7573032d1b27531c3c39cfb989052f711316fb0ed7e9"
     )

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from uavhitch import GeneratorParams, case_theta_range, generate_scenario
+from uavhitch import GeneratorParams, VehicleOffer, case_theta_range, generate_scenario
 from uavhitch.cli import main
 from uavhitch.scenario_io import dump_scenario, load_scenario
 
@@ -111,3 +111,15 @@ def test_emit_scenarios_draws_each_scenario_once(tmp_path, monkeypatch):
     ]) == 0
     assert len(calls) == 10 and len(set(calls)) == 10
     assert len(list((tmp_path / "scen").iterdir())) == 10
+
+
+@pytest.mark.parametrize("capacity", [1, 3])
+def test_integer_speed_and_rate_give_float_offers(capacity):
+    # Homogeneous vehicles share one offer made from the params' v and
+    # gamma: an integer one must still be written as a float ("v": 40.0).
+    as_int = GeneratorParams(n_uavs=3, n_vehicles=4, v=40, gamma=0, capacity=capacity)
+    as_float = GeneratorParams(n_uavs=3, n_vehicles=4, v=40.0, gamma=0.0, capacity=capacity)
+    s = generate_scenario(as_int, 2025)
+    assert dump_scenario(s) == dump_scenario(generate_scenario(as_float, 2025))
+    expected = VehicleOffer(v=40.0, gamma=0.0, capacity=capacity)
+    assert [repr(o) for o in s.offers] == [repr(expected)] * 4
