@@ -10,7 +10,10 @@ trees over tight edges (p_i + q_j = w_ij) are grown, one column and one
 seat count per vehicle, until every UAV is either matched or has p_i = 0.
 A tree's first step, the root's slacks and their arg-min, is taken before
 any tree state is set up; most trees end there, on a vehicle with a free
-seat, and cost one slack scan and one arg-min. The final potentials
+seat, and cost one slack scan and one arg-min. No step stores which row
+reached each vehicle: each writes the vehicles whose slack it lowered into
+a per-tree step log, and the path flip reads that back only for the
+vehicles on the augmenting path. The final potentials
 certify optimality. Every scan over the vehicles is
 one numpy vector operation, and one subtraction per tree step shifts the
 slacks, the tree's UAV potentials and the negated q of its vehicles
@@ -280,6 +283,27 @@ def _collect_result(
     return MatchResult(assignment, total, matched_columns, duals, iterations)
 
 
+def _flip_path(j, n, log, reached_by, n_cols, match_row, riders) -> None:
+    """Seat the row that reached column ``j``, then refill the seat it left,
+    back to the root. ``log`` holds the tree's first ``n`` step masks, one
+    row of ``n_cols`` bytes each, and the row that reached ``j`` is that of
+    the last entry to lower j's slack: ``less`` is strict, so an earlier
+    row keeps a tie. ``reached_by`` names the entry's row, or holds a full
+    vehicle's (riders, slacks) block, whose first arg-min over the riders
+    in column ``j`` is the row."""
+    while j != -1:
+        r = reached_by[log[j:n * n_cols:n_cols].rfind(1)]
+        if isinstance(r, tuple):
+            rows, s2 = r
+            r = int(rows[s2[:, j].argmin()])
+        j_next = match_row[r]
+        match_row[r] = j
+        insort(riders[j], r)
+        if j_next != -1:
+            riders[j_next].remove(r)
+        j = j_next
+
+
 def msa_match(m: SavingMatrix) -> MatchResult:
     """Maximum-saving matching via the primal-dual tree-growing loop, on
     one column per vehicle with its seat count.
@@ -305,8 +329,14 @@ def msa_match(m: SavingMatrix) -> MatchResult:
     root takes it at p_r - eps and nothing else is touched (Jonker and
     Volgenant's column reduction, *Computing* 38, 1987, settles the same
     rows without a search); otherwise those slacks seed the tree and the
-    loop goes on from that arg-min. Only the path flip runs in Python.
-    The result is in the expanded view.
+    loop goes on from that arg-min.
+
+    Which row reached each vehicle is not stored per step. Each step that
+    adds rows writes its slack-improvement mask into the next row of a
+    step log, with the row that made it (a full vehicle's step keeps its
+    riders and their slack block), and the path flip reads back, for each
+    vehicle on the path only, the last entry that improved its slack. Only
+    the path flip runs in Python. The result is in the expanded view.
     """
     n_rows, n_cols = m.saving.shape
     tol, seats = m.tol, m.seats
@@ -328,43 +358,27 @@ def msa_match(m: SavingMatrix) -> MatchResult:
     # there, so the arg-min skips them. One ``buf -= eps`` shifts all three:
     # fl(-q - eps) = -fl(q + eps), so ``neg_q`` takes q's own roundings,
     # and q is written back once per tree. ``q_open`` is q with +inf on
-    # tree vehicles, which keeps them out of the slack update, so a tree
-    # vehicle's ``slack_row`` stays the row that reached it: the path back
-    # to the root.
+    # tree vehicles, which keeps them out of the slack update, so no step
+    # after a vehicle joins the tree marks it in the step log.
     buf = np.empty(2 * n_cols + n_rows)
     limit = buf[:n_cols + n_rows]
     slack = buf[:n_cols]
     p_tree = buf[n_cols:n_cols + n_rows]
     neg_q = buf[n_cols + n_rows:]
     q_open = np.empty(n_cols)
-    slack_row = np.empty(n_cols, dtype=np.intp)
     s = np.empty(n_cols)  # scratch of the slack update
-    better = np.empty(n_cols, dtype=bool)
+    # The step log, made when a tree first goes past its first step: one
+    # byte per vehicle and step, each step adding one tree vehicle, so
+    # min(I, J) + 1 rows; row 0, all ones, stands for the root. It is a
+    # bytearray, so the path flip reads a vehicle's column with one
+    # strided slice, and ``log_rows`` binds its rows as numpy ``out=``
+    # targets once per match.
+    log = log_rows = reached_by = None
 
-    def add_full_vehicle(rows: list[int]) -> None:
-        # The riders of a full vehicle join together, in one 2-D update; the
-        # arg-min keeps the earliest row on a tie, as one at a time would.
-        rows = np.array(rows)
-        p_tree[rows] = p_r = p[rows]
-        s2 = (p_r[:, None] + q_open) - w[rows]
-        k = s2.argmin(axis=0)
-        s_k = s2[k, np.arange(n_cols)]
-        np.less(s_k, slack, out=better)
-        np.minimum(slack, s_k, out=slack)
-        np.copyto(slack_row, rows[k], where=better)
-
-    def augment(j: int) -> None:
-        # Seat the row that reached j, then refill the seat it left.
-        while j != -1:
-            r = int(slack_row[j])
-            j_next = match_row[r]
-            match_row[r] = j
-            insort(riders[j], r)
-            if j_next != -1:
-                riders[j_next].remove(r)
-            j = j_next
-
-    # Bound once: the loop below runs once per tree step.
+    # Bound once: the loop below runs once per tree step. ``add``,
+    # ``subtract`` and ``less`` take ``out`` by position, which skips the
+    # keyword parsing (about 0.1 us a call); ``minimum`` takes it by
+    # keyword, as numpy deprecates a third positional argument there.
     add, subtract, less, minimum = np.add, np.subtract, np.less, np.minimum
     next_event = limit.argmin
     w_rows = list(w)
@@ -377,7 +391,7 @@ def msa_match(m: SavingMatrix) -> MatchResult:
         # The first step, before any tree state is set up: the root's
         # slacks and their arg-min (a vehicle wins a tie with p_r). Most
         # trees end here, on a vehicle with a free seat.
-        subtract(add(q, p_r, out=s), w_rows[root], out=s)
+        subtract(add(q, p_r, s), w_rows[root], s)
         k = int(s.argmin())
         eps = s[k]
         if eps <= p_r:
@@ -389,11 +403,18 @@ def msa_match(m: SavingMatrix) -> MatchResult:
                 continue
         else:
             k, eps = n_cols + root, p_r
+        if log is None:
+            size = min(n_rows, n_cols) + 1
+            log = bytearray(size * n_cols)
+            log_rows = list(np.frombuffer(log, dtype=bool).reshape(size, n_cols))
+            log_rows[0].fill(True)
+            reached_by = [0] * size
         buf.fill(inf)
         slack[:] = s
-        slack_row.fill(root)
         p_tree[root] = p_r
         q_open[:] = q
+        reached_by[0] = root
+        n = 1  # log entries of this tree
         tree_cols = []
 
         while True:
@@ -406,12 +427,12 @@ def msa_match(m: SavingMatrix) -> MatchResult:
                 match_row[r] = -1
                 if freed != -1:
                     riders[freed].remove(r)
-                    augment(freed)
+                    _flip_path(freed, n, log, reached_by, n_cols, match_row, riders)
                 break
             j = k
             rows = riders[j]
             if len(rows) < seats[j]:
-                augment(j)
+                _flip_path(j, n, log, reached_by, n_cols, match_row, riders)
                 break
             tree_cols.append(j)
             neg_q[j] = -q[j]
@@ -420,12 +441,22 @@ def msa_match(m: SavingMatrix) -> MatchResult:
             if len(rows) == 1:
                 r = rows[0]
                 p_tree[r] = p_r = p[r]
-                subtract(add(q_open, p_r, out=s), w_rows[r], out=s)
-                less(s, slack, out=better)  # strict: on a tie the earlier row keeps the column
+                subtract(add(q_open, p_r, s), w_rows[r], s)
+                less(s, slack, log_rows[n])  # strict: on a tie the earlier row keeps the column
                 minimum(slack, s, out=slack)
-                slack_row[better] = r
+                reached_by[n] = r
             else:
-                add_full_vehicle(rows)
+                # The riders of a full vehicle join together, in one 2-D
+                # update; the path flip takes the first arg-min among them,
+                # as adding them one at a time would.
+                rows = np.array(rows)
+                p_tree[rows] = p_r = p[rows]
+                s2 = (p_r[:, None] + q_open) - w[rows]
+                s_min = s2.min(axis=0)
+                less(s_min, slack, log_rows[n])
+                minimum(slack, s_min, out=slack)
+                reached_by[n] = (rows, s2)
+            n += 1
             k = int(next_event())
             eps = limit[k]
         np.copyto(p, p_tree, where=p_tree < inf)
@@ -510,6 +541,12 @@ def verify_duals(m: SavingMatrix, result: MatchResult, duals: DualState) -> bool
     vehicle at its lowest q_j, as fl(p_i + q_j) never falls as q_j grows),
     tight matched edges, q >= 0 and complementary slackness: an unmatched
     UAV must have p_i = 0 and an unmatched column q_j = 0. All within tol.
+
+    ``m.tol`` must be at least ``model.MIN_TOL``, as every
+    :class:`PlannerConfig`'s is: :func:`msa_match`'s potentials are tight
+    only to the rounding of the shifts that built them, so a
+    :class:`SavingMatrix` made with a smaller tol may read False on its
+    own optimum.
     """
     tol = m.tol
     p = np.array(duals.p, dtype=np.float64)

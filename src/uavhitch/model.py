@@ -19,6 +19,14 @@ INF = math.inf
 # larger slack would silently change which plans are eligible.
 MAX_TOL = 1e-3
 
+# Smallest accepted comparison slack. The dual certificate checks that
+# p_i + q_j = w_ij on every matched edge within tol, but the matcher's
+# potentials are tight only to the rounding of the shifts that built them:
+# |p_i + q_j - w_ij| reaches 3.5e-15 on a 200 x 200 battery-limited fleet
+# and 7.5e-15 on a 1000 x 1000 one, so a smaller slack would reject the
+# matcher's own optimum.
+MIN_TOL = 1e-12
+
 
 class UnboundedHitchError(ValueError):
     """Charging outpaces the cost of riding and no deadline caps the trip.
@@ -44,6 +52,11 @@ class PlannerConfig:
             raise ValueError(f"omega must be in [0, 1], got {self.omega}")
         if not 0.0 < self.tol <= MAX_TOL:
             raise ValueError(f"tol must be positive and at most {MAX_TOL}, got {self.tol}")
+        if self.tol < MIN_TOL:
+            raise ValueError(
+                f"tol must be at least {MIN_TOL}, got {self.tol}: the dual certificate "
+                "cannot check potentials tighter than their rounding"
+            )
 
 
 @dataclass(frozen=True)

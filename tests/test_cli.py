@@ -215,6 +215,40 @@ def test_huge_finite_tol_rejected(tmp_path, capsys):
     assert "tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", [1e-13, 1e-15])
+def test_tol_below_the_certificate_floor_rejected(tmp_path, capsys, tol):
+    # Below 1e-12 the certificate would read false on the matcher's own
+    # optimum, with the same total saving.
+    assert main(["plan", "--x", "5", "--v", "40", "--tol", repr(tol)]) == 2
+    assert f"tol must be at least 1e-12, got {tol!r}" in capsys.readouterr().err
+    scenario = {
+        "config": {"omega": 0.8, "tol": tol},
+        "uavs": [{"x": 5.0, "u": 60.0}],
+        "vehicles": [{"v": 40.0}],
+        "theta": [0.3],
+    }
+    path = tmp_path / "tiny_tol.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["match", str(path)]) == 2
+    assert "tol must be at least 1e-12" in capsys.readouterr().err
+
+
+def test_tol_at_the_certificate_floor_accepted(tmp_path, capsys):
+    assert main(["plan", "--x", "5", "--v", "40", "--tol", "1e-12"]) == 0
+    capsys.readouterr()
+    scenario = {
+        "config": {"omega": 0.8, "tol": 1e-12},
+        "uavs": [{"x": 5.0, "u": 60.0}, {"x": 12.0, "u": 60.0}],
+        "vehicles": [{"v": 40.0}, {"v": 50.0, "gamma": 0.3}],
+        "theta": [0.3, 0.1, 0.2, 0.4],
+    }
+    path = tmp_path / "floor_tol.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["match", str(path), "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["pairs"]) == 2 and out["dual_certificate"] is True
+
+
 SCENARIO = {
     "config": {"omega": 0.8, "tol": 1e-9},
     "uavs": [{"x": 5.0, "u": 60.0}],

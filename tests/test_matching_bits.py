@@ -16,9 +16,13 @@ side of ``tol`` and duplicated capacity columns.
 
 Beyond the pins, ``msa_match`` must equal the reference bit for bit on
 battery-limited 200 x 200 fleets with deadlines and swap vehicles, whose
-long trees take many steps at eps = 0, and on one small matrix per exit
-of a tree's first step. One more digest pins ``msa_match`` itself on 3,000
-small random matrices with exact ties and capacities 1-3.
+long trees take many steps at eps = 0, on one small matrix per exit of a
+tree's first step, and on small matrices whose augmenting paths read the
+step log where the last improvement, a tie or a full vehicle's riders
+decide which row reached a vehicle. Two more digests pin ``msa_match``
+itself: on 3,000 small random matrices with exact ties and capacities 1-3,
+and on 500 with 10-40 UAVs on 2-6 vehicles of capacity 1-10, where full
+vehicles join trees with many riders at once.
 """
 
 import hashlib
@@ -198,6 +202,59 @@ def test_msa_match_first_step_exits_equal_reference(name):
     assert (r.duals.p, r.duals.q) == (p, q)
 
 
+# Small matrices whose augmenting path reads the step log, which records
+# per tree step the vehicles whose slack it lowered: (saving, capacity,
+# assignment, p, q). Rows 0-2 (0-1 where vehicle 0 seats two) are seated at
+# their first step; the last row roots the tree that is checked. The
+# comments trace the tree; with other reaching rows the assignment differs.
+STEP_LOG = {
+    # Root 2 reaches vehicle 0, full; its rider 0 lowers vehicle 1's slack
+    # from 0.5 to 0.25, and the path crosses vehicle 1 after rider 1 reaches
+    # the free vehicle 2: the last improvement wins, so row 0 takes
+    # vehicle 1 and the root vehicle 0.
+    "later_row_improves": (
+        [[1.0, 0.75, 0.0], [0.0, 1.0, 0.5], [1.0, 0.5, 0.0]], [1, 1, 1],
+        {0: 1, 1: 2, 2: 0}, [0.25, 0.5, 0.25], [0.75, 0.5, 0.0],
+    ),
+    # As above, but rider 0's slack on vehicle 1 ties the root's 0.5: the
+    # root keeps vehicle 1, so it takes that seat and row 0 stays.
+    "later_row_ties": (
+        [[1.0, 0.5, 0.0], [0.0, 1.0, 0.5], [1.0, 0.5, 0.0]], [1, 1, 1],
+        {0: 0, 1: 2, 2: 1}, [0.0, 0.5, 0.0], [1.0, 0.5, 0.0],
+    ),
+    # Vehicle 0 seats rows 0 and 1; root 2 reaches it, full, and both
+    # riders join in one step with equal slack 0.5 on vehicle 1: the first
+    # rider, row 0, moves there.
+    "riders_tie": (
+        [[1.0, 0.5], [1.0, 0.5], [1.0, 0.25]], [2, 1],
+        {0: 1, 1: 0, 2: 0}, [0.5, 0.5, 0.5], [0.5, 0.5, 0.0],
+    ),
+    # Root 3 reaches vehicle 0, full with rows 0 and 1, whose step lowers
+    # vehicle 1's slack to row 1's 0.5 (row 0's is 0.75); vehicle 1's rider,
+    # row 2, then runs out of potential and drops out. The path runs back
+    # through that full-vehicle step: row 1 takes vehicle 1, the root
+    # vehicle 0.
+    "drop_out_through_full": (
+        [[1.0, 0.25], [1.0, 0.5], [0.0, 0.25], [1.0, 0.0]], [2, 1],
+        {0: 0, 1: 1, 3: 0}, [0.25, 0.25, 0.0, 0.25], [0.75, 0.75, 0.25],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", STEP_LOG)
+def test_msa_match_step_log_reaching_rows_equal_reference(name):
+    saving, capacity, assignment, p, q = STEP_LOG[name]
+    m = SavingMatrix(saving, capacity)
+    r = msa_match(m)
+    matched, iterations, ref_p, ref_q, total = scalar_msa_match(m)
+    assert r.assignment == {i: m.column_origin[j] for i, j in matched} == assignment
+    assert repr((r.iterations, r.duals.p, r.duals.q, r.total_saving)) == repr(
+        (iterations, ref_p, ref_q, total)
+    )
+    assert (r.duals.p, r.duals.q) == (p, q)
+    assert verify_duals(m, r, r.duals)
+
+
 def test_msa_match_first_step_takes_a_free_seat_of_a_shared_vehicle():
     # Vehicle 0 seats two: root 1 joins root 0 there at its first step. The
     # reference seats it on the vehicle's second column; the totals, the
@@ -272,4 +329,37 @@ def test_msa_match_bits_pinned_on_random_tied_matrices():
         h.update(repr(key).encode())
     assert h.hexdigest() == (
         "e5adaa92ede6ddfc747e7573032d1b27531c3c39cfb989052f711316fb0ed7e9"
+    )
+
+
+def random_many_rider_matrices(n: int = 500, seed: int = 20):
+    """10-40 UAVs x 2-6 vehicles with capacities 1-10, so full vehicles of
+    many riders join trees: half drawn from five levels, so slacks and
+    potentials tie exactly, half uniform with about 30% zero savings."""
+    rng = random.Random(seed)
+    levels = (0.0, 0.25, 0.5, 0.75, 1.0)
+    for _ in range(n):
+        n_rows, n_vehicles = rng.randint(10, 40), rng.randint(2, 6)
+        tied = rng.random() < 0.5
+        saving = [
+            [
+                rng.choice(levels) if tied
+                else 0.0 if rng.random() < 0.3 else rng.uniform(0.0, 10.0)
+                for _ in range(n_vehicles)
+            ]
+            for _ in range(n_rows)
+        ]
+        yield SavingMatrix(saving, [rng.randint(1, 10) for _ in range(n_vehicles)])
+
+
+def test_msa_match_bits_pinned_on_many_rider_matrices():
+    h = hashlib.sha256()
+    for m in random_many_rider_matrices():
+        r = msa_match(m)
+        key = (
+            r.assignment, r.matched_columns, r.iterations, r.duals.p, r.duals.q, r.total_saving
+        )
+        h.update(repr(key).encode())
+    assert h.hexdigest() == (
+        "3f7ed46b720b24d94440fa8d0cf4be45b8963127efc9ce925da6c6cff0076bc0"
     )

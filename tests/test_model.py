@@ -76,3 +76,12 @@ def test_config_invariants():
         with pytest.raises(ValueError, match="tol must be positive and at most 0.001"):
             PlannerConfig(tol=tol)
     assert PlannerConfig(tol=1e-3).tol == 1e-3
+
+
+@pytest.mark.parametrize("tol", [1e-13, 1e-15])
+def test_config_rejects_tol_below_the_certificate_floor(tol):
+    # Below 1e-12 the dual certificate would reject the matcher's own
+    # optimum: its potentials are tight only to their rounding.
+    with pytest.raises(ValueError, match="tol must be at least 1e-12"):
+        PlannerConfig(tol=tol)
+    assert PlannerConfig(tol=1e-12).tol == 1e-12
