@@ -13,8 +13,7 @@ any tree state is set up; most trees end there, on a vehicle with a free
 seat, and cost one slack scan and one arg-min. No step stores which row
 reached each vehicle: each writes the vehicles whose slack it lowered into
 a per-tree step log, and the path flip reads that back only for the
-vehicles on the augmenting path. The final potentials
-certify optimality. Every scan over the vehicles is
+vehicles on the augmenting path. Every scan over the vehicles is
 one numpy vector operation, and one subtraction per tree step shifts the
 slacks, the tree's UAV potentials and the negated q of its vehicles
 together, since fl(-q - eps) = -fl(q + eps). Where every vehicle has one
@@ -23,22 +22,19 @@ element-by-element loop over expanded columns that ``tests/oracles.py``
 keeps as the reference, in the same order, so the potentials and
 matching are exactly its own.
 
-Results are reported in the capacity-expanded view the matrix derives: a
-vehicle fills one identical column per seat, ``q`` repeats over them, and
-a vehicle's riders take them lowest first, in UAV order. The certificate
-reads that view. The matrix keeps the ``plan_matrix`` arrays of every
-(UAV, vehicle) pair as ``SavingMatrix.arrays``; ``uavhitch match`` reads
-the fields of the pairs it prints from them in bulk, by the UAV and
-vehicle indices of ``MatchResult.assignment``, and builds no
-``HitchPlan``. ``SavingMatrix.plans``, a :class:`PlanGrid` over the
-expanded columns, builds one when it is read. A greedy baseline and an
-exhaustive oracle are included for comparison.
+The final potentials, one per UAV and one per vehicle, certify
+optimality as the LP dual of the capacitated assignment (Ahuja, Magnanti
+and Orlin, *Network Flows*, 1993, ch. 12). The matrix keeps the
+``plan_matrix`` arrays of every (UAV, vehicle) pair as
+``SavingMatrix.arrays``; ``uavhitch match`` reads the pairs it prints
+from them in bulk, by the indices of ``MatchResult.assignment``, and
+builds no ``HitchPlan``. A greedy baseline and an exhaustive oracle are
+included for comparison.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from bisect import insort
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -51,7 +47,6 @@ from .planner import UNBOUNDED_MESSAGE, PlanArrays, plan_matrix
 __all__ = [
     "SavingMatrix",
     "MatchResult",
-    "PlanGrid",
     "DualState",
     "BruteForceSizeError",
     "build_saving_matrix",
@@ -105,38 +100,40 @@ def theta_array(theta, n_uavs: int, n_vehicles: int) -> np.ndarray:
 @dataclass
 class SavingMatrix:
     """Savings and plans of every UAV-vehicle pair, with each vehicle's
-    capacity, its seats and the capacity-expanded view of the results.
+    capacity and seats.
 
     ``saving[i, j]`` is the consumption saving of UAV ``i`` riding vehicle
     ``j``, which seats ``capacity[j]`` UAVs; ``seats[j]`` is
-    min(capacity[j], n_uavs), since further seats would stay empty. The
-    expanded view is derived here and nowhere else: vehicle ``j`` fills
-    ``seats[j]`` columns, lowest vehicle first; ``column_origin[c]`` maps
-    column ``c`` back to its vehicle, ``n_vehicles`` counts the columns,
-    and ``weights[:, c]`` is ``saving[:, column_origin[c]]`` (``saving``
-    itself when every vehicle has one column), made on first read.
-    ``plans[i][c]`` is the plan of UAV ``i`` on column ``c``, and
-    ``arrays`` the :class:`PlanArrays` of the (I, J) pairs, one element
-    per UAV-vehicle pair; both are None for a matrix made from savings
+    min(capacity[j], n_uavs), since further seats would stay empty.
+    ``arrays`` holds the :class:`PlanArrays` of the (I, J) pairs, one
+    element per UAV-vehicle pair, or None for a matrix made from savings
     alone.
 
+    The capacity-expanded view, read by the benchmark's tracer and no
+    solver, is made on first read: vehicle ``j`` fills ``seats[j]``
+    columns, lowest first; ``column_origin[c]`` is column ``c``'s vehicle,
+    ``n_vehicles`` the column count, ``weights[:, c]`` is
+    ``saving[:, column_origin[c]]`` (``saving`` itself when every vehicle
+    has one column) and ``plans[i][c]`` the plan of UAV ``i`` on column
+    ``c`` (None without ``arrays``).
+
     ``saving`` may be given as any nested sequence; it is stored as a
-    float64 array with one column per vehicle. A wrong shape, a capacity
-    that is not an integer >= 1, or a saving that is negative or not
-    finite raises ``ValueError`` naming the field (and the entry).
+    float64 array with one column per vehicle. A ``tol`` that is not
+    finite and > 0, a wrong shape, a capacity that is not an integer >= 1,
+    or a saving that is negative or not finite raises ``ValueError``
+    naming the field (and the entry).
     """
 
     saving: np.ndarray
     capacity: Sequence[int]
-    plans: Sequence[Sequence[HitchPlan]] | None = None
     tol: float = 1e-9
     arrays: PlanArrays | None = None
     n_uavs: int = field(init=False)
-    n_vehicles: int = field(init=False)
-    column_origin: list[int] = field(init=False)
     seats: list[int] = field(init=False)
 
     def __post_init__(self) -> None:
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
         shape = (len(self.saving), len(self.capacity))
         s = _float_array("saving", self.saving, shape, "(rows, len(capacity))")
         capacity = self.capacity
@@ -160,19 +157,33 @@ class SavingMatrix:
         self.capacity = list(map(int, capacity))
         self.n_uavs = n = shape[0]
         self.seats = [c if c < n else n for c in self.capacity]
-        self.column_origin = np.repeat(np.arange(shape[1]), self.seats).tolist()
-        self.n_vehicles = len(self.column_origin)
+
+    @functools.cached_property
+    def column_origin(self) -> list[int]:
+        return np.repeat(np.arange(len(self.seats)), self.seats).tolist()
+
+    @functools.cached_property
+    def n_vehicles(self) -> int:
+        return len(self.column_origin)
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
         s = self.saving
         return s if self.n_vehicles == s.shape[1] else s[:, self.column_origin]
 
+    @functools.cached_property
+    def plans(self) -> list[list[HitchPlan]] | None:
+        a = self.arrays
+        if a is None:
+            return None
+        pairs = [[a.plan((i, j)) for j in range(len(self.seats))] for i in range(self.n_uavs)]
+        return [[row[j] for j in self.column_origin] for row in pairs]
+
 
 @dataclass
 class DualState:
-    """Final potentials of the primal-dual solver, in the expanded view:
-    ``q`` holds each vehicle's potential once per column."""
+    """Final potentials of the primal-dual solver: ``p`` per UAV, and
+    ``q`` each vehicle's once per seat, the expanded view's columns."""
 
     p: list[float]
     q: list[float]
@@ -182,53 +193,16 @@ class DualState:
 class MatchResult:
     """An assignment of UAVs to vehicles with its total saving.
 
-    ``assignment`` maps UAV index to original vehicle index, in UAV order;
-    its keys and values index ``SavingMatrix.arrays`` for the matched
-    pairs' plans. ``matched_columns`` maps it to an expanded column, a
-    vehicle's riders taking its columns lowest first, in UAV order; the
-    dual certificate reads it. ``iterations`` counts augmentation rounds
-    of the primal-dual loop (zero for the other solvers).
+    ``assignment`` maps UAV index to vehicle index, in UAV order; its keys
+    and values index ``SavingMatrix.arrays`` for the matched pairs' plans.
+    ``iterations`` counts augmentation rounds of the primal-dual loop (zero
+    for the other solvers).
     """
 
     assignment: dict[int, int]
     total_saving: float
-    matched_columns: dict[int, int] = field(default_factory=dict)
     duals: DualState | None = None
     iterations: int = 0
-
-
-class PlanGrid(Sequence):
-    """The plans of a :class:`SavingMatrix`: ``plans[i][j]`` is the plan of
-    UAV ``i`` on expanded column ``j``.
-
-    Nothing is copied per column: a pair's :class:`HitchPlan` is built from
-    the :func:`plan_matrix` arrays when it is read.
-    """
-
-    def __init__(self, arrays: PlanArrays, column_origin: list[int]) -> None:
-        self._arrays = arrays  # one element per (UAV, vehicle) pair
-        self._column_origin = column_origin
-
-    def __len__(self) -> int:
-        return self._arrays.saving.shape[0]
-
-    def __getitem__(self, i: int) -> _PlanRow:
-        return _PlanRow(self, range(len(self))[i])
-
-    def plan(self, i: int, j: int) -> HitchPlan:
-        return self._arrays.plan((i, self._column_origin[j]))
-
-
-class _PlanRow(Sequence):
-    def __init__(self, grid: PlanGrid, i: int) -> None:
-        self._grid = grid
-        self._i = i
-
-    def __len__(self) -> int:
-        return len(self._grid._column_origin)
-
-    def __getitem__(self, j: int) -> HitchPlan:
-        return self._grid.plan(self._i, j)
 
 
 def build_saving_matrix(
@@ -259,28 +233,22 @@ def build_saving_matrix(
         i, j = np.argwhere(arrays.unbounded)[0]
         raise UnboundedHitchError(f"uav {i}, vehicle {j}: {UNBOUNDED_MESSAGE}")
 
-    m = SavingMatrix(arrays.saving, [o.capacity for o in offers], tol=cfg.tol, arrays=arrays)
-    m.plans = PlanGrid(arrays, m.column_origin)
-    return m
+    return SavingMatrix(arrays.saving, [o.capacity for o in offers], tol=cfg.tol, arrays=arrays)
 
 
 def _collect_result(
     m: SavingMatrix, match_row: list[int], duals: DualState | None = None, iterations: int = 0
 ) -> MatchResult:
-    """The result of ``match_row``, each UAV's vehicle or -1. A vehicle's
-    riders take its expanded columns lowest first, in UAV order."""
+    """The result of ``match_row``, each UAV's vehicle or -1."""
     rows = [i for i, j in enumerate(match_row) if j >= 0]
     cols = [match_row[i] for i in rows]
     saving = m.saving[np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)].tolist()
-    assignment, matched_columns, total, tol = {}, {}, 0.0, m.tol
-    next_col = list(itertools.accumulate(m.seats, initial=0))
+    assignment, total, tol = {}, 0.0, m.tol
     for i, j, w in zip(rows, cols, saving):
         if w > tol:
             assignment[i] = j
-            matched_columns[i] = next_col[j]
-            next_col[j] += 1
             total += w
-    return MatchResult(assignment, total, matched_columns, duals, iterations)
+    return MatchResult(assignment, total, duals, iterations)
 
 
 def _flip_path(j, n, log, reached_by, n_cols, match_row, riders) -> None:
@@ -336,7 +304,8 @@ def msa_match(m: SavingMatrix) -> MatchResult:
     step log, with the row that made it (a full vehicle's step keeps its
     riders and their slack block), and the path flip reads back, for each
     vehicle on the path only, the last entry that improved its slack. Only
-    the path flip runs in Python. The result is in the expanded view.
+    the path flip runs in Python. ``duals.q`` repeats each vehicle's q
+    over its seats.
     """
     n_rows, n_cols = m.saving.shape
     tol, seats = m.tol, m.seats
@@ -463,8 +432,8 @@ def msa_match(m: SavingMatrix) -> MatchResult:
         if tree_cols:
             q[tree_cols] = -neg_q[tree_cols]
 
-    q_cols = q if m.n_vehicles == n_cols else q[m.column_origin]
-    duals = DualState(p=p.tolist(), q=q_cols.tolist())
+    q_seats = q if seats.count(1) == n_cols else np.repeat(q, seats)
+    duals = DualState(p=p.tolist(), q=q_seats.tolist())
     return _collect_result(m, match_row, duals=duals, iterations=iterations)
 
 
@@ -535,12 +504,16 @@ def brute_force_match(m: SavingMatrix) -> MatchResult:
 
 
 def verify_duals(m: SavingMatrix, result: MatchResult, duals: DualState) -> bool:
-    """Certify optimality of a matching from the solver's potentials.
+    """Certify optimality of a matching from the solver's potentials, the
+    LP dual of the capacitated assignment: p_i per UAV and Q_j per vehicle,
+    Q_j the lowest of ``duals.q`` over vehicle j's seats (fl(p_i + q)
+    never falls as q grows, so feasibility there holds on every seat).
 
-    Checks finite potentials, dual feasibility (p_i + q_j >= w_ij, per
-    vehicle at its lowest q_j, as fl(p_i + q_j) never falls as q_j grows),
-    tight matched edges, q >= 0 and complementary slackness: an unmatched
-    UAV must have p_i = 0 and an unmatched column q_j = 0. All within tol.
+    Checks that no vehicle seats more riders than it has seats, one finite
+    potential per UAV and per seat, p >= 0 and Q >= 0, dual feasibility
+    (p_i + Q_j >= w_ij), Q_j = 0 while vehicle j has a free seat, matched
+    edges tight and above tol, and p_i = 0 for an unmatched UAV. All
+    within tol.
 
     ``m.tol`` must be at least ``model.MIN_TOL``, as every
     :class:`PlannerConfig`'s is: :func:`msa_match`'s potentials are tight
@@ -548,27 +521,28 @@ def verify_duals(m: SavingMatrix, result: MatchResult, duals: DualState) -> bool
     :class:`SavingMatrix` made with a smaller tol may read False on its
     own optimum.
     """
-    tol = m.tol
+    tol, seats = m.tol, m.seats
     p = np.array(duals.p, dtype=np.float64)
     q = np.array(duals.q, dtype=np.float64)
-    if (len(p) != m.n_uavs or len(q) != m.n_vehicles
+    vehicle = np.repeat(np.arange(len(seats)), seats)
+    if (len(p) != m.n_uavs or len(q) != len(vehicle)
             or not (np.isfinite(p).all() and np.isfinite(q).all())):
         return False
-    q_min = np.full(len(m.seats), np.inf)
-    np.minimum.at(q_min, m.column_origin, q)
-    rows = np.array(list(result.matched_columns.keys()), dtype=np.intp)
-    cols = np.array(list(result.matched_columns.values()), dtype=np.intp)
+    q_min = np.full(len(seats), np.inf)  # +inf for a vehicle with no seat
+    np.minimum.at(q_min, vehicle, q)
+    rows = np.array(list(result.assignment.keys()), dtype=np.intp)
+    cols = np.array(list(result.assignment.values()), dtype=np.intp)
     unmatched_row = np.ones(m.n_uavs, dtype=bool)
     unmatched_row[rows] = False
-    unmatched_col = np.ones(m.n_vehicles, dtype=bool)
-    unmatched_col[cols] = False
-    w_matched = m.saving[rows, np.array(m.column_origin, dtype=np.intp)[cols]]
+    riders = np.bincount(cols, minlength=len(seats))
+    w_matched = m.saving[rows, cols]
     return not (
-        (p < -tol).any()
+        (riders > seats).any()
+        or (p < -tol).any()
+        or (q_min < -tol).any()
         or (np.add.outer(p, q_min) < m.saving - tol).any()
-        or (q < -tol).any()
-        or (q[unmatched_col] > tol).any()
+        or (q_min[riders < seats] > tol).any()
         or (p[unmatched_row] > tol).any()
-        or (abs(p[rows] + q[cols] - w_matched) > tol).any()
+        or (abs(p[rows] + q_min[cols] - w_matched) > tol).any()
         or (w_matched <= tol).any()
     )

@@ -18,11 +18,14 @@ one-pair helpers share with ``plan_matrix``. ``scalar_msa_match`` is the primal-
 capacity-expanded columns, one column per seat, that ``msa_match``
 replaced: where every vehicle has one seat, ``msa_match`` must reproduce
 it bit for bit, and the matcher's capacity > 1 pins gate it.
+``matched_columns`` rebuilds the expanded column of each rider of a
+per-vehicle assignment, the key those pins hash.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -635,3 +638,15 @@ def scalar_msa_match(m) -> tuple:
     for i, j in matched:
         total += w[i][j]
     return matched, iterations, p, q, total
+
+
+def matched_columns(m, result) -> dict[int, int]:
+    """The capacity-expanded column of each UAV of ``result.assignment``,
+    in UAV order: a vehicle's riders take its columns lowest first, in UAV
+    order, as in ``scalar_msa_match``'s matched columns."""
+    next_col = list(itertools.accumulate(m.seats, initial=0))
+    columns = {}
+    for i, j in result.assignment.items():
+        columns[i] = next_col[j]
+        next_col[j] += 1
+    return columns

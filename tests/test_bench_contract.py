@@ -3,8 +3,10 @@
 The benchmark changes only on purpose, so a rename in the program must not
 break it silently. It runs ops through ``uavhitch.cli.main``, wraps the layer
 functions the CLI and ``simlab`` reach by module attribute, computes reference
-totals from ``Scenario.geoms`` and ``SavingMatrix.weights``, and counts plan
-bindings through ``SavingMatrix.plans`` and ``column_origin``. This test runs
+totals from ``Scenario.geoms`` and ``SavingMatrix.weights``, counts plan
+bindings through ``SavingMatrix.plans`` and ``column_origin``, and sums the
+expanded ``DualState.q`` for the dual gap. ``SavingMatrix`` derives that
+capacity-expanded view on first read, for this reader only. This test runs
 every workload's smoke-size ops through that traced path, about a second in
 all; the benchmark's own tests (``python3 -m pytest perfbench/tests -q``)
 take over a minute.

@@ -4,9 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from oracles import scalar_msa_match
+from oracles import matched_columns, scalar_msa_match
 from uavhitch import (
     BruteForceSizeError,
+    DualState,
+    GeneratorParams,
+    MatchResult,
     PairGeometry,
     PlannerConfig,
     SavingMatrix,
@@ -14,6 +17,7 @@ from uavhitch import (
     VehicleOffer,
     brute_force_match,
     build_saving_matrix,
+    generate_scenario,
     greedy_match,
     msa_match,
     verify_duals,
@@ -70,6 +74,15 @@ def test_malformed_saving_matrix_rejected(saving, message):
     with pytest.raises(ValueError) as info:
         SavingMatrix(saving, [1, 1])
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_saving_matrix_rejects_a_tol_that_is_not_finite_and_positive(tol):
+    # The optimum is 1.5. A NaN or infinite tol used to give an empty
+    # matching that the certificate passed, and tol = -1 the optimum that it
+    # failed.
+    with pytest.raises(ValueError, match=rf"tol must be finite and > 0, got {tol!r}"):
+        SavingMatrix([[0.0, 1.0], [0.5, 0.0]], [1, 1], tol=tol)
 
 
 def test_saving_matrix_derives_expanded_view():
@@ -238,13 +251,14 @@ def test_capacity_expansion_against_brute():
         r = msa_match(m)
         assert r.total_saving == pytest.approx(brute_force_match(m).total_saving, abs=1e-9)
         assert verify_duals(m, r, r.duals)
+        columns = matched_columns(m, r)
         for orig, z in enumerate(caps):
             riders = [i for i, v in r.assignment.items() if v == orig]  # in UAV order
             assert len(riders) <= z
             # The riders take the vehicle's columns lowest first, and its q
             # repeats over them; it is 0 while a seat is free.
             cols = [c for c, v in enumerate(m.column_origin) if v == orig]
-            assert [r.matched_columns[i] for i in riders] == cols[: len(riders)]
+            assert [columns[i] for i in riders] == cols[: len(riders)]
             assert {r.duals.q[c] for c in cols} == {r.duals.q[cols[0]]}
             if len(riders) < m.seats[orig]:
                 assert r.duals.q[cols[0]] == 0.0
@@ -313,10 +327,8 @@ def test_certificate_rejects_perturbed_duals():
     assert verify_duals(m, r, r.duals)
     # breaking feasibility on a binding edge must be caught
     bad_q = list(r.duals.q)
-    i, j = next(iter(r.matched_columns.items()))
+    i, j = next(iter(matched_columns(m, r).items()))
     bad_q[j] -= 2 * m.tol
-    from uavhitch import DualState
-
     bad = DualState(p=list(r.duals.p), q=bad_q)
     assert not verify_duals(m, r, bad)
     # every comparison with NaN is false, so NaN potentials pass no check
@@ -329,7 +341,7 @@ def test_certificate_rejects_perturbed_duals():
     # raising its rider's p to keep the edge tight, breaks feasibility only.
     m = raw_matrix([[0.5, 0.1], [0.4, 0.1], [0.3, 0.0]], capacity=[2, 1])
     r = msa_match(m)
-    assert r.matched_columns == {0: 0, 1: 1}
+    assert matched_columns(m, r) == {0: 0, 1: 1}
     assert verify_duals(m, r, r.duals)
     p, q = list(r.duals.p), list(r.duals.q)
     p[1] += 2 * m.tol
@@ -337,10 +349,77 @@ def test_certificate_rejects_perturbed_duals():
     assert not verify_duals(m, r, DualState(p, q))
 
 
+def test_certificate_of_a_matrix_without_uavs_is_empty():
+    # No UAV leaves every vehicle without a seat, hence without a potential.
+    m = raw_matrix([], capacity=[1, 2, 3])
+    r = msa_match(m)
+    assert r.duals == DualState([], [])
+    assert verify_duals(m, r, r.duals)
+    assert not verify_duals(m, r, DualState([], [0.0]))
+
+
+def test_certificate_needs_q_zero_on_a_vehicle_with_a_free_seat():
+    # Vehicle 0 seats two and carries UAV 0 only; UAV 1 gains nothing.
+    m = raw_matrix([[1.0], [0.0]], capacity=[2])
+    r = msa_match(m)
+    assert r.assignment == {0: 0}
+    assert r.duals == DualState([1.0, 0.0], [0.0, 0.0])
+    assert verify_duals(m, r, r.duals)
+    # q = 0.5 on the vehicle, its free column included, with the matched
+    # edge kept tight and every edge feasible: only the free seat rejects it.
+    assert not verify_duals(m, r, DualState([0.5, 0.0], [0.5, 0.5]))
+    # The vehicle's potential is its lowest q, here 0: a higher q on the
+    # free column alone leaves a certificate.
+    assert verify_duals(m, r, DualState([1.0, 0.0], [0.0, 0.5]))
+
+
+def test_certificate_rejects_more_riders_than_seats():
+    # Both UAVs on the one-seat vehicle 0 would total 2.0, above the
+    # optimum 1.0, with potentials that pass every dual check.
+    m = raw_matrix([[1.0, 0.0], [1.0, 0.0]])
+    over = MatchResult({0: 0, 1: 0}, 2.0)
+    assert not verify_duals(m, over, DualState([1.0, 1.0], [0.0, 0.0]))
+    r = msa_match(m)
+    assert verify_duals(m, r, r.duals)
+
+
+def test_certificate_reads_each_vehicle_at_its_lowest_q():
+    # Vehicle 0 seats UAVs 0 and 1; unmatched UAV 2 (p = 0) needs Q_0 >= 0.5.
+    m = raw_matrix([[1.0, 0.0], [0.9, 0.0], [0.5, 0.0]], capacity=[2, 1])
+    r = msa_match(m)
+    assert r.assignment == {0: 0, 1: 0}
+    assert r.duals == DualState([0.5, 0.4, 0.0], [0.5, 0.5, 0.0])
+    assert verify_duals(m, r, r.duals)
+    # Q_0 = min(0.5, 0.4): the matched edges are tight at 0.4, and UAV 2's
+    # edge is infeasible there.
+    assert not verify_duals(m, r, DualState([0.6, 0.5, 0.0], [0.5, 0.4, 0.0]))
+    # Q_0 = min(0.6, 0.5) = 0.5 certifies the optimum, whatever the higher
+    # column reads.
+    assert verify_duals(m, r, DualState([0.5, 0.4, 0.0], [0.6, 0.5, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        GeneratorParams(n_uavs=20, n_vehicles=40),
+        GeneratorParams(n_uavs=40, n_vehicles=4, capacity=10, v_range=(20.0, 70.0)),
+    ],
+    ids=["20x40", "capacity_10"],
+)
+def test_solve_path_derives_no_expanded_view(params):
+    s = generate_scenario(params, 7)
+    m = build_saving_matrix(s.config, s.tasks, s.offers, s.geoms)
+    r = msa_match(m)
+    assert r.assignment and verify_duals(m, r, r.duals)
+    assert greedy_match(m).assignment
+    derived = {"column_origin", "n_vehicles", "weights", "plans"} & set(vars(m))
+    assert not derived, f"the solve path derived {sorted(derived)}"
+
+
 def test_no_matched_pair_below_tolerance():
     m = raw_matrix([[1e-12, 0.4]])
     r = msa_match(m)
     assert r.assignment == {0: 1}
-    for i, c in r.matched_columns.items():
+    for i, c in matched_columns(m, r).items():
         assert m.column_origin[c] == r.assignment[i]
         assert m.weights[i][c] > m.tol

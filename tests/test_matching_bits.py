@@ -2,14 +2,16 @@
 
 Each digest hashes the repr of the matched columns, the iteration count,
 both dual potential vectors and the total saving, so any change to the
-order or kind of floating-point operations shows here. The digests were
-taken from the scalar loop over Python lists and expanded capacity
-columns that ``oracles.scalar_msa_match`` keeps. Where every vehicle has
-one seat, the digest pins ``msa_match`` itself. Where a vehicle has more,
-it pins the reference: ``msa_match`` walks each vehicle once with its
-seat count and may seat a rider on another of the vehicle's columns, so
-on every instance it must equal the reference's assignment, iterations,
-potentials and total saving instead. The instances cover a
+order or kind of floating-point operations shows here. The matched columns
+are the capacity-expanded key that ``oracles.matched_columns`` builds from
+the assignment, a vehicle's riders taking its columns lowest first, in UAV
+order. The digests were taken from the scalar loop over Python lists and
+expanded capacity columns that ``oracles.scalar_msa_match`` keeps. Where
+every vehicle has one seat, the digest pins ``msa_match`` itself. Where a
+vehicle has more, it pins the reference: ``msa_match`` walks each vehicle
+once with its seat count and may seat a rider on another of the vehicle's
+columns, so on every instance it must equal the reference's assignment,
+iterations, potentials and total saving instead. The instances cover a
 capacity-expanded build, a battery-limited mixed fleet with deadlines and
 swap vehicles, and raw matrices with exact ties, weights a hair either
 side of ``tol`` and duplicated capacity columns.
@@ -31,7 +33,7 @@ import random
 
 import pytest
 
-from oracles import scalar_msa_match
+from oracles import matched_columns, scalar_msa_match
 from uavhitch import (
     GeneratorParams,
     PlannerConfig,
@@ -144,7 +146,7 @@ def test_msa_match_bits_pinned(name):
     assert verify_duals(m, r, r.duals)
     reference = scalar_msa_match(m)
     key = (
-        sorted(r.matched_columns.items()),
+        sorted(matched_columns(m, r).items()),
         r.iterations,
         r.duals.p,
         r.duals.q,
@@ -263,7 +265,7 @@ def test_msa_match_first_step_takes_a_free_seat_of_a_shared_vehicle():
     r = msa_match(m)
     matched, iterations, _, _, total = scalar_msa_match(m)
     assert r.assignment == {0: 0, 1: 0}
-    assert r.matched_columns == {0: 0, 1: 1}
+    assert matched_columns(m, r) == {0: 0, 1: 1}
     assert (r.iterations, r.total_saving) == (iterations, total) == (2, 2.0)
     assert verify_duals(m, r, r.duals)
 
@@ -357,7 +359,7 @@ def test_msa_match_bits_pinned_on_many_rider_matrices():
     for m in random_many_rider_matrices():
         r = msa_match(m)
         key = (
-            r.assignment, r.matched_columns, r.iterations, r.duals.p, r.duals.q, r.total_saving
+            r.assignment, matched_columns(m, r), r.iterations, r.duals.p, r.duals.q, r.total_saving
         )
         h.update(repr(key).encode())
     assert h.hexdigest() == (

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import scalar_msa_match
+from oracles import matched_columns, scalar_msa_match
 from uavhitch import DualState, SavingMatrix, brute_force_match, msa_match, verify_duals
 
 TOL = 1e-9
@@ -110,17 +110,18 @@ def check_optimal(m, r, reference):
     assert verify_duals(m, r, r.duals)
     # Unmatched UAVs that never rooted a tree keep p_i = max_j w_ij <= tol,
     # which the certificate's complementary slackness allows.
-    unmatched = m.n_uavs - len(r.matched_columns)
+    columns = matched_columns(m, r)
+    unmatched = m.n_uavs - len(columns)
     gap = sum(r.duals.p) + sum(r.duals.q) - r.total_saving
     assert abs(gap) <= 1e-9 * max(1.0, scale) + unmatched * m.tol
-    for i in r.matched_columns:
+    for i in columns:
         # Loosening one matched edge by twice the slack must be caught.
         p = list(r.duals.p)
         p[i] -= 2 * m.tol
         assert not verify_duals(m, r, DualState(p=p, q=r.duals.q))
     if set(m.seats) <= {1}:
         key = (
-            sorted(r.matched_columns.items()),
+            sorted(columns.items()),
             r.iterations,
             r.duals.p,
             r.duals.q,

@@ -15,10 +15,16 @@ transcendental it uses once, in a table of module-level names (``math``'s
 through ``np.frompyfunc`` where numpy's differ in the last bit); a third
 test fails on any other mention, which would be a second transcription.
 
-``SavingMatrix.plans`` is the capacity-expanded view of the plans, kept
-for the benchmark's tracer until that view is deleted. The package reads a
-matched pair's plan from ``SavingMatrix.arrays``; a fourth test fails on
-any read of a ``plans`` attribute in it, which would bring a reader back.
+The capacity-expanded view, one column per seat, is kept for the
+benchmark's tracer until it is deleted: ``SavingMatrix`` derives
+``column_origin``, ``n_vehicles``, ``weights`` and ``plans`` on first
+read. The solvers and the certificate work on the (I, J) savings and seat
+counts, and the package reads a matched pair's plan from
+``SavingMatrix.arrays``; a fourth test fails on any read of
+``column_origin``, ``weights``, ``plans`` or ``matched_columns`` outside
+``SavingMatrix``'s own class body, which would bring a reader back.
+``n_vehicles`` is left out because ``GeneratorParams.n_vehicles`` shares
+the name.
 
 The battery model is the headroom: ``plan_matrix`` takes one per UAV, and
 ``plan_pair``, ``select_vehicle``, ``energy`` and ``consumption`` read the
@@ -125,22 +131,32 @@ def test_planner_transcendentals_appear_only_in_its_table():
     assert not sites, f"transcendentals outside the table at {sites}"
 
 
-def plans_reads(path: pathlib.Path) -> list[str]:
-    """``file:line`` of every read of a ``.plans`` attribute in a module."""
+EXPANDED_VIEW = {"column_origin", "weights", "plans", "matched_columns"}
+
+
+def expanded_view_reads(path: pathlib.Path) -> list[str]:
+    """``file:line:name`` of every read of an expanded-view attribute in a
+    module, outside the body of ``SavingMatrix``, which derives them."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    return [
-        f"{path.name}:{node.lineno}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-        and node.attr == "plans"
-        and not isinstance(node.ctx, ast.Store)
-    ]
+    found = []
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and child.name == "SavingMatrix":
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr in EXPANDED_VIEW
+                    and not isinstance(child.ctx, ast.Store)):
+                found.append(f"{path.name}:{child.lineno}:{child.attr}")
+            visit(child)
+
+    visit(tree)
+    return found
 
 
 def test_package_source_never_reads_saving_matrix_plans():
     modules = sorted(PACKAGE.rglob("*.py"))
-    reads = [site for path in modules for site in plans_reads(path)]
-    assert not reads, f".plans read at {reads}"
+    reads = [site for path in modules for site in expanded_view_reads(path)]
+    assert not reads, f"expanded view read at {reads}"
 
 
 def limited_parameters(path: pathlib.Path) -> list[str]:
