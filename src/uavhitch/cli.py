@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 invalid input, 3 exhaustive-solver size guard.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -265,7 +266,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``uavhitch`` parser, built once per process: each parse starts
+    from a fresh namespace, and no default is read from the environment
+    (``main`` reads ``UAVHITCH_SEED`` on every call)."""
     parser = argparse.ArgumentParser(
         prog="uavhitch",
         description="Plan, match and simulate UAV hitching on ground vehicles.",
@@ -348,8 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "seed", 0) is None:
             args.seed = _default_seed()

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import HitchPlan, PlannerConfig, UavTask, UnboundedHitchError, VehicleOffer
+from .model import MAX_TOL, HitchPlan, PlannerConfig, UavTask, UnboundedHitchError, VehicleOffer
 from .planner import UNBOUNDED_MESSAGE, PlanArrays, plan_matrix
 
 __all__ = [
@@ -119,9 +119,11 @@ class SavingMatrix:
 
     ``saving`` may be given as any nested sequence; it is stored as a
     float64 array with one column per vehicle. A ``tol`` that is not
-    finite and > 0, a wrong shape, a capacity that is not an integer >= 1,
-    or a saving that is negative or not finite raises ``ValueError``
-    naming the field (and the entry).
+    finite and > 0 or is above ``model.MAX_TOL`` (the solvers drop every
+    edge at or below tol, so a larger one would drop real savings), a wrong
+    shape, a capacity that is not an integer >= 1, or a saving that is
+    negative or not finite raises ``ValueError`` naming the field (and the
+    entry).
     """
 
     saving: np.ndarray
@@ -134,6 +136,8 @@ class SavingMatrix:
     def __post_init__(self) -> None:
         if not 0.0 < self.tol < np.inf:
             raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
+        if self.tol > MAX_TOL:
+            raise ValueError(f"tol must be at most MAX_TOL = {MAX_TOL}, got {self.tol!r}")
         shape = (len(self.saving), len(self.capacity))
         s = _float_array("saving", self.saving, shape, "(rows, len(capacity))")
         capacity = self.capacity

@@ -20,12 +20,17 @@ replaced: where every vehicle has one seat, ``msa_match`` must reproduce
 it bit for bit, and the matcher's capacity > 1 pins gate it.
 ``matched_columns`` rebuilds the expanded column of each rider of a
 per-vehicle assignment, the key those pins hash.
+
+``json_load_scenario`` reads a scenario file with ``json`` alone, as
+``scenario_io.load_scenario`` did before its orjson fast path; that path
+must give the same ``Scenario``, or the same error, on every file.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -44,6 +49,8 @@ from uavhitch import (
     VehicleOffer,
 )
 from uavhitch.planner import UNBOUNDED_MESSAGE
+from uavhitch.scenario_io import scenario_from_dict
+from uavhitch.simlab import Scenario
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -650,3 +657,13 @@ def matched_columns(m, result) -> dict[int, int]:
         columns[i] = next_col[j]
         next_col[j] += 1
     return columns
+
+
+def json_load_scenario(path: str) -> Scenario:
+    """The scenario in the file at ``path``, parsed by ``json``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    return scenario_from_dict(data)

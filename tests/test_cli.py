@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from uavhitch.cli import _match_json, main
+from uavhitch.cli import _match_json, build_parser, main
 from uavhitch.model import Binding, UavTask, VehicleOffer
 from uavhitch.planner import UNBOUNDED_MESSAGE
 from uavhitch.scenario_io import load_scenario
@@ -625,3 +626,51 @@ def test_validate_rejects_misspelled_key(tmp_path, capsys, part, key, message):
     path.write_text(json.dumps(scenario))
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_validate_names_a_file_that_is_not_utf8(tmp_path, capsys):
+    good, bad = tmp_path / "a.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(SCENARIO))
+    text = json.dumps({**SCENARIO, "label": "@"})
+    bad.write_bytes(text.encode().replace(b"@", b"\xff"))
+    assert main(["validate", str(good), str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == f"{good}: ok (1 uavs, 1 vehicles)\n"
+    at = text.index("@")
+    assert err == (
+        f"error: {bad}: not valid UTF-8 ('utf-8' codec can't decode byte 0xff "
+        f"in position {at}: invalid start byte)\n"
+    )
+
+
+def test_one_parser_answers_every_call_as_a_fresh_process(tmp_path, capsys, monkeypatch):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(SCENARIO))
+    simulate = ["simulate", "--case", "1", "--uavs", "3", "--vehicles", "4", "--trials", "2"]
+    calls = [
+        (None, ["match", str(scenario), "--format", "json"]),
+        (None, ["match", str(scenario), "--solver", "fastest"]),  # argparse exits 2
+        ("7", simulate),
+        ("8", simulate),
+    ]
+    # The usage text wraps at the terminal width, which COLUMNS fixes.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("UAVHITCH_SEED", raising=False)
+    parser = build_parser()
+    outputs = []
+    for seed, argv in calls:
+        env = {**os.environ, **({"UAVHITCH_SEED": seed} if seed else {})}
+        fresh = subprocess.run(
+            [sys.executable, "-m", "uavhitch.cli", *argv], capture_output=True, env=env
+        )
+        if seed:
+            monkeypatch.setenv("UAVHITCH_SEED", seed)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out.encode(), err.encode()) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        outputs.append(out)
+    assert build_parser() is parser
+    assert outputs[2] != outputs[3]  # each call read its own UAVHITCH_SEED

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from uavhitch import (
     msa_match,
     verify_duals,
 )
+from uavhitch.model import MAX_TOL
 
 CFG = PlannerConfig(omega=0.8)
 
@@ -83,6 +85,21 @@ def test_saving_matrix_rejects_a_tol_that_is_not_finite_and_positive(tol):
     # failed.
     with pytest.raises(ValueError, match=rf"tol must be finite and > 0, got {tol!r}"):
         SavingMatrix([[0.0, 1.0], [0.5, 0.0]], [1, 1], tol=tol)
+
+
+@pytest.mark.parametrize("tol", [1e300, 0.75])
+def test_saving_matrix_rejects_a_tol_above_max_tol(tol):
+    # The optimum is 1.5. Every edge at or below tol is dropped, so tol =
+    # 1e300 gave an empty matching and tol = 0.75 the total 1.0, and the
+    # certificate passed both.
+    message = f"tol must be at most MAX_TOL = 0.001, got {tol!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SavingMatrix([[0.0, 1.0], [0.5, 0.0]], [1, 1], tol=tol)
+
+
+def test_saving_matrix_accepts_max_tol():
+    m = SavingMatrix([[0.0, 1.0], [0.5, 0.0]], [1, 1], tol=MAX_TOL)
+    assert msa_match(m).total_saving == 1.5
 
 
 def test_saving_matrix_derives_expanded_view():

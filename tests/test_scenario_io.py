@@ -4,7 +4,9 @@ from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from uavhitch import GeneratorParams, UavTask, VehicleOffer, case_theta_range, generate_scenario
 from uavhitch import scenario_io
 from uavhitch.scenario_io import (
@@ -185,3 +187,178 @@ def test_omitted_entry_fields_take_the_model_defaults(scenario):
     del d["uavs"][0]["u"]
     with pytest.raises(ValueError, match=r"uavs\[0\]: missing key 'u'"):
         scenario_from_dict(d)
+
+
+# The orjson fast path of ``load_scenario`` against ``json`` alone.
+
+
+def scenario_repr(s) -> str:
+    """Every field but ``geoms``; repr tells an int from a float and 0.0
+    from -0.0."""
+    return repr((s.tasks, s.offers, s.config, s.seed, s.label))
+
+
+def assert_loads_as_json(path) -> None:
+    """``load_scenario(path)`` gives what ``oracles.json_load_scenario``
+    gives: an equal scenario with bit-equal ``geoms``, or an error of the
+    same type and message; ``json``'s ``UnicodeDecodeError`` comes back as
+    a ``ValueError`` naming the file."""
+    path = str(path)
+    try:
+        want = oracles.json_load_scenario(path)
+    except UnicodeDecodeError as exc:
+        want_error = (ValueError, f"{path}: not valid UTF-8 ({exc})")
+    except (ValueError, RecursionError) as exc:
+        want_error = (type(exc), str(exc))
+    else:
+        got = load_scenario(path)
+        assert scenario_repr(got) == scenario_repr(want)
+        assert (got.geoms.dtype, got.geoms.shape) == (want.geoms.dtype, want.geoms.shape)
+        assert got.geoms.tobytes() == want.geoms.tobytes()
+        return
+    with pytest.raises((ValueError, RecursionError)) as info:
+        load_scenario(path)
+    assert (type(info.value), str(info.value)) == want_error
+
+
+def inf_or(values):
+    return st.just("inf") | values
+
+
+@st.composite
+def scenario_texts(draw):
+    """A scenario file, compact and indented, with each theta entry written
+    as its repr or with 17 or 40 significant digits; now and then one theta
+    entry is any finite float, and a field may hold an integer past int64."""
+    n_uavs, n_vehicles = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    uavs = []
+    for _ in range(n_uavs):
+        x, u = draw(st.floats(1e-3, 1e4)), draw(st.floats(1.0, 200.0))
+        uav = {"x": x, "u": u}
+        if draw(st.booleans()):
+            uav["deadline"] = draw(inf_or(st.floats(1.0, 10.0).map(lambda k: k * x / u)))
+        if draw(st.booleans()):
+            capacity = draw(st.floats(1e-3, 1e3))
+            uav["battery_capacity"] = capacity
+            uav["battery_level"] = draw(st.floats(0.0, 1.0)) * capacity
+        uavs.append(uav)
+    vehicles = []
+    for _ in range(n_vehicles):
+        vehicle = {"v": draw(st.floats(1.0, 200.0))}
+        if draw(st.booleans()):
+            vehicle["gamma"] = draw(inf_or(st.floats(0.0, 2.0)))
+        if draw(st.booleans()):
+            vehicle["capacity"] = draw(st.integers(1, 3) | st.integers(1, 2**70))
+        vehicles.append(vehicle)
+    entry = st.floats(0.0, math.pi) | st.sampled_from([-0.0, 5e-324, math.pi])
+    theta = draw(st.lists(entry, min_size=n_uavs * n_vehicles, max_size=n_uavs * n_vehicles))
+    if theta and draw(st.booleans()):
+        theta[draw(st.integers(0, len(theta) - 1))] = draw(
+            st.floats(allow_nan=False, allow_infinity=False)
+        )
+    digits = draw(st.lists(st.sampled_from([None, ".17g", ".40g"]),
+                           min_size=len(theta), max_size=len(theta)))
+    cells = [repr(t) if d is None else format(t, d) for t, d in zip(theta, digits)]
+    if n_vehicles and draw(st.booleans()):
+        rows = [cells[i * n_vehicles:(i + 1) * n_vehicles] for i in range(n_uavs)]
+        theta_text = "[" + ",".join("[" + ",".join(row) + "]" for row in rows) + "]"
+    else:
+        theta_text = "[" + ",".join(cells) + "]"
+    data = {
+        "config": {"omega": draw(st.floats(0.0, 1.0)), "tol": draw(st.floats(1e-12, 1e-3))},
+        "uavs": uavs,
+        "vehicles": vehicles,
+        "theta": "@THETA@",  # the first string of the dump; replaced by theta_text
+    }
+    if draw(st.booleans()):
+        data["seed"] = draw(st.integers(-(2**70), 2**70))
+    if draw(st.booleans()):
+        data["label"] = draw(st.text(max_size=6))
+    ascii_only = draw(st.booleans())
+    return [
+        json.dumps(data, indent=indent, ensure_ascii=ascii_only).replace('"@THETA@"', theta_text, 1)
+        for indent in (None, 2)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=scenario_texts())
+def test_load_scenario_equals_json_on_drawn_files(tmp_path_factory, texts):
+    path = tmp_path_factory.mktemp("drawn") / "s.json"
+    for text in texts:
+        path.write_text(text, encoding="utf-8")
+        assert_loads_as_json(path)
+
+
+EDGE_BASE = json.dumps(
+    {
+        "config": {"omega": 0.8, "tol": 1e-9},
+        "uavs": [{"x": 5.0, "u": 60.0}],
+        "vehicles": [{"v": 40.0, "gamma": 0.3, "capacity": 2}],
+        "theta": [0.5],
+        "seed": 3,
+        "label": "edge",
+    },
+    indent=2,
+)
+
+
+def edge_file(old: str, new: str) -> bytes:
+    assert old in EDGE_BASE
+    return EDGE_BASE.replace(old, new, 1).encode()
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        edge_file("0.5", "NaN"),
+        edge_file("0.5", "Infinity"),
+        edge_file("0.5", "-Infinity"),
+        edge_file('"x": 5.0', '"x": Infinity'),
+        edge_file('"x": 5.0', '"x": 1e400'),
+        edge_file("0.5", "1.7976931348623159e308"),
+        edge_file('"x": 5.0', f'"x": {10**400}'),
+        edge_file('"capacity": 2', f'"capacity": {2**64}'),
+        edge_file('"seed": 3', f'"seed": {2**64}'),
+        edge_file('"seed": 3', f'"seed": {-(2**63) - 1}'),
+        edge_file('"x": 5.0', f'"x": {2**64}'),
+        edge_file("0.5", f"{-(2**63) - 1}"),
+        edge_file('"edge"', '"\\ud800"'),
+        edge_file('"edge"', '"\\udc00x"'),
+        b"\xef\xbb\xbf" + EDGE_BASE.encode(),
+        edge_file('"edge"', '"@"').replace(b"@", b"\xff"),
+        edge_file('"edge"', '"@"').replace(b"@", b"\xed\xa0\x80"),
+        EDGE_BASE.replace("\n", "\r\n").encode(),
+        edge_file('"seed": 3', '"seed": 3, "seed": 4'),
+        edge_file('"v": 40.0', '"v": 40.0, "v": 20.0'),
+        b"",
+        edge_file('"edge"', "[" * 2000 + "]" * 2000),
+        edge_file("0.5", "[" * 2000 + "]" * 2000),
+    ],
+    ids=[
+        "nan", "infinity", "minus_infinity", "infinity_x", "1e400", "past_max_double",
+        "401_digits", "capacity_2_64", "seed_2_64", "seed_below_int64", "x_2_64",
+        "theta_below_int64", "lone_high_surrogate", "lone_low_surrogate", "bom",
+        "invalid_utf8", "utf8_encoded_surrogate", "crlf", "duplicate_key",
+        "duplicate_entry_key", "empty", "deep_label", "deep_theta",
+    ],
+)
+def test_load_scenario_equals_json_on_edge_cases(tmp_path, raw):
+    path = tmp_path / "edge.json"
+    path.write_bytes(raw)
+    assert_loads_as_json(path)
+
+
+def test_an_ordinary_file_never_reaches_json(tmp_path, monkeypatch):
+    p = GeneratorParams(n_uavs=20, n_vehicles=40, theta_range=case_theta_range(1), label="t")
+    s = generate_scenario(p, 5)
+    indented, compact = tmp_path / "indented.json", tmp_path / "compact.json"
+    save_scenario(s, str(indented))
+    compact.write_text(json.dumps(scenario_to_dict(s), separators=(",", ":")))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.load was called")
+
+    monkeypatch.setattr(scenario_io.json, "load", refuse)
+    for path in (indented, compact):
+        assert dump_scenario(load_scenario(str(path))) == dump_scenario(s)

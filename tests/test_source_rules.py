@@ -36,10 +36,18 @@ The planner's ``_hypot`` is its own correctly rounded numpy function, so
 the result bits rest on IEEE arithmetic rather than on the interpreter's
 ``math.hypot``, which is also a per-element Python call. A sixth test
 fails on any ``np.frompyfunc(math.hypot, ...)`` in ``planner.py``.
+
+``scenario_io.load_scenario`` parses with orjson, whose import takes
+10-15 ms, and the benchmark gates the time a fresh interpreter takes to
+import ``uavhitch.cli``. A seventh test fails on an import of orjson that
+runs when a module of the package is imported, one outside a function
+body, and checks that importing the CLI leaves orjson unimported.
 """
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import uavhitch
 
@@ -196,3 +204,36 @@ def math_hypot_ufuncs(path: pathlib.Path) -> list[str]:
 def test_planner_wraps_no_math_hypot():
     sites = math_hypot_ufuncs(PACKAGE / "planner.py")
     assert not sites, f"np.frompyfunc(math.hypot, ...) at {sites}"
+
+
+def import_time_imports(path: pathlib.Path, name: str) -> list[str]:
+    """``file:line`` of every import of module ``name`` outside a function
+    body, which runs when the module is imported."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                modules = [child.module or ""]
+            else:
+                modules = []
+            if any(m.partition(".")[0] == name for m in modules):
+                found.append(f"{path.name}:{child.lineno}")
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_orjson_is_imported_only_when_a_file_is_loaded():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    sites = [site for path in modules for site in import_time_imports(path, "orjson")]
+    assert not sites, f"orjson imported at module level at {sites}"
+    probe = "import sys, uavhitch.cli; print('orjson' in sys.modules)"
+    child = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert child.stdout == "False\n", child.stderr
