@@ -180,8 +180,17 @@ def _match_json(
     )
 
 
+def _load(path: str) -> Scenario:
+    """The scenario file at ``path``; one nested past the parser's
+    recursion limit is invalid input, named by its path."""
+    try:
+        return load_scenario(path)
+    except RecursionError as exc:
+        raise ValueError(f"{path}: nested too deeply to read ({exc})") from None
+
+
 def _cmd_match(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+    scenario = _load(args.scenario)
     matrix = build_saving_matrix(
         scenario.config, scenario.tasks, scenario.offers, scenario.geoms, limited=args.limited
     )
@@ -261,7 +270,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     for path in args.scenarios:
-        scenario = load_scenario(path)
+        scenario = _load(path)
         print(f"{path}: ok ({len(scenario.tasks)} uavs, {len(scenario.offers)} vehicles)")
     return 0
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 from bisect import insort
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -92,9 +92,141 @@ def theta_array(theta, n_uavs: int, n_vehicles: int) -> np.ndarray:
     if not in_range.all():
         i, j = np.argwhere(~in_range)[0]
         raise ValueError(f"theta[{i},{j}]: theta must be in [0, pi], got {float(a[i, j])}")
+    return _read_only(a)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
     a = a.view()
     a.flags.writeable = False
     return a
+
+
+# Inclusive float bounds that stand for > 0 and < inf; NaN fails both.
+_TINY, _HUGE = np.finfo(np.float64).smallest_subnormal, np.finfo(np.float64).max
+
+
+class _Columns(Sequence):
+    """A read-only sequence of model objects held as one read-only array
+    per field (``x``, ``capacity``, ...); an item is made on read. Neither
+    the arrays nor the attributes can change, so columns may be shared. It
+    equals any list, tuple or columns of equal items, and its repr is the
+    list's.
+
+    The constructor takes one array or sequence per field, in the model's
+    field order, and checks the columns once, with numpy. The first entry
+    they reject is made as a model object, whose own message names the
+    fault, prefixed by ``context[i]: `` when a context is given. The float
+    fields are the rows of one float64 array; an integer field is int64,
+    or holds Python ints when one is past int64's range.
+    """
+
+    __slots__ = ()
+    kind: type
+    names: tuple[str, ...]  # the model's field names, in its order
+    # The places of the float and the integer fields in ``names``.
+    _float_at: tuple[int, ...]
+    _integer_at: tuple[int, ...] = ()
+
+    def __init__(self, *columns, context: str | None = None) -> None:
+        if len(columns) != len(self.names):
+            raise TypeError(f"{type(self).__name__} takes {len(self.names)} columns")
+        floats = np.array([columns[k] for k in self._float_at], dtype=np.float64)
+        floats.flags.writeable = False
+        for k, row in zip(self._float_at, floats):
+            object.__setattr__(self, self.names[k], row)
+        for k in self._integer_at:
+            try:
+                a = np.asarray(columns[k], dtype=np.int64)
+            except OverflowError:
+                a = np.asarray(columns[k], dtype=object)
+            object.__setattr__(self, self.names[k], _read_only(a))
+        ok = self._valid(floats)
+        if np.count_nonzero(ok) < ok.size:
+            for i in np.flatnonzero(~ok.all(axis=0)).tolist():
+                try:
+                    self[i]
+                except ValueError as exc:
+                    if context is None:
+                        raise
+                    raise ValueError(f"{context}[{i}]: {exc}") from None
+
+    @classmethod
+    def of(cls, items: Sequence) -> _Columns:
+        """``items``, model objects or columns of this kind, as columns."""
+        if isinstance(items, cls):
+            return items
+        return cls(*([getattr(item, name) for item in items] for name in cls.names))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __reduce__(self):
+        return type(self), self.columns()
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The column arrays, in the model's field order."""
+        return tuple(getattr(self, name) for name in self.names)
+
+    def _valid(self, floats: np.ndarray) -> np.ndarray:
+        """Where each entry passes the model's checks, as a (k, n) mask
+        whose column i is entry i."""
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.names[0]))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return type(self)(*(a[i] for a in self.columns()))
+        return self.kind(*(a.item(i) for a in self.columns()))
+
+    def __iter__(self):
+        return map(self.kind, *(a.tolist() for a in self.columns()))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, tuple, _Columns)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+class TaskColumns(_Columns):
+    """``UavTask`` columns: ``x``, ``u``, ``deadline``,
+    ``battery_capacity`` and ``battery_level``."""
+
+    names = tuple(f.name for f in fields(UavTask))
+    __slots__ = names
+    kind = UavTask
+    _float_at = tuple(range(len(names)))
+    # x and u in (0, inf), deadline and battery_capacity > 0, battery_level
+    # in [0, inf), as inclusive bounds.
+    _low = np.array([[_TINY], [_TINY], [_TINY], [_TINY], [0.0]])
+    _high = np.array([[_HUGE], [_HUGE], [np.inf], [np.inf], [_HUGE]])
+
+    def _valid(self, floats: np.ndarray) -> np.ndarray:
+        ok = (floats >= self._low) & (floats <= self._high)
+        # A finite deadline is at least x / u, and the level at most the
+        # capacity. x / u may overflow or divide by zero on a rejected entry.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ok &= (self.deadline >= self.x / self.u) & (self.battery_level <= self.battery_capacity)
+        return ok
+
+
+class OfferColumns(_Columns):
+    """``VehicleOffer`` columns: ``v``, ``gamma`` and ``capacity``."""
+
+    names = tuple(f.name for f in fields(VehicleOffer))
+    __slots__ = names
+    kind = VehicleOffer
+    _float_at, _integer_at = (0, 1), (2,)
+    # v in (0, inf) and gamma >= 0, as inclusive bounds.
+    _low = np.array([[_TINY], [0.0]])
+    _high = np.array([[_HUGE], [np.inf]])
+
+    def _valid(self, floats: np.ndarray) -> np.ndarray:
+        return (floats >= self._low) & (floats <= self._high) & (self.capacity >= 1)
 
 
 @dataclass
@@ -183,6 +315,16 @@ class SavingMatrix:
         pairs = [[a.plan((i, j)) for j in range(len(self.seats))] for i in range(self.n_uavs)]
         return [[row[j] for j in self.column_origin] for row in pairs]
 
+    def _rows(self, start: int, stop: int) -> SavingMatrix:
+        """UAVs ``start`` to ``stop`` as a matrix of their own, with their
+        own seats, on a view of these already checked savings; its
+        ``arrays`` is None."""
+        n = stop - start
+        m = object.__new__(SavingMatrix)
+        m.saving, m.capacity, m.tol = self.saving[start:stop], self.capacity, self.tol
+        m.arrays, m.n_uavs, m.seats = None, n, [c if c < n else n for c in self.capacity]
+        return m
+
 
 @dataclass
 class DualState:
@@ -211,33 +353,36 @@ class MatchResult:
 
 def build_saving_matrix(
     cfg: PlannerConfig,
-    tasks: list[UavTask],
-    offers: list[VehicleOffer],
+    tasks: Sequence[UavTask],
+    offers: Sequence[VehicleOffer],
     theta,
     limited: bool = False,
 ) -> SavingMatrix:
-    """Plan every pair and lay out the capacity-expanded saving matrix.
+    """Plan every pair and lay out the saving matrix.
 
-    ``theta[i][j]``, an (I, J) array or nested sequence, is the direction
-    deviation of UAV ``i`` and vehicle ``j``. Every pair is planned by one
-    :func:`plan_matrix` call; ``limited`` hands it each UAV's battery
-    headroom, else an infinite one. A pair with no finite optimum raises
-    :class:`UnboundedHitchError` naming it, the first such pair in
-    row-major order.
+    ``tasks`` and ``offers`` are :class:`TaskColumns` and
+    :class:`OfferColumns`, as a ``Scenario`` holds them, whose arrays are
+    read as they are, or sequences of model objects, gathered into columns
+    first. ``theta[i][j]``, an (I, J) array or nested sequence, is the
+    direction deviation of UAV ``i`` and vehicle ``j``. Every pair is
+    planned by one :func:`plan_matrix` call; ``limited`` hands it each
+    UAV's battery headroom, else an infinite one. A pair with no finite
+    optimum raises :class:`UnboundedHitchError` naming it, the first such
+    pair in row-major order.
     """
-    n_uavs, n_offers = len(tasks), len(offers)
-    theta = theta_array(theta, n_uavs, n_offers)
-    x, u, deadline, headroom = np.array(
-        [(t.x, t.u, t.deadline, t.battery_headroom) for t in tasks], dtype=np.float64
-    ).reshape(n_uavs, 4).T[:, :, None]
-    v, gamma = np.array([(o.v, o.gamma) for o in offers], dtype=np.float64).reshape(n_offers, 2).T
-    arrays = plan_matrix(cfg, x, u, v, gamma, theta, deadline, headroom if limited else np.inf)
+    tasks, offers = TaskColumns.of(tasks), OfferColumns.of(offers)
+    theta = theta_array(theta, len(tasks), len(offers))
+    headroom = (tasks.battery_capacity - tasks.battery_level)[:, None] if limited else np.inf
+    arrays = plan_matrix(
+        cfg, tasks.x[:, None], tasks.u[:, None], offers.v, offers.gamma, theta,
+        tasks.deadline[:, None], headroom,
+    )
 
     if arrays.unbounded.any():
         i, j = np.argwhere(arrays.unbounded)[0]
         raise UnboundedHitchError(f"uav {i}, vehicle {j}: {UNBOUNDED_MESSAGE}")
 
-    return SavingMatrix(arrays.saving, [o.capacity for o in offers], tol=cfg.tol, arrays=arrays)
+    return SavingMatrix(arrays.saving, offers.capacity.tolist(), tol=cfg.tol, arrays=arrays)
 
 
 def _collect_result(

@@ -18,7 +18,14 @@ is accepted on read; in memory it is the (I, J) float64 array ``Scenario.geoms``
 
 A ``uavs`` or ``vehicles`` entry holds the fields of ``UavTask`` or
 ``VehicleOffer``, in their order: those with no default are required, the
-others default as in the model. An unknown key is rejected by name.
+others default as in the model. An unknown key is rejected by name. The
+loader reads each field of every entry into one list, checks its types
+once, and fills the scenario's columns (``Scenario.tasks`` and
+``offers``), which check each model field once; a fault is named with
+the entry it is in (``uavs[i]: ...``), the first in file order. Only when
+a list holds a value that is not a number, or an integer past the float
+range, are the entries read one at a time, to name it. The writer reads
+the columns back the same way, one list per field.
 
 ``load_scenario`` parses with orjson, several times faster than ``json`` on
 ``match``'s inputs, and gives each file the meaning ``json`` gives it.
@@ -43,6 +50,7 @@ from typing import Any, get_type_hints
 
 import numpy as np
 
+from .matching import OfferColumns, TaskColumns
 from .model import PlannerConfig, UavTask, VehicleOffer
 from .simlab import Scenario
 
@@ -80,15 +88,17 @@ _ENTRY_FIELDS = {
 }
 
 
-def _entry_to_dict(entry: UavTask | VehicleOffer) -> dict:
-    return {name: _encode(getattr(entry, name)) for name in _ENTRY_FIELDS[type(entry)]}
+def _entry_dicts(entries: TaskColumns | OfferColumns) -> list[dict]:
+    """One dict per entry, its fields in the model's order."""
+    columns = [[_encode(value) for value in a.tolist()] for a in entries.columns()]
+    return [dict(zip(entries.names, values)) for values in zip(*columns)]
 
 
 def scenario_to_dict(s: Scenario) -> dict:
     return {
         "config": {"omega": s.config.omega, "tol": s.config.tol},
-        "uavs": [_entry_to_dict(t) for t in s.tasks],
-        "vehicles": [_entry_to_dict(o) for o in s.offers],
+        "uavs": _entry_dicts(s.tasks),
+        "vehicles": _entry_dicts(s.offers),
         "theta": s.geoms.ravel().tolist(),
         "seed": s.seed,
         "label": s.label,
@@ -114,12 +124,55 @@ def _require_type(value: Any, kind: type, context: str) -> Any:
     return value
 
 
-def _entries(kind: type, data: dict, key: str) -> list:
-    """The ``key`` list of ``data`` as ``kind`` instances, one per entry. A
-    rejected value is named with the entry it came from."""
+def _entries(columns: type, data: dict, key: str) -> TaskColumns | OfferColumns:
+    """The ``key`` list of ``data`` as ``columns``. A rejected value is
+    named with the entry it came from, the first in list order."""
+    entries = _require_type(_require_key(data, key, "scenario"), list, key)
+    values = _field_lists(entries, _ENTRY_FIELDS[columns.kind])
+    if values is not None:
+        try:
+            return columns(*values, context=key)
+        except OverflowError:  # an integer past the float range, named below
+            pass
+    return columns.of(_entry_objects(columns.kind, entries, key))
+
+
+def _field_lists(entries: list, entry_fields: dict) -> list[list] | None:
+    """One list per field of the entries, a number (or an integer for an
+    integer field) in each place, or None where an entry needs a closer
+    look: it is not an object, has a key that is unknown or missing, or a
+    value of the wrong type."""
+    if set(map(type, entries)) - {dict} or set().union(*entries) - entry_fields.keys():
+        return None
+    lists = []
+    for name, (default, is_int) in entry_fields.items():
+        if default is MISSING:
+            try:
+                values = [entry[name] for entry in entries]
+            except KeyError:
+                return None
+        else:
+            values = [entry.get(name, default) for entry in entries]
+        kinds = set(map(type, values))
+        if is_int:
+            if kinds - {int}:
+                return None
+        else:
+            if str in kinds:
+                values = [math.inf if value == "inf" else value for value in values]
+                kinds = set(map(type, values))
+            if kinds - {float, int}:
+                return None
+        lists.append(values)
+    return lists
+
+
+def _entry_objects(kind: type, entries: list, key: str) -> list:
+    """The entries as ``kind`` instances, one at a time: a rejected value
+    is named with the entry it came from."""
     entry_fields = _ENTRY_FIELDS[kind]
     out = []
-    for i, entry in enumerate(_require_type(_require_key(data, key, "scenario"), list, key)):
+    for i, entry in enumerate(entries):
         ctx = f"{key}[{i}]"
         _require_type(entry, dict, ctx)
         _reject_unknown(entry, entry_fields, ctx)
@@ -158,8 +211,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         omega=_decode(_require_key(cfg_d, "omega", "config"), "config.omega"),
         tol=_decode(_require_key(cfg_d, "tol", "config"), "config.tol"),
     )
-    tasks = _entries(UavTask, data, "uavs")
-    offers = _entries(VehicleOffer, data, "vehicles")
+    tasks = _entries(TaskColumns, data, "uavs")
+    offers = _entries(OfferColumns, data, "vehicles")
 
     n_uavs, n_vehicles = len(tasks), len(offers)
     theta = _require_type(_require_key(data, "theta", "scenario"), list, "theta")

@@ -5,10 +5,23 @@ seeded RNG; trials compare total fleet consumption under no hitching, the
 greedy matcher and the optimal matcher. Per-trial seeds are derived from
 (master seed, UAV count, trial index) so results do not depend on the
 order in which trials run.
+
+A scenario holds its UAVs and vehicles as columns, one read-only array
+per model field (:class:`~uavhitch.matching.TaskColumns`,
+:class:`~uavhitch.matching.OfferColumns`), as it holds theta as one
+array: the generator draws them, the loader fills them and the
+saving-matrix build reads them, and a ``UavTask`` or ``VehicleOffer`` is
+made only when an entry is read. Where every trial draws the same
+vehicles, the experiment plans consecutive trials of one population size
+in one build over their stacked UAVs, as many as fit in the pair count
+of the run's largest trial, and matches each trial on its own rows.
+Planning is elementwise, so every saving has the bits a per-trial build
+gives it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Callable
@@ -16,7 +29,15 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .matching import build_saving_matrix, greedy_match, msa_match, theta_array
+from .matching import (
+    OfferColumns,
+    SavingMatrix,
+    TaskColumns,
+    build_saving_matrix,
+    greedy_match,
+    msa_match,
+    theta_array,
+)
 from .model import PairGeometry, PlannerConfig, UavTask, UnboundedHitchError, VehicleOffer
 from .planner import UNBOUNDED_MESSAGE, plan_matrix
 
@@ -92,22 +113,29 @@ class GeneratorParams:
 class Scenario:
     """A fully materialized experiment input.
 
-    ``geoms[i, j]`` is the direction deviation theta of UAV ``i`` and
-    vehicle ``j``, held as one read-only (I, J) float64 array checked by
-    :func:`~uavhitch.matching.theta_array`. Scenarios compare by identity;
-    equal ones give equal ``scenario_io.dump_scenario`` bytes.
+    ``tasks`` and ``offers`` are held as columns, one read-only array per
+    model field (``s.tasks.x``, ``s.offers.capacity``, ...), and read as
+    sequences of model objects: ``s.tasks[i]`` is the ``UavTask`` of UAV
+    ``i``, made on read. Given sequences of model objects, the scenario
+    gathers them into columns. ``geoms[i, j]`` is the direction deviation
+    theta of UAV ``i`` and vehicle ``j``, held as one read-only (I, J)
+    float64 array checked by :func:`~uavhitch.matching.theta_array`.
+    Scenarios compare by identity; equal ones give equal
+    ``scenario_io.dump_scenario`` bytes.
     """
 
-    tasks: list[UavTask]
-    offers: list[VehicleOffer]
+    tasks: TaskColumns
+    offers: OfferColumns
     geoms: np.ndarray
     config: PlannerConfig
     seed: int = 0
     label: str = ""
 
     def __post_init__(self) -> None:
-        theta = theta_array(self.geoms, len(self.tasks), len(self.offers))
-        object.__setattr__(self, "geoms", theta)
+        tasks, offers = TaskColumns.of(self.tasks), OfferColumns.of(self.offers)
+        object.__setattr__(self, "tasks", tasks)
+        object.__setattr__(self, "offers", offers)
+        object.__setattr__(self, "geoms", theta_array(self.geoms, len(tasks), len(offers)))
 
 
 @dataclass(frozen=True)
@@ -143,41 +171,47 @@ class ExperimentRow:
 EXPERIMENT_CSV_HEADER = [f.name for f in fields(ExperimentRow)]
 
 
+@functools.lru_cache(maxsize=16)
+def _fleet(v: float, gamma: float, capacity: int, n_vehicles: int) -> OfferColumns:
+    """The columns of ``n_vehicles`` homogeneous vehicles. They are
+    read-only, so every scenario that draws these vehicles shares them."""
+    return OfferColumns(
+        np.full(n_vehicles, v, dtype=np.float64), np.full(n_vehicles, gamma, dtype=np.float64),
+        [capacity] * n_vehicles,
+    )
+
+
 def generate_scenario(params: GeneratorParams, seed: int) -> Scenario:
     """Draw a scenario deterministically from (params, seed).
 
     Trip lengths are uniform on (0, x_max]; deviations are uniform on
-    the configured range, drawn row-major and kept as drawn.
+    the configured range, drawn row-major and kept as drawn. The draws
+    fill the scenario's columns, each checked once.
     """
     rng = np.random.default_rng(seed)
-    n_vehicles = params.n_vehicles
-    xs = params.x_max * (1.0 - rng.random(params.n_uavs))
+    n_uavs, n_vehicles = params.n_uavs, params.n_vehicles
+    xs = params.x_max * (1.0 - rng.random(n_uavs))
     lo, hi = params.theta_range
-    thetas = rng.uniform(lo, hi, size=(params.n_uavs, n_vehicles))
+    thetas = rng.uniform(lo, hi, size=(n_uavs, n_vehicles))
     if params.v_range is None and params.gamma_range is None:
-        # Homogeneous vehicles share one frozen offer.
-        offers = [
-            VehicleOffer(v=float(params.v), gamma=float(params.gamma), capacity=params.capacity)
-        ] * n_vehicles
+        offers = _fleet(params.v, params.gamma, params.capacity, n_vehicles)
     else:
         if params.v_range is not None:
             vs = rng.uniform(params.v_range[0], params.v_range[1], n_vehicles)
         else:
-            vs = np.full(n_vehicles, params.v)
+            vs = np.full(n_vehicles, params.v, dtype=np.float64)
         if params.gamma_range is not None:
             gammas = rng.uniform(params.gamma_range[0], params.gamma_range[1], n_vehicles)
         else:
-            gammas = np.full(n_vehicles, params.gamma)
-        offers = [
-            VehicleOffer(v=float(v), gamma=float(g), capacity=params.capacity)
-            for v, g in zip(vs, gammas)
-        ]
+            gammas = np.full(n_vehicles, params.gamma, dtype=np.float64)
+        offers = OfferColumns(vs, gammas, [params.capacity] * n_vehicles)
 
     k = params.deadline_factor
-    tasks = [
-        UavTask(x=x, u=params.u, deadline=math.inf if k is None else k * x / params.u)
-        for x in xs.tolist()
-    ]
+    deadline = np.full(n_uavs, math.inf) if k is None else k * xs / params.u
+    tasks = TaskColumns(
+        xs, np.full(n_uavs, params.u, dtype=np.float64), deadline,
+        np.full(n_uavs, math.inf), np.zeros(n_uavs),
+    )
     return Scenario(
         tasks=tasks,
         offers=offers,
@@ -202,14 +236,32 @@ def scale_scenario(s: Scenario, factor: float) -> Scenario:
 
 
 def run_trial(s: Scenario) -> TrialReport:
-    """Match the fleet both ways and total up the consumptions.
+    """Match the fleet both ways and total up the consumptions: a stack of
+    one trial.
 
     Unmatched UAVs fly direct and contribute their baseline consumption.
     """
-    m = build_saving_matrix(s.config, s.tasks, s.offers, s.geoms)
+    return _match_trial(s, _build_stack([s]))
+
+
+def _build_stack(stack: list[Scenario]) -> SavingMatrix:
+    """The saving matrix of the trials of ``stack``, which share their
+    vehicles and config, over their UAVs stacked in trial order."""
+    first = stack[0]
+    if len(stack) == 1:
+        tasks, theta = first.tasks, first.geoms
+    else:
+        tasks = TaskColumns(*map(np.concatenate, zip(*(s.tasks.columns() for s in stack))))
+        theta = np.concatenate([s.geoms for s in stack])
+    return build_saving_matrix(first.config, tasks, first.offers, theta)
+
+
+def _match_trial(s: Scenario, m: SavingMatrix) -> TrialReport:
+    """The report of trial ``s``, matched on ``m``, its own rows with its
+    own seats."""
     msa = msa_match(m)
     greedy = greedy_match(m)
-    total_direct = _sum_in_order(t.direct_time for t in s.tasks)
+    total_direct = _sum_in_order((s.tasks.x / s.tasks.u).tolist())
     return TrialReport(
         total_direct=total_direct,
         total_greedy=total_direct - greedy.total_saving,
@@ -256,21 +308,43 @@ def run_experiment(
 ) -> list[ExperimentRow]:
     """Repeat seeded trials per population size and aggregate.
 
-    Trials run and are summed in trial-index order, so the output is
-    bit-identical across reruns. ``on_scenario(count, trial, scenario)``,
-    if given, sees each scenario as it is drawn.
+    Trials are summed in trial-index order, so the output is bit-identical
+    across reruns. Where every trial draws the same vehicles (no
+    ``v_range`` or ``gamma_range``), consecutive trials of one count are
+    planned in one build, as many as fit in the pair count of the largest
+    trial, ``max(uav_counts) * n_vehicles``, so no build is bigger than
+    that trial's own; each trial is matched on its own rows, with its own
+    seats. The results are those of :func:`run_trial` on each trial.
+
+    ``on_scenario(count, trial, scenario)``, if given, sees each scenario
+    once, in order, before its trial is matched. If a stack's build
+    raises, its trials are planned one at a time after each is seen, so
+    the trials up to the failing one are seen and the error names the UAV
+    by its index in its own trial, as without stacking.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    stacked = params.v_range is None and params.gamma_range is None
+    largest = max(uav_counts, default=0) * params.n_vehicles
     rows = []
     for count in uav_counts:
         p = replace(params, n_uavs=count)
-        reports = []
+        pairs = count * params.n_vehicles
+        size = (largest // pairs if pairs else n_trials) if stacked else 1
+        reports: list[TrialReport] = []
+        stack: list[Scenario] = []
         for t in range(n_trials):
-            s = generate_scenario(p, derive_trial_seed(master_seed, count, t))
-            if on_scenario is not None:
-                on_scenario(count, t, s)
-            reports.append(run_trial(s))
+            try:
+                s = generate_scenario(p, derive_trial_seed(master_seed, count, t))
+            except ValueError:
+                # A failed draw comes after the trials drawn before it have
+                # run, as without stacking.
+                reports += _run_stack(count, t - len(stack), stack, on_scenario)
+                raise
+            stack.append(s)
+            if len(stack) == size or t == n_trials - 1:
+                reports += _run_stack(count, t + 1 - len(stack), stack, on_scenario)
+                stack = []
         rows.append(
             ExperimentRow(
                 uav_count=count,
@@ -285,6 +359,32 @@ def run_experiment(
             )
         )
     return rows
+
+
+def _run_stack(
+    count: int,
+    first: int,
+    stack: list[Scenario],
+    on_scenario: Callable[[int, int, Scenario], None] | None,
+) -> list[TrialReport]:
+    """Reports of trials ``first``, ``first + 1``, ... of ``count`` UAVs,
+    planned in one build when there are several; each is shown to
+    ``on_scenario`` before it is matched. A stack whose build raises is
+    planned again one trial at a time, which raises on the failing trial."""
+    m = None
+    if len(stack) > 1:
+        try:
+            m = _build_stack(stack)
+        except ValueError:
+            pass
+    reports, start = [], 0
+    for t, s in enumerate(stack, first):
+        if on_scenario is not None:
+            on_scenario(count, t, s)
+        stop = start + len(s.tasks)
+        reports.append(run_trial(s) if m is None else _match_trial(s, m._rows(start, stop)))
+        start = stop
+    return reports
 
 
 def _linspace(lo: float, hi: float, points: int) -> list[float]:

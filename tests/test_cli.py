@@ -674,3 +674,73 @@ def test_one_parser_answers_every_call_as_a_fresh_process(tmp_path, capsys, monk
         outputs.append(out)
     assert build_parser() is parser
     assert outputs[2] != outputs[3]  # each call read its own UAVHITCH_SEED
+
+
+def test_simulate_stops_at_the_first_trial_with_no_finite_optimum(tmp_path, capsys):
+    # At gamma = 5 no pair has a finite optimum without a deadline. The
+    # first trial's file is written before it is planned; no later trial
+    # is written, and no CSV.
+    scen_dir, out = tmp_path / "scen", tmp_path / "sim.csv"
+    assert main([
+        "simulate", "--case", "1", "--uavs", "3,5", "--vehicles", "4", "--trials", "3",
+        "--gamma", "5", "--seed", "1", "--output", str(out), "--emit-scenarios", str(scen_dir),
+    ]) == 2
+    assert capsys.readouterr().err == f"error: uav 0, vehicle 0: {UNBOUNDED_MESSAGE}\n"
+    assert [p.name for p in scen_dir.iterdir()] == ["case1_I3_t0.json"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "match"])
+def test_a_file_nested_too_deeply_exits_2_naming_it(tmp_path, capsys, command):
+    # orjson refuses arrays nested past 1,024, and json's decoder then
+    # runs out of recursion.
+    path = tmp_path / "deep.json"
+    text = json.dumps({**SCENARIO, "label": "@"})
+    path.write_text(text.replace('"@"', "[" * 1500 + "]" * 1500))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: nested too deeply to read (maximum recursion depth")
+    assert err.count("\n") == 1
+
+
+def count_model_objects(monkeypatch) -> list:
+    """Append the type of every ``UavTask`` and ``VehicleOffer`` made."""
+    made = []
+    for kind in (UavTask, VehicleOffer):
+        check = kind.__post_init__
+
+        def counting(self, check=check):
+            made.append(type(self).__name__)
+            check(self)
+
+        monkeypatch.setattr(kind, "__post_init__", counting)
+    return made
+
+
+@pytest.mark.parametrize("op", ["simulate", "match", "match_limited"])
+def test_ops_make_no_model_object_per_entry(tmp_path, monkeypatch, op):
+    # Scenarios are columns from the generator and the loader to the build:
+    # a model object is made only when an entry is read, so the count of
+    # them does not grow with the trials or the UAVs.
+    made = count_model_objects(monkeypatch)
+    counts = []
+    for size in (1, 10) if op == "simulate" else (3, 30):
+        if op == "simulate":
+            argv = ["simulate", "--case", "1", "--uavs", "2,4", "--vehicles", "3",
+                    "--trials", str(size), "--deadline-factor", "1.5"]
+        else:
+            path = tmp_path / f"fleet{size}.json"
+            path.write_text(json.dumps({
+                "config": {"omega": 0.8, "tol": 1e-9},
+                "uavs": [{"x": 5.0 + 0.1 * i, "u": 60.0, "deadline": 0.5, "battery_capacity": 0.2,
+                          "battery_level": 0.1} for i in range(size)],
+                "vehicles": [{"v": 40.0, "gamma": g, "capacity": 2} for g in (0.3, "inf")],
+                "theta": [0.1 * (k % 30) for k in range(2 * size)],
+            }))
+            argv = ["match", str(path), "--format", "json"]
+            if op == "match_limited":
+                argv.append("--limited")
+        before = len(made)
+        assert main([*argv, "--output", str(tmp_path / "out")]) == 0
+        counts.append(len(made) - before)
+    assert counts[0] == counts[1], counts

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,7 @@ from uavhitch import (
     select_vehicle,
     sweep_curves,
 )
+from uavhitch.planner import UNBOUNDED_MESSAGE
 from uavhitch.scenario_io import dump_scenario
 from uavhitch.simlab import derive_trial_seed
 
@@ -282,3 +284,155 @@ def test_sweep_rejects_unknown_kind_and_params():
         sweep_curves("nope")
     with pytest.raises(ValueError):
         sweep_curves("speed", bogus=1.0)
+
+
+# ------------------------------------------------------------ stacked trials
+
+
+def per_trial_experiment(params, n_trials, uav_counts, master_seed, on_scenario=None):
+    """``run_experiment`` one trial at a time: draw, show, build and match
+    each trial alone, then aggregate as the experiment does."""
+    import uavhitch.simlab
+    from uavhitch.simlab import ExperimentRow, _mean, _sample_std
+
+    rows = []
+    for count in uav_counts:
+        p = replace(params, n_uavs=count)
+        reports = []
+        for t in range(n_trials):
+            s = uavhitch.simlab.generate_scenario(p, derive_trial_seed(master_seed, count, t))
+            if on_scenario is not None:
+                on_scenario(count, t, s)
+            reports.append(run_trial(s))
+        totals = [r.total_msa for r in reports]
+        rows.append(ExperimentRow(
+            uav_count=count,
+            n_trials=n_trials,
+            mean_direct=_mean([r.total_direct for r in reports]),
+            mean_greedy=_mean([r.total_greedy for r in reports]),
+            mean_msa=_mean(totals),
+            std_msa=_sample_std(totals),
+            mean_saving_msa=_mean([r.saving_msa for r in reports]),
+            mean_saving_greedy=_mean([r.saving_greedy for r in reports]),
+            mean_iterations=_mean([float(r.iterations) for r in reports]),
+        ))
+    return rows
+
+
+def build_sizes(monkeypatch):
+    """The UAV count of every saving-matrix build the experiment makes."""
+    import uavhitch.simlab
+
+    sizes = []
+    build = uavhitch.simlab.build_saving_matrix
+
+    def counting(cfg, tasks, offers, theta, limited=False):
+        sizes.append(len(tasks))
+        return build(cfg, tasks, offers, theta, limited)
+
+    monkeypatch.setattr(uavhitch.simlab, "build_saving_matrix", counting)
+    return sizes
+
+
+# Five vehicles and counts [2, 40]: the largest trial has 200 pairs, so the
+# ten 2-UAV trials are one stack of 20 rows and each 40-UAV trial its own.
+STACKING_CASES = {
+    "default": ({}, [20] + [40] * 10),
+    "deadline_factor": ({"deadline_factor": 1.2, "theta_range": (0.0, 1.0)}, [20] + [40] * 10),
+    # Seats of the stack: min(3, 20) = 3; of each 2-UAV trial: 2.
+    "capacity_3": ({"capacity": 3, "theta_range": (0.0, 0.8)}, [20] + [40] * 10),
+    # Each trial draws its own vehicles, so no two trials share a build.
+    "v_range": ({"v_range": (30.0, 70.0)}, [2] * 10 + [40] * 10),
+}
+
+
+def matched_matrices(monkeypatch):
+    """Each matrix ``msa_match`` is given: its UAVs, seats and savings."""
+    import uavhitch.simlab
+
+    seen = []
+    match = uavhitch.simlab.msa_match
+
+    def recording(m):
+        seen.append((m.n_uavs, m.seats, m.saving.tobytes()))
+        return match(m)
+
+    monkeypatch.setattr(uavhitch.simlab, "msa_match", recording)
+    return seen
+
+
+@pytest.mark.parametrize("case", STACKING_CASES)
+def test_stacked_trials_give_the_per_trial_bits(case, monkeypatch):
+    extra, expected_sizes = STACKING_CASES[case]
+    params = GeneratorParams(n_uavs=0, n_vehicles=5, **extra)
+    want_matrices = matched_matrices(monkeypatch)
+    want = per_trial_experiment(params, 10, [2, 40], master_seed=3)
+    monkeypatch.undo()
+    got_matrices = matched_matrices(monkeypatch)
+    sizes = build_sizes(monkeypatch)
+    got = run_experiment(params, 10, [2, 40], master_seed=3)
+    assert sizes == expected_sizes
+    assert got_matrices == want_matrices  # each trial's own savings and seats
+    assert repr(got) == repr(want)  # repr tells every float bit but NaN's
+
+
+def test_a_stack_of_one_and_a_stack_of_all_give_the_same_bytes(monkeypatch):
+    from uavhitch.scenario_io import csv_text
+    from uavhitch.simlab import EXPERIMENT_CSV_HEADER
+
+    params = GeneratorParams(n_uavs=0, n_vehicles=4, theta_range=case_theta_range(2))
+    texts = []
+    # Alone, the 3-UAV trials are the largest, one per build; beside the
+    # 12-UAV ones, all four fit in one build of 12 rows.
+    for counts, want_sizes in (([3], [3] * 4), ([3, 12], [12] + [12] * 4)):
+        sizes = build_sizes(monkeypatch)
+        rows = run_experiment(params, 4, counts, master_seed=5)
+        assert sizes == want_sizes
+        texts.append(csv_text(EXPERIMENT_CSV_HEADER, [rows[0].as_csv_row()]))
+    assert texts[0] == texts[1]
+
+
+def test_a_failing_stack_names_the_uav_in_its_own_trial(monkeypatch):
+    # Vehicles charge at gamma = 1: a UAV flying 60 km/h has a finite
+    # optimum on them, one flying 90 km/h has none. Trial 1's third UAV
+    # flies 90 km/h, so the stack of all four 3-UAV trials fails to build;
+    # planned again one at a time, trials 0 and 1 are shown and the error
+    # names UAV 2 of trial 1, not row 5 of the stack.
+    import uavhitch.simlab
+
+    draw = uavhitch.simlab.generate_scenario
+
+    def fast_uav(params, seed):
+        s = draw(params, seed)
+        if params.n_uavs == 3 and seed == derive_trial_seed(0, 3, 1):
+            tasks = list(s.tasks)
+            tasks[2] = UavTask(x=tasks[2].x, u=90.0)
+            s = Scenario(tasks=tasks, offers=s.offers, geoms=s.geoms, config=s.config)
+        return s
+
+    monkeypatch.setattr(uavhitch.simlab, "generate_scenario", fast_uav)
+    params = GeneratorParams(n_uavs=0, n_vehicles=4, gamma=1.0)
+    outcomes = []
+    for experiment in (run_experiment, per_trial_experiment):
+        seen = []
+        with pytest.raises(ValueError) as info:
+            experiment(params, 4, [3, 12], 0, lambda c, t, s: seen.append((c, t)))
+        outcomes.append((seen, str(info.value)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == ([(3, 0), (3, 1)], f"uav 2, vehicle 0: {UNBOUNDED_MESSAGE}")
+
+
+def test_a_failed_draw_comes_after_the_trials_drawn_before_it(monkeypatch):
+    # x = x_max * (1 - r) rounds to 0 for about half the draws when x_max is
+    # the smallest subnormal. At master seed 8 the fourth 1-UAV trial is the
+    # first to draw a zero trip; the three before it, which would share its
+    # build, are shown and matched first.
+    params = GeneratorParams(n_uavs=0, n_vehicles=2, x_max=5e-324)
+    outcomes = []
+    for experiment in (run_experiment, per_trial_experiment):
+        seen = []
+        with pytest.raises(ValueError) as info:
+            experiment(params, 4, [1, 4], 8, lambda c, t, s: seen.append((c, t)))
+        outcomes.append((seen, str(info.value)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == ([(1, 0), (1, 1), (1, 2)], "distance x must be positive and finite, got 0.0")
