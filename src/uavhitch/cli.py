@@ -31,7 +31,7 @@ from .matching import (
     verify_duals,
 )
 from .model import PairGeometry, PlannerConfig, UavTask, VehicleOffer
-from .planner import eligibility, plan_pair
+from .planner import _BINDINGS, eligibility, plan_pair
 from .scenario_io import csv_text, load_scenario, save_scenario
 from .simlab import (
     EXPERIMENT_CSV_HEADER,
@@ -70,7 +70,7 @@ def _int_at_least(text: str, low: int = 0) -> int:
 
 def _counts(text: str) -> list[int]:
     try:
-        counts = [int(c) for c in text.split(",") if c]
+        counts = [int(c) for c in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}")
     if any(c < 0 for c in counts):
@@ -139,18 +139,42 @@ def _solve(matrix: SavingMatrix, solver: str) -> MatchResult:
     return brute_force_match(matrix)
 
 
-def _json_floats(values: list[float]) -> list[str]:
-    """Each float as ``json.dumps`` writes it; a finite one is its repr."""
-    if all(map(math.isfinite, values)):
-        return list(map(float.__repr__, values))
-    return [json.dumps(v) for v in values]
+def _json_floats(column) -> list[str]:
+    """Each float of ``column`` (a list of floats or a float64 array) as
+    ``json.dumps`` writes it.
+
+    A finite column is written by one ``orjson.dumps`` call, split at the
+    commas. orjson writes each float's shortest round-trip digits, which is
+    ``repr``'s text wherever ``repr`` writes positional digits. ``repr``
+    writes a nonzero value below 1e-4 or from 1e16 up in exponent form
+    (``1e-05``, ``1e+16``), which orjson spells otherwise, so those entries
+    are written by ``repr``. A column holding a non-finite value is written
+    by ``json.dumps``. orjson is imported on the first write, not with this
+    module, as ``load_scenario`` imports it.
+    """
+    import orjson
+
+    values = np.ascontiguousarray(column, dtype=np.float64)
+    if not np.isfinite(values).all():
+        return list(map(json.dumps, values.tolist()))
+    if not values.size:
+        return []
+    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    size = np.abs(values)
+    for k in np.flatnonzero((size >= 1e16) | ((size < 1e-4) & (values != 0))).tolist():
+        texts[k] = float.__repr__(values.item(k))
+    return texts
+
+
+# The JSON text of each binding, indexed by its code in ``PlanArrays.binding``.
+_BINDING_JSON = tuple(encode_basestring_ascii(b.value) for b in _BINDINGS)
 
 
 def _match_json(
     solver: str,
     n_uavs: int,
     n_vehicles: int,
-    pairs: tuple[list, ...],
+    pairs: tuple,
     total_saving: float,
     iterations: int,
     certificate: bool | None,
@@ -158,19 +182,23 @@ def _match_json(
     """The ``match`` JSON, byte for byte what ``json.dumps(payload, indent=2)
     + "\n"`` writes for the payload with these keys, in this order.
 
-    ``pairs`` holds one list per pair key: the UAVs and their vehicles
-    (ints), ``y_star``, ``total_time``, ``energy``, ``consumption`` and
-    ``saving`` (floats) and ``binding`` (:class:`Binding` values). Each
-    pair is one template, so the pure-Python encoder that ``indent`` selects
-    never runs.
+    ``pairs`` holds one column per pair key: the UAVs and their vehicles
+    (lists of ints), ``y_star``, ``total_time``, ``energy``,
+    ``consumption`` and ``saving`` (float64 arrays or lists of floats, each
+    written by :func:`_json_floats`) and ``binding`` (a list of
+    ``PlanArrays.binding`` codes, each written from a table of their text).
+    Each pair is one template, so the pure-Python encoder that ``indent``
+    selects never runs.
     """
     uavs, vehicles, *floats, bindings = pairs
     q = encode_basestring_ascii
     items = ",".join(
         f'\n    {{\n      "uav": {i},\n      "vehicle": {j},\n      "y_star": {y},'
         f'\n      "total_time": {t},\n      "energy": {e},\n      "consumption": {c},'
-        f'\n      "saving": {s},\n      "binding": {q(b.value)}\n    }}'
-        for i, j, y, t, e, c, s, b in zip(uavs, vehicles, *map(_json_floats, floats), bindings)
+        f'\n      "saving": {s},\n      "binding": {b}\n    }}'
+        for i, j, y, t, e, c, s, b in zip(
+            uavs, vehicles, *map(_json_floats, floats), map(_BINDING_JSON.__getitem__, bindings)
+        )
     )
     pairs_text = f"[{items}\n  ]" if items else "[]"
     return (
@@ -201,7 +229,12 @@ def _cmd_match(args: argparse.Namespace) -> int:
     # The printed pairs, in UAV order, read in bulk from the planned arrays.
     uavs, vehicles = list(result.assignment), list(result.assignment.values())
     at = (np.array(uavs, dtype=np.intp), np.array(vehicles, dtype=np.intp))
-    y_star, total_time, energy, consumption, saving, binding = matrix.arrays.columns(at)
+    plans = matrix.arrays
+    y_star, total_time, energy, consumption, saving = (
+        a[at]
+        for a in (plans.y_star, plans.total_time, plans.energy, plans.consumption, plans.saving)
+    )
+    binding = plans.binding[at].tolist()
 
     if args.format == "json":
         pairs = (uavs, vehicles, y_star, total_time, energy, consumption, saving, binding)
@@ -212,9 +245,10 @@ def _cmd_match(args: argparse.Namespace) -> int:
         _emit(text, args.output)
     else:
         lines = [f"solver: {args.solver}"]
-        for i, j, y, s, b in zip(uavs, vehicles, y_star, saving, binding):
+        for i, j, y, s, k in zip(uavs, vehicles, y_star.tolist(), saving.tolist(), binding):
             lines.append(
-                f"  uav {i} -> vehicle {j}: y*={_fmt(y)} km, saving={_fmt(s)}, binding={b.value}"
+                f"  uav {i} -> vehicle {j}: y*={_fmt(y)} km, saving={_fmt(s)}, "
+                f"binding={_BINDINGS[k].value}"
             )
         unmatched = [i for i in range(matrix.n_uavs) if i not in result.assignment]
         if unmatched:

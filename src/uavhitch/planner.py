@@ -458,16 +458,6 @@ class PlanArrays:
             bool(self.swap[index]),
         )
 
-    def columns(self, index) -> tuple[list, ...]:
-        """The plans of the pairs at ``index`` (for example a tuple of index
-        arrays), one list per :class:`HitchPlan` field but ``swap_and_depart``,
-        in its order, holding the values :meth:`plan` gives each pair."""
-        floats = (self.y_star, self.total_time, self.energy, self.consumption, self.saving)
-        return (
-            *(a[index].tolist() for a in floats),
-            [_BINDINGS[k] for k in self.binding[index].tolist()],
-        )
-
 
 _BLOCK = 8192
 

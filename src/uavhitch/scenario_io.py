@@ -278,7 +278,7 @@ def load_scenario(path: str) -> Scenario:
 
 def _cell(value: Any) -> str:
     if isinstance(value, float):
-        return repr(value)
+        return float.__repr__(value)  # a numpy float's repr names its type
     return str(value)
 
 

@@ -5,13 +5,15 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from uavhitch.cli import _match_json, build_parser, main
+from uavhitch.cli import _json_floats, _match_json, build_parser, main
 from uavhitch.model import Binding, UavTask, VehicleOffer
-from uavhitch.planner import UNBOUNDED_MESSAGE
-from uavhitch.scenario_io import load_scenario
+from uavhitch.planner import _BINDINGS, UNBOUNDED_MESSAGE
+from uavhitch.scenario_io import load_scenario, save_scenario
+from uavhitch.simlab import GeneratorParams, case_theta_range, generate_scenario
 
 
 def run_cli(args, tmp_path=None):
@@ -474,6 +476,11 @@ def test_seed_env_default(tmp_path, monkeypatch):
          "deadline_factor below 1 makes the direct flight infeasible"),
         (None, ["--uavs", "0", "--deadline-factor", "nan"],
          "deadline_factor below 1 makes the direct flight infeasible"),
+        # An empty item or list used to be dropped: a header-only CSV, exit 0.
+        (None, ["--uavs", ","], "argument --uavs: must be comma-separated integers, got ','"),
+        (None, ["--uavs", ""], "argument --uavs: must be comma-separated integers, got ''"),
+        (None, ["--uavs", "5,,10"],
+         "argument --uavs: must be comma-separated integers, got '5,,10'"),
     ],
 )
 def test_simulate_names_bad_seed_or_count(tmp_path, monkeypatch, capsys, env, flags, message):
@@ -531,7 +538,7 @@ def match_payload(solver, n_uavs, n_vehicles, pairs, total_saving, iterations, c
         "n_uavs": n_uavs,
         "n_vehicles": n_vehicles,
         "pairs": [
-            {**dict(zip(PAIR_KEYS, pair[:-1])), "binding": pair[-1].value}
+            {**dict(zip(PAIR_KEYS, pair[:-1])), "binding": _BINDINGS[pair[-1]].value}
             for pair in zip(*pairs)
         ],
         "total_saving": total_saving,
@@ -547,7 +554,8 @@ def assert_match_json_is_json_dumps(*args):
 # st.floats draws -0.0 and subnormals among the finite floats.
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 PAIR = st.tuples(
-    st.integers(), st.integers(), *[FINITE] * len(PAIR_FLOATS), st.sampled_from(Binding)
+    st.integers(), st.integers(), *[FINITE] * len(PAIR_FLOATS),
+    st.sampled_from(range(len(_BINDINGS))),
 )
 
 
@@ -579,7 +587,7 @@ def test_match_json_writes_non_finite_floats_as_json_dumps(field, value, certifi
         total_saving = value
     else:
         floats[field][1] = value
-    bindings = [Binding.INTERIOR, Binding.NO_HITCH, Binding.DEADLINE]
+    bindings = [_BINDINGS.index(b) for b in (Binding.INTERIOR, Binding.NO_HITCH, Binding.DEADLINE)]
     pairs = ([0, 1, 2], [2, 0, 1], *floats.values(), bindings)
     assert_match_json_is_json_dumps("msa", 3, 3, pairs, total_saving, 7, certificate)
 
@@ -597,6 +605,59 @@ def test_match_json_with_no_saving_pair_writes_an_empty_list(tmp_path, solver):
     payload = match_payload(solver, 2, 2, NO_PAIRS, 0.0, 0, certificate)
     assert payload["pairs"] == []
     assert out.read_text() == json.dumps(payload, indent=2) + "\n"
+
+
+def ulps_from(value, k):
+    """The float ``k`` steps from ``value``; negative steps go down."""
+    for _ in range(abs(k)):
+        value = math.nextafter(value, math.copysign(math.inf, k))
+    return value
+
+
+# Where repr switches between positional and exponent form, at both signs.
+REPR_EDGES = (1e-4, -1e-4, 1e16, -1e16)
+EDGE_FLOATS = st.one_of(
+    FINITE,
+    st.builds(ulps_from, st.sampled_from(REPR_EDGES), st.integers(-4, 4)),
+    st.floats(-2.3e-308, 2.3e-308),  # zeros and subnormals
+    st.sampled_from([0.0, -0.0, sys.float_info.max, -sys.float_info.max]),
+    st.builds(lambda e, sign: sign * 10.0**e, st.integers(-323, 308), st.sampled_from([1, -1])),
+)
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+@pytest.mark.parametrize("size", [0, 1, 100])
+@given(data=st.data())
+def test_json_floats_equals_json_dumps(size, as_array, data):
+    # orjson writes the column; a change to its float text fails here.
+    column = data.draw(st.lists(EDGE_FLOATS, min_size=size, max_size=size))
+    values = np.array(column, dtype=np.float64) if as_array else column
+    assert _json_floats(values) == [json.dumps(v) for v in column]
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+def test_json_floats_at_the_exponent_form_edges(as_array):
+    column = [ulps_from(edge, k) for edge in REPR_EDGES for k in range(-4, 5)]
+    column += [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max]
+    column += [10.0**e for e in range(-6, 18)]
+    values = np.array(column, dtype=np.float64) if as_array else column
+    assert _json_floats(values) == [json.dumps(v) for v in column]
+
+
+def test_match_json_of_a_full_size_fleet_equals_json_dumps(tmp_path):
+    # fleet_cap's size: 400 UAVs on 40 vehicles of capacity 10, about 2,000
+    # floats written, a few of them in exponent form.
+    params = GeneratorParams(
+        n_uavs=400, n_vehicles=40, capacity=10, theta_range=case_theta_range(1)
+    )
+    path, out = tmp_path / "fleet.json", tmp_path / "match.json"
+    save_scenario(generate_scenario(params, 7), str(path))
+    assert main(["match", str(path), "--format", "json", "--output", str(out)]) == 0
+    text = out.read_text()
+    payload = json.loads(text)
+    assert len(payload["pairs"]) == 399
+    assert re.search(r"\de-\d", text)
+    assert text == json.dumps(payload, indent=2) + "\n"
 
 
 def test_seed_flag_overrides_a_bad_env_seed(tmp_path, monkeypatch):

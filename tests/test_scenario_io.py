@@ -139,6 +139,8 @@ def test_non_json_file_rejected(tmp_path):
 def test_csv_text_deterministic_floats():
     text = csv_text(["a", "b"], [[1, 0.1 + 0.2], [2, 1.0 / 3.0]])
     assert text == "a,b\n1,0.30000000000000004\n2,0.3333333333333333\n"
+    # numpy 2 writes a numpy float's repr as np.float64(0.5).
+    assert csv_text(["a"], [[np.float64(0.5)]]) == "a\n0.5\n"
 
 
 @pytest.mark.parametrize(

@@ -37,11 +37,13 @@ the result bits rest on IEEE arithmetic rather than on the interpreter's
 ``math.hypot``, which is also a per-element Python call. A sixth test
 fails on any ``np.frompyfunc(math.hypot, ...)`` in ``planner.py``.
 
-``scenario_io.load_scenario`` parses with orjson, whose import takes
-10-15 ms, and the benchmark gates the time a fresh interpreter takes to
-import ``uavhitch.cli``. A seventh test fails on an import of orjson that
-runs when a module of the package is imported, one outside a function
-body, and checks that importing the CLI leaves orjson unimported.
+``scenario_io.load_scenario`` parses with orjson, and ``match`` writes
+its JSON floats with it, importing it on the first load or write. Its
+import takes 10-15 ms, and the benchmark gates the time a fresh
+interpreter takes to import ``uavhitch.cli``. A seventh test fails on an
+import of orjson that runs when a module of the package is imported, one
+outside a function body, and checks that importing the CLI leaves orjson
+unimported.
 """
 
 import ast
