@@ -11,7 +11,10 @@ each tree, one run after the other: the parent first on odd pair numbers
 (the first pair is number 1), the change first on even ones. Each run is
 waited for, so no process outlives the script.
 
-The output is one JSON object with two sections:
+The output is one JSON object with three sections:
+  trees                     the code each side measured: the parent ref and
+                            its commit, and the change's HEAD commit with
+                            ``dirty`` set when a tracked file differs from it
   pairs                     per workload: the seeds, the run order, and each
                             end-to-end metric's per-seed values on each side
                             (plus the raw, unscaled ops_per_s)
@@ -101,6 +104,23 @@ def summarize_all(pairs: dict, end_to_end: list[dict]) -> dict:
     return out
 
 
+def trees(parent_ref: str, root: str = ROOT) -> dict:
+    """The ``trees`` record of a run comparing ``parent_ref`` with the
+    working tree at ``root``. Untracked files do not make it dirty."""
+
+    def git(*args: str) -> str:
+        proc = subprocess.run(["git", "-C", root, *args], capture_output=True, text=True,
+                              check=True)
+        return proc.stdout.strip()
+
+    parent = git("rev-parse", "--verify", parent_ref + "^{commit}")
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    return {
+        "parent": {"ref": parent_ref, "commit": parent},
+        "change": {"commit": git("rev-parse", "HEAD"), "dirty": dirty},
+    }
+
+
 def archive(ref: str, dest: str) -> None:
     """Unpack ``git archive ref`` of this repository into ``dest``."""
     os.makedirs(dest)
@@ -124,8 +144,9 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> tuple[dict,
 
 
 def run_pairs(args, end_to_end: list[dict], parent_tree: str) -> int:
+    measured = trees(args.parent)
     archive(args.parent, parent_tree)
-    trees = {"parent": parent_tree, "change": ROOT}
+    paths = {"parent": parent_tree, "change": ROOT}
     workloads = args.workloads.split(",")
     seeds = list(range(args.first_seed, args.first_seed + args.pairs))
 
@@ -141,7 +162,7 @@ def run_pairs(args, end_to_end: list[dict], parent_tree: str) -> int:
         for workload in workloads:
             record = pairs[workload]
             for side in order:
-                env, values = run_once(trees[side], workload, seed, args.seconds)
+                env, values = run_once(paths[side], workload, seed, args.seconds)
                 for name, sides in record["metrics"].items():
                     sides[side].append(values[name])
                 record["raw_wall_clock_ops_per_s"][side].append(env["raw_wall_clock"]["ops_per_s"])
@@ -149,7 +170,8 @@ def run_pairs(args, end_to_end: list[dict], parent_tree: str) -> int:
             print(f"pair {number} seed {seed} {workload}: ops_per_s parent "
                   f"{record['metrics']['ops_per_s']['parent'][-1]:.3f} change "
                   f"{record['metrics']['ops_per_s']['change'][-1]:.3f}", file=sys.stderr)
-        result = {"pairs": pairs, "end_to_end_median_change": summarize_all(pairs, end_to_end)}
+        result = {"trees": measured, "pairs": pairs,
+                  "end_to_end_median_change": summarize_all(pairs, end_to_end)}
         if args.json:
             with open(args.json, "w", encoding="utf-8") as fh:
                 json.dump(result, fh, indent=1)

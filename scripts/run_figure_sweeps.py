@@ -15,15 +15,11 @@ import os
 
 from uavhitch import sweep_curves
 from uavhitch.scenario_io import csv_text
+from uavhitch.simlab import SWEEP_KINDS
 
 # Only the battery table departs from sweep_curves' defaults: it spans a
 # wider headroom range, more finely.
-SWEEPS = {
-    "speed": {},
-    "gamma": {},
-    "surface": {},
-    "battery": dict(delta_e_max=0.2, points=201),
-}
+OVERRIDES = {"battery": dict(delta_e_max=0.2, points=201)}
 
 
 def main() -> None:
@@ -31,8 +27,8 @@ def main() -> None:
     ap.add_argument("--outdir", default="results")
     args = ap.parse_args()
     os.makedirs(args.outdir, exist_ok=True)
-    for kind, grid in SWEEPS.items():
-        header, rows = sweep_curves(kind, **grid)
+    for kind in SWEEP_KINDS:
+        header, rows = sweep_curves(kind, **OVERRIDES.get(kind, {}))
         path = os.path.join(args.outdir, f"sweep_{kind}.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(csv_text(header, rows))

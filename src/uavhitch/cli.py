@@ -35,6 +35,8 @@ from .planner import _BINDINGS, eligibility, plan_pair
 from .scenario_io import csv_text, load_scenario, save_scenario
 from .simlab import (
     EXPERIMENT_CSV_HEADER,
+    SWEEP_KINDS,
+    SWEEP_PARAMETERS,
     GeneratorParams,
     Scenario,
     case_theta_range,
@@ -85,17 +87,18 @@ def _default_seed() -> int:
         raise ValueError(f"UAVHITCH_SEED {exc}") from None
 
 
+def _given(args: argparse.Namespace, names) -> dict:
+    """The flags among ``names``, a library call's parameter names, that
+    were given. An omitted flag is None and is left out, so the library's
+    default applies."""
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+
+
 def _cmd_plan(args: argparse.Namespace) -> int:
     theta = math.radians(args.theta) if args.degrees else args.theta
-    cfg = PlannerConfig(omega=args.omega, tol=args.tol)
-    task = UavTask(
-        x=args.x,
-        u=args.u,
-        deadline=args.deadline,
-        battery_capacity=args.battery_capacity,
-        battery_level=args.battery_level,
-    )
-    offer = VehicleOffer(v=args.v, gamma=args.gamma)
+    cfg = PlannerConfig(**_given(args, PlannerConfig.__match_args__))
+    task = UavTask(**_given(args, UavTask.__match_args__))
+    offer = VehicleOffer(**_given(args, VehicleOffer.__match_args__))
     geom = PairGeometry(theta)
     elig = eligibility(cfg, task, offer, geom)
     plan = plan_pair(cfg, task, offer, geom)
@@ -267,13 +270,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         n_uavs=0,
         n_vehicles=args.vehicles,
         theta_range=theta_range,
-        x_max=args.x_max,
-        u=args.u,
-        v=args.v,
-        gamma=args.gamma,
-        omega=args.omega,
-        deadline_factor=args.deadline_factor,
-        capacity=args.capacity,
+        **_given(args, GeneratorParams.__match_args__),
     )
     save = None
     if args.emit_scenarios:
@@ -291,13 +288,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    # Every other attribute is a sweep flag; sweep_curves checks them.
-    grid = {
-        key: value
-        for key, value in vars(args).items()
-        if value is not None and key not in ("command", "func", "kind", "output")
-    }
-    header, rows = sweep_curves(args.kind, **grid)
+    header, rows = sweep_curves(args.kind, **_given(args, SWEEP_PARAMETERS))
     _emit(csv_text(header, rows), args.output)
     return 0
 
@@ -324,14 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True, help="distance to destination (km)")
     p.add_argument("--u", type=float, default=60.0, help="UAV flight speed (km/h)")
     p.add_argument("--v", type=float, required=True, help="vehicle speed (km/h)")
-    p.add_argument("--gamma", type=float, default=0.0, help="charging rate (or 'inf')")
+    p.add_argument("--gamma", type=float, help="charging rate (or 'inf')")
     p.add_argument("--theta", type=float, default=0.0, help="direction deviation (radians)")
     p.add_argument("--degrees", action="store_true", help="interpret --theta in degrees")
-    p.add_argument("--omega", type=float, default=0.8, help="energy-vs-time weight")
-    p.add_argument("--deadline", type=float, default=math.inf, help="deadline (h)")
-    p.add_argument("--battery-capacity", type=float, default=math.inf)
-    p.add_argument("--battery-level", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--omega", type=float, help="energy-vs-time weight")
+    p.add_argument("--deadline", type=float, help="deadline (h)")
+    p.add_argument("--battery-capacity", type=float)
+    p.add_argument("--battery-level", type=float)
+    p.add_argument("--tol", type=float)
     p.add_argument("--format", choices=["human", "json"], default="human")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_plan)
@@ -356,35 +347,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--seed", type=_int_at_least, help="master seed (default: UAVHITCH_SEED or 0)"
     )
-    p.add_argument("--omega", type=float, default=0.8)
-    p.add_argument("--u", type=float, default=60.0)
-    p.add_argument("--v", type=float, default=40.0)
-    p.add_argument("--gamma", type=float, default=0.3)
-    p.add_argument("--x-max", type=float, default=20.0)
-    p.add_argument("--deadline-factor", type=float, default=None)
-    p.add_argument("--capacity", type=int, default=1)
+    p.add_argument("--omega", type=float)
+    p.add_argument("--u", type=float)
+    p.add_argument("--v", type=float)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--x-max", type=float)
+    p.add_argument("--deadline-factor", type=float)
+    p.add_argument("--capacity", type=int)
     p.add_argument("--output", default=None)
     p.add_argument("--emit-scenarios", default=None, help="directory for scenario files")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="tabulate consumption/distance curves")
-    p.add_argument("--kind", choices=["speed", "gamma", "surface", "battery"], required=True)
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--u", type=float, default=None)
-    p.add_argument("--v", type=float, default=None)
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--deadline", type=float, default=None)
-    p.add_argument("--v-min", type=float, default=None)
-    p.add_argument("--v-max", type=float, default=None)
-    p.add_argument("--gamma-min", type=float, default=None)
-    p.add_argument("--gamma-max", type=float, default=None)
-    p.add_argument("--delta-e-min", type=float, default=None)
-    p.add_argument("--delta-e-max", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--v-points", type=int, default=None)
-    p.add_argument("--gamma-points", type=int, default=None)
+    p.add_argument("--kind", choices=SWEEP_KINDS, required=True)
+    for name, kind in SWEEP_PARAMETERS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=kind)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_sweep)
 

@@ -207,10 +207,13 @@ class TaskColumns(_Columns):
 
     def _valid(self, floats: np.ndarray) -> np.ndarray:
         ok = (floats >= self._low) & (floats <= self._high)
-        # A finite deadline is at least x / u, and the level at most the
-        # capacity. x / u may overflow or divide by zero on a rejected entry.
+        # x / u is finite, a finite deadline is at least x / u, and the level
+        # at most the capacity. x / u may overflow or divide by zero on a
+        # rejected entry.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ok &= (self.deadline >= self.x / self.u) & (self.battery_level <= self.battery_capacity)
+            direct = self.x / self.u
+            ok &= (direct < np.inf) & (self.deadline >= direct)
+            ok &= self.battery_level <= self.battery_capacity
         return ok
 
 

@@ -64,9 +64,9 @@ class UavTask:
     """One UAV trip: straight-line distance ``x`` to the destination at
     flight speed ``u``, an optional arrival deadline, and battery state.
 
-    ``x`` and ``u`` are finite; ``deadline`` and ``battery_capacity`` may
-    be ``math.inf`` for the unbounded model. Battery quantities are
-    flight-hour equivalents.
+    ``x``, ``u`` and the direct flight time ``x / u`` are finite;
+    ``deadline`` and ``battery_capacity`` may be ``math.inf`` for the
+    unbounded model. Battery quantities are flight-hour equivalents.
     """
 
     x: float
@@ -80,6 +80,8 @@ class UavTask:
             raise ValueError(f"distance x must be positive and finite, got {self.x}")
         if not 0.0 < self.u < INF:
             raise ValueError(f"flight speed u must be positive and finite, got {self.u}")
+        if self.x / self.u == INF:
+            raise ValueError(f"direct flight time x/u must be finite, got {self.x / self.u}")
         if not self.deadline > 0.0:
             raise ValueError(f"deadline must be positive, got {self.deadline}")
         if math.isfinite(self.deadline) and self.deadline < self.x / self.u:

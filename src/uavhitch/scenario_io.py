@@ -16,7 +16,8 @@ Unbounded values are encoded as the string "inf" (JSON itself has no
 infinity). ``theta`` is written flat and row-major, and a nested I x J list
 is accepted on read; in memory it is the (I, J) float64 array ``Scenario.geoms``.
 
-A ``uavs`` or ``vehicles`` entry holds the fields of ``UavTask`` or
+``config`` holds every field of ``PlannerConfig``, each required. A
+``uavs`` or ``vehicles`` entry holds the fields of ``UavTask`` or
 ``VehicleOffer``, in their order: those with no default are required, the
 others default as in the model. An unknown key is rejected by name. The
 loader reads each field of every entry into one list, checks its types
@@ -80,7 +81,8 @@ def _decode(value: Any, context: str) -> float:
 
 
 _SCENARIO_KEYS = {"config", "uavs", "vehicles", "theta", "seed", "label"}
-_CONFIG_KEYS = {"omega", "tol"}
+# The config's keys, each required: the fields of ``PlannerConfig``, in its order.
+_CONFIG_KEYS = [f.name for f in fields(PlannerConfig)]
 # Per entry kind, in the model's field order: name -> (default, is an int).
 _ENTRY_FIELDS = {
     kind: {f.name: (f.default, get_type_hints(kind)[f.name] is int) for f in fields(kind)}
@@ -96,7 +98,7 @@ def _entry_dicts(entries: TaskColumns | OfferColumns) -> list[dict]:
 
 def scenario_to_dict(s: Scenario) -> dict:
     return {
-        "config": {"omega": s.config.omega, "tol": s.config.tol},
+        "config": {key: getattr(s.config, key) for key in _CONFIG_KEYS},
         "uavs": _entry_dicts(s.tasks),
         "vehicles": _entry_dicts(s.offers),
         "theta": s.geoms.ravel().tolist(),
@@ -208,8 +210,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     cfg_d = _require_type(_require_key(data, "config", "scenario"), dict, "config")
     _reject_unknown(cfg_d, _CONFIG_KEYS, "config")
     config = PlannerConfig(
-        omega=_decode(_require_key(cfg_d, "omega", "config"), "config.omega"),
-        tol=_decode(_require_key(cfg_d, "tol", "config"), "config.tol"),
+        *(_decode(_require_key(cfg_d, key, "config"), f"config.{key}") for key in _CONFIG_KEYS)
     )
     tasks = _entries(TaskColumns, data, "uavs")
     offers = _entries(OfferColumns, data, "vehicles")

@@ -11,10 +11,10 @@ per model field (:class:`~uavhitch.matching.TaskColumns`,
 :class:`~uavhitch.matching.OfferColumns`), as it holds theta as one
 array: the generator draws them, the loader fills them and the
 saving-matrix build reads them, and a ``UavTask`` or ``VehicleOffer`` is
-made only when an entry is read. Where every trial draws the same
-vehicles, the experiment plans consecutive trials of one population size
-in one build over their stacked UAVs, as many as fit in the pair count
-of the run's largest trial, and matches each trial on its own rows.
+made only when an entry is read. Consecutive trials of one population
+size that drew the same vehicles are planned in one build over their
+stacked UAVs, as many as fit in the pair count of the run's largest
+trial, and each trial is matched on its own rows.
 Planning is elementwise, so every saving has the bits a per-trial build
 gives it.
 """
@@ -52,6 +52,8 @@ __all__ = [
     "run_trial",
     "run_experiment",
     "sweep_curves",
+    "SWEEP_KINDS",
+    "SWEEP_PARAMETERS",
     "EXPERIMENT_CSV_HEADER",
 ]
 
@@ -81,7 +83,6 @@ class GeneratorParams:
     v: float = 40.0
     gamma: float = 0.3
     omega: float = 0.8
-    tol: float = 1e-9
     deadline_factor: float | None = None
     capacity: int = 1
     v_range: tuple[float, float] | None = None
@@ -101,7 +102,7 @@ class GeneratorParams:
         # The model types check their own fields, also for a run that draws
         # no UAV or no vehicle: one probe each, at the longest trip and at
         # both ends of a sampled range, made once here and not per trial.
-        PlannerConfig(omega=self.omega, tol=self.tol)
+        PlannerConfig(omega=self.omega)
         UavTask(x=self.x_max, u=self.u)
         for v, gamma in itertools.product(
             self.v_range or (self.v,), self.gamma_range or (self.gamma,)
@@ -216,7 +217,7 @@ def generate_scenario(params: GeneratorParams, seed: int) -> Scenario:
         tasks=tasks,
         offers=offers,
         geoms=thetas,
-        config=PlannerConfig(omega=params.omega, tol=params.tol),
+        config=PlannerConfig(omega=params.omega),
         seed=int(seed),
         label=params.label or f"I{params.n_uavs}_J{params.n_vehicles}",
     )
@@ -309,12 +310,15 @@ def run_experiment(
     """Repeat seeded trials per population size and aggregate.
 
     Trials are summed in trial-index order, so the output is bit-identical
-    across reruns. Where every trial draws the same vehicles (no
-    ``v_range`` or ``gamma_range``), consecutive trials of one count are
-    planned in one build, as many as fit in the pair count of the largest
-    trial, ``max(uav_counts) * n_vehicles``, so no build is bigger than
-    that trial's own; each trial is matched on its own rows, with its own
-    seats. The results are those of :func:`run_trial` on each trial.
+    across reruns. Consecutive trials of one count are planned in one
+    build while they drew the same vehicles: a trial joins the open stack
+    when the stack has room and the trial's ``offers`` is the stack's own
+    columns object, as :func:`generate_scenario` shares one among the
+    trials of a homogeneous fleet. A stack holds as many trials as fit in
+    the pair count of the largest trial, ``max(uav_counts) * n_vehicles``,
+    so no build is bigger than that trial's own; each trial is matched on
+    its own rows, with its own seats. The results are those of
+    :func:`run_trial` on each trial.
 
     ``on_scenario(count, trial, scenario)``, if given, sees each scenario
     once, in order, before its trial is matched. If a stack's build
@@ -324,13 +328,12 @@ def run_experiment(
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    stacked = params.v_range is None and params.gamma_range is None
     largest = max(uav_counts, default=0) * params.n_vehicles
     rows = []
     for count in uav_counts:
         p = replace(params, n_uavs=count)
         pairs = count * params.n_vehicles
-        size = (largest // pairs if pairs else n_trials) if stacked else 1
+        size = largest // pairs if pairs else n_trials
         reports: list[TrialReport] = []
         stack: list[Scenario] = []
         for t in range(n_trials):
@@ -341,10 +344,11 @@ def run_experiment(
                 # run, as without stacking.
                 reports += _run_stack(count, t - len(stack), stack, on_scenario)
                 raise
-            stack.append(s)
-            if len(stack) == size or t == n_trials - 1:
-                reports += _run_stack(count, t + 1 - len(stack), stack, on_scenario)
+            if stack and (len(stack) == size or s.offers is not stack[0].offers):
+                reports += _run_stack(count, t - len(stack), stack, on_scenario)
                 stack = []
+            stack.append(s)
+        reports += _run_stack(count, n_trials - len(stack), stack, on_scenario)
         rows.append(
             ExperimentRow(
                 uav_count=count,
@@ -395,7 +399,7 @@ def _linspace(lo: float, hi: float, points: int) -> list[float]:
 
 
 # Parameters every sweep kind takes, with their defaults.
-_SWEEP_COMMON = dict(x=5.0, u=60.0, deadline=math.inf, tol=1e-9)
+_SWEEP_COMMON = dict(x=5.0, u=60.0, deadline=math.inf)
 # Each kind: its own parameters with their defaults, its axes as (column,
 # low, high, count) parameter names, and the plan field in the value column.
 _SWEEPS = {
@@ -422,6 +426,13 @@ _SWEEPS = {
         "y_star",
     ),
 }
+# The sweep kinds, and every parameter some kind takes with its type.
+SWEEP_KINDS = tuple(_SWEEPS)
+SWEEP_PARAMETERS = {
+    name: type(default)
+    for table in (_SWEEP_COMMON, *(defaults for defaults, _, _ in _SWEEPS.values()))
+    for name, default in table.items()
+}
 
 
 def _sweep_task(p: dict) -> UavTask:
@@ -447,10 +458,11 @@ def sweep_curves(kind: str, **grid) -> tuple[list[str], list[tuple]]:
     headroom, so every point gets the plan
     :func:`~uavhitch.planner.plan_pair` gives its task: the charge
     is capped only on a finite battery, and ``gamma = inf`` gives swap
-    plans. ``deadline`` (default unbounded) and ``tol`` apply to every kind;
-    grids that reach the always-eligible charging regime need a bounded
-    ``deadline``, and the error names the first such point. Axis bounds
-    must be finite.
+    plans. ``x``, ``u`` and ``deadline`` (default unbounded) apply to every
+    kind, and :class:`~uavhitch.model.PlannerConfig`'s default ``tol`` to
+    every plan. Grids that reach the always-eligible charging regime need
+    a bounded ``deadline``, and the error names the first such point. Axis
+    bounds must be finite.
     """
     for name in ("points", "v_points", "gamma_points"):
         if grid.get(name, 1) < 1:
@@ -469,7 +481,7 @@ def sweep_curves(kind: str, **grid) -> tuple[list[str], list[tuple]]:
             if not math.isfinite(params[name]):
                 raise ValueError(f"{name} must be finite, got {params[name]}")
 
-    cfg = PlannerConfig(omega=params["omega"], tol=params["tol"])
+    cfg = PlannerConfig(omega=params["omega"])
     columns = [column for column, _, _, _ in axes]
     values = [_linspace(params[lo], params[hi], params[n]) for _, lo, hi, n in axes]
     points = list(itertools.product(*values))

@@ -4,16 +4,22 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from uavhitch.cli import _json_floats, _match_json, build_parser, main
-from uavhitch.model import Binding, UavTask, VehicleOffer
+from uavhitch.model import Binding, PlannerConfig, UavTask, VehicleOffer
 from uavhitch.planner import _BINDINGS, UNBOUNDED_MESSAGE
 from uavhitch.scenario_io import load_scenario, save_scenario
-from uavhitch.simlab import GeneratorParams, case_theta_range, generate_scenario
+from uavhitch.simlab import (
+    SWEEP_PARAMETERS,
+    GeneratorParams,
+    case_theta_range,
+    generate_scenario,
+)
 
 
 def run_cli(args, tmp_path=None):
@@ -69,6 +75,14 @@ def test_plan_non_finite_input_exit_2(capsys, option):
     args = {"--x": "5", "--u": "60", "--v": "40", option: "inf"}
     assert main(["plan", *[a for kv in args.items() for a in kv], "--format", "json"]) == 2
     assert "must be positive and finite" in capsys.readouterr().err
+
+
+def test_plan_overflowing_direct_flight_time_exit_2(capsys):
+    # x and u each pass their own check, but x / u overflows to inf.
+    argv = ["plan", "--x", "1e308", "--u", "1e-300", "--v", "40", "--format", "json"]
+    assert main(argv) == 2
+    message = model_message(lambda: UavTask(x=1e308, u=1e-300))
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_capacity_beyond_uav_count_changes_nothing(tmp_path):
@@ -285,6 +299,8 @@ SCENARIO = {
         ("theta", [10**400], "theta[0,0]: integer too large for a float"),
         ("config", {"omega": 10**400, "tol": 1e-9}, "config.omega: integer too large for a float"),
         ("vehicles", [{"v": 40.0, "capacity": True}], "vehicles[0].capacity must be an integer"),
+        # x and u each pass their own check, but x / u overflows.
+        ("uavs", [{"x": 1e308, "u": 1e-300}], "uavs[0]: direct flight time x/u must be finite"),
     ],
 )
 def test_malformed_scenario_names_field(tmp_path, capsys, field, value, message):
@@ -513,6 +529,8 @@ def model_message(make) -> str:
          lambda: VehicleOffer(v=0.0, gamma=-1.0)),
         (["--vehicles", "0", "--gamma", "-1"], lambda: VehicleOffer(v=40.0, gamma=-1.0)),
         (["--vehicles", "0", "--capacity", "0"], lambda: VehicleOffer(v=40.0, capacity=0)),
+        (["--uavs", "0", "--x-max", "1e308", "--u", "1e-300"],
+         lambda: UavTask(x=1e308, u=1e-300)),
     ],
 )
 def test_simulate_checks_model_flags_when_nothing_is_drawn(tmp_path, capsys, flags, make):
@@ -805,3 +823,26 @@ def test_ops_make_no_model_object_per_entry(tmp_path, monkeypatch, op):
         assert main([*argv, "--output", str(tmp_path / "out")]) == 0
         counts.append(len(made) - before)
     assert counts[0] == counts[1], counts
+
+
+def fields_with_defaults(*kinds) -> set:
+    return {f.name for kind in kinds for f in fields(kind) if f.default is not MISSING}
+
+
+@pytest.mark.parametrize(
+    "argv, names, count",
+    [
+        (["plan", "--x", "5", "--v", "40"],
+         fields_with_defaults(PlannerConfig, UavTask, VehicleOffer), 6),
+        (["simulate"], fields_with_defaults(GeneratorParams), 7),
+        (["sweep", "--kind", "speed"], set(SWEEP_PARAMETERS), 16),
+    ],
+    ids=["plan", "simulate", "sweep"],
+)
+def test_an_omitted_flag_takes_the_library_default(argv, names, count):
+    # A flag named after a library field with a default has none of its
+    # own: omitted, it is None, and the command leaves the field to the
+    # library.
+    args = vars(build_parser().parse_args(argv))
+    omitted = {name: args[name] for name in names & args.keys()}
+    assert len(omitted) == count and set(omitted.values()) == {None}, omitted

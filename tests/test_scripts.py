@@ -128,3 +128,27 @@ def test_ab_pairs_summarize_all_reads_benchmark_bounds():
 def test_ab_pairs_rejects_unpaired_runs():
     with pytest.raises(ValueError):
         ab_pairs.summarize([1.0, 2.0], [1.0], "higher", 0.2)
+
+
+def test_ab_pairs_trees_name_the_commits_and_a_dirty_tree(tmp_path):
+    def git(*args):
+        return subprocess.run(
+            ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+             "-c", "commit.gpgsign=false", *args],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+
+    git("init", "-q")
+    tracked = tmp_path / "a.txt"
+    for text in ("one\n", "two\n"):
+        tracked.write_text(text)
+        git("add", "a.txt")
+        git("commit", "-q", "-m", text)
+    parent, head = git("rev-parse", "HEAD~1"), git("rev-parse", "HEAD")
+    (tmp_path / "untracked.txt").write_text("not measured\n")
+    clean = {"parent": {"ref": "HEAD~1", "commit": parent},
+             "change": {"commit": head, "dirty": False}}
+    assert ab_pairs.trees("HEAD~1", str(tmp_path)) == clean
+    tracked.write_text("three\n")
+    dirty = ab_pairs.trees("HEAD~1", str(tmp_path))
+    assert dirty == {**clean, "change": {"commit": head, "dirty": True}}

@@ -436,3 +436,31 @@ def test_a_failed_draw_comes_after_the_trials_drawn_before_it(monkeypatch):
         outcomes.append((seen, str(info.value)))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0] == ([(1, 0), (1, 1), (1, 2)], "distance x must be positive and finite, got 0.0")
+
+
+def test_trials_stack_only_with_the_vehicles_they_drew(monkeypatch):
+    # A generator with no v_range that alternates two homogeneous fleets:
+    # each trial differs from the one before it, so every build is one
+    # trial's own, with the savings and means of per-trial planning.
+    import uavhitch.simlab
+    from uavhitch.simlab import _fleet
+
+    draw = uavhitch.simlab.generate_scenario
+    fleets = [_fleet(40.0, 0.3, 1, 5), _fleet(25.0, 0.3, 1, 5)]
+    trial_of = {derive_trial_seed(3, c, t): t for c in (2, 4) for t in range(6)}
+
+    def alternating(params, seed):
+        return replace(draw(params, seed), offers=fleets[trial_of[seed] % 2])
+
+    params = GeneratorParams(n_uavs=0, n_vehicles=5)
+    monkeypatch.setattr(uavhitch.simlab, "generate_scenario", alternating)
+    want_matrices = matched_matrices(monkeypatch)
+    want = per_trial_experiment(params, 6, [2, 4], master_seed=3)
+    monkeypatch.undo()
+    monkeypatch.setattr(uavhitch.simlab, "generate_scenario", alternating)
+    got_matrices = matched_matrices(monkeypatch)
+    sizes = build_sizes(monkeypatch)
+    got = run_experiment(params, 6, [2, 4], master_seed=3)
+    assert repr(got) == repr(want)
+    assert got_matrices == want_matrices
+    assert sizes == [2] * 6 + [4] * 6
