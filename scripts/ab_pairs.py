@@ -192,6 +192,8 @@ def main(argv: list[str] | None = None) -> int:
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         end_to_end = json.load(fh)["end_to_end"]
+    if args.workdir:
+        os.makedirs(args.workdir, exist_ok=True)
     scratch = tempfile.mkdtemp(dir=args.workdir)
     try:
         return run_pairs(args, end_to_end, os.path.join(scratch, "parent"))

@@ -38,10 +38,12 @@ import functools
 from bisect import insort
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 
-from .model import MAX_TOL, HitchPlan, PlannerConfig, UavTask, UnboundedHitchError, VehicleOffer
+from .model import GEOMETRY_RULES, MAX_TOL, OFFER_RULES, TASK_RULES, HitchPlan, PlannerConfig
+from .model import Rule, UavTask, UnboundedHitchError, VehicleOffer
 from .planner import UNBOUNDED_MESSAGE, PlanArrays, plan_matrix
 
 __all__ = [
@@ -88,21 +90,31 @@ def theta_array(theta, n_uavs: int, n_vehicles: int) -> np.ndarray:
     A wrong shape or an entry outside [0, pi], NaN included, raises
     ``ValueError``; the latter names the first such entry in row-major order."""
     a = _float_array("theta", theta, (n_uavs, n_vehicles))
-    in_range = (a >= 0.0) & (a <= np.pi)
-    if not in_range.all():
-        i, j = np.argwhere(~in_range)[0]
-        raise ValueError(f"theta[{i},{j}]: theta must be in [0, pi], got {float(a[i, j])}")
+    _check_arrays(GEOMETRY_RULES, SimpleNamespace(theta=a), ["theta"], "theta")
     return _read_only(a)
+
+
+def _check_arrays(rules, columns, names, context: str | None) -> None:
+    """Run model ``rules`` on ``columns``, whose fields ``names`` are
+    equal-shaped arrays. The first entry in row-major order that breaks
+    one raises the message of the first rule it breaks, from its fields as
+    Python numbers, prefixed by ``context[index]: `` when a context is given."""
+    with np.errstate(all="ignore"):
+        ok = np.array([rule.ok(columns) for rule in rules], dtype=bool)
+    if np.count_nonzero(ok) == ok.size:  # cheaper than ok.all() on small arrays
+        return
+    index = tuple(np.argwhere(~ok.all(axis=0))[0].tolist())
+    entry = SimpleNamespace(**{name: getattr(columns, name).item(*index) for name in names})
+    message = rules[ok[(slice(None), *index)].argmin()].message(entry)
+    if context is not None:
+        message = f"{context}[{','.join(map(str, index))}]: {message}"
+    raise ValueError(message)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a = a.view()
     a.flags.writeable = False
     return a
-
-
-# Inclusive float bounds that stand for > 0 and < inf; NaN fails both.
-_TINY, _HUGE = np.finfo(np.float64).smallest_subnormal, np.finfo(np.float64).max
 
 
 class _Columns(Sequence):
@@ -113,16 +125,18 @@ class _Columns(Sequence):
     list's.
 
     The constructor takes one array or sequence per field, in the model's
-    field order, and checks the columns once, with numpy. The first entry
-    they reject is made as a model object, whose own message names the
-    fault, prefixed by ``context[i]: `` when a context is given. The float
-    fields are the rows of one float64 array; an integer field is int64,
-    or holds Python ints when one is past int64's range.
+    field order, and checks the columns once, with numpy, by the model's
+    own rule table in ``model`` (``rules``). The first entry that breaks
+    a rule raises the message a model object of it would, prefixed by
+    ``context[i]: `` when a context is given. The float fields are the
+    rows of one float64 array; an integer field is int64, or holds Python
+    ints when one is past int64's range.
     """
 
     __slots__ = ()
     kind: type
     names: tuple[str, ...]  # the model's field names, in its order
+    rules: tuple[Rule, ...]  # the model's field rules
     # The places of the float and the integer fields in ``names``.
     _float_at: tuple[int, ...]
     _integer_at: tuple[int, ...] = ()
@@ -140,15 +154,7 @@ class _Columns(Sequence):
             except OverflowError:
                 a = np.asarray(columns[k], dtype=object)
             object.__setattr__(self, self.names[k], _read_only(a))
-        ok = self._valid(floats)
-        if np.count_nonzero(ok) < ok.size:
-            for i in np.flatnonzero(~ok.all(axis=0)).tolist():
-                try:
-                    self[i]
-                except ValueError as exc:
-                    if context is None:
-                        raise
-                    raise ValueError(f"{context}[{i}]: {exc}") from None
+        _check_arrays(self.rules, self, self.names, context)
 
     @classmethod
     def of(cls, items: Sequence) -> _Columns:
@@ -166,11 +172,6 @@ class _Columns(Sequence):
     def columns(self) -> tuple[np.ndarray, ...]:
         """The column arrays, in the model's field order."""
         return tuple(getattr(self, name) for name in self.names)
-
-    def _valid(self, floats: np.ndarray) -> np.ndarray:
-        """Where each entry passes the model's checks, as a (k, n) mask
-        whose column i is entry i."""
-        raise NotImplementedError
 
     def __len__(self) -> int:
         return len(getattr(self, self.names[0]))
@@ -200,21 +201,7 @@ class TaskColumns(_Columns):
     __slots__ = names
     kind = UavTask
     _float_at = tuple(range(len(names)))
-    # x and u in (0, inf), deadline and battery_capacity > 0, battery_level
-    # in [0, inf), as inclusive bounds.
-    _low = np.array([[_TINY], [_TINY], [_TINY], [_TINY], [0.0]])
-    _high = np.array([[_HUGE], [_HUGE], [np.inf], [np.inf], [_HUGE]])
-
-    def _valid(self, floats: np.ndarray) -> np.ndarray:
-        ok = (floats >= self._low) & (floats <= self._high)
-        # x / u is finite, a finite deadline is at least x / u, and the level
-        # at most the capacity. x / u may overflow or divide by zero on a
-        # rejected entry.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            direct = self.x / self.u
-            ok &= (direct < np.inf) & (self.deadline >= direct)
-            ok &= self.battery_level <= self.battery_capacity
-        return ok
+    rules = TASK_RULES
 
 
 class OfferColumns(_Columns):
@@ -224,12 +211,7 @@ class OfferColumns(_Columns):
     __slots__ = names
     kind = VehicleOffer
     _float_at, _integer_at = (0, 1), (2,)
-    # v in (0, inf) and gamma >= 0, as inclusive bounds.
-    _low = np.array([[_TINY], [0.0]])
-    _high = np.array([[_HUGE], [np.inf]])
-
-    def _valid(self, floats: np.ndarray) -> np.ndarray:
-        return (floats >= self._low) & (floats <= self._high) & (self.capacity >= 1)
+    rules = OFFER_RULES
 
 
 @dataclass

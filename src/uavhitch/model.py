@@ -3,11 +3,19 @@
 Units are kilometres, hours and km/h throughout. Energy is measured in
 flight-hour equivalents: the UAV burns one unit per hour of flight, and a
 vehicle's charging rate ``gamma`` is units gained per hour of riding.
+
+Each field rule is written once, in the table of its model type
+(``TASK_RULES``, ``OFFER_RULES``, ``GEOMETRY_RULES``). A rule's test is
+made of operators only, so it runs alike on one entry's fields and on
+float64 columns of them: a model object raises the message of the first
+rule of its table that it breaks, and ``matching``'s scenario columns
+and ``theta_array`` run the same tables on arrays.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
@@ -59,6 +67,44 @@ class PlannerConfig:
             )
 
 
+Rule = namedtuple("Rule", "ok message")
+TASK_RULES = (
+    Rule(lambda e: (0.0 < e.x) & (e.x < INF),
+         lambda e: f"distance x must be positive and finite, got {e.x}"),
+    Rule(lambda e: (0.0 < e.u) & (e.u < INF),
+         lambda e: f"flight speed u must be positive and finite, got {e.u}"),
+    Rule(lambda e: e.x / e.u < INF,
+         lambda e: f"direct flight time x/u must be finite, got {e.x / e.u}"),
+    Rule(lambda e: e.deadline > 0.0, lambda e: f"deadline must be positive, got {e.deadline}"),
+    Rule(lambda e: e.deadline >= e.x / e.u,  # an infinite deadline passes
+         lambda e: f"deadline {e.deadline} is shorter than the direct flight time {e.x / e.u}"),
+    Rule(lambda e: e.battery_capacity > 0.0,
+         lambda e: f"battery_capacity must be positive, got {e.battery_capacity}"),
+    Rule(lambda e: (0.0 <= e.battery_level) & (e.battery_level < INF),
+         lambda e: f"battery_level must be finite and nonnegative, got {e.battery_level}"),
+    Rule(lambda e: e.battery_level <= e.battery_capacity,
+         lambda e: f"battery_level {e.battery_level} exceeds capacity {e.battery_capacity}"),
+)
+OFFER_RULES = (
+    Rule(lambda e: (0.0 < e.v) & (e.v < INF),
+         lambda e: f"vehicle speed v must be positive and finite, got {e.v}"),
+    Rule(lambda e: e.gamma >= 0.0, lambda e: f"charging rate gamma must be >= 0, got {e.gamma}"),
+    Rule(lambda e: e.capacity >= 1,
+         lambda e: f"capacity must be an integer >= 1, got {e.capacity}"),
+)
+GEOMETRY_RULES = (
+    Rule(lambda e: (0.0 <= e.theta) & (e.theta <= math.pi),
+         lambda e: f"theta must be in [0, pi], got {e.theta}"),
+)
+
+
+def _check(entry, rules) -> None:
+    """Raise ``ValueError`` with the message of the first rule ``entry`` breaks."""
+    for rule in rules:
+        if not rule.ok(entry):
+            raise ValueError(rule.message(entry))
+
+
 @dataclass(frozen=True)
 class UavTask:
     """One UAV trip: straight-line distance ``x`` to the destination at
@@ -76,32 +122,7 @@ class UavTask:
     battery_level: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.x < INF:
-            raise ValueError(f"distance x must be positive and finite, got {self.x}")
-        if not 0.0 < self.u < INF:
-            raise ValueError(f"flight speed u must be positive and finite, got {self.u}")
-        if self.x / self.u == INF:
-            raise ValueError(f"direct flight time x/u must be finite, got {self.x / self.u}")
-        if not self.deadline > 0.0:
-            raise ValueError(f"deadline must be positive, got {self.deadline}")
-        if math.isfinite(self.deadline) and self.deadline < self.x / self.u:
-            raise ValueError(
-                f"deadline {self.deadline} is shorter than the direct flight "
-                f"time {self.x / self.u}"
-            )
-        if not self.battery_capacity > 0.0:
-            raise ValueError(
-                f"battery_capacity must be positive, got {self.battery_capacity}"
-            )
-        if not math.isfinite(self.battery_level) or self.battery_level < 0.0:
-            raise ValueError(
-                f"battery_level must be finite and nonnegative, got {self.battery_level}"
-            )
-        if self.battery_level > self.battery_capacity:
-            raise ValueError(
-                f"battery_level {self.battery_level} exceeds capacity "
-                f"{self.battery_capacity}"
-            )
+        _check(self, TASK_RULES)
 
     @property
     def direct_time(self) -> float:
@@ -126,13 +147,13 @@ class VehicleOffer:
     capacity: int = 1
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.v < INF:
-            raise ValueError(f"vehicle speed v must be positive and finite, got {self.v}")
-        if not self.gamma >= 0.0:
-            raise ValueError(f"charging rate gamma must be >= 0, got {self.gamma}")
-        capacity = self.capacity
-        if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
-            raise ValueError(f"capacity must be an integer >= 1, got {self.capacity}")
+        *rules, capacity = OFFER_RULES
+        _check(self, rules)
+        # A bool or a non-int breaks the capacity rule too; columns hold
+        # integers only, so this type check is the model's own.
+        if isinstance(self.capacity, bool) or not isinstance(self.capacity, int):
+            raise ValueError(capacity.message(self))
+        _check(self, [capacity])
 
 
 @dataclass(frozen=True)
@@ -143,8 +164,7 @@ class PairGeometry:
     theta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must be in [0, pi], got {self.theta}")
+        _check(self, GEOMETRY_RULES)
 
 
 class EligibilityReason(str, Enum):

@@ -225,14 +225,11 @@ def generate_scenario(params: GeneratorParams, seed: int) -> Scenario:
 
 def scale_scenario(s: Scenario, factor: float) -> Scenario:
     """Scale every trip length (and bounded deadline) by a factor."""
-    tasks = [
-        replace(
-            t,
-            x=t.x * factor,
-            deadline=t.deadline if math.isinf(t.deadline) else t.deadline * factor,
-        )
-        for t in s.tasks
-    ]
+    t = s.tasks
+    with np.errstate(over="ignore"):  # as with Python floats; the columns reject inf
+        x, deadline = t.x * factor, t.deadline.copy()
+        deadline[np.isfinite(deadline)] *= factor
+    tasks = TaskColumns(x, t.u, deadline, t.battery_capacity, t.battery_level)
     return replace(s, tasks=tasks)
 
 

@@ -11,6 +11,8 @@ loader used to make, and plan to the same bits as lists of objects.
 import copy
 import math
 import pickle
+from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +28,8 @@ from uavhitch import (
     case_theta_range,
     generate_scenario,
 )
-from uavhitch.matching import OfferColumns, TaskColumns
+from uavhitch.matching import OfferColumns, TaskColumns, theta_array
+from uavhitch.model import GEOMETRY_RULES, OFFER_RULES, TASK_RULES, PairGeometry
 from uavhitch.scenario_io import dump_scenario, scenario_from_dict, scenario_to_dict
 
 # Values at and around every bound the model checks.
@@ -142,3 +145,49 @@ def test_columns_and_lists_of_objects_plan_to_the_same_bits(limited):
     assert from_lists.capacity == from_columns.capacity == [2, 1, 1]
     assert dump_scenario(s) == dump_scenario(Scenario(
         tasks=list(s.tasks), offers=list(s.offers), geoms=theta, config=s.config))
+
+
+TABLES = {UavTask: TASK_RULES, VehicleOffer: OFFER_RULES, PairGeometry: GEOMETRY_RULES}
+VALID = {UavTask: (5.0, 60.0, 0.25, 0.4, 0.1), VehicleOffer: (40.0, 0.3, 2), PairGeometry: (1.0,)}
+# Per table row, in order, an entry that breaks that row and no other.
+BREAKS_ONE_ROW = {
+    UavTask: [
+        (-1.0, 60.0, math.inf, math.inf, 0.0),
+        (5.0, -1.0, math.inf, math.inf, 0.0),
+        (1e308, 1e-300, math.inf, math.inf, 0.0),  # x / u overflows
+        (5e-324, 1e300, 0.0, math.inf, 0.0),  # x / u underflows to the deadline
+        (5.0, 60.0, 0.05, math.inf, 0.0),
+        (5.0, 60.0, math.inf, 0.0, 0.0),
+        (5.0, 60.0, math.inf, math.inf, -1.0),
+        (5.0, 60.0, math.inf, 0.4, 0.5),
+    ],
+    VehicleOffer: [(0.0, 0.3, 1), (40.0, -0.5, 1), (40.0, 0.3, 0)],
+    PairGeometry: [(3.5,)],
+}
+
+
+@pytest.mark.parametrize(
+    "kind, row", [(kind, row) for kind, rules in TABLES.items() for row in range(len(rules))],
+    ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
+)
+def test_every_rule_row_is_raised_alike_by_the_model_and_the_columns(kind, row):
+    rules, bad = TABLES[kind], BREAKS_ONE_ROW[kind][row]  # a new row needs its own case
+    names = [f.name for f in fields(kind)]
+    as_arrays = SimpleNamespace(**{name: np.array([value]) for name, value in zip(names, bad)})
+    with np.errstate(all="ignore"):
+        assert [k for k, rule in enumerate(rules) if not rule.ok(as_arrays)] == [row]
+    message = rules[row].message(SimpleNamespace(**dict(zip(names, bad))))
+    with pytest.raises(ValueError) as info:
+        kind(*bad)
+    assert str(info.value) == message
+    if kind is PairGeometry:
+        with pytest.raises(ValueError) as info:
+            theta_array([[VALID[kind][0], bad[0]]], 1, 2)
+        assert str(info.value) == f"theta[0,1]: {message}"
+        return
+    columns = {UavTask: TaskColumns, VehicleOffer: OfferColumns}[kind]
+    values = [list(pair) for pair in zip(VALID[kind], bad)]
+    for context, prefix in ((None, ""), ("entries", "entries[1]: ")):
+        with pytest.raises(ValueError) as info:
+            columns(*values, context=context)
+        assert str(info.value) == prefix + message

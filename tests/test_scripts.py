@@ -152,3 +152,16 @@ def test_ab_pairs_trees_name_the_commits_and_a_dirty_tree(tmp_path):
     tracked.write_text("three\n")
     dirty = ab_pairs.trees("HEAD~1", str(tmp_path))
     assert dirty == {**clean, "change": {"commit": head, "dirty": True}}
+
+
+def test_ab_pairs_makes_a_missing_workdir(tmp_path, monkeypatch):
+    parents = []
+
+    def run_pairs(args, end_to_end, parent_tree):
+        parents.append(parent_tree)
+        return 0
+
+    monkeypatch.setattr(ab_pairs, "run_pairs", run_pairs)
+    workdir = tmp_path / "not" / "made"
+    assert ab_pairs.main(["--parent", "HEAD", "--first-seed", "1", "--workdir", str(workdir)]) == 0
+    assert workdir.is_dir() and os.path.dirname(os.path.dirname(parents[0])) == str(workdir)

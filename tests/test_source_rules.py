@@ -44,6 +44,13 @@ interpreter takes to import ``uavhitch.cli``. A seventh test fails on an
 import of orjson that runs when a module of the package is imported, one
 outside a function body, and checks that importing the CLI leaves orjson
 unimported.
+
+Each field rule of ``UavTask``, ``VehicleOffer`` and ``PairGeometry`` is
+written once, as a row of its model type's table in ``model.py``, which
+the model objects and the scenario columns both run. An eighth test fails
+when the text of a row's message (its longest literal piece) appears in
+any other string of the package, which would be a second transcription
+of the rule.
 """
 
 import ast
@@ -52,6 +59,7 @@ import subprocess
 import sys
 
 import uavhitch
+from uavhitch.model import GEOMETRY_RULES, OFFER_RULES, TASK_RULES
 
 PACKAGE = pathlib.Path(uavhitch.__file__).parent
 
@@ -239,3 +247,38 @@ def test_orjson_is_imported_only_when_a_file_is_loaded():
     probe = "import sys, uavhitch.cli; print('orjson' in sys.modules)"
     child = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert child.stdout == "False\n", child.stderr
+
+
+RULE_TABLES = {"TASK_RULES", "OFFER_RULES", "GEOMETRY_RULES"}
+
+
+def rule_messages(tree: ast.Module) -> tuple[set[int], set[str]]:
+    """The ids of the nodes of ``model.py``'s rule tables, and the longest
+    literal piece of each row's message there."""
+    tables = [
+        stmt for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id in RULE_TABLES for t in stmt.targets)
+    ]
+    assert len(tables) == len(RULE_TABLES)
+    pieces = {
+        max((v.value for v in node.values if isinstance(v, ast.Constant)), key=len)
+        for table in tables for node in ast.walk(table) if isinstance(node, ast.JoinedStr)
+    }
+    return {id(n) for table in tables for n in ast.walk(table)}, pieces
+
+
+def test_field_rule_messages_are_written_only_in_the_tables():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    table_nodes, messages = rule_messages(trees["model.py"])
+    assert len(messages) == len(TASK_RULES) + len(OFFER_RULES) + len(GEOMETRY_RULES)
+    sites = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and id(node) not in table_nodes
+        and any(message in node.value for message in messages)
+    ]
+    assert not sites, f"a field rule's message written again at {sites}"
