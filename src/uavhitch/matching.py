@@ -440,6 +440,13 @@ def msa_match(m: SavingMatrix) -> MatchResult:
     vehicle on the path only, the last entry that improved its slack. Only
     the path flip runs in Python. ``duals.q`` repeats each vehicle's q
     over its seats.
+
+    ``eps`` and the potential of a row joining the tree (the root's first
+    step, the shift of ``buf``, the one-row slack update) reach the ufuncs
+    as preallocated 0-d arrays, not as float64 scalars: numpy converts a
+    scalar operand on every call, about 0.2 us, over some 10,000 calls a
+    matrix, and a store into a 0-d array costs a tenth of that. The
+    arithmetic, and so every bit, is the same.
     """
     n_rows, n_cols = m.saving.shape
     tol, seats = m.tol, m.seats
@@ -483,6 +490,7 @@ def msa_match(m: SavingMatrix) -> MatchResult:
     # keyword parsing (about 0.1 us a call); ``minimum`` takes it by
     # keyword, as numpy deprecates a third positional argument there.
     add, subtract, less, minimum = np.add, np.subtract, np.less, np.minimum
+    eps0, p0 = np.empty(()), np.empty(())  # the 0-d operands
     next_event = limit.argmin
     w_rows = list(w)
     inf = np.inf
@@ -494,13 +502,14 @@ def msa_match(m: SavingMatrix) -> MatchResult:
         # The first step, before any tree state is set up: the root's
         # slacks and their arg-min (a vehicle wins a tie with p_r). Most
         # trees end here, on a vehicle with a free seat.
-        subtract(add(q, p_r, s), w_rows[root], s)
+        p0[()] = p_r
+        subtract(add(q, p0, s), w_rows[root], s)
         k = int(s.argmin())
         eps = s[k]
         if eps <= p_r:
             if len(riders[k]) < seats[k]:
                 if eps > 0.0:
-                    p[root] = p_r - eps  # the fl(p - eps) of ``buf -= eps``
+                    p[root] = p_r - eps  # the fl(p - eps) of the shift
                 match_row[root] = k
                 insort(riders[k], root)
                 continue
@@ -522,7 +531,8 @@ def msa_match(m: SavingMatrix) -> MatchResult:
 
         while True:
             if eps > 0.0:
-                buf -= eps
+                eps0[()] = eps
+                subtract(buf, eps0, buf)
             if k >= n_cols:
                 # A reached UAV ran out of potential and drops out.
                 r = k - n_cols
@@ -543,8 +553,8 @@ def msa_match(m: SavingMatrix) -> MatchResult:
             slack[j] = inf
             if len(rows) == 1:
                 r = rows[0]
-                p_tree[r] = p_r = p[r]
-                subtract(add(q_open, p_r, s), w_rows[r], s)
+                p_tree[r] = p0[()] = p[r]
+                subtract(add(q_open, p0, s), w_rows[r], s)
                 less(s, slack, log_rows[n])  # strict: on a tie the earlier row keeps the column
                 minimum(slack, s, out=slack)
                 reached_by[n] = r

@@ -31,10 +31,15 @@ The reference is the scalar decision chain in ``tests/oracles.py``
 wherever ``math.hypot`` is correctly rounded on the flight legs: every
 element goes through the same floating-point operations in the same
 order, and the transcendentals match the ``math`` functions: ``math.pow``
-is called per element and ``math.acos`` once per distinct cos(phi), since
-numpy's ``square`` and ``arccos`` differ from them in the last bit on some
-inputs; numpy's ``sin``, ``cos`` and ``sqrt`` are used directly; and the
-flight leg's hypot is this module's own correctly rounded numpy function,
+and ``math.acos`` are called per element, since numpy's ``square`` and
+``arccos`` differ from them in the last bit on some inputs. cos(phi)
+depends on the UAV speed, the vehicle speed and its charging rate only,
+so it and its ``acos`` are computed on the broadcast of those operands
+alone, not per pair: an operand that holds one value is taken once, and a
+column of UAV speeds once per distinct speed, so ``acos`` sees at most
+(distinct speeds) x J values. numpy's
+``sin``, ``cos`` and ``sqrt`` are used directly, and the flight leg's
+hypot is this module's own correctly rounded numpy function,
 ``_hypot``, which gives ``math.hypot``'s bits wherever that is correctly
 rounded (``tests/test_plan_matrix.py`` checks all six against ``math``
 here, and ``scripts/check_hypot.py`` checks ``_hypot`` against exact
@@ -44,15 +49,18 @@ legs are subnormal, can plan to other bits than the reference: the
 planner's are the correctly rounded ones.
 
 Each formula is written once, in the array kernels ``_eligible`` (the
-threshold angle), ``_max_hitch`` (the deadline root) and ``_objective``
-(T, E and C). The one-pair helpers, from :func:`flight_leg` to
-:func:`max_hitch_distance`, check their input and call them on one element.
+threshold angle, as a test angle: +inf where every direction pays, -inf
+where the precondition fails), ``_max_hitch`` (the deadline root) and
+``_objective`` (T, E and C). The one-pair helpers, from :func:`flight_leg`
+to :func:`max_hitch_distance`, check their input and call them on one
+element.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,8 +100,8 @@ def _excess(u: float, d: float, x: float) -> float:
 
 # Every transcendental the kernels call, bound once. numpy's arccos differs
 # from the C library's in the last bit on some inputs, and its square from
-# ``pow(s, 2)``, so those go through ``math``: acos once per distinct value,
-# pow per element. ``_hypot`` is this module's own, correctly rounded.
+# ``pow(s, 2)``, so those go through ``math``, element by element.
+# ``_hypot`` is this module's own, correctly rounded.
 _acos = np.frompyfunc(math.acos, 1, 1)
 _pow = np.frompyfunc(math.pow, 2, 1)
 _excess_each = np.frompyfunc(_excess, 3, 1)
@@ -228,20 +236,24 @@ def _each(*values) -> np.ndarray:
     return np.array(values, dtype=np.float64).reshape(len(values), 1)
 
 
-def _eligible(omega: float, tol: float, u, v, theta, rate):
-    """:func:`eligibility` at weighted charging rates ``rate`` (omega times
-    gamma): whether each pair passes the precondition, its threshold angle
-    (pi where every direction pays or the precondition fails), and whether
-    it is eligible."""
+def _eligible(omega: float, tol: float, u, v, rate):
+    """The test angle of :func:`eligibility` at weighted charging rates
+    ``rate`` (omega times gamma), on the broadcast of ``u``, ``v`` and
+    ``rate``: +inf where every direction pays, -inf where the precondition
+    fails, and the threshold angle phi elsewhere. A pair at angle theta is
+    eligible exactly when theta < angle - tol.
+
+    The angle depends on the UAV speed and the vehicle only, so
+    :func:`plan_matrix` calls this on those operands' own axes, not on
+    every pair, and ``math.acos`` runs once per element of them."""
     ratio = v / u
     passes = rate > 1.0 - omega - ratio + tol
-    always = passes & (rate >= 1.0 - omega + ratio)
-    phi = np.full(u.size, math.pi)
-    m = (passes & ~always).nonzero()[0]
-    cos_phi = np.minimum(1.0, np.maximum(-1.0, (1.0 - omega - rate[m]) * u[m] / v[m]))
-    distinct, inverse = np.unique(cos_phi, return_inverse=True)
-    phi[m] = _acos(distinct).astype(np.float64)[inverse]
-    return passes, phi, passes & (always | (theta < phi - tol))
+    m = passes & (rate < 1.0 - omega + ratio)
+    angle = np.where(passes, math.inf, -math.inf)
+    with np.errstate(over="ignore"):  # only the entries in m are read
+        cos_phi = (1.0 - omega - rate) * u / v
+    angle[m] = _acos(np.minimum(1.0, np.maximum(-1.0, cos_phi[m]))).astype(np.float64)
+    return angle
 
 
 def _max_hitch(x, u, d, v, theta):
@@ -386,15 +398,16 @@ def eligibility(
     # With omega = 0 the charging term never enters the objective, so an
     # infinite rate contributes nothing; otherwise inf * omega = inf.
     rate = omega * gamma if math.isfinite(gamma) else (math.inf if omega > 0.0 else 0.0)
-    passes, phi, ok = _eligible(omega, cfg.tol, *_each(task.u, offer.v, geom.theta, rate))
-    if not passes[0]:
+    angle = float(_eligible(omega, cfg.tol, *_each(task.u, offer.v, rate))[0])
+    if angle == -math.inf:
         # A charge with no weight in the objective cannot be at fault.
         reason = (
             EligibilityReason.SPEED_TOO_LOW if rate == 0.0 else EligibilityReason.CHARGE_TOO_LOW
         )
         return Eligibility(False, reason, None)
-    reason = EligibilityReason.ELIGIBLE if ok[0] else EligibilityReason.ANGLE_TOO_WIDE
-    return Eligibility(bool(ok[0]), reason, float(phi[0]))
+    ok = bool(geom.theta < angle - cfg.tol)
+    reason = EligibilityReason.ELIGIBLE if ok else EligibilityReason.ANGLE_TOO_WIDE
+    return Eligibility(ok, reason, min(angle, math.pi))
 
 
 def max_hitch_distance(task: UavTask, offer: VehicleOffer, geom: PairGeometry) -> float:
@@ -462,6 +475,23 @@ class PlanArrays:
 _BLOCK = 8192
 
 
+def _spread(a: np.ndarray, shape) -> np.ndarray:
+    """``a`` broadcast to ``shape``, flat; faster than np.broadcast_arrays
+    on small grids."""
+    if a.shape != shape:
+        grid = np.empty(shape)
+        grid[...] = a
+        a = grid
+    return a.reshape(-1)
+
+
+def _once(a: np.ndarray) -> np.ndarray:
+    """``a``'s one value as a 0-d array where all its entries have the same
+    bits, else ``a``."""
+    bits = a.view(np.int64)
+    return a.reshape(-1)[:1].reshape(()) if a.size and (bits == bits.flat[0]).all() else a
+
+
 class _Pairs:
     """The flat inputs of :func:`plan_matrix` and the plans written so far.
 
@@ -472,8 +502,22 @@ class _Pairs:
     pair's final plan is written once.
     """
 
-    def __init__(self, cfg: PlannerConfig, x, u, v, gamma, theta, deadline, headroom) -> None:
-        self.omega, self.tol = cfg.omega, cfg.tol
+    def __init__(self, cfg: PlannerConfig, shape, x, u, v, gamma, theta, deadline, headroom) -> None:
+        self.omega, self.tol, self.shape = cfg.omega, cfg.tol, shape
+        # The test angles' operands on their own axes, before the broadcast:
+        # an operand whose entries all share their bits is taken once, and a
+        # column of UAV speeds once per distinct speed, its rows gathered
+        # back by ``rows``.
+        self.own_u, self.own_v, self.own_gamma = (_once(a) for a in (u, v, gamma))
+        self.rows = None
+        if self.own_u.shape[1:] == (1,) and all(
+            a.ndim < 2 or a.shape[-2] == 1 for a in (self.own_v, self.own_gamma)
+        ):
+            distinct, self.rows = np.unique(u.reshape(-1).view(np.int64), return_inverse=True)
+            self.own_u = distinct.view(np.float64)[:, None]
+        x, u, v, gamma, theta, deadline, headroom = (
+            _spread(a, shape) for a in (x, u, v, gamma, theta, deadline, headroom)
+        )
         self.x, self.u, self.v, self.gamma, self.theta = x, u, v, gamma, theta
         self.deadline, self.headroom = deadline, headroom
         self.base = x / u
@@ -484,22 +528,42 @@ class _Pairs:
         self.swap = np.zeros(n, dtype=bool)
         self.unbounded = np.zeros(n, dtype=bool)
 
-    def arrays(self, shape) -> PlanArrays:
+    def _angles(self, rate) -> np.ndarray:
+        """Each pair's test angle at weighted charging rates ``rate``,
+        computed on the threshold's own operands and spread over the pairs."""
+        angle = _eligible(self.omega, self.tol, self.own_u, self.own_v, rate)
+        if self.rows is not None:
+            angle = angle[..., self.rows, :]
+        return _spread(angle, self.shape)
+
+    @cached_property
+    def charged(self) -> np.ndarray:
+        """Each pair's test angle at its offer's weighted charging rate
+        (omega times gamma; a swap offer's entry is never read)."""
+        gamma = self.own_gamma
+        return self._angles(self.omega * np.where(np.isinf(gamma), 0.0, gamma))
+
+    @cached_property
+    def ride_only(self) -> np.ndarray:
+        """Each pair's test angle with no charge: ride-only, or after a swap."""
+        return self._angles(0.0)
+
+    def arrays(self) -> PlanArrays:
         fields = (self.y_star, self.total_time, self.energy, self.consumption, self.saving,
                   self.binding, self.swap, self.unbounded)
-        return PlanArrays(*(a.reshape(shape) for a in fields))
+        return PlanArrays(*(a.reshape(self.shape) for a in fields))
 
     def write(self, k, plan) -> None:
         (self.y_star[k], self.total_time[k], self.energy[k], self.consumption[k],
          self.saving[k], self.binding[k]) = plan
 
-    def eligible(self, k, rate):
-        """``scalar_eligibility`` at weighted charging rates ``rate`` (omega
-        times a finite gamma): the positions in ``k`` of the eligible pairs
-        and their threshold angles."""
-        _, phi, ok = _eligible(self.omega, self.tol, self.u[k], self.v[k], self.theta[k], rate)
-        ok = ok.nonzero()[0]
-        return ok, phi[ok]
+    def eligible(self, k, angles):
+        """``scalar_eligibility`` on the test angles ``angles`` (``charged``
+        or ``ride_only``): the positions in ``k`` of the eligible pairs and
+        their threshold angles, +inf where every direction pays."""
+        angle = angles[k]
+        ok = (self.theta[k] < angle - self.tol).nonzero()[0]
+        return ok, angle[ok]
 
     def deadline_cap(self, k):
         """``scalar_deadline_cap``: inf for an unbounded deadline, else the
@@ -541,7 +605,7 @@ class _Pairs:
 
     def plan_offer(self, k) -> None:
         """``scalar_optimal_distance``, at the offer's finite charging rate."""
-        ok, phi = self.eligible(k, self.omega * self.gamma[k])
+        ok, phi = self.eligible(k, self.charged)
         k = k[ok]
         y, binding, unbounded = self.eligible_plan(k, phi, self.deadline_cap(k))
         self.unbounded[k[unbounded]] = True
@@ -551,7 +615,7 @@ class _Pairs:
 
     def plan_swap(self, k) -> None:
         """``scalar_battery_swap_plan``: ride-only after the swap."""
-        ok, phi = self.eligible(k, np.zeros(k.size))
+        ok, phi = self.eligible(k, self.ride_only)
         self.swap[k] = True
         k = k[ok]
         self.swap[k] = False
@@ -562,14 +626,14 @@ class _Pairs:
     def plan_capped(self, k) -> None:
         """``scalar_optimal_distance_limited`` for a finite positive
         charging rate and a finite battery headroom."""
-        ok, phi = self.eligible(k, self.omega * self.gamma[k])
+        ok, phi = self.eligible(k, self.charged)
         k = k[ok]
         y_deadline = self.deadline_cap(k)
         headroom = self.headroom[k]
         y_cap = headroom * self.v[k] / self.gamma[k]
 
         # The ride-only candidate, evaluated with no charge.
-        ride, ride_phi = self.eligible(k, np.zeros(k.size))
+        ride, ride_phi = self.eligible(k, self.ride_only)
         y, binding, _ = self.eligible_plan(k[ride], ride_phi, y_deadline[ride])
         hit, plan = self.finish(k[ride], y, binding, np.zeros(ride.size))
         ho_y = np.zeros(k.size)
@@ -625,28 +689,21 @@ def plan_matrix(
     result holds its bits.
     """
     inputs = [np.asarray(a, dtype=np.float64) for a in (x, u, v, gamma, theta, deadline, headroom)]
-    shape = np.broadcast(*inputs).shape
-    flat = []
-    for a in inputs:  # faster than np.broadcast_arrays on small grids
-        if a.shape != shape:
-            grid = np.empty(shape)
-            grid[...] = a
-            a = grid
-        flat.append(a.reshape(-1))
-    pairs = _Pairs(cfg, *flat)
+    pairs = _Pairs(cfg, np.broadcast(*inputs).shape, *inputs)
     gamma = pairs.gamma
     swap = np.isinf(gamma)
     capped = ~swap & (gamma > 0.0) & np.isfinite(pairs.headroom)
     offer_rate = ~swap & ~capped
     # Blocks of pairs bound the memory the temporaries take: a 200x200
-    # limited build peaked at 9.7 MB in one block and 5.2 MB in blocks of
-    # 8192 pairs, which is below what the per-pair plans used to take.
+    # limited build peaked at 10.9 MB in one block and 6.4 MB in blocks of
+    # 8192 pairs (tracemalloc), 0.64 MB of it the two test-angle arrays,
+    # which is below what the per-pair plans used to take.
     for plan, mask in ((pairs.plan_offer, offer_rate), (pairs.plan_capped, capped),
                        (pairs.plan_swap, swap)):
         k = mask.nonzero()[0]
         for start in range(0, k.size, _BLOCK):
             plan(k[start:start + _BLOCK])
-    return pairs.arrays(shape)
+    return pairs.arrays()
 
 
 def plan_pair(

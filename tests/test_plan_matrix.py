@@ -13,6 +13,7 @@ the first pair with no finite optimum from ``plan_matrix``'s flags.
 import json
 import math
 import random
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -53,6 +54,7 @@ from uavhitch import (
     plan_matrix,
     plan_pair,
     select_vehicle,
+    sweep_curves,
     travel_time,
 )
 from uavhitch.cli import main
@@ -712,3 +714,162 @@ def test_plan_matrix_broadcasts_and_plans_swaps():
             )
             assert repr(arrays.plan(k)) == repr(want)
     assert arrays.swap.tolist() == [False, True]  # departs at once on the wide angle
+
+
+# The eligibility test angles are computed on the threshold's own operands
+# (the UAV speed, the vehicle speed and its charging rate), once per rate,
+# and then spread over the pairs; an operand that holds one value is taken
+# once, and a column of UAV speeds once per distinct speed.
+
+
+def fleet_at_speeds(rng: random.Random, speeds: list[float], n_vehicles: int):
+    """``limited_fleet``'s tasks, offers and theta with UAV i flying at
+    ``speeds[i]``; a finite deadline stays the direct time or 1.3 times it."""
+    _, tasks, offers, theta = limited_fleet(rng, len(speeds), n_vehicles)
+    tasks = [
+        UavTask(t.x, u, t.deadline if math.isinf(t.deadline) else (t.x / u) * (1.0 + 0.3 * (i % 2)),
+                t.battery_capacity, t.battery_level)
+        for i, (t, u) in enumerate(zip(tasks, speeds))
+    ]
+    return tasks, offers, theta
+
+
+def spy_eligible(monkeypatch) -> list:
+    """The shape of the UAV-speed operand of every ``_eligible`` call."""
+    shapes, kernel = [], planner._eligible
+
+    def spied(omega, tol, u, v, rate):
+        shapes.append(np.shape(u))
+        return kernel(omega, tol, u, v, rate)
+
+    monkeypatch.setattr(planner, "_eligible", spied)
+    return shapes
+
+
+@pytest.mark.parametrize("limited", [False, True], ids=["unbounded", "limited"])
+@pytest.mark.parametrize("speeds", ["shared", "per_uav"])
+@pytest.mark.parametrize("omega", [0.0, 0.5, 0.9])
+def test_test_angles_on_their_own_axes_match_plan_pair(omega, speeds, limited, monkeypatch):
+    # omega = 0 meets swap (gamma = inf) and ride-only (gamma = 0) vehicles,
+    # where a per-vehicle omega*gamma would be NaN: 0 * inf warns, and a
+    # RuntimeWarning fails the test.
+    rng = random.Random(f"axes-{omega}-{speeds}")
+    n_uavs = 24
+    us = ([60.0] * n_uavs if speeds == "shared"
+          else [rng.choice([20.0, 45.5, 60.0, 90.0]) for _ in range(n_uavs)])
+    tasks, offers, theta = fleet_at_speeds(rng, us, 15)
+    assert {0.0, math.inf} <= {o.gamma for o in offers}
+    shapes = spy_eligible(monkeypatch)
+    assert_plan_matrix_matches(PlannerConfig(omega=omega), tasks, offers, theta, limited)
+    # One call per rate (the charged and the ride-only one) at most, on the
+    # shared speed alone or on each distinct speed once.
+    assert 1 <= len(shapes) <= 2
+    assert set(shapes) == {() if speeds == "shared" else (len(set(us)), 1)}
+
+
+def cos_phi(omega, u, v, gamma):
+    """The threshold's cos(phi) before the clip, as the reference writes it."""
+    return (1.0 - omega - omega * gamma) * u / v
+
+
+# (omega, u, v, gamma) past the precondition and below the always-eligible
+# bound, whose cos(phi) rounds past -1.
+BELOW_MINUS_ONE = [
+    (0.2757641891499004, 82.38014418252021, 95.67852330042673, 6.837953875013988),
+    (0.3, 22.93583642284822, 53.66740722986276, 10.132977267603282),
+    (0.3, 41.31037635447949, 87.20320739271946, 9.36975816474768),
+]
+# cos(phi) rounding past +1 lies within tol of the precondition, so only a
+# tol of 0, below what PlannerConfig accepts, reaches it.
+ABOVE_ONE = [
+    (0.6143974671963978, 74.43322086103406, 22.56987801061753, 0.13408152878266913),
+    (0.3, 97.15376937535893, 60.93290739451748, 0.2427331165745495),
+]
+
+
+@pytest.mark.parametrize("limited", [False, True], ids=["unbounded", "limited"])
+@pytest.mark.parametrize("omega, u, v, gamma", BELOW_MINUS_ONE)
+def test_cos_phi_clipped_at_minus_one_matches_plan_pair(omega, u, v, gamma, limited):
+    assert 1.0 - omega - v / u + 1e-9 < omega * gamma < 1.0 - omega + v / u
+    assert cos_phi(omega, u, v, gamma) < -1.0
+    tasks = [UavTask(x, u, deadline, 0.3, 0.1)
+             for x in (0.5, 7.0, 19.0) for deadline in (math.inf, 1.2 * x / u)]
+    offers = [VehicleOffer(v, gamma), VehicleOffer(v, 0.0), VehicleOffer(v, math.inf),
+              VehicleOffer(v, gamma)]
+    theta = [[0.0, 1.0, math.pi - 2e-9, math.pi][j] for j in range(len(offers))]
+    assert_plan_matrix_matches(PlannerConfig(omega=omega), tasks, offers,
+                               [theta, theta[::-1]] * 3, limited)
+
+
+@pytest.mark.parametrize("omega, u, v, gamma", BELOW_MINUS_ONE + ABOVE_ONE)
+def test_test_angle_clips_cos_phi(omega, u, v, gamma):
+    c = cos_phi(omega, u, v, gamma)
+    assert not -1.0 <= c <= 1.0
+    tol = 1e-9 if c < 0.0 else 0.0
+    assert 1.0 - omega - v / u + tol < omega * gamma < 1.0 - omega + v / u
+    angle = planner._eligible(omega, tol, np.array([[u], [u]]), np.array([v, v / 2.0]),
+                              omega * np.array([gamma, 0.0]))
+    assert angle.shape == (2, 2)
+    assert angle[0, 0] == math.acos(min(1.0, max(-1.0, c))) == (math.pi if c < 0.0 else 0.0)
+
+
+@pytest.mark.parametrize("vehicles", ["mixed", "one_kind"])
+@pytest.mark.parametrize("n_speeds", [1, 4])
+def test_threshold_sorts_and_acos_see_at_most_one_value_per_vehicle(n_speeds, vehicles,
+                                                                     monkeypatch):
+    # A 200 x 200 limited fleet at n_speeds UAV speeds, with deadlines and
+    # partial batteries, its vehicles charging, ride-only and swap ones or
+    # all of one kind: every np.unique call of the planner sees at most the
+    # I UAV speeds, and every acos call at most one value per (distinct
+    # speed, distinct vehicle), so a sort or an acos over per-pair arrays
+    # fails here.
+    rng = np.random.default_rng(27)
+    n = 200
+    x = 20.0 * (1.0 - rng.random(n))
+    u = rng.choice([60.0, 45.5, 90.0, 30.0][:n_speeds], n)
+    caps = rng.uniform(0.05, 0.5, n)
+    if vehicles == "mixed":
+        v, gamma = rng.uniform(20.0, 60.0, n), rng.uniform(0.0, 1.5, n)
+        gamma[rng.random(n) < 0.1] = math.inf
+        gamma[rng.random(n) < 0.1] = 0.0
+    else:
+        v, gamma = np.full(n, 40.0), np.full(n, 0.5)
+    tasks = [UavTask(float(a), float(s), 1.3 * float(a / s), float(c), float(c) * r)
+             for a, s, c, r in zip(x, u, caps, rng.random(n))]
+    offers = [VehicleOffer(float(a), float(g)) for a, g in zip(v, gamma)]
+    theta = rng.uniform(0.0, math.pi, (n, n))
+    sizes = {"unique": [], "acos": []}
+
+    def unique(a, *args, **kwargs):
+        sizes["unique"].append(np.size(a))
+        return np.unique(a, *args, **kwargs)
+
+    def acos(a):
+        sizes["acos"].append(np.size(a))
+        return acos_kernel(a)
+
+    acos_kernel = planner._acos
+    monkeypatch.setattr(planner, "np", types.SimpleNamespace(**{**vars(np), "unique": unique}))
+    monkeypatch.setattr(planner, "_acos", acos)
+    m = build_saving_matrix(PlannerConfig(), tasks, offers, theta, limited=True)
+    assert m.saving.shape == (n, n)
+    assert len(set(u)) == n_speeds
+    assert sizes["acos"]
+    assert max(sizes["unique"], default=0) <= n
+    assert max(sizes["acos"]) <= n_speeds * (n if vehicles == "mixed" else 1)
+
+
+def test_a_sweep_at_one_speed_and_vehicle_calls_acos_on_one_value(monkeypatch):
+    # The battery sweep varies the headroom alone, one pair a point: the
+    # threshold's operands each hold one value, so each rate's acos sees one.
+    sizes, kernel = [], planner._acos
+
+    def acos(a):
+        sizes.append(np.size(a))
+        return kernel(a)
+
+    monkeypatch.setattr(planner, "_acos", acos)
+    _, rows = sweep_curves("battery")
+    assert len(rows) == 101
+    assert 1 <= len(sizes) <= 2
+    assert max(sizes) == 1
