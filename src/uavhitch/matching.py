@@ -7,17 +7,9 @@ maximum-saving assignment, vehicle j seating at most min(capacity_j, I)
 UAVs, with a primal-dual method: per-UAV potentials ``p`` start at each
 row's best saving, per-vehicle potentials ``q`` at zero, and alternating
 trees over tight edges (p_i + q_j = w_ij) are grown, one column and one
-seat count per vehicle, until every UAV is either matched or has p_i = 0.
-A tree's first step, the root's slacks and their arg-min, is taken before
-any tree state is set up; most trees end there, on a vehicle with a free
-seat, and cost one slack scan and one arg-min. No step stores which row
-reached each vehicle: each writes the vehicles whose slack it lowered into
-a per-tree step log, and the path flip reads that back only for the
-vehicles on the augmenting path. Every scan over the vehicles is
-one numpy vector operation, and one subtraction per tree step shifts the
-slacks, the tree's UAV potentials and the negated q of its vehicles
-together, since fl(-q - eps) = -fl(q + eps). Where every vehicle has one
-seat, each applies the floating-point operations of the
+seat count per vehicle, until every UAV is either matched or has p_i = 0
+(:func:`msa_match` says how each tree step is taken). Where every vehicle
+has one seat, each step applies the floating-point operations of the
 element-by-element loop over expanded columns that ``tests/oracles.py``
 keeps as the reference, in the same order, so the potentials and
 matching are exactly its own.
@@ -42,8 +34,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .model import GEOMETRY_RULES, MAX_TOL, OFFER_RULES, TASK_RULES, HitchPlan, PlannerConfig
-from .model import Rule, UavTask, UnboundedHitchError, VehicleOffer
+from .model import GEOMETRY_RULES, OFFER_RULES, TASK_RULES, TOL_RULES, HitchPlan, PlannerConfig
+from .model import Rule, UavTask, UnboundedHitchError, VehicleOffer, _check
 from .planner import UNBOUNDED_MESSAGE, PlanArrays, plan_matrix
 
 __all__ = [
@@ -125,10 +117,8 @@ class _Columns(Sequence):
     list's.
 
     The constructor takes one array or sequence per field, in the model's
-    field order, and checks the columns once, with numpy, by the model's
-    own rule table in ``model`` (``rules``). The first entry that breaks
-    a rule raises the message a model object of it would, prefixed by
-    ``context[i]: `` when a context is given. The float fields are the
+    field order, and checks them once by the model's rule table
+    (``rules``, with :func:`_check_arrays`). The float fields are the
     rows of one float64 array; an integer field is int64, or holds Python
     ints when one is past int64's range.
     """
@@ -235,49 +225,37 @@ class SavingMatrix:
     ``c`` (None without ``arrays``).
 
     ``saving`` may be given as any nested sequence; it is stored as a
-    float64 array with one column per vehicle. A ``tol`` that is not
-    finite and > 0 or is above ``model.MAX_TOL`` (the solvers drop every
-    edge at or below tol, so a larger one would drop real savings), a wrong
-    shape, a capacity that is not an integer >= 1, or a saving that is
-    negative or not finite raises ``ValueError`` naming the field (and the
-    entry).
+    float64 array with one column per vehicle. ``tol`` defaults to
+    ``PlannerConfig``'s and is checked by its rules, ``model.TOL_RULES``.
+    A bad ``tol``, a wrong shape, a capacity that breaks
+    ``VehicleOffer``'s capacity rule, or a saving that is negative or not
+    finite raises ``ValueError`` naming the field (and the entry).
     """
 
     saving: np.ndarray
     capacity: Sequence[int]
-    tol: float = 1e-9
+    tol: float = PlannerConfig.tol
     arrays: PlanArrays | None = None
     n_uavs: int = field(init=False)
     seats: list[int] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tol < np.inf:
-            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
-        if self.tol > MAX_TOL:
-            raise ValueError(f"tol must be at most MAX_TOL = {MAX_TOL}, got {self.tol!r}")
+        _check(self, TOL_RULES)
         shape = (len(self.saving), len(self.capacity))
         s = _float_array("saving", self.saving, shape, "(rows, len(capacity))")
-        capacity = self.capacity
-        # One pass over the entries' types and one min; the loop runs only
-        # to name the first bad entry.
-        types = set(map(type, capacity))
-        if not (
-            all(issubclass(t, (int, np.integer)) and t is not bool for t in types)
-            and min(capacity, default=1) >= 1
-        ):
-            for j, c in enumerate(capacity):
-                if isinstance(c, bool) or not (isinstance(c, (int, np.integer)) and c >= 1):
-                    raise ValueError(f"capacity[{j}] must be an integer >= 1, got {c!r}")
+        capacity = _capacities(self.capacity)
         ok = (s >= 0.0) & (s < np.inf)
         if not ok.all():
             i, j = np.argwhere(~ok)[0]
             raise ValueError(
                 f"saving[{i}, {j}] = {float(s[i, j])!r}: a saving must be finite and >= 0"
             )
-        self.saving = s
-        self.capacity = list(map(int, capacity))
-        self.n_uavs = n = shape[0]
-        self.seats = [c if c < n else n for c in self.capacity]
+        self.saving, self.capacity = s, capacity
+        self._seat(shape[0])
+
+    def _seat(self, n: int) -> None:
+        """Seat ``n`` UAVs: set ``n_uavs`` and ``seats``."""
+        self.n_uavs, self.seats = n, [c if c < n else n for c in self.capacity]
 
     @functools.cached_property
     def column_origin(self) -> list[int]:
@@ -304,11 +282,34 @@ class SavingMatrix:
         """UAVs ``start`` to ``stop`` as a matrix of their own, with their
         own seats, on a view of these already checked savings; its
         ``arrays`` is None."""
-        n = stop - start
         m = object.__new__(SavingMatrix)
         m.saving, m.capacity, m.tol = self.saving[start:stop], self.capacity, self.tol
-        m.arrays, m.n_uavs, m.seats = None, n, [c if c < n else n for c in self.capacity]
+        m.arrays = None
+        m._seat(stop - start)
         return m
+
+
+def _leading_integers(values: Sequence) -> int:
+    """How many of ``values`` come before the first that is not an integer
+    (Python's or numpy's; a bool is not one)."""
+    def integer(t: type) -> bool:
+        return issubclass(t, (int, np.integer)) and t is not bool
+    if all(map(integer, set(map(type, values)))):  # one pass over the types
+        return len(values)
+    return next(j for j, v in enumerate(values) if not integer(type(v)))
+
+
+def _capacities(capacity: Sequence) -> list[int]:
+    """``capacity`` as Python ints, checked by ``VehicleOffer``'s capacity
+    row: the first entry below 1, or not an integer (the matrix's own type
+    check, as ``VehicleOffer`` has its own), raises that row's message
+    after ``capacity[j]: ``."""
+    n = _leading_integers(capacity)
+    ints, rows = list(map(int, capacity[:n])), OFFER_RULES[-1:]
+    _check_arrays(rows, SimpleNamespace(capacity=np.asarray(ints)), ["capacity"], "capacity")
+    if n < len(capacity):
+        raise ValueError(f"capacity[{n}]: {rows[0].message(SimpleNamespace(capacity=capacity[n]))}")
+    return ints
 
 
 @dataclass
@@ -420,26 +421,19 @@ def msa_match(m: SavingMatrix) -> MatchResult:
     flipped. No vehicle ever loses a rider, so one with a free seat has
     never been in a tree and keeps q_j = 0.
 
-    Each scan is one numpy operation: the slack update of the rows joining
-    the tree (2-D over a full vehicle's riders in UAV order, into scratch
-    arrays), one arg-min over the vehicle slacks and tree-row potentials
-    together (a vehicle wins a tie, then the lowest index), and one shift
-    by eps of those and of -q on the tree vehicles, which share a buffer;
-    -q takes the roundings q would, and q is written back once per tree.
-    The root's own slacks and their arg-min come first, before the buffer
-    is filled: if that vehicle wins against p_r and has a free seat, the
+    Each scan is one numpy operation on a shared buffer (see ``buf``
+    below); an arg-min tie goes to a vehicle, then the lowest index. The
+    root's own slacks and their arg-min come first, before the buffer is
+    filled: if that vehicle wins against p_r and has a free seat, the
     root takes it at p_r - eps and nothing else is touched (Jonker and
     Volgenant's column reduction, *Computing* 38, 1987, settles the same
     rows without a search); otherwise those slacks seed the tree and the
     loop goes on from that arg-min.
 
-    Which row reached each vehicle is not stored per step. Each step that
-    adds rows writes its slack-improvement mask into the next row of a
-    step log, with the row that made it (a full vehicle's step keeps its
-    riders and their slack block), and the path flip reads back, for each
-    vehicle on the path only, the last entry that improved its slack. Only
-    the path flip runs in Python. ``duals.q`` repeats each vehicle's q
-    over its seats.
+    Which row reached each vehicle is not stored per step: the path flip
+    reads it back, for the vehicles on the path only, from a per-tree step
+    log (``log`` below, and :func:`_flip_path`). Only the path flip runs in
+    Python. ``duals.q`` repeats each vehicle's q over its seats.
 
     ``eps`` and the potential of a row joining the tree (the root's first
     step, the shift of ``buf``, the one-row slack update) reach the ufuncs
@@ -657,25 +651,21 @@ def verify_duals(m: SavingMatrix, result: MatchResult, duals: DualState) -> bool
     potential per UAV and per seat, p >= 0 and Q >= 0, dual feasibility
     (p_i + Q_j >= w_ij), Q_j = 0 while vehicle j has a free seat, matched
     edges tight and above tol, and p_i = 0 for an unmatched UAV. All
-    within tol.
-
-    ``m.tol`` must be at least ``model.MIN_TOL``, as every
-    :class:`PlannerConfig`'s is: :func:`msa_match`'s potentials are tight
-    only to the rounding of the shifts that built them, so a
-    :class:`SavingMatrix` made with a smaller tol may read False on its
-    own optimum.
+    within tol. An assignment whose UAV or vehicle is not an index of the
+    matrix (an integer in range; a bool is not one) reads False.
     """
     tol, seats = m.tol, m.seats
     p = np.array(duals.p, dtype=np.float64)
     q = np.array(duals.q, dtype=np.float64)
     vehicle = np.repeat(np.arange(len(seats)), seats)
+    uavs, vehicles = list(result.assignment), list(result.assignment.values())
     if (len(p) != m.n_uavs or len(q) != len(vehicle)
-            or not (np.isfinite(p).all() and np.isfinite(q).all())):
+            or not (np.isfinite(p).all() and np.isfinite(q).all())
+            or not (_in_range(uavs, m.n_uavs) and _in_range(vehicles, len(seats)))):
         return False
     q_min = np.full(len(seats), np.inf)  # +inf for a vehicle with no seat
     np.minimum.at(q_min, vehicle, q)
-    rows = np.array(list(result.assignment.keys()), dtype=np.intp)
-    cols = np.array(list(result.assignment.values()), dtype=np.intp)
+    rows, cols = np.array(uavs, dtype=np.intp), np.array(vehicles, dtype=np.intp)
     unmatched_row = np.ones(m.n_uavs, dtype=bool)
     unmatched_row[rows] = False
     riders = np.bincount(cols, minlength=len(seats))
@@ -690,3 +680,9 @@ def verify_duals(m: SavingMatrix, result: MatchResult, duals: DualState) -> bool
         or (abs(p[rows] + q_min[cols] - w_matched) > tol).any()
         or (w_matched <= tol).any()
     )
+
+
+def _in_range(values: list, n: int) -> bool:
+    """Whether every one of ``values`` is an integer in [0, n)."""
+    return (_leading_integers(values) == len(values)
+            and min(values, default=0) >= 0 and max(values, default=-1) < n)

@@ -9,7 +9,8 @@ Each field rule is written once, in the table of its model type
 made of operators only, so it runs alike on one entry's fields and on
 float64 columns of them: a model object raises the message of the first
 rule of its table that it breaks, and ``matching``'s scenario columns
-and ``theta_array`` run the same tables on arrays.
+and ``theta_array`` run the same tables on arrays, and ``SavingMatrix``
+its capacities' row and, as ``PlannerConfig`` does, ``TOL_RULES``.
 """
 
 from __future__ import annotations
@@ -58,16 +59,18 @@ class PlannerConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError(f"omega must be in [0, 1], got {self.omega}")
-        if not 0.0 < self.tol <= MAX_TOL:
-            raise ValueError(f"tol must be positive and at most {MAX_TOL}, got {self.tol}")
-        if self.tol < MIN_TOL:
-            raise ValueError(
-                f"tol must be at least {MIN_TOL}, got {self.tol}: the dual certificate "
-                "cannot check potentials tighter than their rounding"
-            )
+        _check(self, TOL_RULES)
 
 
 Rule = namedtuple("Rule", "ok message")
+# The rules of ``PlannerConfig``'s and ``matching.SavingMatrix``'s ``tol``.
+TOL_RULES = (
+    Rule(lambda e: (0.0 < e.tol) & (e.tol <= MAX_TOL),
+         lambda e: f"tol must be positive and at most {MAX_TOL}, got {e.tol}"),
+    Rule(lambda e: e.tol >= MIN_TOL,
+         lambda e: f"tol must be at least {MIN_TOL}, got {e.tol}: the dual certificate "
+                   "cannot check potentials tighter than their rounding"),
+)
 TASK_RULES = (
     Rule(lambda e: (0.0 < e.x) & (e.x < INF),
          lambda e: f"distance x must be positive and finite, got {e.x}"),
@@ -90,7 +93,7 @@ OFFER_RULES = (
          lambda e: f"vehicle speed v must be positive and finite, got {e.v}"),
     Rule(lambda e: e.gamma >= 0.0, lambda e: f"charging rate gamma must be >= 0, got {e.gamma}"),
     Rule(lambda e: e.capacity >= 1,
-         lambda e: f"capacity must be an integer >= 1, got {e.capacity}"),
+         lambda e: f"capacity must be an integer >= 1, got {e.capacity!r}"),
 )
 GEOMETRY_RULES = (
     Rule(lambda e: (0.0 <= e.theta) & (e.theta <= math.pi),

@@ -23,7 +23,7 @@ from uavhitch import (
     msa_match,
     verify_duals,
 )
-from uavhitch.model import MAX_TOL
+from uavhitch.model import MAX_TOL, MIN_TOL
 
 CFG = PlannerConfig(omega=0.8)
 
@@ -83,7 +83,8 @@ def test_saving_matrix_rejects_a_tol_that_is_not_finite_and_positive(tol):
     # The optimum is 1.5. A NaN or infinite tol used to give an empty
     # matching that the certificate passed, and tol = -1 the optimum that it
     # failed.
-    with pytest.raises(ValueError, match=rf"tol must be finite and > 0, got {tol!r}"):
+    message = f"tol must be positive and at most 0.001, got {tol}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         SavingMatrix([[0.0, 1.0], [0.5, 0.0]], [1, 1], tol=tol)
 
 
@@ -92,7 +93,7 @@ def test_saving_matrix_rejects_a_tol_above_max_tol(tol):
     # The optimum is 1.5. Every edge at or below tol is dropped, so tol =
     # 1e300 gave an empty matching and tol = 0.75 the total 1.0, and the
     # certificate passed both.
-    message = f"tol must be at most MAX_TOL = 0.001, got {tol!r}"
+    message = f"tol must be positive and at most 0.001, got {tol}"
     with pytest.raises(ValueError, match=re.escape(message)):
         SavingMatrix([[0.0, 1.0], [0.5, 0.0]], [1, 1], tol=tol)
 
@@ -100,6 +101,25 @@ def test_saving_matrix_rejects_a_tol_above_max_tol(tol):
 def test_saving_matrix_accepts_max_tol():
     m = SavingMatrix([[0.0, 1.0], [0.5, 0.0]], [1, 1], tol=MAX_TOL)
     assert msa_match(m).total_saving == 1.5
+
+
+@pytest.mark.parametrize("tol", [1e-13, 1e-15])
+def test_saving_matrix_rejects_a_tol_below_min_tol(tol):
+    # The certificate checks tight edges to within tol, and the matcher's
+    # potentials are tight only to their rounding: below MIN_TOL it could
+    # reject the matcher's own optimum. The matrix says what a config says.
+    with pytest.raises(ValueError) as config:
+        PlannerConfig(tol=tol)
+    assert str(config.value).startswith(f"tol must be at least {MIN_TOL}, got {tol}")
+    with pytest.raises(ValueError, match=re.escape(str(config.value))):
+        SavingMatrix([[0.0, 1.0], [0.5, 0.0]], [1, 1], tol=tol)
+
+
+def test_saving_matrix_accepts_min_tol_and_takes_the_config_default():
+    m = SavingMatrix([[0.0, 1.0], [0.5, 0.0]], [1, 1], tol=MIN_TOL)
+    r = msa_match(m)
+    assert r.total_saving == 1.5 and verify_duals(m, r, r.duals)
+    assert SavingMatrix([[1.0]], [1]).tol == PlannerConfig().tol
 
 
 def test_saving_matrix_derives_expanded_view():
@@ -123,14 +143,14 @@ def test_saving_matrix_derives_expanded_view():
     assert numpy_int.seats == [2, 1] and numpy_int.column_origin == [0, 0, 1]
 
     for capacity, message in [
-        ([1, 0], "capacity[1] must be an integer >= 1, got 0"),
-        ([1, 1.5], "capacity[1] must be an integer >= 1, got 1.5"),
-        ([np.bool_(True), 1], "capacity[0] must be an integer >= 1, got np.True_"),
-        ([2.0, 1], "capacity[0] must be an integer >= 1, got 2.0"),
-        ([1, -1], "capacity[1] must be an integer >= 1, got -1"),
-        ([1, "1"], "capacity[1] must be an integer >= 1, got '1'"),
-        ([-1, "1"], "capacity[0] must be an integer >= 1, got -1"),  # the first bad entry
-        (["1", -1], "capacity[0] must be an integer >= 1, got '1'"),
+        ([1, 0], "capacity[1]: capacity must be an integer >= 1, got 0"),
+        ([1, 1.5], "capacity[1]: capacity must be an integer >= 1, got 1.5"),
+        ([np.bool_(True), 1], "capacity[0]: capacity must be an integer >= 1, got np.True_"),
+        ([2.0, 1], "capacity[0]: capacity must be an integer >= 1, got 2.0"),
+        ([1, -1], "capacity[1]: capacity must be an integer >= 1, got -1"),
+        ([1, "1"], "capacity[1]: capacity must be an integer >= 1, got '1'"),
+        ([-1, "1"], "capacity[0]: capacity must be an integer >= 1, got -1"),  # the first bad entry
+        (["1", -1], "capacity[0]: capacity must be an integer >= 1, got '1'"),
         ([1, 1, 1], "saving has shape (2, 2), expected (rows, len(capacity)) = (2, 3)"),
     ]:
         with pytest.raises(ValueError) as info:
@@ -149,7 +169,7 @@ def test_saving_matrix_derives_expanded_view():
 def test_saving_matrix_rejects_a_bool_capacity():
     # A scenario file with "capacity": true exits 2; the matrix agrees.
     for flag in (True, False):
-        message = rf"capacity\[0\] must be an integer >= 1, got {flag}"
+        message = rf"capacity\[0\]: capacity must be an integer >= 1, got {flag}"
         with pytest.raises(ValueError, match=message):
             SavingMatrix([[1.0]], [flag])
 
@@ -398,6 +418,24 @@ def test_certificate_rejects_more_riders_than_seats():
     assert not verify_duals(m, over, DualState([1.0, 1.0], [0.0, 0.0]))
     r = msa_match(m)
     assert verify_duals(m, r, r.duals)
+
+
+@pytest.mark.parametrize(
+    "assignment",
+    [{0: 0, -1: 1}, {0: 0, 1: -1}, {0: 2, 1: 1}, {2: 1, 0: 0}, {0: 0, True: 1}, {0: 0, 1: True},
+     {0: 0, 1: 1.0}],
+    ids=["uav_negative", "vehicle_negative", "vehicle_too_large", "uav_too_large", "uav_bool",
+         "vehicle_bool", "vehicle_float"],
+)
+def test_certificate_rejects_an_assignment_outside_the_matrix(assignment):
+    # The optimum {0: 0, 1: 1} certifies; the same pairs under an index the
+    # matrix does not have must not, nor raise. A negative index used to
+    # wrap to the last UAV or vehicle and certify, and a too-large one to
+    # raise IndexError.
+    m = raw_matrix([[1.0, 0.5], [0.4, 0.9]])
+    r = msa_match(m)
+    assert r.assignment == {0: 0, 1: 1} and verify_duals(m, r, r.duals)
+    assert not verify_duals(m, MatchResult(assignment, r.total_saving), r.duals)
 
 
 def test_certificate_reads_each_vehicle_at_its_lowest_q():

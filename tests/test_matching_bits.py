@@ -171,12 +171,12 @@ FIRST_STEP = {
         [[1.0, 0.0, 0.0], [1.0, 0.6, 0.0], [0.9, 0.0, 0.8]], [1, 1, 1], 1e-9,
         {0: 0, 1: 1, 2: 2}, [0.6, 0.6, 0.9 - ((0.0 + 0.9) - 0.8)], [0.4, 0.0, 0.0],
     ),
-    # Root 2's slack on vehicle 2 rounds to exactly p = 1.0: the vehicle
+    # Root 2's slack on vehicle 2 rounds to exactly p = 1e5: the vehicle
     # wins the tie and the root is seated at p = 0. (The edge is then tight
-    # only to 1e-17, above this tol, so no certificate is checked here.)
+    # only to 5e-12, above this tol, so no certificate is checked here.)
     "tie_with_p": (
-        [[3.0, 0.0, 0.0], [3.0, 1.0, 0.0], [1.0, 0.0, 1e-17]], [1, 1, 1], 1e-18,
-        {0: 0, 1: 1, 2: 2}, [1.0, 1.0, 0.0], [2.0, 0.0, 0.0],
+        [[3e5, 0.0, 0.0], [3e5, 1e5, 0.0], [1e5, 0.0, 5e-12]], [1, 1, 1], 1e-12,
+        {0: 0, 1: 1, 2: 2}, [1e5, 1e5, 0.0], [2e5, 0.0, 0.0],
     ),
     # Vehicle 0 has q = 2 > p = 1 of root 2, whose other edge is zero: the
     # root drops out at step one.

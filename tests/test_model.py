@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from uavhitch import PairGeometry, PlannerConfig, UavTask, VehicleOffer
@@ -52,6 +53,18 @@ def test_offer_rejects_a_bool_capacity(capacity):
     # A scenario file with "capacity": true exits 2; the model agrees.
     with pytest.raises(ValueError, match=f"capacity must be an integer >= 1, got {capacity}"):
         VehicleOffer(v=40, capacity=capacity)
+
+
+@pytest.mark.parametrize(
+    "capacity, shown",
+    [("1", "'1'"), (np.int64(2), "np.int64(2)"), (2.0, "2.0"), (0, "0"), (-1, "-1")],
+    ids=["str", "numpy_int", "float", "zero", "negative"],
+)
+def test_offer_capacity_message_shows_the_value_as_given(capacity, shown):
+    # A string "1" used to read "got 1", as if it were the integer.
+    with pytest.raises(ValueError) as info:
+        VehicleOffer(v=40, capacity=capacity)
+    assert str(info.value) == f"capacity must be an integer >= 1, got {shown}"
 
 
 def test_geometry_invariants():

@@ -50,7 +50,10 @@ written once, as a row of its model type's table in ``model.py``, which
 the model objects and the scenario columns both run. An eighth test fails
 when the text of a row's message (its longest literal piece) appears in
 any other string of the package, which would be a second transcription
-of the rule.
+of the rule. The rules of a comparison slack, ``TOL_RULES``, which
+``PlannerConfig`` and ``SavingMatrix`` both run, are held to the same
+test, and a ninth test fails on any comparison against ``MIN_TOL`` or
+``MAX_TOL`` outside that table.
 """
 
 import ast
@@ -59,7 +62,7 @@ import subprocess
 import sys
 
 import uavhitch
-from uavhitch.model import GEOMETRY_RULES, OFFER_RULES, TASK_RULES
+from uavhitch.model import GEOMETRY_RULES, OFFER_RULES, TASK_RULES, TOL_RULES
 
 PACKAGE = pathlib.Path(uavhitch.__file__).parent
 
@@ -249,18 +252,24 @@ def test_orjson_is_imported_only_when_a_file_is_loaded():
     assert child.stdout == "False\n", child.stderr
 
 
-RULE_TABLES = {"TASK_RULES", "OFFER_RULES", "GEOMETRY_RULES"}
+RULE_TABLES = {"TASK_RULES", "OFFER_RULES", "GEOMETRY_RULES", "TOL_RULES"}
+
+
+def rule_tables(tree: ast.Module, names: set[str]) -> list[ast.Assign]:
+    """The module-level assignments of the tables ``names``."""
+    tables = [
+        stmt for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id in names for t in stmt.targets)
+    ]
+    assert len(tables) == len(names)
+    return tables
 
 
 def rule_messages(tree: ast.Module) -> tuple[set[int], set[str]]:
     """The ids of the nodes of ``model.py``'s rule tables, and the longest
     literal piece of each row's message there."""
-    tables = [
-        stmt for stmt in tree.body
-        if isinstance(stmt, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id in RULE_TABLES for t in stmt.targets)
-    ]
-    assert len(tables) == len(RULE_TABLES)
+    tables = rule_tables(tree, RULE_TABLES)
     pieces = {
         max((v.value for v in node.values if isinstance(v, ast.Constant)), key=len)
         for table in tables for node in ast.walk(table) if isinstance(node, ast.JoinedStr)
@@ -272,7 +281,9 @@ def test_field_rule_messages_are_written_only_in_the_tables():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for path in sorted(PACKAGE.rglob("*.py"))}
     table_nodes, messages = rule_messages(trees["model.py"])
-    assert len(messages) == len(TASK_RULES) + len(OFFER_RULES) + len(GEOMETRY_RULES)
+    assert len(messages) == (
+        len(TASK_RULES) + len(OFFER_RULES) + len(GEOMETRY_RULES) + len(TOL_RULES)
+    )
     sites = [
         f"{name}:{node.lineno}"
         for name, tree in trees.items()
@@ -282,3 +293,28 @@ def test_field_rule_messages_are_written_only_in_the_tables():
         and any(message in node.value for message in messages)
     ]
     assert not sites, f"a field rule's message written again at {sites}"
+
+
+TOL_BOUNDS = {"MIN_TOL", "MAX_TOL"}
+
+
+def tol_bound_comparisons(trees: dict[str, ast.Module]) -> list[str]:
+    """``file:line`` of every comparison with ``MIN_TOL`` or ``MAX_TOL`` as
+    an operand, outside ``model.py``'s ``TOL_RULES``."""
+    table = {id(n) for stmt in rule_tables(trees["model.py"], {"TOL_RULES"})
+             for n in ast.walk(stmt)}
+    return [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and id(node) not in table
+        and any((operand.id if isinstance(operand, ast.Name) else getattr(operand, "attr", None))
+                in TOL_BOUNDS for operand in (node.left, *node.comparators))
+    ]
+
+
+def test_tol_bounds_are_compared_only_in_the_tol_rules():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    sites = tol_bound_comparisons(trees)
+    assert not sites, f"tol compared with its bounds outside TOL_RULES at {sites}"
