@@ -2,16 +2,19 @@
 
     python scripts/ab_pairs.py --parent HEAD~1 --first-seed 2401 --pairs 10 \\
         --workloads fleet_cap,fleet_mixed,paper_sim --seconds 30 \\
-        --workdir /tmp/ab --json pairs.json
+        --traced-seed 7 --workdir /tmp/ab --json pairs.json
 
 The parent tree is ``git archive REF`` unpacked under ``--workdir`` and
 removed at the end; the change is this working tree. For each seed, and each workload in turn,
 ``perfbench/run.py --workload W --seed S --seconds N --trace 0`` runs once on
 each tree, one run after the other: the parent first on odd pair numbers
 (the first pair is number 1), the change first on even ones. Each run is
-waited for, so no process outlives the script.
+waited for, so no process outlives the script. With ``--traced-seed S``,
+one ``--trace 1`` run per workload and side follows the pairs, at seed S
+and the same ``--seconds``, the parent first.
 
-The output is one JSON object with three sections:
+The output is one JSON object with three sections, and a fourth with
+``--traced-seed``:
   trees                     the code each side measured: the parent ref and
                             its commit, and the change's HEAD commit with
                             ``dirty`` set when a tracked file differs from it
@@ -23,6 +26,10 @@ The output is one JSON object with three sections:
                             metric's ``bound`` in BENCHMARK.json, read in the
                             metric's ``better`` direction; plus the claim
                             rule's result (see ``summarize``)
+  traced                    the seed, each side's per-layer metrics
+                            (``*.ms``, ``*.share``) and exact counts, and
+                            whether every exact count is equal (see
+                            ``compare_traced``)
 
 With ``--json FILE`` the object is also written to FILE after every pair,
 so a run that is stopped keeps the pairs it finished.
@@ -104,6 +111,37 @@ def summarize_all(pairs: dict, end_to_end: list[dict]) -> dict:
     return out
 
 
+def compare_traced(runs: dict) -> dict:
+    """The ``traced`` section from ``runs[workload][side]``, the metrics of
+    one ``--trace 1`` run as ``perfbench/run.py`` prints them (name to
+    ``{"value", "unit"}``).
+
+    ``layers`` holds each ``*.ms`` and ``*.share`` metric per side, with the
+    change over the parent for ``*.ms``. ``exact_counts`` holds the metrics
+    in counts or bytes, which repeat for a seed; ``exact_counts_equal`` is
+    whether every one, on every workload, is equal on both sides, and
+    ``unequal_counts`` names those that are not. Keys are
+    ``workload.metric``.
+    """
+    layers, counts = {}, {}
+    for workload, sides in runs.items():
+        parent, change = sides["parent"], sides["change"]
+        for name, metric in parent.items():
+            key = f"{workload}.{name}"
+            values = {"parent": metric["value"], "change": change.get(name, {}).get("value")}
+            if name.endswith(".ms"):
+                if values["parent"] and values["change"] is not None:
+                    values["change_over_parent"] = values["change"] / values["parent"]
+                layers[key] = values
+            elif name.endswith(".share"):
+                layers[key] = values
+            elif metric["unit"] in ("count", "B"):
+                counts[key] = values
+    unequal = [key for key, values in counts.items() if values["parent"] != values["change"]]
+    return {"layers": layers, "exact_counts": counts, "exact_counts_equal": not unequal,
+            "unequal_counts": unequal}
+
+
 def trees(parent_ref: str, root: str = ROOT) -> dict:
     """The ``trees`` record of a run comparing ``parent_ref`` with the
     working tree at ``root``. Untracked files do not make it dirty."""
@@ -131,16 +169,17 @@ def archive(ref: str, dest: str) -> None:
         raise SystemExit(f"git archive {ref} failed")
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One ``--trace 0`` run on ``tree``: its env line and its metric values."""
+def run_once(tree: str, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> tuple[dict, dict]:
+    """One run on ``tree``: its env line and its metrics, each a
+    ``{"value", "unit"}`` record."""
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} exited with code {proc.returncode}:\n{proc.stderr}")
     env_line, result_line = proc.stdout.strip().splitlines()[-2:]
-    metrics = json.loads(result_line)["metrics"]
-    return json.loads(env_line)["env"], {k: m["value"] for k, m in metrics.items()}
+    return json.loads(env_line)["env"], json.loads(result_line)["metrics"]
 
 
 def run_pairs(args, end_to_end: list[dict], parent_tree: str) -> int:
@@ -162,9 +201,9 @@ def run_pairs(args, end_to_end: list[dict], parent_tree: str) -> int:
         for workload in workloads:
             record = pairs[workload]
             for side in order:
-                env, values = run_once(paths[side], workload, seed, args.seconds)
+                env, metrics = run_once(paths[side], workload, seed, args.seconds)
                 for name, sides in record["metrics"].items():
-                    sides[side].append(values[name])
+                    sides[side].append(metrics[name]["value"])
                 record["raw_wall_clock_ops_per_s"][side].append(env["raw_wall_clock"]["ops_per_s"])
             record["seeds"].append(seed)
             print(f"pair {number} seed {seed} {workload}: ops_per_s parent "
@@ -172,11 +211,21 @@ def run_pairs(args, end_to_end: list[dict], parent_tree: str) -> int:
                   f"{record['metrics']['ops_per_s']['change'][-1]:.3f}", file=sys.stderr)
         result = {"trees": measured, "pairs": pairs,
                   "end_to_end_median_change": summarize_all(pairs, end_to_end)}
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(result, fh, indent=1)
+        write(args.json, result)
+    if args.traced_seed is not None:
+        runs = {w: {side: run_once(paths[side], w, args.traced_seed, args.seconds, trace=1)[1]
+                    for side in ("parent", "change")} for w in workloads}
+        result["traced"] = {"seed": args.traced_seed, **compare_traced(runs)}
+        write(args.json, result)
     print(json.dumps(result, indent=1))
     return 0
+
+
+def write(path: str | None, result: dict) -> None:
+    """Write ``result`` to ``path``, when one is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(result, fh, indent=1)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -187,6 +236,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workloads", default="paper_sim,fleet_cap,fleet_mixed")
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--workdir", help="where to unpack the parent tree (default: a temp dir)")
+    parser.add_argument("--traced-seed", type=int,
+                        help="after the pairs, one --trace 1 run per side and workload")
     parser.add_argument("--json", help="also write the result here, after every pair")
     args = parser.parse_args(argv)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 from bisect import insort
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
@@ -134,6 +134,11 @@ class _Columns(Sequence):
     def __init__(self, *columns, context: str | None = None) -> None:
         if len(columns) != len(self.names):
             raise TypeError(f"{type(self).__name__} takes {len(self.names)} columns")
+        self._fill(columns)
+        _check_arrays(self.rules, self, self.names, context)
+
+    def _fill(self, columns: Sequence) -> None:
+        """Set the field arrays from ``columns``, one per field, unchecked."""
         floats = np.array([columns[k] for k in self._float_at], dtype=np.float64)
         floats.flags.writeable = False
         for k, row in zip(self._float_at, floats):
@@ -144,7 +149,6 @@ class _Columns(Sequence):
             except OverflowError:
                 a = np.asarray(columns[k], dtype=object)
             object.__setattr__(self, self.names[k], _read_only(a))
-        _check_arrays(self.rules, self, self.names, context)
 
     @classmethod
     def of(cls, items: Sequence) -> _Columns:
@@ -152,6 +156,15 @@ class _Columns(Sequence):
         if isinstance(items, cls):
             return items
         return cls(*([getattr(item, name) for item in items] for name in cls.names))
+
+    @classmethod
+    def _concatenate(cls, parts: Sequence[_Columns]) -> _Columns:
+        """The entries of ``parts``, columns of this kind, one after
+        another. Each part was checked when it was made, so the result is
+        not checked again."""
+        new = object.__new__(cls)
+        new._fill([np.concatenate(c) for c in zip(*(part.columns() for part in parts))])
+        return new
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"{type(self).__name__} is read-only")
@@ -240,10 +253,27 @@ class SavingMatrix:
     seats: list[int] = field(init=False)
 
     def __post_init__(self) -> None:
+        self._check_and_seat(_capacities)
+
+    @classmethod
+    def _of_offers(
+        cls, saving: np.ndarray, offers: OfferColumns, tol: float, arrays: PlanArrays
+    ) -> SavingMatrix:
+        """The matrix of a build: ``offers``' capacities were checked by
+        the same capacity row when the columns were made, and are not
+        checked again; every other field is."""
+        m = object.__new__(cls)
+        m.saving, m.capacity, m.tol, m.arrays = saving, offers.capacity, tol, arrays
+        m._check_and_seat(np.ndarray.tolist)
+        return m
+
+    def _check_and_seat(self, capacities: Callable[[Sequence], list[int]]) -> None:
+        """Check the fields, with ``capacities`` turning ``capacity`` into
+        checked Python ints, store them and seat the UAVs."""
         _check(self, TOL_RULES)
         shape = (len(self.saving), len(self.capacity))
         s = _float_array("saving", self.saving, shape, "(rows, len(capacity))")
-        capacity = _capacities(self.capacity)
+        capacity = capacities(self.capacity)
         ok = (s >= 0.0) & (s < np.inf)
         if not ok.all():
             i, j = np.argwhere(~ok)[0]
@@ -358,6 +388,19 @@ def build_saving_matrix(
     """
     tasks, offers = TaskColumns.of(tasks), OfferColumns.of(offers)
     theta = theta_array(theta, len(tasks), len(offers))
+    return _build_checked(cfg, tasks, offers, theta, limited)
+
+
+def _build_checked(
+    cfg: PlannerConfig,
+    tasks: TaskColumns,
+    offers: OfferColumns,
+    theta: np.ndarray,
+    limited: bool = False,
+) -> SavingMatrix:
+    """:func:`build_saving_matrix` on columns and an (I, J) float64
+    ``theta`` that were already checked, as a ``Scenario`` holds them; it
+    checks none of them again."""
     headroom = (tasks.battery_capacity - tasks.battery_level)[:, None] if limited else np.inf
     arrays = plan_matrix(
         cfg, tasks.x[:, None], tasks.u[:, None], offers.v, offers.gamma, theta,
@@ -368,7 +411,7 @@ def build_saving_matrix(
         i, j = np.argwhere(arrays.unbounded)[0]
         raise UnboundedHitchError(f"uav {i}, vehicle {j}: {UNBOUNDED_MESSAGE}")
 
-    return SavingMatrix(arrays.saving, offers.capacity.tolist(), tol=cfg.tol, arrays=arrays)
+    return SavingMatrix._of_offers(arrays.saving, offers, cfg.tol, arrays)
 
 
 def _collect_result(
@@ -392,8 +435,10 @@ def _flip_path(j, n, log, reached_by, n_cols, match_row, riders) -> None:
     row of ``n_cols`` bytes each, and the row that reached ``j`` is that of
     the last entry to lower j's slack: ``less`` is strict, so an earlier
     row keeps a tie. ``reached_by`` names the entry's row, or holds a full
-    vehicle's (riders, slacks) block, whose first arg-min over the riders
-    in column ``j`` is the row."""
+    vehicle's (rider indices, slacks) pair, whose first arg-min over the
+    riders in column ``j`` is the row. The pair is the vehicle's riders
+    when it joined; moving them here leaves ``msa_match``'s kept block of
+    that vehicle stale, which its next use finds by comparing riders."""
     while j != -1:
         r = reached_by[log[j:n * n_cols:n_cols].rfind(1)]
         if isinstance(r, tuple):
@@ -422,13 +467,20 @@ def msa_match(m: SavingMatrix) -> MatchResult:
     never been in a tree and keeps q_j = 0.
 
     Each scan is one numpy operation on a shared buffer (see ``buf``
-    below); an arg-min tie goes to a vehicle, then the lowest index. The
-    root's own slacks and their arg-min come first, before the buffer is
-    filled: if that vehicle wins against p_r and has a free seat, the
-    root takes it at p_r - eps and nothing else is touched (Jonker and
-    Volgenant's column reduction, *Computing* 38, 1987, settles the same
-    rows without a search); otherwise those slacks seed the tree and the
-    loop goes on from that arg-min.
+    below); an arg-min tie goes to a vehicle, then the lowest index. A
+    root whose first choice, its row's lowest-index arg-max vehicle, has a
+    free seat takes it with no scan: there its slack is 0 and every
+    lower-index slack is positive, so the scan would pick it at eps = 0
+    (Jonker and Volgenant's column reduction, *Computing* 38, 1987,
+    settles the same rows without a search). Otherwise the root's own
+    slacks and their arg-min come first, before the buffer is filled: if
+    that vehicle wins against p_r and has a free seat, the root takes it
+    at p_r - eps and nothing else is touched; else those slacks seed the
+    tree and the loop goes on from that arg-min.
+
+    A full vehicle's riders join in one 2-D update, from their index array
+    and rows of w, which are kept per vehicle (``blocks``) and made again
+    only when its rider list has changed since.
 
     Which row reached each vehicle is not stored per step: the path flip
     reads it back, for the vehicles on the path only, from a per-tree step
@@ -446,6 +498,8 @@ def msa_match(m: SavingMatrix) -> MatchResult:
     tol, seats = m.tol, m.seats
 
     p = m.saving.max(axis=1, initial=0.0)
+    # Each row's first choice, its lowest-index arg-max vehicle.
+    first = m.saving.argmax(axis=1).tolist() if n_cols else []
     # An edge at or below tol gets weight -inf, so its slack is +inf and
     # it never enters a tree.
     w = m.saving.copy()
@@ -453,6 +507,10 @@ def msa_match(m: SavingMatrix) -> MatchResult:
     q = np.zeros(n_cols)
     match_row = [-1] * n_rows
     riders: list[list[int]] = [[] for _ in range(n_cols)]  # in UAV order
+    # Per full vehicle, (riders, their index array, their rows of w), kept
+    # while the vehicle's rider list equals the copy: at most one block a
+    # vehicle, and nothing to invalidate when a path flip moves a rider.
+    blocks: list[tuple | None] = [None] * n_cols
     iterations = 0
 
     # Per-tree state, reset at each root. ``buf`` holds the vehicle slacks,
@@ -484,6 +542,7 @@ def msa_match(m: SavingMatrix) -> MatchResult:
     # keyword parsing (about 0.1 us a call); ``minimum`` takes it by
     # keyword, as numpy deprecates a third positional argument there.
     add, subtract, less, minimum = np.add, np.subtract, np.less, np.minimum
+    min_reduce = minimum.reduce  # ``s2.min(axis=0)`` adds a Python wrapper
     eps0, p0 = np.empty(()), np.empty(())  # the 0-d operands
     next_event = limit.argmin
     w_rows = list(w)
@@ -493,9 +552,17 @@ def msa_match(m: SavingMatrix) -> MatchResult:
         if p_r <= tol:
             continue
         iterations += 1
-        # The first step, before any tree state is set up: the root's
-        # slacks and their arg-min (a vehicle wins a tie with p_r). Most
-        # trees end here, on a vehicle with a free seat.
+        # A first choice with a free seat has q = 0, so its slack is
+        # fl(0 + p_r) - p_r = 0, and every lower-index vehicle's is
+        # positive: the first step would seat the root there at eps = 0.
+        k = first[root]
+        if len(riders[k]) < seats[k]:
+            match_row[root] = k
+            insort(riders[k], root)
+            continue
+        # Else the first step, before any tree state is set up: the root's
+        # slacks and their arg-min (a vehicle wins a tie with p_r). Many
+        # trees still end here, on another vehicle with a free seat.
         p0[()] = p_r
         subtract(add(q, p0, s), w_rows[root], s)
         k = int(s.argmin())
@@ -556,12 +623,17 @@ def msa_match(m: SavingMatrix) -> MatchResult:
                 # The riders of a full vehicle join together, in one 2-D
                 # update; the path flip takes the first arg-min among them,
                 # as adding them one at a time would.
-                rows = np.array(rows)
+                block = blocks[j]
+                if block is None or block[0] != rows:
+                    index = np.array(rows)
+                    block = blocks[j] = (rows[:], index, w[index])
+                _, rows, w_block = block
                 p_tree[rows] = p_r = p[rows]
-                s2 = (p_r[:, None] + q_open) - w[rows]
-                s_min = s2.min(axis=0)
-                less(s_min, slack, log_rows[n])
-                minimum(slack, s_min, out=slack)
+                s2 = add(p_r[:, None], q_open)
+                subtract(s2, w_block, s2)
+                min_reduce(s2, 0, None, s)
+                less(s, slack, log_rows[n])
+                minimum(slack, s, out=slack)
                 reached_by[n] = (rows, s2)
             n += 1
             k = int(next_event())

@@ -33,11 +33,14 @@ from .matching import (
     OfferColumns,
     SavingMatrix,
     TaskColumns,
-    build_saving_matrix,
     greedy_match,
     msa_match,
     theta_array,
 )
+# A scenario's columns and theta were checked when it was made, so its
+# builds skip the public checks. They keep the public name, by which the
+# benchmark's tracer (``perfbench/spans.py``) times simlab's builds.
+from .matching import _build_checked as build_saving_matrix
 from .model import PairGeometry, PlannerConfig, UavTask, UnboundedHitchError, VehicleOffer
 from .planner import UNBOUNDED_MESSAGE, plan_matrix
 
@@ -244,12 +247,14 @@ def run_trial(s: Scenario) -> TrialReport:
 
 def _build_stack(stack: list[Scenario]) -> SavingMatrix:
     """The saving matrix of the trials of ``stack``, which share their
-    vehicles and config, over their UAVs stacked in trial order."""
+    vehicles and config, over their UAVs stacked in trial order. Each
+    trial's columns and theta were checked when it was made, and the
+    stack's are not checked again."""
     first = stack[0]
     if len(stack) == 1:
         tasks, theta = first.tasks, first.geoms
     else:
-        tasks = TaskColumns(*map(np.concatenate, zip(*(s.tasks.columns() for s in stack))))
+        tasks = TaskColumns._concatenate([s.tasks for s in stack])
         theta = np.concatenate([s.geoms for s in stack])
     return build_saving_matrix(first.config, tasks, first.offers, theta)
 

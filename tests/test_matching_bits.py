@@ -27,10 +27,12 @@ and on 500 with 10-40 UAVs on 2-6 vehicles of capacity 1-10, where full
 vehicles join trees with many riders at once.
 """
 
+import collections
 import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
 from oracles import matched_columns, scalar_msa_match
@@ -257,6 +259,60 @@ def test_msa_match_step_log_reaching_rows_equal_reference(name):
     assert verify_duals(m, r, r.duals)
 
 
+# The first-choice exit: a root whose lowest-index arg-max vehicle has a
+# free seat is seated there at eps = 0 with no slack scan; any other root
+# takes the first step above. (saving, capacity, tol, assignment, p, q.)
+FIRST_CHOICE = {
+    # Vehicles 1 and 2 tie for the row max: the lowest index wins.
+    "tie_for_the_max": ([[0.3, 0.7, 0.7]], [1, 1, 1], 1e-9, {0: 1}, [0.7], [0.0, 0.0, 0.0]),
+    # Root 1's first choice, vehicle 0, is full: the first step scans the
+    # slacks, reaches vehicle 0 at eps = 0, and its rider leaves root 1 on
+    # vehicle 1 at eps = 1.0 - 0.8.
+    "full_first_choice": (
+        [[1.0, 0.5], [1.0, 0.8]], [1, 1], 1e-9, {0: 0, 1: 1}, [0.8, 0.8], [1.0 - 0.8, 0.0],
+    ),
+    # Row 0's max is tol itself: the row is no root and flies direct.
+    "max_at_tol": ([[1e-9, 0.0], [0.5, 0.2]], [1, 1], 1e-9, {1: 0}, [1e-9, 0.5], [0.0, 0.0]),
+    # No vehicle: every row's max is 0, and no row has a first choice.
+    "no_vehicles": ([[], []], [], 1e-9, {}, [0.0, 0.0], []),
+}
+
+
+@pytest.mark.parametrize("name", FIRST_CHOICE)
+def test_msa_match_first_choice_exit_equals_reference(name):
+    saving, capacity, tol, assignment, p, q = FIRST_CHOICE[name]
+    m = SavingMatrix(saving, capacity, tol=tol)
+    r = msa_match(m)
+    matched, iterations, ref_p, ref_q, total = scalar_msa_match(m)
+    assert r.assignment == {i: m.column_origin[j] for i, j in matched} == assignment
+    assert repr((r.iterations, r.duals.p, r.duals.q, r.total_saving)) == repr(
+        (iterations, ref_p, ref_q, total)
+    )
+    assert (r.duals.p, r.duals.q) == (p, q)
+    assert verify_duals(m, r, r.duals)
+
+
+def test_msa_match_rebuilds_a_full_vehicle_block_after_a_path_flip():
+    # Vehicle 0 seats two. Rows 0 and 1 take it at their first choice.
+    # Root 2 reaches it full, so rows 0 and 1 join its tree together; row 0
+    # moves to vehicle 1 and the root takes its seat, so vehicle 0's riders
+    # are rows 1 and 2. Root 3 reaches vehicle 0 full again: the riders that
+    # join are rows 1 and 2, and slacks from rows 0 and 1, the first tree's
+    # riders, would give other potentials.
+    m = SavingMatrix(
+        [[1.0, 0.5, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.3]], [2, 1, 1]
+    )
+    r = msa_match(m)
+    matched, iterations, p, q, total = scalar_msa_match(m)
+    assert r.assignment == {i: m.column_origin[j] for i, j in matched} == {0: 1, 1: 0, 2: 0, 3: 2}
+    assert repr((r.iterations, r.duals.p, r.duals.q, r.total_saving)) == repr(
+        (iterations, p, q, total)
+    )
+    assert r.duals.p == [0.5, 0.30000000000000004, 0.30000000000000004, 0.30000000000000004]
+    assert r.duals.q == [0.7, 0.7, 0.0, 0.0]
+    assert verify_duals(m, r, r.duals)
+
+
 def test_msa_match_first_step_takes_a_free_seat_of_a_shared_vehicle():
     # Vehicle 0 seats two: root 1 joins root 0 there at its first step. The
     # reference seats it on the vehicle's second column; the totals, the
@@ -297,6 +353,33 @@ def test_msa_match_equals_reference_on_limited_fleets(seed):
     matched, iterations, p, q, total = scalar_msa_match(m)
     assert r.iterations > 100
     assert r.assignment == {i: m.column_origin[j] for i, j in matched}
+    assert repr((r.iterations, r.duals.p, r.duals.q, r.total_saving)) == repr(
+        (iterations, p, q, total)
+    )
+
+
+def fleet_cap_build(seed: int, n_uavs: int = 200, n_vehicles: int = 20):
+    """The benchmark's fleet_cap recipe at a smaller size: case-1 angles,
+    trips uniform on (0, 20] at u = 60, vehicles at v = 40 and gamma = 0.3
+    seating ten each, omega = 0.8 and tol 1e-9."""
+    rng = np.random.default_rng(seed)
+    xs = 20.0 * (1.0 - rng.random(n_uavs))
+    theta = rng.uniform(0.0, math.pi, (n_uavs, n_vehicles))
+    tasks = [UavTask(float(x), 60.0) for x in xs]
+    offers = [VehicleOffer(40.0, 0.3, capacity=10)] * n_vehicles
+    return build_saving_matrix(PlannerConfig(omega=0.8, tol=1e-9), tasks, offers, theta)
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_msa_match_equals_reference_at_fleet_cap_shape(seed):
+    # Full vehicles of ten riders join trees many times, and path flips
+    # change their riders between one tree and the next: at seed 11, 36
+    # trees add a full vehicle 144 times.
+    m = fleet_cap_build(seed)
+    r = msa_match(m)
+    matched, iterations, p, q, total = scalar_msa_match(m)
+    assert r.assignment == {i: m.column_origin[j] for i, j in matched}
+    assert max(collections.Counter(r.assignment.values()).values()) == 10
     assert repr((r.iterations, r.duals.p, r.duals.q, r.total_saving)) == repr(
         (iterations, p, q, total)
     )

@@ -165,3 +165,73 @@ def test_ab_pairs_makes_a_missing_workdir(tmp_path, monkeypatch):
     workdir = tmp_path / "not" / "made"
     assert ab_pairs.main(["--parent", "HEAD", "--first-seed", "1", "--workdir", str(workdir)]) == 0
     assert workdir.is_dir() and os.path.dirname(os.path.dirname(parents[0])) == str(workdir)
+
+
+def traced_metrics(msa_ms, iterations, load_bytes=4096):
+    """A ``--trace 1`` run's metrics as ``perfbench/run.py`` prints them."""
+    return {
+        "matching.msa_match.ms": {"value": msa_ms, "unit": "ms"},
+        "matching.msa_match.share": {"value": msa_ms / 10.0, "unit": "frac"},
+        "matching.build_saving_matrix.us_per_pair": {"value": 0.2, "unit": "us"},
+        "matching.msa_match.iterations": {"value": iterations, "unit": "count"},
+        "scenario_io.load_scenario.bytes": {"value": load_bytes, "unit": "B"},
+        "matching.useful_ratio": {"value": 0.5, "unit": "frac"},
+        "trace.overhead_frac": {"value": 0.03, "unit": "frac"},
+    }
+
+
+def test_ab_pairs_compare_traced_layers_and_counts():
+    runs = {"fleet_cap": {"parent": traced_metrics(5.0, 3200),
+                          "change": traced_metrics(4.0, 3200)},
+            "fleet_mixed": {"parent": traced_metrics(25.0, 1500),
+                            "change": traced_metrics(25.0, 1500)}}
+    out = ab_pairs.compare_traced(runs)
+    assert out["layers"]["fleet_cap.matching.msa_match.ms"] == {
+        "parent": 5.0, "change": 4.0, "change_over_parent": 0.8}
+    assert out["layers"]["fleet_cap.matching.msa_match.share"] == {"parent": 0.5, "change": 0.4}
+    # Counts and bytes are exact; timings and ratios are not.
+    assert sorted(out["exact_counts"]) == [
+        f"{w}.{name}" for w in ("fleet_cap", "fleet_mixed")
+        for name in ("matching.msa_match.iterations", "scenario_io.load_scenario.bytes")
+    ]
+    assert out["exact_counts_equal"] and out["unequal_counts"] == []
+    # One count off on one workload makes the whole comparison unequal.
+    runs["fleet_mixed"]["change"] = traced_metrics(25.0, 1500, load_bytes=4097)
+    out = ab_pairs.compare_traced(runs)
+    assert not out["exact_counts_equal"]
+    assert out["unequal_counts"] == ["fleet_mixed.scenario_io.load_scenario.bytes"]
+    # A count the change does not report is not equal either.
+    del runs["fleet_cap"]["change"]["matching.msa_match.iterations"]
+    out = ab_pairs.compare_traced(runs)
+    assert out["exact_counts"]["fleet_cap.matching.msa_match.iterations"] == {
+        "parent": 3200, "change": None}
+    assert "fleet_cap.matching.msa_match.iterations" in out["unequal_counts"]
+
+
+def test_ab_pairs_traced_seed_runs_each_side_once_per_workload(monkeypatch, tmp_path):
+    calls = []
+
+    def run_once(tree, workload, seed, seconds, trace=0):
+        calls.append((tree, workload, seed, trace))
+        env = {"raw_wall_clock": {"ops_per_s": 1.0}}
+        if trace:
+            return env, traced_metrics(5.0 if tree == ab_pairs.ROOT else 6.0, 10)
+        return env, {name: {"value": 1.0, "unit": "x"}
+                     for name in ("ops_per_s", "op_ms_p50")}
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    monkeypatch.setattr(ab_pairs, "archive", lambda ref, dest: None)
+    monkeypatch.setattr(ab_pairs, "trees", lambda ref: {})
+    out = tmp_path / "ab.json"
+    args = ab_pairs.argparse.Namespace(
+        parent="HEAD", first_seed=3, pairs=1, workloads="fleet_cap,paper_sim", seconds=1.0,
+        traced_seed=7, json=str(out))
+    end_to_end = [{"name": "ops_per_s", "better": "higher", "bound": 0.2}]
+    assert ab_pairs.run_pairs(args, end_to_end, "parent-tree") == 0
+    traced = [c for c in calls if c[3] == 1]
+    assert traced == [(tree, w, 7, 1) for w in ("fleet_cap", "paper_sim")
+                      for tree in ("parent-tree", ab_pairs.ROOT)]
+    written = ab_pairs.json.loads(out.read_text())
+    assert written["traced"]["seed"] == 7 and written["traced"]["exact_counts_equal"]
+    assert written["traced"]["layers"]["paper_sim.matching.msa_match.ms"] == {
+        "parent": 6.0, "change": 5.0, "change_over_parent": 5.0 / 6.0}
