@@ -438,8 +438,12 @@ def _flip_path(j, n, log, reached_by, n_cols, match_row, riders) -> None:
     vehicle's (rider indices, slacks) pair, whose first arg-min over the
     riders in column ``j`` is the row. The pair is the vehicle's riders
     when it joined; moving them here leaves ``msa_match``'s kept block of
-    that vehicle stale, which its next use finds by comparing riders."""
-    while j != -1:
+    that vehicle stale, which its next use finds by comparing riders.
+
+    The path holds ``j`` and tree vehicles, each once, so it reaches the
+    root in at most ``n`` steps; a longer walk means the log or the seats
+    are corrupt, and raises ``RuntimeError`` rather than loop."""
+    for _ in range(n):
         r = reached_by[log[j:n * n_cols:n_cols].rfind(1)]
         if isinstance(r, tuple):
             rows, s2 = r
@@ -447,9 +451,11 @@ def _flip_path(j, n, log, reached_by, n_cols, match_row, riders) -> None:
         j_next = match_row[r]
         match_row[r] = j
         insort(riders[j], r)
-        if j_next != -1:
-            riders[j_next].remove(r)
+        if j_next == -1:
+            return
+        riders[j_next].remove(r)
         j = j_next
+    raise RuntimeError(f"path flip did not reach the root in {n} steps: column {j} is left")
 
 
 def msa_match(m: SavingMatrix) -> MatchResult:

@@ -312,11 +312,21 @@ def _flight(x, theta, y):
 def _objective(omega: float, x, u, v, gamma, theta, y, headroom):
     """(T, E, C) at riding distances ``y``, the charge capped at
     ``headroom`` (None: uncapped) and C weighted by ``omega``."""
+    return _weigh(omega, *_ride(x, u, v, gamma, theta, y), headroom)
+
+
+def _ride(x, u, v, gamma, theta, y):
+    """The terms of :func:`_objective` that do not depend on the battery:
+    the flight time F(y)/u, the travel time T and the uncapped charge."""
     flight = _flight(x, theta, y) / u
-    charge = (gamma / v) * y
+    return flight, y / v + flight, (gamma / v) * y
+
+
+def _weigh(omega: float, flight, t, charge, headroom):
+    """(T, E, C) from :func:`_ride`'s terms, the charge capped at
+    ``headroom`` (None: uncapped) and C weighted by ``omega``."""
     if headroom is not None:
         charge = np.where(charge < headroom, charge, headroom)
-    t = y / v + flight
     e = flight - charge
     return t, e, omega * e + (1.0 - omega) * t
 
@@ -472,6 +482,11 @@ class PlanArrays:
         )
 
 
+# Pairs a block plans at most, which bounds the memory its temporaries
+# take. A 200 x 200 limited build, which keeps 1.7 MB, peaked at 10.9 MB
+# as one block, at 6.4 MB with each branch planned in chunks of 8192 pairs
+# over pair-sized copies of the operands and test angles, and at 3.6 MB in
+# row blocks (tracemalloc, seed-7 fleet_mixed input).
 _BLOCK = 8192
 
 
@@ -485,6 +500,13 @@ def _spread(a: np.ndarray, shape) -> np.ndarray:
     return a.reshape(-1)
 
 
+def _rows(a: np.ndarray, rows: slice, ndim: int) -> np.ndarray:
+    """The rows ``rows`` of ``a`` along the first axis of an
+    ``ndim``-dimensional broadcast; all of ``a`` where it spans no more
+    than one row of that axis."""
+    return a[rows] if a.ndim == ndim and a.shape[0] != 1 else a
+
+
 def _once(a: np.ndarray) -> np.ndarray:
     """``a``'s one value as a 0-d array where all its entries have the same
     bits, else ``a``."""
@@ -492,8 +514,52 @@ def _once(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1)[:1].reshape(()) if a.size and (bits == bits.flat[0]).all() else a
 
 
+class _Angles:
+    """The test angles of one :func:`plan_matrix` call, on the threshold's
+    own operands: an operand whose entries all share their bits is taken
+    once, and a column of UAV speeds once per distinct speed, its rows
+    gathered back by ``rows``. Each rate's angles are computed once, when a
+    block first reads them."""
+
+    def __init__(self, cfg: PlannerConfig, u, v, gamma) -> None:
+        self.omega, self.tol = cfg.omega, cfg.tol
+        self.u, self.v, self.gamma = (_once(a) for a in (u, v, gamma))
+        self.rows = None
+        if self.u.shape[1:] == (1,) and all(
+            a.ndim < 2 or a.shape[-2] == 1 for a in (self.v, self.gamma)
+        ):
+            distinct, self.rows = np.unique(u.reshape(-1).view(np.int64), return_inverse=True)
+            self.u = distinct.view(np.float64)[:, None]
+
+    @cached_property
+    def charged(self) -> np.ndarray:
+        """The test angles at each offer's weighted charging rate (omega
+        times gamma; a swap offer's entry is never read)."""
+        gamma = self.gamma
+        return _eligible(self.omega, self.tol, self.u, self.v,
+                         self.omega * np.where(np.isinf(gamma), 0.0, gamma))
+
+    @cached_property
+    def ride_only(self) -> np.ndarray:
+        """The test angles with no charge: ride-only, or after a swap."""
+        return _eligible(self.omega, self.tol, self.u, self.v, 0.0)
+
+    def spread(self, angle: np.ndarray, shape, rows: slice | None) -> np.ndarray:
+        """``angle`` (``charged`` or ``ride_only``) at each pair of a block
+        of ``shape``: the rows ``rows`` of the call's broadcast, or all of
+        it (None), flat."""
+        if self.rows is not None:
+            if rows is not None and len(shape) == 2:  # the UAV axis is the first
+                return _spread(angle[self.rows[rows]], shape)
+            angle = angle[..., self.rows, :]
+        if rows is not None:
+            angle = _rows(angle, rows, len(shape))
+        return _spread(angle, shape)
+
+
 class _Pairs:
-    """The flat inputs of :func:`plan_matrix` and the plans written so far.
+    """One block of :func:`plan_matrix`'s pairs, flat: its inputs and the
+    plans written so far, into views of the call's outputs.
 
     Each method transcribes one function of the scalar reference chain in
     ``tests/oracles.py`` for the pairs ``k`` (an index array), with every
@@ -502,56 +568,44 @@ class _Pairs:
     pair's final plan is written once.
     """
 
-    def __init__(self, cfg: PlannerConfig, shape, x, u, v, gamma, theta, deadline, headroom) -> None:
-        self.omega, self.tol, self.shape = cfg.omega, cfg.tol, shape
-        # The test angles' operands on their own axes, before the broadcast:
-        # an operand whose entries all share their bits is taken once, and a
-        # column of UAV speeds once per distinct speed, its rows gathered
-        # back by ``rows``.
-        self.own_u, self.own_v, self.own_gamma = (_once(a) for a in (u, v, gamma))
-        self.rows = None
-        if self.own_u.shape[1:] == (1,) and all(
-            a.ndim < 2 or a.shape[-2] == 1 for a in (self.own_v, self.own_gamma)
-        ):
-            distinct, self.rows = np.unique(u.reshape(-1).view(np.int64), return_inverse=True)
-            self.own_u = distinct.view(np.float64)[:, None]
-        x, u, v, gamma, theta, deadline, headroom = (
-            _spread(a, shape) for a in (x, u, v, gamma, theta, deadline, headroom)
-        )
+    def __init__(self, cfg: PlannerConfig, angles: _Angles, shape, rows, inputs, out) -> None:
+        self.omega, self.tol, self.shape, self.rows, self.angles = (
+            cfg.omega, cfg.tol, shape, rows, angles)
+        if rows is not None:
+            inputs = [_rows(a, rows, len(shape)) for a in inputs]
+        x, u, v, gamma, theta, deadline, headroom = (_spread(a, shape) for a in inputs)
         self.x, self.u, self.v, self.gamma, self.theta = x, u, v, gamma, theta
         self.deadline, self.headroom = deadline, headroom
         self.base = x / u
-        n = x.size
-        self.y_star, self.saving = np.zeros(n), np.zeros(n)
-        self.total_time, self.energy, self.consumption = (self.base.copy() for _ in range(3))
-        self.binding = np.full(n, _NO_HITCH, dtype=np.int8)
-        self.swap = np.zeros(n, dtype=bool)
-        self.unbounded = np.zeros(n, dtype=bool)
-
-    def _angles(self, rate) -> np.ndarray:
-        """Each pair's test angle at weighted charging rates ``rate``,
-        computed on the threshold's own operands and spread over the pairs."""
-        angle = _eligible(self.omega, self.tol, self.own_u, self.own_v, rate)
-        if self.rows is not None:
-            angle = angle[..., self.rows, :]
-        return _spread(angle, self.shape)
+        (self.y_star, self.total_time, self.energy, self.consumption, self.saving,
+         self.binding, self.swap, self.unbounded) = out
+        for a in (self.total_time, self.energy, self.consumption):
+            np.copyto(a, self.base)
 
     @cached_property
     def charged(self) -> np.ndarray:
-        """Each pair's test angle at its offer's weighted charging rate
-        (omega times gamma; a swap offer's entry is never read)."""
-        gamma = self.own_gamma
-        return self._angles(self.omega * np.where(np.isinf(gamma), 0.0, gamma))
+        """Each pair's test angle at its offer's weighted charging rate."""
+        return self.angles.spread(self.angles.charged, self.shape, self.rows)
 
     @cached_property
     def ride_only(self) -> np.ndarray:
-        """Each pair's test angle with no charge: ride-only, or after a swap."""
-        return self._angles(0.0)
+        """Each pair's test angle with no charge."""
+        return self.angles.spread(self.angles.ride_only, self.shape, self.rows)
 
-    def arrays(self) -> PlanArrays:
-        fields = (self.y_star, self.total_time, self.energy, self.consumption, self.saving,
-                  self.binding, self.swap, self.unbounded)
-        return PlanArrays(*(a.reshape(self.shape) for a in fields))
+    def plan(self) -> None:
+        """Plan every pair of the block, each branch (offer rate, battery
+        cap, swap) on the pairs that reach it."""
+        gamma = self.gamma
+        swap = np.isinf(gamma)
+        capped = ~swap & (gamma > 0.0) & np.isfinite(self.headroom)
+        offer_rate = ~swap & ~capped
+        # A row longer than _BLOCK is a block of its own; its branches run
+        # in chunks of _BLOCK pairs.
+        for plan, mask in ((self.plan_offer, offer_rate), (self.plan_capped, capped),
+                           (self.plan_swap, swap)):
+            k = mask.nonzero()[0]
+            for start in range(0, k.size, _BLOCK):
+                plan(k[start:start + _BLOCK])
 
     def write(self, k, plan) -> None:
         (self.y_star[k], self.total_time[k], self.energy[k], self.consumption[k],
@@ -589,6 +643,20 @@ class _Pairs:
         binding[m[inside]] = _INTERIOR
         return y, binding, ~interior & np.isinf(y_deadline)
 
+    def ride(self, k, y):
+        """:func:`_ride`'s terms for the pairs ``k`` at distances ``y``."""
+        return _ride(self.x[k], self.u[k], self.v[k], self.gamma[k], self.theta[k], y)
+
+    def settle(self, k, y, terms, binding, headroom=None):
+        """The rest of ``scalar_finish_plan`` for the pairs ``k`` riding
+        ``y`` > 0, from their :func:`_ride` ``terms``: the positions in
+        ``k`` of the pairs that save and their (y, T, E, C, saving,
+        binding)."""
+        t, e, c = _weigh(self.omega, *terms, headroom)
+        saving = self.base[k] - c
+        ok = (saving > 0.0).nonzero()[0]
+        return ok, (y[ok], t[ok], e[ok], c[ok], saving[ok], binding[ok])
+
     def finish(self, k, y, binding, headroom=None):
         """``scalar_finish_plan`` with the charge capped at ``headroom`` (None:
         uncapped): the positions in ``k`` of the pairs that hitch and their
@@ -597,11 +665,8 @@ class _Pairs:
         k, y = k[hit], y[hit]
         if headroom is not None:
             headroom = headroom[hit]
-        t, e, c = _objective(self.omega, self.x[k], self.u[k], self.v[k], self.gamma[k],
-                             self.theta[k], y, headroom)
-        saving = self.base[k] - c
-        ok = (saving > 0.0).nonzero()[0]
-        return hit[ok], (y[ok], t[ok], e[ok], c[ok], saving[ok], binding[hit[ok]])
+        ok, plan = self.settle(k, y, self.ride(k, y), binding[hit], headroom)
+        return hit[ok], plan
 
     def plan_offer(self, k) -> None:
         """``scalar_optimal_distance``, at the offer's finite charging rate."""
@@ -632,20 +697,28 @@ class _Pairs:
         headroom = self.headroom[k]
         y_cap = headroom * self.v[k] / self.gamma[k]
 
-        # The ride-only candidate, evaluated with no charge.
+        # The ride-only candidate's distance y, and its plan where the
+        # battery fills at or before y: elsewhere y_cap <= ho_y fails
+        # whether riding alone pays (ho_y = y) or not (ho_y = 0). There its
+        # flight leg and T serve both the zero-charge test and the plan
+        # that keeps riding with the charge capped.
         ride, ride_phi = self.eligible(k, self.ride_only)
         y, binding, _ = self.eligible_plan(k[ride], ride_phi, y_deadline[ride])
-        hit, plan = self.finish(k[ride], y, binding, np.zeros(ride.size))
+        m = ((y > 0.0) & (y_cap[ride] <= y)).nonzero()[0]
+        fills, y, binding = ride[m], y[m], binding[m]
+        terms = self.ride(k[fills], y)
+        c = _weigh(self.omega, *terms, np.zeros(m.size))[2]
+        pays = (self.base[k[fills]] - c > 0.0).nonzero()[0]  # its saving, with no charge
+        keep = fills[pays]
         ho_y = np.zeros(k.size)
-        ho_binding = np.full(k.size, _NO_HITCH, dtype=np.int8)
-        ho_y[ride[hit]], ho_binding[ride[hit]] = plan[0], plan[5]
+        ho_y[keep] = y[pays]
         ride_ok = np.zeros(k.size, dtype=bool)
         ride_ok[ride] = True
         # Fully charged before the ride-only optimum: keep riding to it.
         keep_riding = ride_ok & (y_cap <= ho_y)
-        m = keep_riding.nonzero()[0]
-        hit, plan = self.finish(k[m], ho_y[m], ho_binding[m], headroom[m])
-        self.write(k[m[hit]], plan)
+        hit, plan = self.settle(k[keep], y[pays], tuple(a[pays] for a in terms), binding[pays],
+                                headroom[keep])
+        self.write(k[keep[hit]], plan)
         # Otherwise a full battery on which riding alone does not pay stays
         # no-hitch, and the rest compare the unbounded-battery optimum,
         # where it is finite, with the cap distance.
@@ -687,23 +760,31 @@ def plan_matrix(
     branch (deadline, battery cap, swap) runs only on the pairs that reach
     it, in the same operations and order as the scalar reference, so the
     result holds its bits.
+
+    The pairs are planned in blocks of whole rows along the broadcast's
+    first axis, at most ``_BLOCK`` pairs each (a longer row is a block of
+    its own), and a call of at most ``_BLOCK`` pairs is one block. A block
+    spreads only its own rows of the operands and of the test angles, which
+    are computed once per call on their own axes, and writes its plans into
+    views of the pair-sized outputs.
     """
     inputs = [np.asarray(a, dtype=np.float64) for a in (x, u, v, gamma, theta, deadline, headroom)]
-    pairs = _Pairs(cfg, np.broadcast(*inputs).shape, *inputs)
-    gamma = pairs.gamma
-    swap = np.isinf(gamma)
-    capped = ~swap & (gamma > 0.0) & np.isfinite(pairs.headroom)
-    offer_rate = ~swap & ~capped
-    # Blocks of pairs bound the memory the temporaries take: a 200x200
-    # limited build peaked at 10.9 MB in one block and 6.4 MB in blocks of
-    # 8192 pairs (tracemalloc), 0.64 MB of it the two test-angle arrays,
-    # which is below what the per-pair plans used to take.
-    for plan, mask in ((pairs.plan_offer, offer_rate), (pairs.plan_capped, capped),
-                       (pairs.plan_swap, swap)):
-        k = mask.nonzero()[0]
-        for start in range(0, k.size, _BLOCK):
-            plan(k[start:start + _BLOCK])
-    return pairs.arrays()
+    shape = np.broadcast(*inputs).shape
+    n = math.prod(shape)
+    out = (np.zeros(n), np.empty(n), np.empty(n), np.empty(n), np.zeros(n),
+           np.full(n, _NO_HITCH, dtype=np.int8), np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
+    angles = _Angles(cfg, *inputs[1:4])
+    if n <= _BLOCK:
+        _Pairs(cfg, angles, shape, None, inputs, out).plan()
+    else:
+        row = n // shape[0]
+        step = max(1, _BLOCK // row)
+        for start in range(0, shape[0], step):
+            stop = min(start + step, shape[0])
+            views = [a[start * row:stop * row] for a in out]
+            _Pairs(cfg, angles, (stop - start, *shape[1:]), slice(start, stop), inputs,
+                   views).plan()
+    return PlanArrays(*(a.reshape(shape) for a in out))
 
 
 def plan_pair(

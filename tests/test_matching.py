@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from oracles import matched_columns, scalar_msa_match
+
+import uavhitch.matching as matching
 from uavhitch import (
     BruteForceSizeError,
     DualState,
@@ -277,6 +279,19 @@ def test_msa_equals_brute_on_random_instances():
         assert verify_duals(m, r, r.duals)
         assert greedy_match(m).total_saving <= opt + 1e-9
         assert r.iterations <= max(1, m.n_uavs)
+
+
+def test_flip_path_raises_on_a_cyclic_path():
+    # Row 1 sits in vehicle 1 and the log names it as the row that reached
+    # both vehicles, so the walk from vehicle 0 goes 0 -> 1 -> 0 -> ... and
+    # never meets the root's -1: a corrupt log or stale seats. It must
+    # raise within the tree's 2 log entries rather than loop.
+    n, n_cols = 2, 2
+    log = bytearray([1, 1, 1, 1])  # entry 0 (the root) and entry 1, one byte per vehicle
+    reached_by = [0, 1]
+    match_row, riders = [-1, 1], [[], [1]]
+    with pytest.raises(RuntimeError, match="did not reach the root in 2 steps"):
+        matching._flip_path(0, n, log, reached_by, n_cols, match_row, riders)
 
 
 def test_capacity_expansion_against_brute():

@@ -10,6 +10,7 @@ limited model, swaps), so the build never calls ``plan_pair``: it names
 the first pair with no finite optimum from ``plan_matrix``'s flags.
 """
 
+import itertools
 import json
 import math
 import random
@@ -51,6 +52,7 @@ from uavhitch import (
     greedy_match,
     max_hitch_distance,
     msa_match,
+    PlanArrays,
     plan_matrix,
     plan_pair,
     select_vehicle,
@@ -873,3 +875,270 @@ def test_a_sweep_at_one_speed_and_vehicle_calls_acos_on_one_value(monkeypatch):
     assert len(rows) == 101
     assert 1 <= len(sizes) <= 2
     assert max(sizes) == 1
+
+
+# Calls of more than _BLOCK pairs are planned in blocks of whole rows along
+# the broadcast's first axis; each must give the bits of the same pairs
+# planned in calls of one block each.
+
+
+def spy_blocks(monkeypatch) -> list:
+    """The shape of every block the planner plans."""
+    shapes, block = [], planner._Pairs
+
+    class Spied(block):
+        def __init__(self, cfg, angles, shape, *args):
+            shapes.append(shape)
+            super().__init__(cfg, angles, shape, *args)
+
+    monkeypatch.setattr(planner, "_Pairs", Spied)
+    return shapes
+
+
+def assert_same_as_one_block_calls(monkeypatch, cfg, *operands) -> tuple[PlanArrays, list]:
+    """plan_matrix on ``operands`` against the same pairs planned one row
+    of the broadcast's first axis at a time (a 1-D call as one row), each
+    row in 1-D calls of at most 997 pairs, and against 0-d calls at a few
+    pairs: every field of every pair, by its bits. Returns the plans and
+    the shapes of the call's blocks."""
+    shapes = spy_blocks(monkeypatch)
+    got = plan_matrix(cfg, *operands)
+    monkeypatch.undo()
+    grid = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64) for a in operands))
+    shape = grid[0].shape
+    assert math.prod(shape) > planner._BLOCK
+    rows = [a.reshape(shape[0] if shape[1:] else 1, -1) for a in grid]
+    for i, start in itertools.product(range(len(rows[0])), range(0, rows[0].shape[1], 997)):
+        piece = plan_matrix(cfg, *(a[i, start:start + 997] for a in rows))
+        for name in PlanArrays.__dataclass_fields__:
+            want = getattr(piece, name)
+            have = getattr(got, name).reshape(rows[0].shape)[i, start:start + 997]
+            assert have.tobytes() == want.tobytes(), (name, i, start)
+    flat = [a.reshape(-1) for a in grid]
+    for k in np.random.default_rng(30).choice(flat[0].size, 5, replace=False).tolist():
+        one = plan_matrix(cfg, *(a[k] for a in flat))
+        assert one.saving.shape == ()
+        assert repr(one.plan(())) == repr(got.plan(np.unravel_index(k, shape)))
+    return got, shapes
+
+
+def mixed_offers(rng, n):
+    """Speeds and charging rates of ``n`` vehicles: charging, ride-only,
+    swap, always-eligible and as fast as the UAVs."""
+    v = rng.uniform(20.0, 70.0, n)
+    v[::7] = 60.0
+    gamma = rng.uniform(0.0, 1.5, n)
+    gamma[1::5], gamma[2::5], gamma[3::11] = 0.0, math.inf, 5.0
+    return v, gamma
+
+
+def test_a_row_of_more_than_a_block_matches_one_block_calls(monkeypatch):
+    # One UAV with a deadline and a part-full battery against J > _BLOCK
+    # vehicles: blocks of _BLOCK pairs along the row, the last one partial.
+    rng = np.random.default_rng(301)
+    n = planner._BLOCK + 1000
+    v, gamma = mixed_offers(rng, n)
+    theta = rng.uniform(0.0, math.pi, n)
+    for cfg in (PlannerConfig(), PlannerConfig(omega=0.3)):
+        arrays, shapes = assert_same_as_one_block_calls(monkeypatch, cfg, 7.0, 60.0, v, gamma,
+                                                        theta, 0.13, 0.1)
+        assert shapes == [(planner._BLOCK,), (1000,)]
+        assert set(arrays.binding.tolist()) == set(range(4))
+
+
+@pytest.mark.parametrize("speeds", ["shared", "per_uav"])
+def test_rows_longer_than_a_block_match_one_block_calls(speeds, monkeypatch):
+    # I x J with J > _BLOCK: each row is a block of its own, and with per-UAV
+    # speeds each block gathers its own rows of the test angles.
+    rng = np.random.default_rng(302)
+    n_uavs, n = 3, planner._BLOCK + 50
+    x = rng.uniform(0.5, 20.0, (n_uavs, 1))
+    u = np.full((n_uavs, 1), 60.0) if speeds == "shared" else np.array([[60.0], [45.5], [60.0]])
+    deadline = np.array([[math.inf], [0.4], [0.3]])
+    headroom = np.array([[0.2], [math.inf], [0.0]])
+    v, gamma = mixed_offers(rng, n)
+    theta = rng.uniform(0.0, math.pi, (n_uavs, n))
+    _, shapes = assert_same_as_one_block_calls(monkeypatch, PlannerConfig(), x, u, v, gamma,
+                                               theta, deadline, headroom)
+    assert shapes == [(1, n)] * n_uavs
+
+
+def test_a_sweep_longer_than_a_block_matches_one_block_calls(monkeypatch):
+    # A 1-D call on every operand, as a sweep makes: blocks of _BLOCK points.
+    rng = np.random.default_rng(303)
+    n = 2 * planner._BLOCK + 10
+    v, gamma = mixed_offers(rng, n)
+    x = rng.uniform(0.5, 20.0, n)
+    u = rng.choice([30.0, 60.0], n)
+    deadline = np.where(rng.random(n) < 0.5, math.inf, 1.3 * x / u)
+    headroom = np.where(rng.random(n) < 0.3, math.inf, rng.uniform(0.0, 0.3, n))
+    theta = rng.uniform(0.0, math.pi, n)
+    _, shapes = assert_same_as_one_block_calls(monkeypatch, PlannerConfig(), x, u, v, gamma,
+                                               theta, deadline, headroom)
+    assert shapes == [(planner._BLOCK,), (planner._BLOCK,), (10,)]
+
+
+@pytest.mark.parametrize("limited", [False, True], ids=["unbounded", "limited"])
+def test_a_grid_with_a_partial_last_block_matches_one_block_calls(limited, monkeypatch):
+    # 130 x 70 at four UAV speeds: blocks of 117 rows and then 13.
+    rng = random.Random(304)
+    speeds = [rng.choice([20.0, 45.5, 60.0, 90.0]) for _ in range(130)]
+    tasks, offers, theta = fleet_at_speeds(rng, speeds, 70)
+    cfg = PlannerConfig(omega=0.7)
+    arrays, shapes = assert_same_as_one_block_calls(
+        monkeypatch,
+        cfg,
+        np.array([[t.x] for t in tasks]),
+        np.array([[t.u] for t in tasks]),
+        np.array([o.v for o in offers]),
+        np.array([o.gamma for o in offers]),
+        np.array(theta),
+        np.array([[t.deadline] for t in tasks]),
+        np.array([[t.battery_headroom if limited else math.inf] for t in tasks]),
+    )
+    step = planner._BLOCK // 70
+    assert shapes == [(step, 70), (130 - step, 70)]
+    assert arrays.unbounded.any() != limited
+    assert_plan_matrix_matches(cfg, tasks, offers, theta, limited)
+
+
+def test_a_stack_of_grids_matches_one_block_calls(monkeypatch):
+    # (T, I, J) with per-UAV speeds on (I, 1): blocks of whole grids, each
+    # spreading the test angles gathered over all I rows.
+    rng = np.random.default_rng(305)
+    n_uavs, n = 50, 60
+    x = rng.uniform(0.5, 20.0, (n_uavs, 1))
+    u = rng.choice([45.5, 60.0], (n_uavs, 1))
+    v, gamma = mixed_offers(rng, n)
+    theta = rng.uniform(0.0, math.pi, (3, n_uavs, n))
+    headroom = rng.uniform(0.0, 0.3, (n_uavs, 1))
+    _, shapes = assert_same_as_one_block_calls(monkeypatch, PlannerConfig(), x, u, v, gamma,
+                                               theta, 1.3 * x / u, headroom)
+    assert shapes == [(2, n_uavs, n), (1, n_uavs, n)]
+
+
+def test_one_block_calls_plan_in_one_block(monkeypatch):
+    shapes = spy_blocks(monkeypatch)
+    plan_matrix(PlannerConfig(), 5.0, 60.0, 40.0, 0.3, 0.2)
+    plan_matrix(PlannerConfig(), np.ones((2, 1)), 60.0, np.full(planner._BLOCK // 2, 40.0), 0.3,
+                0.2)
+    assert shapes == [(), (2, planner._BLOCK // 2)]
+
+
+def test_a_limited_build_keeps_its_temporaries_small():
+    # A 200 x 200 limited build's tracemalloc peak above what it keeps, in
+    # pair-sized float arrays (320 KB here): 5.8 of them, where pair-sized
+    # copies of the operands and test angles took 14.5. One more such copy
+    # breaks the bound.
+    import tracemalloc
+
+    rng = np.random.default_rng(27)
+    n = 200
+    x = 20.0 * (1.0 - rng.random(n))
+    caps = rng.uniform(0.05, 0.5, n)
+    tasks = [UavTask(float(a), 60.0, 1.3 * float(a / 60.0), float(c), float(c) * r)
+             for a, c, r in zip(x, caps, rng.random(n))]
+    v, gamma = rng.uniform(20.0, 60.0, n), rng.uniform(0.0, 1.5, n)
+    gamma[rng.random(n) < 0.1] = math.inf
+    offers = [VehicleOffer(float(a), float(g)) for a, g in zip(v, gamma)]
+    theta = rng.uniform(0.0, math.pi, (n, n))
+    build_saving_matrix(PlannerConfig(), tasks, offers, theta, limited=True)  # warm
+    tracemalloc.start()
+    try:
+        m = build_saving_matrix(PlannerConfig(), tasks, offers, theta, limited=True)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.saving.shape == (n, n)
+    pair_array = 8 * n * n
+    assert peak - kept < 6.5 * pair_array, (peak - kept) / pair_array
+
+
+# The battery-capped branch evaluates the ride-only candidate only where
+# the battery fills at or before its distance y (y_cap <= y, y > 0), and
+# there reuses its flight leg and T for the plan that keeps riding. Each
+# edge of that rule against the scalar reference, under the limited model.
+
+
+def ride_only_distance(cfg, task, v, theta) -> float:
+    """The ride-only optimum's distance at vehicle speed ``v``, or 0 where
+    riding alone does not pay."""
+    return scalar_plan_pair(cfg, task, VehicleOffer(v, 0.0), PairGeometry(theta), True).y_star
+
+
+def test_a_full_battery_on_which_riding_alone_does_not_pay_stays_no_hitch():
+    # Headroom 0, so y_cap = 0: a vehicle too slow to ride alone (v = 10),
+    # a deadline of exactly the direct time (ride-only y = 0), and angles a
+    # few tol inside the ride-only threshold, where y > 0 but its saving
+    # rounds to 0. Each stays no-hitch; a well-aimed pair rides ride-only.
+    cfg, u = PlannerConfig(omega=0.8), 60.0
+    tasks = [UavTask(7.0, u, deadline, 0.2, 0.2) for deadline in (math.inf, 7.0 / u)]
+    phi = eligibility(cfg, tasks[0], VehicleOffer(32.0, 0.0), PairGeometry(0.0)).threshold_angle
+    near = [phi - k * cfg.tol for k in (1.01, 1.5, 3.0, 10.0)]
+    assert [ride_only_distance(cfg, tasks[0], 32.0, t) for t in near] == [0.0] * 4
+    assert [scalar_eligibility(cfg, tasks[0], VehicleOffer(32.0, 0.0), PairGeometry(t), 0.0).eligible
+            for t in near] == [True] * 4
+    offers = [VehicleOffer(10.0, 0.5)] + [VehicleOffer(32.0, 0.5)] * 5
+    theta = [[0.2, *near, 0.2]] * 2
+    assert_plan_matrix_matches(cfg, tasks, offers, theta, True)
+    arrays = plan_matrix(cfg, 7.0, u, np.array([o.v for o in offers]), 0.5, np.array(theta[0]),
+                         math.inf, 0.0)
+    assert arrays.binding.tolist() == [3, 3, 3, 3, 3, 0]  # no_hitch, then interior
+    assert arrays.y_star[5] == ride_only_distance(cfg, tasks[0], 32.0, 0.2)
+
+
+@pytest.mark.parametrize("deadline_factor", [math.inf, 1.05], ids=["interior", "deadline"])
+def test_a_battery_that_fills_exactly_at_the_ride_only_distance(deadline_factor):
+    # v / gamma = 64, so y_cap = 64 * headroom exactly: the headroom y/64
+    # fills the battery at the ride-only distance y itself, and one ulp
+    # either side of it just before or just after.
+    cfg, u, v, gamma = PlannerConfig(omega=0.8), 60.0, 32.0, 0.5
+    tasks, rows = [], []
+    for x, theta in ((7.0, 0.3), (13.0, 0.05), (2.0, 0.9)):
+        deadline = deadline_factor * x / u
+        y = ride_only_distance(cfg, UavTask(x, u, deadline), v, theta)
+        assert y > 0.0
+        for headroom in (y / 64.0, *np.nextafter(y / 64.0, [0.0, 1.0]).tolist()):
+            task = UavTask(x, u, deadline, headroom, 0.0)
+            assert task.battery_headroom * v / gamma == 64.0 * headroom
+            tasks.append(task)
+            rows.append([theta, theta, 0.0])
+        assert tasks[-3].battery_headroom * v / gamma == y
+    offers = [VehicleOffer(v, gamma), VehicleOffer(v, 0.3), VehicleOffer(v, gamma)]
+    assert_plan_matrix_matches(cfg, tasks, offers, rows, True)
+
+
+def test_a_deadline_distance_of_zero():
+    # D = x/u behind a slower vehicle: no ride meets the deadline, so every
+    # candidate distance is 0, at empty, partial and full batteries.
+    cfg, u = PlannerConfig(omega=0.8), 60.0
+    tasks = [UavTask(x, u, x / u, 0.2, level) for x in (0.5, 7.0, 19.0) for level in (0.0, 0.1, 0.2)]
+    offers = [VehicleOffer(32.0, gamma) for gamma in (0.5, 0.05, 2.0, math.inf)]
+    theta = [[0.0, 0.3, 1.0, 2.5]] * len(tasks)
+    for task in tasks:
+        for t in theta[0]:
+            assert max_hitch_distance(task, offers[0], PairGeometry(t)) == 0.0
+    assert_plan_matrix_matches(cfg, tasks, offers, theta, True)
+    arrays = plan_matrix(cfg, np.array([[t.x] for t in tasks]), u, 32.0, 0.5, 0.3,
+                         np.array([[t.deadline] for t in tasks]), 0.1)
+    assert (arrays.binding == 3).all()
+
+
+def test_a_headroom_whose_cap_distance_underflows_to_zero():
+    # A subnormal headroom times v over a huge charging rate rounds to
+    # y_cap = 0 on a battery that is not full: the battery counts as filled
+    # at once. Where riding alone pays the UAV keeps riding, its charge
+    # capped at the headroom; where it does not (a wide angle, eligible only
+    # for the charge) it stays no-hitch.
+    cfg, u, v, gamma = PlannerConfig(omega=0.8), 60.0, 64.0, 1e10
+    tasks = [UavTask(x, u, deadline, 5e-324, 0.0) for x in (7.0, 13.0)
+             for deadline in (math.inf, 1.2 * x / u)]
+    assert tasks[0].battery_headroom > 0.0
+    assert tasks[0].battery_headroom * v / gamma == 0.0
+    offers = [VehicleOffer(v, gamma)] * 3
+    theta = [[0.1, 0.6, 3.0]] * len(tasks)
+    assert eligibility(cfg, tasks[0], offers[0], PairGeometry(3.0)).eligible
+    assert_plan_matrix_matches(cfg, tasks, offers, theta, True)
+    arrays = plan_matrix(cfg, 7.0, u, v, gamma, np.array(theta[0]), math.inf, 5e-324)
+    assert arrays.binding.tolist() == [0, 0, 3]
+    assert arrays.y_star[0] == ride_only_distance(cfg, tasks[0], v, 0.1)
