@@ -20,7 +20,12 @@ swap. A full battery takes no charge, so it rides any vehicle as a
 ride-only one. The battery headroom is the battery model: a finite one
 caps the charge, an infinite one does not. Each branch runs only on the
 pairs that reach it, and a pair with no finite optimum is flagged rather
-than raised. The one planning entry for one pair, :func:`plan_pair`, is a
+than raised. Where the battery fills at or before the ride-only
+candidate's distance, that candidate's flight leg and travel time serve
+both its own plan and the one that keeps riding. A call of more than
+``_BLOCK`` pairs is planned in blocks of whole rows, each spreading only
+its own rows of the operands, so the temporaries stay block-sized. The
+one planning entry for one pair, :func:`plan_pair`, is a
 0-d call of it at the task's own battery headroom that raises
 :class:`UnboundedHitchError` on that flag, and :func:`select_vehicle` is
 one call over its offers. A task's default battery is infinite, so it
@@ -518,8 +523,7 @@ class _Angles:
     """The test angles of one :func:`plan_matrix` call, on the threshold's
     own operands: an operand whose entries all share their bits is taken
     once, and a column of UAV speeds once per distinct speed, its rows
-    gathered back by ``rows``. Each rate's angles are computed once, when a
-    block first reads them."""
+    gathered back by ``rows``."""
 
     def __init__(self, cfg: PlannerConfig, u, v, gamma) -> None:
         self.omega, self.tol = cfg.omega, cfg.tol
@@ -530,24 +534,18 @@ class _Angles:
         ):
             distinct, self.rows = np.unique(u.reshape(-1).view(np.int64), return_inverse=True)
             self.u = distinct.view(np.float64)[:, None]
+        self.done = {}
 
-    @cached_property
-    def charged(self) -> np.ndarray:
-        """The test angles at each offer's weighted charging rate (omega
-        times gamma; a swap offer's entry is never read)."""
-        gamma = self.gamma
-        return _eligible(self.omega, self.tol, self.u, self.v,
-                         self.omega * np.where(np.isinf(gamma), 0.0, gamma))
-
-    @cached_property
-    def ride_only(self) -> np.ndarray:
-        """The test angles with no charge: ride-only, or after a swap."""
-        return _eligible(self.omega, self.tol, self.u, self.v, 0.0)
-
-    def spread(self, angle: np.ndarray, shape, rows: slice | None) -> np.ndarray:
-        """``angle`` (``charged`` or ``ride_only``) at each pair of a block
-        of ``shape``: the rows ``rows`` of the call's broadcast, or all of
-        it (None), flat."""
+    def spread(self, charged: bool, shape, rows: slice | None) -> np.ndarray:
+        """The test angles at the offers' weighted charging rates (omega
+        times gamma; a swap offer's entry is never read), or with no charge,
+        at each pair of a block of ``shape``: the rows ``rows`` of the
+        call's broadcast, or all of it (None), flat. Each rate's angles are
+        computed once a call, when a block first reads them."""
+        angle = self.done.get(charged)
+        if angle is None:
+            rate = self.omega * np.where(np.isinf(self.gamma), 0.0, self.gamma) if charged else 0.0
+            angle = self.done[charged] = _eligible(self.omega, self.tol, self.u, self.v, rate)
         if self.rows is not None:
             if rows is not None and len(shape) == 2:  # the UAV axis is the first
                 return _spread(angle[self.rows[rows]], shape)
@@ -579,18 +577,17 @@ class _Pairs:
         self.base = x / u
         (self.y_star, self.total_time, self.energy, self.consumption, self.saving,
          self.binding, self.swap, self.unbounded) = out
-        for a in (self.total_time, self.energy, self.consumption):
-            np.copyto(a, self.base)
+        self.total_time[...] = self.energy[...] = self.consumption[...] = self.base
 
     @cached_property
     def charged(self) -> np.ndarray:
         """Each pair's test angle at its offer's weighted charging rate."""
-        return self.angles.spread(self.angles.charged, self.shape, self.rows)
+        return self.angles.spread(True, self.shape, self.rows)
 
     @cached_property
     def ride_only(self) -> np.ndarray:
-        """Each pair's test angle with no charge."""
-        return self.angles.spread(self.angles.ride_only, self.shape, self.rows)
+        """Each pair's test angle with no charge: ride-only, or after a swap."""
+        return self.angles.spread(False, self.shape, self.rows)
 
     def plan(self) -> None:
         """Plan every pair of the block, each branch (offer rate, battery
